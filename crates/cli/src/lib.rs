@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use depgraph::{
     diff_programs, impact_of_edit, program_fingerprint, resume_collection,
-    run_edit_sequence_parallel_with_policy, run_edit_sequence_supervised, ExecGraph,
-    IncrementalTranslator,
+    run_edit_sequence_supervised, ExecGraph, IncrementalTranslator,
 };
 use incremental::{
     collection_checksum, Checkpoint, CheckpointError, FailurePolicy, McmcKernel, MetricsRecorder,
@@ -556,61 +555,6 @@ fn render_return_posterior(
     Ok(())
 }
 
-/// Graph-native SMC across a whole edit history: samples the posterior
-/// of the first program, lifts the particles into execution graphs once,
-/// then propagates the *graphs* through every edit on the persistent
-/// worker pool ([`depgraph::run_edit_sequence_parallel_with_policy`]).
-/// Per-particle randomness derives from `seed`, so the output is
-/// bit-identical for any `threads` value; particles are flattened back
-/// to traces only here, at the output boundary.
-///
-/// # Errors
-///
-/// Returns parse, evaluation, and SMC runtime errors.
-pub fn cmd_sequence(
-    sources: &[String],
-    traces: usize,
-    seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-) -> Result<String, PplError> {
-    let programs: Vec<Program> = sources.iter().map(|s| parse(s)).collect::<Result<_, _>>()?;
-    if programs.len() < 2 {
-        return Err(PplError::Other(
-            "sequence needs at least two programs".to_string(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "edit history: {} programs, {} stages",
-        programs.len(),
-        programs.len() - 1
-    );
-    let input = posterior_traces(&programs[0], traces, &mut rng, &mut out)?;
-    let particles = ParticleCollection::from_traces(input);
-    let run = run_edit_sequence_parallel_with_policy(
-        &programs,
-        &particles,
-        &SmcConfig::translate_only(),
-        policy,
-        seed,
-        threads.max(1),
-        &mut rng,
-    )
-    .map_err(PplError::from)?;
-    for (step, (ess, report)) in run.ess_history.iter().zip(&run.reports).enumerate() {
-        let _ = writeln!(out, "stage {step}: ESS = {ess:.1}; health: {report}");
-        for failure in &report.failures {
-            let _ = writeln!(out, "  quarantined: {failure}");
-        }
-    }
-    let flat = run.last().flatten()?;
-    render_return_posterior(&mut out, &flat)?;
-    Ok(out)
-}
-
 /// A CLI-level error: a rendered message plus the process exit code it
 /// maps to, so callers (and scripts around the `ppl` binary) can tell
 /// inference failures from I/O problems.
@@ -762,9 +706,14 @@ fn collection_entries(collection: &ParticleCollection) -> Vec<(ppl::ChoiceMap, f
         .collect()
 }
 
-/// Crash-safe variant of [`cmd_sequence`]: graph-native SMC across an
-/// edit history with optional durable checkpoints, watchdog deadlines,
-/// and resume-from-checkpoint.
+/// Graph-native SMC across a whole edit history
+/// ([`depgraph::run_edit_sequence_supervised`]): samples the posterior of
+/// the first program, lifts the particles into execution graphs once,
+/// then propagates the *graphs* through every edit on the persistent
+/// worker pool, with optional durable checkpoints, watchdog deadlines,
+/// and resume-from-checkpoint. Per-particle randomness derives from the
+/// seed, so the output is bit-identical for any `threads` value;
+/// particles are flattened back to traces only at the output boundary.
 ///
 /// With `--checkpoint <dir>`, every `checkpoint_every`-th stage boundary
 /// (and the final one) is written atomically to `dir`; with `resume`,
@@ -1131,7 +1080,12 @@ mod tests {
         let mid = "x = flip(0.3) @ x; observe(flip(x ? 0.95 : 0.05) @ o == 1); return x;";
         let last = "x = flip(0.3) @ x; observe(flip(x ? 0.99 : 0.01) @ o == 1); return x;";
         let sources = [COIN.to_string(), mid.to_string(), last.to_string()];
-        let out = cmd_sequence(&sources, 20_000, 4, 1, &FailurePolicy::FailFast).unwrap();
+        let opts = SequenceOpts {
+            traces: 20_000,
+            seed: 4,
+            ..SequenceOpts::default()
+        };
+        let out = cmd_sequence_supervised(&sources, &opts).unwrap();
         assert!(out.contains("3 programs, 2 stages"), "{out}");
         assert!(out.contains("stage 0: ESS"), "{out}");
         assert!(out.contains("stage 1: ESS"), "{out}");
@@ -1148,15 +1102,23 @@ mod tests {
     fn sequence_output_is_identical_for_any_thread_count() {
         let mid = "x = flip(0.3) @ x; observe(flip(x ? 0.95 : 0.05) @ o == 1); return x;";
         let sources = [COIN.to_string(), mid.to_string()];
-        let serial = cmd_sequence(&sources, 2_000, 7, 1, &FailurePolicy::FailFast).unwrap();
-        let pooled = cmd_sequence(&sources, 2_000, 7, 4, &FailurePolicy::FailFast).unwrap();
-        assert_eq!(serial, pooled);
+        let run = |threads| {
+            let opts = SequenceOpts {
+                traces: 2_000,
+                seed: 7,
+                threads,
+                ..SequenceOpts::default()
+            };
+            cmd_sequence_supervised(&sources, &opts).unwrap()
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
     fn sequence_rejects_a_single_program() {
         let sources = [COIN.to_string()];
-        assert!(cmd_sequence(&sources, 10, 0, 1, &FailurePolicy::FailFast).is_err());
+        let err = cmd_sequence_supervised(&sources, &SequenceOpts::default()).unwrap_err();
+        assert_eq!(err.code, 1, "{err}");
     }
 
     #[test]

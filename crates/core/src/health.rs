@@ -210,7 +210,7 @@ impl Backoff {
     }
 }
 
-/// Stage-level supervision policy for a sequence run: how often to
+/// Per-stage supervision policy for a sequence run: how often to
 /// checkpoint, how long a translation batch may run before the watchdog
 /// declares it hung, and how retries back off.
 ///

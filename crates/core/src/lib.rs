@@ -14,7 +14,10 @@
 //!   [`resample()`](resample::resample), optionally rejuvenate with an [`McmcKernel`].
 //! - [`ParticleCollection`] — weighted collections and the Eq. (5)
 //!   estimator; [`diagnostics`] — effective-sample-size monitoring.
-//! - [`run_sequence`] — iterated SMC across program sequences.
+//! - [`run_state_sequence_supervised`] — the one stage loop: iterated SMC
+//!   across program sequences (Section 4.2), for flat traces or any
+//!   other particle state, with pooled or inline translation, failure
+//!   policies, a watchdog deadline, and checkpoint/resume.
 //! - [`health`] + [`fault`] — the fault-tolerant runtime:
 //!   [`infer_with_policy`] isolates per-particle panics, quarantines
 //!   NaN/`+∞` weights, and applies a [`FailurePolicy`] (fail fast, drop
@@ -106,19 +109,12 @@ pub use particles::{Particle, ParticleCollection, ParticleState};
 pub use pool::WorkerPool;
 pub use resample::{resample, ResampleError, ResampleScheme};
 pub use sequence::{
-    resample_seed, run_sequence, run_sequence_parallel, run_sequence_parallel_with_policy,
-    run_sequence_with_policy, run_state_sequence_parallel_with_policy,
-    run_state_sequence_supervised, run_state_sequence_with_policy, stage_seed, ParallelStage,
-    SequenceRun, Stage, StageObserver, StageSnapshot,
+    resample_seed, run_state_sequence_supervised, stage_seed, SequenceRun, StageObserver,
+    StageSnapshot,
 };
 pub use smc::{
-    auto_chunk_size, infer, infer_parallel_with_policy, infer_states_parallel_with_policy,
-    infer_states_supervised_with_policy, infer_states_with_policy, infer_with_policy,
-    infer_without_weights, translate_collection, translate_parallel,
-    translate_parallel_with_policy, translate_parallel_with_policy_scoped,
-    translate_states_chunked_with_policy, translate_states_deadline_chunked_with_policy,
-    translate_states_deadline_with_policy, translate_states_parallel_with_policy, ResamplePolicy,
-    SmcConfig,
+    auto_chunk_size, infer, infer_with_policy, infer_without_weights, translate_collection,
+    ResamplePolicy, SmcConfig,
 };
 pub use translator::{
     StateTranslator, TraceStateAdapter, TraceTranslator, TranslateCtx, Translated,

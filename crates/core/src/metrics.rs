@@ -528,9 +528,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 //
 // One metrics-enabled run at a time (serialized by EXCLUSIVE); all hot
 // paths check ENABLED with one relaxed load and add into relaxed
-// AtomicU64 accumulators, which the sequence runner drains at each stage
-// boundary. Stage boundaries are barriers in every runner, so the drain
-// is race-free with respect to worker threads.
+// AtomicU64 accumulators, which the stage loop drains at each stage
+// boundary. Those boundaries are barriers (every particle of a stage has
+// finished), so the drain is race-free with respect to worker threads.
 // ---------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -553,7 +553,7 @@ static T_TRANSLATE_NS: AtomicU64 = AtomicU64::new(0);
 static T_RESAMPLE_NS: AtomicU64 = AtomicU64::new(0);
 static T_CHECKPOINT_NS: AtomicU64 = AtomicU64::new(0);
 
-// Stage-dispatch gauges (drained per stage).
+// Dispatch gauges (drained per stage).
 static D_TASKS: AtomicU64 = AtomicU64::new(0);
 static D_CHUNK: AtomicU64 = AtomicU64::new(0);
 

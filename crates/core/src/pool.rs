@@ -3,7 +3,8 @@
 //! Algorithm 2's translation loop is embarrassingly parallel, but the
 //! historical implementation paid a full `std::thread::scope` spawn/join
 //! cycle on *every* SMC step — hundreds of thread creations over a
-//! [`crate::run_sequence`] of edits. [`WorkerPool`] amortizes that cost:
+//! [`crate::run_state_sequence_supervised`] of edits. [`WorkerPool`]
+//! amortizes that cost:
 //! worker threads are spawned once (lazily, on first parallel
 //! translation) and reused across steps for the lifetime of the process.
 //!
@@ -11,7 +12,7 @@
 //! deterministic per-particle RNG seeds and write to disjoint,
 //! pre-assigned output slots, so neither worker scheduling nor pool size
 //! can influence results (see the determinism contract on
-//! [`crate::translate_parallel_with_policy`]).
+//! [`crate::run_state_sequence_supervised`]).
 //!
 //! Two robustness mechanisms keep the pool healthy across a long
 //! sequence run:
@@ -24,8 +25,8 @@
 //!   strength.
 //! - **Pool retirement.** A worker *wedged* inside user code (an
 //!   infinite loop, a deadlocked translation) cannot be respawned — the
-//!   thread never exits. The watchdog in
-//!   [`crate::translate_states_deadline_with_policy`] detects the hang
+//!   thread never exits. The watchdog (a sequence run with a
+//!   [`crate::StagePolicy::deadline`]) detects the hang
 //!   via a deadline, calls [`WorkerPool::retire_global`], and the next
 //!   [`WorkerPool::global`] call builds a fresh pool. The wedged pool is
 //!   dropped without joining (its healthy workers exit when the channel

@@ -5,40 +5,25 @@
 //! Algorithm 2 repeatedly, once for each new program in the sequence, to
 //! iteratively transform the weighted collection of traces from one
 //! program to the next."
+//!
+//! [`run_state_sequence_supervised`] is that loop, for any particle state:
+//! flat traces (stages adapted with [`crate::TraceStateAdapter`]) or
+//! execution graphs (depgraph's translators). Threads, chunk size,
+//! failure policy, watchdog deadline, backoff, checkpoint cadence, and
+//! resume are all arguments of the one loop.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use ppl::{PplError, Trace};
 
 use crate::health::{FailurePolicy, SmcError, StagePolicy, StepReport};
-use crate::mcmc::McmcKernel;
 use crate::metrics;
 use crate::particles::{ParticleCollection, ParticleState};
-use crate::smc::{
-    infer_parallel_with_policy, infer_states_parallel_with_policy,
-    infer_states_supervised_with_policy, infer_states_with_policy, infer_with_policy, SmcConfig,
-};
-use crate::translator::{StateTranslator, TraceTranslator};
-
-/// One stage of a program sequence: a translator into the stage's program
-/// plus an optional rejuvenation kernel for it.
-pub struct Stage<'a> {
-    /// Translator from the previous stage's program.
-    pub translator: &'a dyn TraceTranslator,
-    /// Optional MCMC kernel with the stage posterior invariant.
-    pub mcmc: Option<&'a dyn McmcKernel>,
-}
-
-impl std::fmt::Debug for Stage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stage")
-            .field("has_mcmc", &self.mcmc.is_some())
-            .finish_non_exhaustive()
-    }
-}
+use crate::smc::{supervised_step, SmcConfig};
+use crate::translator::StateTranslator;
 
 /// The trajectory of a program-sequence run: the particle collection after
 /// every stage, plus per-stage health for degeneracy monitoring.
@@ -98,89 +83,8 @@ impl<S: ParticleState> SequenceRun<S> {
     }
 }
 
-/// Runs Algorithm 2 once per stage under a [`FailurePolicy`], threading
-/// the collection through the sequence. Stage `s` runs as SMC step `s`,
-/// so fault plans and retry seeds address stages directly.
-///
-/// Weight collapse at any stage is handled by
-/// [`infer_with_policy`]'s recovery contract: tolerant policies keep the
-/// pre-stage collection (flagged in that stage's report) so later stages
-/// still have particles to work with.
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_with_policy`].
-pub fn run_sequence_with_policy(
-    stages: &[Stage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, stage) in stages.iter().enumerate() {
-        let (next, report) = infer_with_policy(
-            stage.translator,
-            stage.mcmc,
-            &current,
-            config,
-            policy,
-            step,
-            rng,
-        )?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// Runs Algorithm 2 once per stage, threading the collection through the
-/// sequence. This is [`run_sequence_with_policy`] under
-/// [`FailurePolicy::FailFast`], with errors flattened to [`PplError`].
-///
-/// # Errors
-///
-/// Propagates errors from [`crate::infer`].
-pub fn run_sequence(
-    stages: &[Stage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, PplError> {
-    run_sequence_with_policy(stages, initial, config, &FailurePolicy::FailFast, rng)
-        .map_err(PplError::from)
-}
-
-/// A [`Stage`] whose translator can be shared across worker threads
-/// (required by the parallel sequence runner).
-pub struct ParallelStage<'a> {
-    /// Translator from the previous stage's program.
-    pub translator: &'a (dyn TraceTranslator + Sync),
-    /// Optional MCMC kernel with the stage posterior invariant (applied
-    /// serially after the parallel translation phase).
-    pub mcmc: Option<&'a dyn McmcKernel>,
-}
-
-impl std::fmt::Debug for ParallelStage<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelStage")
-            .field("has_mcmc", &self.mcmc.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The deterministic translation seed of stage `step` in a parallel
-/// sequence run (a golden-ratio stride over `base_seed`).
+/// The deterministic translation seed of stage `step` in a sequence run
+/// (a golden-ratio stride over `base_seed`).
 ///
 /// Public because checkpoint/resume must re-derive the exact same seed
 /// for stage `step` of a resumed run as the uninterrupted run used.
@@ -192,180 +96,17 @@ pub fn stage_seed(base_seed: u64, step: usize) -> u64 {
 /// stream ([`stage_seed`]); an arbitrary odd constant.
 const RESAMPLE_SALT: u64 = 0x5EED_5A17_C0FF_EE00;
 
-/// The deterministic *resampling* seed of stage `step` in a supervised
-/// sequence run.
+/// The deterministic *resampling* seed of stage `step` in a sequence run.
 ///
-/// The legacy runners thread one caller RNG through every stage's
-/// resampling step, which makes a stage's randomness depend on how many
-/// draws earlier stages consumed — impossible to reproduce when resuming
-/// from a checkpoint without replaying the whole prefix. The supervised
-/// runner instead seeds each stage's resampler from `base_seed` and the
-/// absolute stage index alone, so stage `s` of a resumed run is
-/// bit-identical to stage `s` of an uninterrupted one.
+/// Threading one caller RNG through every stage's resampling step would
+/// make a stage's randomness depend on how many draws earlier stages
+/// consumed — impossible to reproduce when resuming from a checkpoint
+/// without replaying the whole prefix. The sequence loop instead seeds
+/// each stage's resampler from `base_seed` and the absolute stage index
+/// alone, so stage `s` of a resumed run is bit-identical to stage `s` of
+/// an uninterrupted one.
 pub fn resample_seed(base_seed: u64, step: usize) -> u64 {
     stage_seed(base_seed ^ RESAMPLE_SALT, step)
-}
-
-/// [`run_sequence_with_policy`] with pooled parallel translation: every
-/// stage's translate/reweight loop runs on the persistent
-/// [`crate::WorkerPool`], which is spawned once and reused across all
-/// stages (and across runs in the same process). Translation randomness
-/// is derived from `base_seed` per stage, so results are bit-identical
-/// for any `threads` value; `rng` drives only resampling and
-/// rejuvenation, as in the serial runner.
-///
-/// (Edit sequences that stay graph-native end to end use
-/// [`run_state_sequence_parallel_with_policy`] instead.)
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_parallel_with_policy`].
-pub fn run_sequence_parallel_with_policy(
-    stages: &[ParallelStage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, stage) in stages.iter().enumerate() {
-        let (next, report) = infer_parallel_with_policy(
-            stage.translator,
-            stage.mcmc,
-            &current,
-            config,
-            policy,
-            step,
-            stage_seed(base_seed, step),
-            threads,
-            rng,
-        )?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// [`run_sequence_parallel_with_policy`] under
-/// [`FailurePolicy::FailFast`], with errors flattened to [`PplError`].
-///
-/// # Errors
-///
-/// Propagates errors from [`infer_parallel_with_policy`].
-pub fn run_sequence_parallel(
-    stages: &[ParallelStage<'_>],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, PplError> {
-    run_sequence_parallel_with_policy(
-        stages,
-        initial,
-        config,
-        &FailurePolicy::FailFast,
-        base_seed,
-        threads,
-        rng,
-    )
-    .map_err(PplError::from)
-}
-
-/// [`run_sequence_with_policy`] generalized to any particle state: one
-/// [`StateTranslator`] per stage, the collection threaded through them
-/// serially. Stage `s` runs as SMC step `s`, exactly as in the trace
-/// runner, so fault plans and retry seeds address stages directly. (No
-/// MCMC rejuvenation — that is trace-level machinery.)
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_states_with_policy`].
-pub fn run_state_sequence_with_policy<S: Clone>(
-    stages: &[&dyn StateTranslator<S>],
-    initial: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<S>, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, translator) in stages.iter().enumerate() {
-        let (next, report) =
-            infer_states_with_policy(*translator, &current, config, policy, step, rng)?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
-}
-
-/// [`run_state_sequence_with_policy`] with pooled parallel translation:
-/// every stage's translate/reweight loop runs on the persistent
-/// [`crate::WorkerPool`] with per-particle seeds derived from
-/// `base_seed` via the same stage stride as the trace runner, so results
-/// are bit-identical for any `threads` value; `rng` drives only
-/// resampling.
-///
-/// # Errors
-///
-/// Propagates typed errors from [`infer_states_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_state_sequence_parallel_with_policy<S: Clone + Send + Sync>(
-    stages: &[&(dyn StateTranslator<S> + Sync)],
-    initial: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<S>, SmcError> {
-    let mut collections = Vec::with_capacity(stages.len());
-    let mut ess_history = Vec::with_capacity(stages.len());
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current = initial.clone();
-    for (step, translator) in stages.iter().enumerate() {
-        let (next, report) = infer_states_parallel_with_policy(
-            *translator,
-            &current,
-            config,
-            policy,
-            step,
-            stage_seed(base_seed, step),
-            threads,
-            rng,
-        )?;
-        metrics::stage_complete(&report);
-        ess_history.push(next.ess());
-        reports.push(report);
-        collections.push(next.clone());
-        current = next;
-    }
-    Ok(SequenceRun {
-        collections,
-        ess_history,
-        reports,
-    })
 }
 
 /// The state of a supervised sequence run at a stage boundary, handed to
@@ -391,12 +132,20 @@ pub struct StageSnapshot<'a, S> {
 /// propagation (the error is returned as-is).
 pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), SmcError> + 'a;
 
-/// The crash-safe sequence runner: pooled (optionally deadline-watched)
-/// translation per stage, per-stage deterministic resampling seeds, and
-/// an observer fired at checkpoint boundaries.
+/// Runs Algorithm 2 once per stage, threading the collection through the
+/// sequence: pooled (optionally deadline-watched) translation per stage,
+/// per-stage deterministic seeds, and an observer fired at checkpoint
+/// boundaries.
 ///
-/// Differences from [`run_state_sequence_parallel_with_policy`]:
-///
+/// - **Threads.** Translation runs on the persistent
+///   [`crate::WorkerPool`], spawned once and reused across stages and
+///   runs; `threads = 1` translates inline. Particle `j` of stage `s`
+///   draws from a seed derived from [`stage_seed`]`(base_seed, s)` and
+///   `j`, so results are bit-identical for any `threads` value and any
+///   [`SmcConfig::chunk_size`].
+/// - **Failures.** `policy` applies per particle (abort, drop, or retry
+///   with reseeded RNGs); total weight collapse under a tolerant policy
+///   keeps the pre-stage collection and flags it in that stage's report.
 /// - **Resume support.** `start_step` offsets every stage index:
 ///   `stages[i]` runs as absolute SMC step `start_step + i`, with
 ///   translation seeded by [`stage_seed`]`(base_seed, step)` and
@@ -410,10 +159,9 @@ pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), S
 ///   observers always see the full sequence history. `collections` only
 ///   contains post-resume collections.
 /// - **Watchdog.** When [`StagePolicy::deadline`] is set, translation is
-///   deadline-supervised ([`crate::translate_states_deadline_with_policy`]):
-///   hung particles become [`crate::FailureKind::Timeout`] failures
-///   under `policy`, and a wedged worker pool is replaced instead of
-///   blocking the run forever.
+///   deadline-supervised: hung particles become
+///   [`crate::FailureKind::Timeout`] failures under `policy`, and a
+///   wedged worker pool is replaced instead of blocking the run forever.
 /// - **Observer.** After stage `i` completes, if its absolute completed
 ///   count hits a [`StagePolicy::checkpoint_every`] boundary (or it is
 ///   the final stage), `observer` is called with a [`StageSnapshot`].
@@ -446,7 +194,7 @@ where
     for (i, translator) in stages.iter().enumerate() {
         let step = start_step + i;
         let mut resample_rng = StdRng::seed_from_u64(resample_seed(base_seed, step));
-        let (next, report) = infer_states_supervised_with_policy(
+        let (next, report) = supervised_step(
             translator,
             &current,
             config,
@@ -491,11 +239,14 @@ mod tests {
     use super::*;
     use crate::correspondence::Correspondence;
     use crate::forward::CorrespondenceTranslator;
+    use crate::translator::TraceStateAdapter;
     use ppl::dist::Dist;
     use ppl::handlers::simulate;
     use ppl::{addr, Enumeration, Handler, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    type TraceStage = Arc<dyn StateTranslator<Trace> + Send + Sync>;
 
     fn model_with_obs(
         p_obs_true: f64,
@@ -512,34 +263,55 @@ mod tests {
         }
     }
 
+    /// P0 (prior-ish) → P1 → P2 with increasingly strong evidence.
+    fn stages() -> Vec<TraceStage> {
+        [(0.5, 0.7), (0.7, 0.9)]
+            .into_iter()
+            .map(|(from, to)| {
+                let translator = CorrespondenceTranslator::new(
+                    model_with_obs(from),
+                    model_with_obs(to),
+                    Correspondence::identity_on(["x"]),
+                );
+                Arc::new(TraceStateAdapter(translator)) as TraceStage
+            })
+            .collect()
+    }
+
+    /// Prior samples of P0; its observation is uninformative, so they ARE
+    /// posterior samples of P0.
+    fn initial(m: usize, seed: u64) -> ParticleCollection {
+        let m0 = model_with_obs(0.5);
+        let mut rng = StdRng::seed_from_u64(seed);
+        ParticleCollection::from_traces((0..m).map(|_| simulate(&m0, &mut rng).unwrap()))
+    }
+
+    fn run(stages: &[TraceStage], initial: &ParticleCollection, threads: usize) -> SequenceRun {
+        run_state_sequence_supervised(
+            stages,
+            initial,
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            &FailurePolicy::FailFast,
+            &StagePolicy::default(),
+            777,
+            threads,
+            None,
+        )
+        .unwrap()
+    }
+
+    fn exact_final() -> f64 {
+        Enumeration::run(&model_with_obs(0.9))
+            .unwrap()
+            .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())
+    }
+
     #[test]
     fn three_stage_sequence_tracks_final_posterior() {
-        // P0 (prior-ish) → P1 → P2 with increasingly strong evidence.
-        let m0 = model_with_obs(0.5);
-        let m1 = model_with_obs(0.7);
-        let m2 = model_with_obs(0.9);
-        let t01 = CorrespondenceTranslator::new(m0, m1, Correspondence::identity_on(["x"]));
-        let m1b = model_with_obs(0.7);
-        let t12 = CorrespondenceTranslator::new(m1b, m2, Correspondence::identity_on(["x"]));
-        let stages = [
-            Stage {
-                translator: &t01,
-                mcmc: None,
-            },
-            Stage {
-                translator: &t12,
-                mcmc: None,
-            },
-        ];
-        let mut rng = StdRng::seed_from_u64(7);
-        let m0_again = model_with_obs(0.5);
-        let traces: Vec<_> = (0..20_000)
-            .map(|_| simulate(&m0_again, &mut rng).unwrap())
-            .collect();
-        // m0's observation is uninformative, so prior samples ARE
-        // posterior samples of m0.
-        let initial = ParticleCollection::from_traces(traces);
-        let run = run_sequence(&stages, &initial, &SmcConfig::translate_only(), &mut rng).unwrap();
+        let run = run(&stages(), &initial(20_000, 7), 1);
         assert_eq!(run.collections.len(), 2);
         assert_eq!(run.ess_history.len(), 2);
         assert_eq!(run.reports.len(), 2);
@@ -550,9 +322,7 @@ mod tests {
             .last()
             .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())
             .unwrap();
-        let exact = Enumeration::run(&model_with_obs(0.9))
-            .unwrap()
-            .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap());
+        let exact = exact_final();
         assert!(
             (estimate - exact).abs() < 0.02,
             "estimate {estimate} vs exact {exact}"
@@ -563,56 +333,22 @@ mod tests {
 
     #[test]
     fn parallel_sequence_is_thread_count_invariant_and_correct() {
-        let m0 = model_with_obs(0.5);
-        let m1 = model_with_obs(0.7);
-        let m2 = model_with_obs(0.9);
-        let t01 = CorrespondenceTranslator::new(m0, m1, Correspondence::identity_on(["x"]));
-        let m1b = model_with_obs(0.7);
-        let t12 = CorrespondenceTranslator::new(m1b, m2, Correspondence::identity_on(["x"]));
-        let stages = [
-            ParallelStage {
-                translator: &t01,
-                mcmc: None,
-            },
-            ParallelStage {
-                translator: &t12,
-                mcmc: None,
-            },
-        ];
-        let mut rng = StdRng::seed_from_u64(9);
-        let m0_again = model_with_obs(0.5);
-        let traces: Vec<_> = (0..8000)
-            .map(|_| simulate(&m0_again, &mut rng).unwrap())
-            .collect();
-        let initial = ParticleCollection::from_traces(traces);
-        let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(31);
-            run_sequence_parallel(
-                &stages,
-                &initial,
-                &SmcConfig::translate_only(),
-                777,
-                threads,
-                &mut rng,
-            )
-            .unwrap()
-        };
-        let one = run_with(1);
+        let stages = stages();
+        let initial = initial(8000, 9);
+        let one = run(&stages, &initial, 1);
         assert!(one.is_clean());
         let estimate = one
             .last()
             .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())
             .unwrap();
-        let exact = Enumeration::run(&model_with_obs(0.9))
-            .unwrap()
-            .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap());
+        let exact = exact_final();
         assert!(
             (estimate - exact).abs() < 0.03,
             "estimate {estimate} vs exact {exact}"
         );
         // Bit-identical trajectories for any thread count.
         for threads in [3, 8] {
-            let other = run_with(threads);
+            let other = run(&stages, &initial, threads);
             for (a, b) in one.collections.iter().zip(other.collections.iter()) {
                 assert_eq!(a.len(), b.len());
                 for (pa, pb) in a.iter().zip(b.iter()) {
@@ -629,9 +365,7 @@ mod tests {
 
     #[test]
     fn empty_sequence_is_empty_run() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let initial = ParticleCollection::new();
-        let run = run_sequence(&[], &initial, &SmcConfig::default(), &mut rng).unwrap();
+        let run = run(&[], &ParticleCollection::new(), 1);
         assert!(run.collections.is_empty());
     }
 }

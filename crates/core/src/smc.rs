@@ -8,14 +8,19 @@
 //! 2. optionally resample;
 //! 3. optionally rejuvenate each trace with an MCMC kernel for `Q`.
 //!
-//! Iterating `infer` over a sequence of programs is the "Multiple Steps"
-//! regime of Section 4.2 (see [`crate::sequence`]).
-//!
 //! [`infer_with_policy`] is the fault-tolerant entry point: it isolates
 //! per-particle panics, quarantines non-finite weights, applies a
 //! [`FailurePolicy`] to failures, recovers from total weight collapse,
 //! and reports what happened in a [`StepReport`]. `infer` is the
 //! fail-fast special case of it.
+//!
+//! Iterating the step over a sequence of programs is the "Multiple
+//! Steps" regime of Section 4.2, driven by the one stage loop
+//! [`crate::run_state_sequence_supervised`]. Its step translates on the
+//! persistent [`WorkerPool`] (inline for one thread) with per-particle
+//! seeds, or under a watchdog deadline when [`StagePolicy::deadline`] is
+//! set. Both steps share the per-particle attempt, the assembly of the
+//! translated collection, and the degeneracy tail defined here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -35,7 +40,7 @@ use crate::metrics;
 use crate::particles::{Particle, ParticleCollection};
 use crate::pool::WorkerPool;
 use crate::resample::{resample, ResampleError, ResampleScheme};
-use crate::translator::{StateTranslator, TraceTranslator, TranslateCtx};
+use crate::translator::{StateTranslator, TraceStateAdapter, TraceTranslator, TranslateCtx};
 
 /// When to resample within an `infer` step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -112,27 +117,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Adapts a [`TraceTranslator`] to the [`StateTranslator`]`<Trace>`
-/// runtime interface, so the trace-level entry points share the generic
-/// SMC machinery bit for bit.
-///
-/// (A blanket `impl StateTranslator<Trace> for T: TraceTranslator` would
-/// conflict with wrapper impls such as [`crate::FaultyTranslator`]'s
-/// generic one, so the adaptation is this private newtype instead.)
-struct AsState<'a, T: ?Sized>(&'a T);
-
-impl<T: TraceTranslator + ?Sized> StateTranslator<Trace> for AsState<'_, T> {
-    fn translate_state(
-        &self,
-        state: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<(Trace, LogWeight), PplError> {
-        let out = self.0.translate_at(state, ctx, rng)?;
-        Ok((out.trace, out.log_weight))
-    }
-}
-
 /// Runs one translation attempt with panic isolation and weight
 /// validation: a panic in the translator is caught, and a NaN or `+∞`
 /// combined log weight is rejected before it can enter a collection.
@@ -160,63 +144,61 @@ fn attempt_translate<S>(
     }
 }
 
-/// The outcome of translating one particle under a policy's attempt
-/// budget.
-enum Outcome<S> {
-    Ok {
-        trace: S,
-        weight: LogWeight,
-        attempts: usize,
-    },
-    Failed(ParticleFailure),
+/// The seed [`FailurePolicy::Retry`] derives retry streams from (`0` for
+/// the other policies, which never retry).
+fn policy_seed(policy: &FailurePolicy) -> u64 {
+    match policy {
+        FailurePolicy::Retry { seed, .. } => *seed,
+        _ => 0,
+    }
 }
 
-/// Translates one particle, retrying with deterministically reseeded RNGs
-/// under [`FailurePolicy::Retry`]. The first attempt draws from `rng`
-/// (preserving the caller's stream exactly); retries draw from
-/// `StdRng::seed_from_u64(retry_seed(...))` so their randomness is
-/// independent of call order and thread schedule.
-fn translate_one<S>(
+/// The per-particle seed of the pooled path's first attempt. Kept
+/// identical to the historical formula so clean parallel runs are
+/// bit-for-bit reproducible across versions.
+fn particle_seed(base_seed: u64, index: usize) -> u64 {
+    base_seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9))
+}
+
+/// The outcome of translating one particle: translated state + combined
+/// weight + attempts used, or the particle's failure.
+type Slot<S = Trace> = Result<(S, LogWeight, usize), ParticleFailure>;
+
+/// Translates one particle under the policy's attempt budget. The first
+/// attempt draws from `first` (the caller's stream for [`infer`], a
+/// per-particle seeded stream for the pooled path); retry attempt `k`
+/// draws from `StdRng::seed_from_u64(retry_seed(policy seed, step, j,
+/// k))`, so its randomness is independent of call order and thread
+/// schedule.
+fn translate_particle<S>(
     translator: &dyn StateTranslator<S>,
     particle: &Particle<S>,
     step: usize,
-    index: usize,
+    j: usize,
     policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Outcome<S> {
-    let max_attempts = policy.max_attempts();
-    let seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
+    first: &mut dyn RngCore,
+) -> Slot<S> {
     let mut attempt = 0;
     loop {
-        let ctx = TranslateCtx::new(step, index).with_attempt(attempt);
+        let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
         let result = if attempt == 0 {
-            attempt_translate(translator, particle, ctx, rng)
+            attempt_translate(translator, particle, ctx, first)
         } else {
-            let mut retry_rng = StdRng::seed_from_u64(retry_seed(seed, step, index, attempt));
-            attempt_translate(translator, particle, ctx, &mut retry_rng)
+            let mut rng = StdRng::seed_from_u64(retry_seed(policy_seed(policy), step, j, attempt));
+            attempt_translate(translator, particle, ctx, &mut rng)
         };
+        attempt += 1;
         match result {
-            Ok((trace, weight)) => {
-                return Outcome::Ok {
-                    trace,
-                    weight,
-                    attempts: attempt + 1,
-                }
+            Ok((state, weight)) => return Ok((state, weight, attempt)),
+            Err(kind) if attempt >= policy.max_attempts() => {
+                return Err(ParticleFailure {
+                    step,
+                    particle: j,
+                    attempts: attempt,
+                    kind,
+                })
             }
-            Err(kind) => {
-                attempt += 1;
-                if attempt >= max_attempts {
-                    return Outcome::Failed(ParticleFailure {
-                        step,
-                        particle: index,
-                        attempts: attempt,
-                        kind,
-                    });
-                }
-            }
+            Err(_) => {}
         }
     }
 }
@@ -225,6 +207,10 @@ fn translate_one<S>(
 /// with panic isolation and weight quarantine, reweight, optionally
 /// resample, optionally run `mcmc_Q` — returning the new collection plus
 /// a [`StepReport`] of everything that went wrong and was recovered.
+///
+/// Every particle's first attempt draws from `rng` in index order, so
+/// the step reproduces the caller's stream exactly; retries draw from
+/// per-particle [`retry_seed`] streams.
 ///
 /// Failure handling:
 ///
@@ -238,8 +224,7 @@ fn translate_one<S>(
 ///   `collapse_recovered` in the report.
 ///
 /// With [`FailurePolicy::FailFast`] and a healthy model this is
-/// bit-identical to [`infer`]: the first attempt draws from `rng` in the
-/// same order as the legacy path.
+/// bit-identical to [`infer`].
 ///
 /// # Errors
 ///
@@ -259,330 +244,39 @@ pub fn infer_with_policy(
 ) -> Result<(ParticleCollection, StepReport), SmcError> {
     // 1. Translate and reweight, applying the policy per particle.
     let t_translate = metrics::clock();
-    let phase = translate_serial_with_policy(&AsState(translator), particles, policy, step, rng)?;
-    metrics::note_translate(t_translate);
-
-    // 2.–3. Degeneracy handling, resampling, and rejuvenation.
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail(phase.collection, mcmc, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-
-    let report = StepReport {
-        step,
-        input_particles: particles.len(),
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        dropped: phase.failures.len(),
-        retries: phase.retries,
-        recovered: phase.recovered,
-        failures: phase.failures,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    };
-    Ok((tail.collection, report))
-}
-
-/// One step of SMC over an arbitrary particle state, under a
-/// [`FailurePolicy`]: [`infer_with_policy`] generalized from flat traces
-/// to any [`StateTranslator`] state. MCMC rejuvenation is trace-level
-/// machinery and does not apply here; everything else (panic isolation,
-/// weight quarantine, drop/retry policies, resampling, collapse
-/// recovery, per-step reports) behaves identically.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`].
-pub fn infer_states_with_policy<S: Clone>(
-    translator: &dyn StateTranslator<S>,
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let phase = translate_serial_with_policy(translator, particles, policy, step, rng)?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(phase.collection, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        step,
-        input_particles: particles.len(),
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        dropped: phase.failures.len(),
-        retries: phase.retries,
-        recovered: phase.recovered,
-        failures: phase.failures,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    };
-    Ok((tail.collection, report))
-}
-
-/// Result of the serial translate/reweight phase of one SMC step.
-struct TranslatePhase<S> {
-    collection: ParticleCollection<S>,
-    failures: Vec<ParticleFailure>,
-    retries: usize,
-    recovered: usize,
-}
-
-/// Phase 1 of Algorithm 2 (serial): translate and reweight every
-/// particle under `policy`, enforcing the policy's loss budget.
-fn translate_serial_with_policy<S>(
-    translator: &dyn StateTranslator<S>,
-    particles: &ParticleCollection<S>,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<TranslatePhase<S>, SmcError> {
-    let mut translated = ParticleCollection::new();
-    let mut failures: Vec<ParticleFailure> = Vec::new();
-    let mut retries = 0;
-    let mut recovered = 0;
+    let adapted = TraceStateAdapter(translator);
+    let mut slots = Vec::with_capacity(particles.len());
     for (j, particle) in particles.iter().enumerate() {
-        match translate_one(translator, particle, step, j, policy, rng) {
-            Outcome::Ok {
-                trace,
-                weight,
-                attempts,
-            } => {
-                retries += attempts - 1;
-                if attempts > 1 {
-                    recovered += 1;
-                }
-                translated.push(trace, weight);
-            }
-            Outcome::Failed(failure) => match policy {
-                FailurePolicy::DropAndRenormalize { .. } => failures.push(failure),
-                // Fail-fast, and retry budgets exhausted, abort the step.
-                _ => return Err(SmcError::Particle(failure)),
-            },
+        let slot = translate_particle(&adapted, particle, step, j, policy, rng);
+        // Only a drop policy survives a failed particle; stop at the
+        // first fatal failure instead of drawing further from `rng`.
+        let fatal = slot.is_err() && !matches!(policy, FailurePolicy::DropAndRenormalize { .. });
+        slots.push(Some(slot));
+        if fatal {
+            break;
         }
     }
-    let dropped = failures.len();
-    if !policy.loss_allowed(dropped, particles.len()) {
-        let max_loss = match policy {
-            FailurePolicy::DropAndRenormalize { max_loss } => *max_loss,
-            _ => 0.0,
-        };
-        return Err(SmcError::TooManyDropped {
-            step,
-            dropped,
-            total: particles.len(),
-            max_loss,
-            failures,
-        });
-    }
-    Ok(TranslatePhase {
-        collection: translated,
-        failures,
-        retries,
-        recovered,
-    })
-}
+    let translated = assemble(particles, slots, policy, step)?;
+    metrics::note_translate(t_translate);
 
-/// Result of the post-translation phases of one SMC step.
-struct StepTail<S = Trace> {
-    collection: ParticleCollection<S>,
-    /// Post-reweight ESS (before any resampling).
-    ess: f64,
-    resampled: bool,
-    collapse_recovered: bool,
-}
-
-/// Phases 2–3 of Algorithm 2 for flat traces: the generic degeneracy
-/// tail plus optional MCMC rejuvenation (trace-level machinery).
-fn degeneracy_tail(
-    translated: ParticleCollection,
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<StepTail, SmcError> {
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
-
-    // Optional MCMC rejuvenation (also applied to a collapse-recovered
-    // collection, per the recovery contract).
-    let final_collection = match (mcmc, config.mcmc_steps) {
+    // 2.–3. Degeneracy handling, resampling, and rejuvenation (also
+    // applied to a collapse-recovered collection, per the recovery
+    // contract).
+    let t_resample = metrics::clock();
+    let (collection, report) = degeneracy_tail(translated, particles, config, policy, step, rng)?;
+    let collection = match (mcmc, config.mcmc_steps) {
         (Some(kernel), steps) if steps > 0 => {
             let mut rejuvenated = ParticleCollection::new();
-            for particle in tail.collection.iter() {
+            for particle in collection.iter() {
                 let trace: Trace = kernel.steps(&particle.trace, steps, rng)?;
                 rejuvenated.push(trace, particle.log_weight);
             }
             rejuvenated
         }
-        _ => tail.collection,
+        _ => collection,
     };
-
-    Ok(StepTail {
-        collection: final_collection,
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-    })
-}
-
-/// Phase 2 of Algorithm 2, shared by every step entry point: degeneracy
-/// diagnosis, optional resampling, and collapse recovery — generic over
-/// the particle state.
-fn degeneracy_tail_states<S: Clone>(
-    translated: ParticleCollection<S>,
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    rng: &mut dyn RngCore,
-) -> Result<StepTail<S>, SmcError> {
-    // Degeneracy diagnosis and optional resampling. Dropping under
-    // DropAndRenormalize needs no explicit renormalization: the
-    // collection's estimators self-normalize over the survivors.
-    let ess = translated.ess();
-    let collapsed = !particles.is_empty() && ess == 0.0;
-    let mut collapse_recovered = false;
-    let (collection, resampled) = if collapsed {
-        if matches!(policy, FailurePolicy::FailFast) {
-            return Err(SmcError::Collapse { step });
-        }
-        // Recovery: the pre-step collection is still a properly weighted
-        // approximation of the *previous* program's posterior — strictly
-        // more useful than an empty or all-zero collection, and the
-        // report makes the substitution visible.
-        collapse_recovered = true;
-        (particles.clone(), false)
-    } else {
-        let should_resample = match config.resample {
-            ResamplePolicy::Never => false,
-            ResamplePolicy::Always => true,
-            ResamplePolicy::EssBelow(fraction) => ess < fraction * translated.len() as f64,
-        };
-        if should_resample {
-            match resample(&translated, config.scheme, rng) {
-                Ok(resampled) => (resampled, true),
-                Err(ResampleError::Collapsed | ResampleError::NonFiniteTotal) => {
-                    // Defensive: the ESS check above should have caught
-                    // this, but treat it as the collapse it is.
-                    if matches!(policy, FailurePolicy::FailFast) {
-                        return Err(SmcError::Collapse { step });
-                    }
-                    collapse_recovered = true;
-                    (particles.clone(), false)
-                }
-                Err(e @ ResampleError::Empty) => return Err(SmcError::Eval(e.into())),
-            }
-        } else {
-            (translated, false)
-        }
-    };
-
-    Ok(StepTail {
-        collection,
-        ess,
-        resampled,
-        collapse_recovered,
-    })
-}
-
-/// One step of SMC with pooled parallel translation: phase 1 (the
-/// embarrassingly parallel translate/reweight loop) runs on the
-/// persistent [`WorkerPool`] with deterministic per-particle seeds
-/// derived from `base_seed`; phases 2–3 (resampling, rejuvenation) run
-/// serially on `rng`, exactly as in [`infer_with_policy`].
-///
-/// Unlike [`infer_with_policy`], translation randomness comes from
-/// `base_seed` rather than `rng`, so the translated collection is
-/// bit-identical for any `threads` value — see
-/// [`translate_parallel_with_policy`] for the contract.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`], plus [`SmcError::Internal`] for worker
-/// infrastructure failures.
-#[allow(clippy::too_many_arguments)]
-pub fn infer_parallel_with_policy(
-    translator: &(dyn TraceTranslator + Sync),
-    mcmc: Option<&dyn McmcKernel>,
-    particles: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let adapted = AsState(translator);
-    let (translated, translation_report) = translate_states_chunked_with_policy(
-        &adapted,
-        particles,
-        base_seed,
-        threads,
-        policy,
-        step,
-        config.chunk_size,
-    )?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail(translated, mcmc, particles, config, policy, step, rng)?;
     metrics::note_resample(t_resample);
-    let report = StepReport {
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-        ..translation_report
-    };
-    Ok((tail.collection, report))
-}
-
-/// One step of SMC over an arbitrary particle state with pooled parallel
-/// translation: [`infer_parallel_with_policy`] generalized from flat
-/// traces to any [`StateTranslator`] state (no MCMC rejuvenation, which
-/// is trace-level machinery). Translation randomness is derived from
-/// `base_seed` per particle, so the result is bit-identical for any
-/// `threads` value; `rng` drives only resampling.
-///
-/// # Errors
-///
-/// As [`infer_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_states_parallel_with_policy<S: Clone + Send + Sync>(
-    translator: &(dyn StateTranslator<S> + Sync),
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    step: usize,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let t_translate = metrics::clock();
-    let (translated, translation_report) = translate_states_chunked_with_policy(
-        translator,
-        particles,
-        base_seed,
-        threads,
-        policy,
-        step,
-        config.chunk_size,
-    )?;
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-        ..translation_report
-    };
-    Ok((tail.collection, report))
+    Ok((collection, report))
 }
 
 /// One step of SMC (Algorithm 2): translate, reweight, optionally
@@ -642,126 +336,74 @@ pub fn infer(
     Ok(collection)
 }
 
-/// The per-particle seed of the parallel path's first attempt. Kept
-/// identical to the historical formula so clean parallel runs are
-/// bit-for-bit reproducible across versions.
-fn particle_seed(base_seed: u64, index: usize) -> u64 {
-    base_seed.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9))
-}
-
-/// The per-particle outcome slot of the parallel path: translated state +
-/// combined weight + attempts used, or the particle's failure.
-type Slot<S = Trace> = Result<(S, LogWeight, usize), ParticleFailure>;
-
-/// Translates one particle for the parallel path, using its deterministic
-/// per-attempt seeds — the unit of work both the pooled and the scoped
-/// implementations dispatch.
-fn translate_slot<S>(
-    translator: &dyn StateTranslator<S>,
-    particle: &Particle<S>,
-    j: usize,
-    base_seed: u64,
-    policy_seed: u64,
-    max_attempts: usize,
+/// One step of the sequence loop: deadline-watched translation when
+/// [`StagePolicy::deadline`] is set, plain pooled translation otherwise,
+/// then the degeneracy tail on `rng`.
+///
+/// Translation randomness comes from `base_seed` per particle (see
+/// [`translate_pooled`]), so the result is bit-identical for any
+/// `threads` value, chunk size, and pool size.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn supervised_step<S>(
+    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
+    particles: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    stage_policy: &StagePolicy,
     step: usize,
-) -> Slot<S> {
-    let mut slot: Option<Slot<S>> = None;
-    for attempt in 0..max_attempts {
-        let seed = if attempt == 0 {
-            particle_seed(base_seed, j)
-        } else {
-            retry_seed(policy_seed, step, j, attempt)
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
-        match attempt_translate(translator, particle, ctx, &mut rng) {
-            Ok((trace, weight)) => {
-                slot = Some(Ok((trace, weight, attempt + 1)));
-                break;
-            }
-            Err(kind) => {
-                slot = Some(Err(ParticleFailure {
-                    step,
-                    particle: j,
-                    attempts: attempt + 1,
-                    kind,
-                }));
-            }
-        }
-    }
-    slot.expect("at least one attempt ran")
+    base_seed: u64,
+    threads: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError>
+where
+    S: Clone + Send + Sync + 'static,
+{
+    let t_translate = metrics::clock();
+    let slots = match stage_policy.deadline {
+        Some(deadline) => translate_deadline(
+            translator,
+            particles,
+            base_seed,
+            policy,
+            step,
+            deadline,
+            &stage_policy.backoff,
+            config.chunk_size,
+        )?,
+        None => translate_pooled(
+            &**translator,
+            particles,
+            base_seed,
+            threads,
+            policy,
+            step,
+            config.chunk_size,
+        )?,
+    };
+    let translated = assemble(particles, slots, policy, step)?;
+    metrics::note_translate(t_translate);
+    let t_resample = metrics::clock();
+    let out = degeneracy_tail(translated, particles, config, policy, step, rng)?;
+    metrics::note_resample(t_resample);
+    Ok(out)
 }
 
-/// Parallel translation under a [`FailurePolicy`]: each particle's
+/// Pooled translation under a [`FailurePolicy`]: each particle's
 /// `translate` is independent (Algorithm 2's first loop is
-/// embarrassingly parallel), so the collection is chunked into `threads`
-/// work items executed on the persistent [`WorkerPool`], with
-/// per-particle panic isolation and weight quarantine. The pool is
-/// created on first use and reused by every subsequent step, so a long
-/// [`crate::run_sequence`] pays thread-spawn cost once, not per step.
+/// embarrassingly parallel), so the collection is cut into chunks of
+/// `chunk_size` particles (`None` = [`auto_chunk_size`]) executed on the
+/// persistent [`WorkerPool`], with per-particle panic isolation and
+/// weight quarantine. With one thread (or one particle) the loop runs
+/// inline with no dispatch at all.
 ///
 /// Determinism: particle `j`'s first attempt uses an RNG seeded from
 /// `base_seed` and `j`, and retry attempt `k` uses
-/// `retry_seed(policy_seed, step, j, k)` — so results, reports, and
-/// (under fail-fast) *which* failure is reported are identical for any
-/// thread count and any pool size, and bit-identical to the historical
-/// scoped-thread implementation
-/// ([`translate_parallel_with_policy_scoped`]). Fail-fast surfaces the
-/// failure of the smallest particle index, not whichever worker lost the
-/// race.
-///
-/// # Errors
-///
-/// As [`infer_with_policy`], plus [`SmcError::Internal`] if the worker
-/// infrastructure itself misbehaves (a panic outside user translation
-/// code, or an unfilled particle slot).
-pub fn translate_parallel_with_policy(
-    translator: &(dyn TraceTranslator + Sync),
-    particles: &ParticleCollection,
-    base_seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let adapted = AsState(translator);
-    translate_states_parallel_with_policy(&adapted, particles, base_seed, threads, policy, step)
-}
-
-/// [`translate_parallel_with_policy`] generalized to any particle state:
-/// the pooled, deterministic, panic-isolated translate/reweight phase the
-/// graph-native runtime drives with [`StateTranslator`]s. Same seed
-/// formulae, same thread-count-invariance contract, same minimum-index
-/// fail-fast behavior.
-///
-/// # Errors
-///
-/// As [`translate_parallel_with_policy`].
-pub fn translate_states_parallel_with_policy<S: Send + Sync>(
-    translator: &(dyn StateTranslator<S> + Sync),
-    particles: &ParticleCollection<S>,
-    base_seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    translate_states_chunked_with_policy(
-        translator, particles, base_seed, threads, policy, step, None,
-    )
-}
-
-/// [`translate_states_parallel_with_policy`] with an explicit
-/// particles-per-task chunk size (`None` = [`auto_chunk_size`]).
-///
-/// Chunk size is pure dispatch granularity: every particle keeps its own
-/// `(base_seed, step, particle, attempt)` seed derivation, its own
-/// `catch_unwind` isolation, and its own output slot, so results,
-/// reports, and fail-fast failure selection are bit-identical for any
-/// chunk size and any thread count.
-///
-/// # Errors
-///
-/// As [`translate_states_parallel_with_policy`].
-pub fn translate_states_chunked_with_policy<S: Send + Sync>(
+/// `retry_seed(policy_seed, step, j, k)`; every particle keeps its own
+/// output slot. Results, reports, and (under fail-fast) *which* failure
+/// is reported are therefore identical for any thread count, chunk size,
+/// and pool size — [`assemble`] surfaces the failure of the smallest
+/// particle index, not whichever worker lost the race.
+fn translate_pooled<S: Send + Sync>(
     translator: &(dyn StateTranslator<S> + Sync),
     particles: &ParticleCollection<S>,
     base_seed: u64,
@@ -769,59 +411,41 @@ pub fn translate_states_chunked_with_policy<S: Send + Sync>(
     policy: &FailurePolicy,
     step: usize,
     chunk_size: Option<usize>,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
-    let threads = threads.max(1);
-    let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
+) -> Result<Vec<Option<Slot<S>>>, SmcError> {
+    let translate = |j: usize, particle: &Particle<S>| {
+        let mut rng = StdRng::seed_from_u64(particle_seed(base_seed, j));
+        translate_particle(translator, particle, step, j, policy, &mut rng)
     };
     let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
-    if threads == 1 || particles.len() <= 1 {
-        // Serial fast path: no dispatch overhead, same seeds, same result.
-        for (j, particle) in particles.iter().enumerate() {
-            slots[j] = Some(translate_slot(
-                translator,
-                particle,
-                j,
-                base_seed,
-                policy_seed,
-                max_attempts,
-                step,
-            ));
+    if threads <= 1 || particles.len() <= 1 {
+        for ((j, particle), slot) in particles.iter().enumerate().zip(slots.iter_mut()) {
+            *slot = Some(translate(j, particle));
         }
-    } else {
-        let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
-        let chunk = chunk_size
-            .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
-            .clamp(1, items.len());
-        // Items are enumerated in order, so chunking items and slots with
-        // the same stride pairs every particle with its own output slot.
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-            .chunks(chunk)
-            .zip(slots.chunks_mut(chunk))
-            .map(|(chunk, out)| {
-                Box::new(move || {
-                    for ((j, particle), slot) in chunk.iter().zip(out.iter_mut()) {
-                        *slot = Some(translate_slot(
-                            translator,
-                            particle,
-                            *j,
-                            base_seed,
-                            policy_seed,
-                            max_attempts,
-                            step,
-                        ));
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        metrics::note_stage_dispatch(tasks.len() as u64, chunk as u64);
-        WorkerPool::global()
-            .run_scoped(tasks)
-            .map_err(SmcError::Internal)?;
+        return Ok(slots);
     }
-    assemble_parallel(particles, slots, policy, step)
+    let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
+    let chunk = chunk_size
+        .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
+        .clamp(1, items.len());
+    // Items are enumerated in order, so chunking items and slots with the
+    // same stride pairs every particle with its own output slot.
+    let translate = &translate;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .chunks(chunk)
+        .zip(slots.chunks_mut(chunk))
+        .map(|(chunk, out)| {
+            Box::new(move || {
+                for ((j, particle), slot) in chunk.iter().zip(out.iter_mut()) {
+                    *slot = Some(translate(*j, particle));
+                }
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    metrics::note_stage_dispatch(tasks.len() as u64, chunk as u64);
+    WorkerPool::global()
+        .run_scoped(tasks)
+        .map_err(SmcError::Internal)?;
+    Ok(slots)
 }
 
 /// A worker's progress messages for one supervised round: `Started`
@@ -833,21 +457,22 @@ enum RoundMsg<S> {
     Done(Result<(S, LogWeight), FailureKind>),
 }
 
-/// Deadline-supervised parallel translation: the watchdog half of the
-/// crash-safety layer. Each particle is dispatched to the global
-/// [`WorkerPool`] as an *owned* task ([`WorkerPool::spawn_owned`]) that
-/// reports through a per-round channel, so — unlike the scoped path,
+/// Deadline-supervised translation: the watchdog half of the
+/// crash-safety layer. Chunks of particles are dispatched to the global
+/// [`WorkerPool`] as *owned* tasks ([`WorkerPool::spawn_owned`]) that
+/// report through a per-round channel, so — unlike [`translate_pooled`],
 /// which must block until every borrowing task returns — the supervisor
 /// can give up on a slot that misses `deadline`:
 ///
-/// - a task that *started* but produced no result by the deadline is
+/// - a particle that *started* but produced no result by the deadline is
 ///   presumed hung: it becomes [`FailureKind::Timeout`] and flows
 ///   through `policy` exactly like any other failure (retry with
 ///   backoff, drop, or fail fast);
-/// - a task still *queued* behind a hung worker at the deadline is
-///   rolled into the next round uncharged — on a small pool (even one
-///   worker) innocent particles are never blamed for a neighbor's hang,
-///   so supervision semantics are independent of pool size;
+/// - a particle still *queued* behind a hung one at the deadline (in
+///   another task or earlier in its own chunk) is rolled into the next
+///   round uncharged — on a small pool (even one worker) innocent
+///   particles are never blamed for a neighbor's hang, so supervision
+///   semantics are independent of pool size;
 /// - a round that expires with hung tasks retires the global pool
 ///   ([`WorkerPool::retire_global`]): a worker wedged in user code can
 ///   never be reclaimed, so the next round (and the next caller) gets a
@@ -856,48 +481,12 @@ enum RoundMsg<S> {
 /// - after the `n`-th expired round, redispatch waits
 ///   `backoff.delay(n)`.
 ///
-/// Determinism: seeds are the parallel path's
-/// (`particle_seed(base_seed, j)` first, `retry_seed(...)` after a
-/// particle's own failure), so a run with no timeouts is bit-identical
-/// to [`translate_states_parallel_with_policy`] for any pool size; and
+/// Determinism: seeds are [`translate_pooled`]'s, so a run with no
+/// timeouts is bit-identical to it for any pool size and chunk size; and
 /// `waited_ms` in a timeout failure is the configured deadline, not the
 /// measured wall-clock, so reports are reproducible too.
-///
-/// # Errors
-///
-/// As [`translate_states_parallel_with_policy`]; timed-out particles
-/// surface as [`FailureKind::Timeout`] under the policy's usual rules.
-pub fn translate_states_deadline_with_policy<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
-    particles: &ParticleCollection<S>,
-    base_seed: u64,
-    policy: &FailurePolicy,
-    step: usize,
-    deadline: Duration,
-    backoff: &Backoff,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
-    translate_states_deadline_chunked_with_policy(
-        translator, particles, base_seed, policy, step, deadline, backoff, None,
-    )
-}
-
-/// [`translate_states_deadline_with_policy`] with an explicit
-/// particles-per-task chunk size (`None` = [`auto_chunk_size`] over the
-/// global pool's width). A chunk is one owned task that translates its
-/// particles in index order, still announcing `Started`/`Done` per
-/// particle — so the watchdog's blame rules are unchanged: a particle
-/// that started and missed the deadline is charged a timeout, and one
-/// queued behind a hung neighbor (whether in another task or earlier in
-/// its own chunk) rolls over uncharged.
-///
-/// # Errors
-///
-/// As [`translate_states_deadline_with_policy`].
 #[allow(clippy::too_many_arguments)]
-pub fn translate_states_deadline_chunked_with_policy<S>(
+fn translate_deadline<S>(
     translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
     particles: &ParticleCollection<S>,
     base_seed: u64,
@@ -906,15 +495,11 @@ pub fn translate_states_deadline_chunked_with_policy<S>(
     deadline: Duration,
     backoff: &Backoff,
     chunk_size: Option<usize>,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
+) -> Result<Vec<Option<Slot<S>>>, SmcError>
 where
     S: Clone + Send + Sync + 'static,
 {
     let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
     let waited_ms = deadline.as_millis() as u64;
     let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
     // Attempts already charged to each particle (timeouts and failures;
@@ -959,7 +544,7 @@ where
                     let seed = if attempt == 0 {
                         particle_seed(base_seed, j)
                     } else {
-                        retry_seed(policy_seed, step, j, attempt)
+                        retry_seed(policy_seed(policy), step, j, attempt)
                     };
                     (j, particle, attempt, seed)
                 })
@@ -1073,138 +658,14 @@ where
             kind: FailureKind::Timeout { waited_ms },
         }));
     }
-    assemble_parallel(particles, slots, policy, step)
+    Ok(slots)
 }
 
-/// One supervised SMC step: deadline-watched translation (when
-/// [`StagePolicy::deadline`] is set; plain pooled translation otherwise)
-/// followed by the standard degeneracy tail. This is the step primitive
-/// [`crate::run_state_sequence_supervised`] drives.
-///
-/// # Errors
-///
-/// As [`infer_states_parallel_with_policy`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_states_supervised_with_policy<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
-    particles: &ParticleCollection<S>,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    stage_policy: &StagePolicy,
-    step: usize,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
-    let t_translate = metrics::clock();
-    let (translated, translation_report) = match stage_policy.deadline {
-        Some(deadline) => translate_states_deadline_chunked_with_policy(
-            translator,
-            particles,
-            base_seed,
-            policy,
-            step,
-            deadline,
-            &stage_policy.backoff,
-            config.chunk_size,
-        )?,
-        None => {
-            let t: &(dyn StateTranslator<S> + Sync) = &**translator;
-            translate_states_chunked_with_policy(
-                t,
-                particles,
-                base_seed,
-                threads,
-                policy,
-                step,
-                config.chunk_size,
-            )?
-        }
-    };
-    metrics::note_translate(t_translate);
-    let t_resample = metrics::clock();
-    let tail = degeneracy_tail_states(translated, particles, config, policy, step, rng)?;
-    metrics::note_resample(t_resample);
-    let report = StepReport {
-        output_particles: tail.collection.len(),
-        ess: tail.ess,
-        resampled: tail.resampled,
-        collapse_recovered: tail.collapse_recovered,
-        ..translation_report
-    };
-    Ok((tail.collection, report))
-}
-
-/// The historical per-call `std::thread::scope` implementation of
-/// [`translate_parallel_with_policy`], kept as the reference the pooled
-/// path is differentially tested against (results must be bit-identical).
-pub fn translate_parallel_with_policy_scoped(
-    translator: &(dyn TraceTranslator + Sync),
-    particles: &ParticleCollection,
-    base_seed: u64,
-    threads: usize,
-    policy: &FailurePolicy,
-    step: usize,
-) -> Result<(ParticleCollection, StepReport), SmcError> {
-    let threads = threads.max(1);
-    let items: Vec<(usize, &Particle)> = particles.iter().enumerate().collect();
-    let chunk_size = items.len().div_ceil(threads).max(1);
-    let max_attempts = policy.max_attempts();
-    let policy_seed = match policy {
-        FailurePolicy::Retry { seed, .. } => *seed,
-        _ => 0,
-    };
-    let adapted = AsState(translator);
-    let results: Vec<Result<Vec<(usize, Slot)>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let adapted = &adapted;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|(j, particle)| {
-                            (
-                                *j,
-                                translate_slot(
-                                    adapted,
-                                    particle,
-                                    *j,
-                                    base_seed,
-                                    policy_seed,
-                                    max_attempts,
-                                    step,
-                                ),
-                            )
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "translation worker panicked outside user code".to_string())
-            })
-            .collect()
-    });
-
-    let mut slots: Vec<Option<Slot>> = (0..particles.len()).map(|_| None).collect();
-    for chunk in results {
-        for (j, slot) in chunk.map_err(SmcError::Internal)? {
-            slots[j] = Some(slot);
-        }
-    }
-    assemble_parallel(particles, slots, policy, step)
-}
-
-/// Scans the filled slots in index order and builds the output collection
-/// and report — shared tail of the pooled and scoped parallel paths.
-fn assemble_parallel<S>(
+/// Scans the translated slots in index order and builds the reweighted
+/// collection and the step's [`StepReport`] — the assembly step shared by
+/// every translate phase. A fatal failure (anything but a drop) aborts
+/// at the smallest failed index, so slots after it may be missing.
+fn assemble<S>(
     particles: &ParticleCollection<S>,
     slots: Vec<Option<Slot<S>>>,
     policy: &FailurePolicy,
@@ -1218,17 +679,16 @@ fn assemble_parallel<S>(
         let slot =
             slot.ok_or_else(|| SmcError::Internal(format!("particle {j} was never translated")))?;
         match slot {
-            Ok((trace, weight, attempts)) => {
+            Ok((state, weight, attempts)) => {
                 retries += attempts - 1;
                 if attempts > 1 {
                     recovered += 1;
                 }
-                out.push(trace, weight);
+                out.push(state, weight);
             }
             Err(failure) => match policy {
                 FailurePolicy::DropAndRenormalize { .. } => failures.push(failure),
-                // Scanning in index order makes this the minimum failed
-                // index, independent of worker scheduling.
+                // Fail-fast, and retry budgets exhausted, abort the step.
                 _ => return Err(SmcError::Particle(failure)),
             },
         }
@@ -1262,38 +722,62 @@ fn assemble_parallel<S>(
     Ok((out, report))
 }
 
-/// Parallel translation: each particle's `translate` is independent
-/// (Algorithm 2's first loop is embarrassingly parallel), so the
-/// collection is chunked across `threads` workers.
-///
-/// Determinism: particle `j` is translated with an RNG seeded from
-/// `base_seed` and `j`, so the result is identical for any thread count
-/// (and reproducible across runs) — unlike threading one RNG through.
-///
-/// This is [`translate_parallel_with_policy`] under
-/// [`FailurePolicy::FailFast`]: the smallest-index failure (error,
-/// panic, or non-finite weight) aborts translation with a typed error
-/// flattened to [`PplError`].
-///
-/// # Errors
-///
-/// Propagates the failure of the smallest failing particle index.
-pub fn translate_parallel(
-    translator: &(dyn TraceTranslator + Sync),
-    particles: &ParticleCollection,
-    base_seed: u64,
-    threads: usize,
-) -> Result<ParticleCollection, PplError> {
-    translate_parallel_with_policy(
-        translator,
-        particles,
-        base_seed,
-        threads,
-        &FailurePolicy::FailFast,
-        0,
-    )
-    .map(|(collection, _report)| collection)
-    .map_err(PplError::from)
+/// Phase 2 of Algorithm 2, shared by both steps: degeneracy diagnosis,
+/// optional resampling, and collapse recovery, completing the report
+/// [`assemble`] started. The report's `ess` stays the post-reweight ESS
+/// (before any resampling).
+fn degeneracy_tail<S: Clone>(
+    (translated, mut report): (ParticleCollection<S>, StepReport),
+    particles: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    step: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
+    // Dropping under DropAndRenormalize needs no explicit
+    // renormalization: the collection's estimators self-normalize over
+    // the survivors.
+    let ess = report.ess;
+    let collapsed = !particles.is_empty() && ess == 0.0;
+    let collection = if collapsed {
+        if matches!(policy, FailurePolicy::FailFast) {
+            return Err(SmcError::Collapse { step });
+        }
+        // Recovery: the pre-step collection is still a properly weighted
+        // approximation of the *previous* program's posterior — strictly
+        // more useful than an empty or all-zero collection, and the
+        // report makes the substitution visible.
+        report.collapse_recovered = true;
+        particles.clone()
+    } else {
+        let should_resample = match config.resample {
+            ResamplePolicy::Never => false,
+            ResamplePolicy::Always => true,
+            ResamplePolicy::EssBelow(fraction) => ess < fraction * translated.len() as f64,
+        };
+        if should_resample {
+            match resample(&translated, config.scheme, rng) {
+                Ok(resampled) => {
+                    report.resampled = true;
+                    resampled
+                }
+                Err(ResampleError::Collapsed | ResampleError::NonFiniteTotal) => {
+                    // Defensive: the ESS check above should have caught
+                    // this, but treat it as the collapse it is.
+                    if matches!(policy, FailurePolicy::FailFast) {
+                        return Err(SmcError::Collapse { step });
+                    }
+                    report.collapse_recovered = true;
+                    particles.clone()
+                }
+                Err(e @ ResampleError::Empty) => return Err(SmcError::Eval(e.into())),
+            }
+        } else {
+            translated
+        }
+    };
+    report.output_particles = collection.len();
+    Ok((collection, report))
 }
 
 /// Translates a collection without resampling or rejuvenation and also
@@ -1397,6 +881,36 @@ mod tests {
         )
     }
 
+    /// One pooled translate-only step through the sequence loop: a single
+    /// stage run as SMC step `step` with translation seeded from
+    /// `base_seed`.
+    fn pooled_step<T: TraceTranslator + Send + Sync + 'static>(
+        translator: T,
+        particles: &ParticleCollection,
+        base_seed: u64,
+        threads: usize,
+        policy: &FailurePolicy,
+        step: usize,
+    ) -> Result<(ParticleCollection, StepReport), SmcError> {
+        let stage: Arc<dyn StateTranslator<Trace> + Send + Sync> =
+            Arc::new(TraceStateAdapter(translator));
+        let mut run = crate::run_state_sequence_supervised(
+            &[stage],
+            particles,
+            step,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            policy,
+            &StagePolicy::default(),
+            base_seed,
+            threads,
+            None,
+        )?;
+        let report = run.reports.pop().expect("one stage ran");
+        Ok((run.collections.pop().expect("one stage ran"), report))
+    }
+
     #[test]
     fn infer_converges_to_q_posterior() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -1484,10 +998,13 @@ mod tests {
     fn parallel_translation_is_deterministic_and_correct() {
         let mut rng = StdRng::seed_from_u64(104);
         let particles = posterior_samples_of_p(2_000, &mut rng);
-        let translator = pq_translator();
-        let one = translate_parallel(&translator, &particles, 7, 1).unwrap();
-        let four = translate_parallel(&translator, &particles, 7, 4).unwrap();
-        let nine = translate_parallel(&translator, &particles, 7, 9).unwrap();
+        let fail_fast = FailurePolicy::FailFast;
+        let run = |threads| {
+            pooled_step(pq_translator(), &particles, 7, threads, &fail_fast, 0)
+                .unwrap()
+                .0
+        };
+        let (one, four, nine) = (run(1), run(4), run(9));
         // Thread-count independence: identical traces and weights.
         for ((a, b), c) in one.iter().zip(four.iter()).zip(nine.iter()) {
             assert_eq!(a.trace.to_choice_map(), b.trace.to_choice_map());
@@ -1559,17 +1076,10 @@ mod tests {
         let plan = FaultPlan::new()
             .with(FaultSpec::always(0, 41, FaultKind::Panic))
             .with(FaultSpec::always(0, 17, FaultKind::Panic));
-        let faulty = FaultyTranslator::new(pq_translator(), plan);
         for threads in [1, 3, 8] {
-            let err = translate_parallel_with_policy(
-                &faulty,
-                &particles,
-                7,
-                threads,
-                &FailurePolicy::FailFast,
-                0,
-            )
-            .unwrap_err();
+            let faulty = FaultyTranslator::new(pq_translator(), plan.clone());
+            let err = pooled_step(faulty, &particles, 7, threads, &FailurePolicy::FailFast, 0)
+                .unwrap_err();
             match err {
                 SmcError::Particle(failure) => {
                     assert_eq!(failure.particle, 17, "threads = {threads}");
@@ -1588,14 +1098,12 @@ mod tests {
             .with(FaultSpec::always(0, 3, FaultKind::Panic))
             .with(FaultSpec::always(0, 77, FaultKind::NanWeight))
             .with(FaultSpec::always(0, 150, FaultKind::Error));
-        let faulty = FaultyTranslator::new(pq_translator(), plan);
+        let faulty = || FaultyTranslator::new(pq_translator(), plan.clone());
         let policy = FailurePolicy::DropAndRenormalize { max_loss: 0.05 };
-        let (first, first_report) =
-            translate_parallel_with_policy(&faulty, &particles, 11, 1, &policy, 0).unwrap();
+        let (first, first_report) = pooled_step(faulty(), &particles, 11, 1, &policy, 0).unwrap();
         for threads in [2, 5, 16] {
             let (other, report) =
-                translate_parallel_with_policy(&faulty, &particles, 11, threads, &policy, 0)
-                    .unwrap();
+                pooled_step(faulty(), &particles, 11, threads, &policy, 0).unwrap();
             // NaN in the NonFiniteWeight record defeats `==` on the whole
             // report, so compare field by field.
             assert_eq!(report.ess.to_bits(), first_report.ess.to_bits());
@@ -1629,15 +1137,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(108);
         let particles = posterior_samples_of_p(50, &mut rng);
         let plan = FaultPlan::new().with(FaultSpec::once(0, 20, FaultKind::Error));
-        let faulty = FaultyTranslator::new(pq_translator(), plan);
+        let faulty = || FaultyTranslator::new(pq_translator(), plan.clone());
         let policy = FailurePolicy::Retry {
             max_attempts: 3,
             seed: 99,
         };
-        let (a, report_a) =
-            translate_parallel_with_policy(&faulty, &particles, 5, 2, &policy, 0).unwrap();
-        let (b, report_b) =
-            translate_parallel_with_policy(&faulty, &particles, 5, 7, &policy, 0).unwrap();
+        let (a, report_a) = pooled_step(faulty(), &particles, 5, 2, &policy, 0).unwrap();
+        let (b, report_b) = pooled_step(faulty(), &particles, 5, 7, &policy, 0).unwrap();
         assert_eq!(report_a, report_b);
         assert_eq!(report_a.retries, 1);
         assert_eq!(report_a.recovered, 1);

@@ -13,6 +13,14 @@
 //! (`incremental::CorrespondenceTranslator`) visits all `O(N + K)` trace
 //! elements.
 //!
+//! Edit histories run through `incremental`'s one stage loop:
+//! [`run_edit_sequence_supervised`] diffs consecutive programs into an
+//! [`edit_chain`], lifts the starting traces into graphs once
+//! ([`lift_collection`]), and carries graph-native particles through every
+//! edit, with failure policies, a watchdog deadline, and checkpoint/resume
+//! ([`resume_collection`]). Flat-trace runs hand the loop
+//! `incremental::TraceStateAdapter`-wrapped chain links instead.
+//!
 //! Loops are fully supported: `for` iterations are keyed by the loop
 //! variable and `while` iterations by their iteration counter, matching
 //! the interpreter's Section 5.4 addressing, so unchanged iterations are
@@ -37,8 +45,6 @@ pub use plan::StagePlan;
 pub use propagate::{set_verify_slices, verify_slices_enabled, IncrementalResult, VisitStats};
 pub use record::{program_fingerprint, ExecGraph};
 pub use sequence::{
-    edit_chain, edit_chain_shared, lift_collection, resume_collection, run_edit_sequence,
-    run_edit_sequence_flat_supervised, run_edit_sequence_graph, run_edit_sequence_parallel,
-    run_edit_sequence_parallel_with_policy, run_edit_sequence_supervised,
+    edit_chain, edit_chain_shared, lift_collection, resume_collection, run_edit_sequence_supervised,
 };
 pub use translator::IncrementalTranslator;

@@ -1,4 +1,4 @@
-//! Stage-shared translation plans.
+//! Translation plans shared by every particle of a stage.
 //!
 //! A [`StagePlan`] hoists everything about one edit `p → q` that is
 //! invariant across particles out of the per-particle propagation loop:

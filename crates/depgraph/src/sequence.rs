@@ -2,20 +2,22 @@
 //!
 //! The "Multiple Steps" regime of Section 4.2 driven by the Section 6
 //! runtime: consecutive programs are diffed into
-//! [`IncrementalTranslator`]s automatically, and the particle collection
-//! is threaded through them by `incremental`'s fault-tolerant SMC step —
-//! so callers get per-stage [`incremental::StepReport`]s (ESS, quarantined
+//! [`IncrementalTranslator`]s automatically ([`edit_chain`]), and the
+//! particle collection is threaded through them by `incremental`'s one
+//! stage loop ([`incremental::run_state_sequence_supervised`]) — so
+//! callers get per-stage [`incremental::StepReport`]s (ESS, quarantined
 //! particles, retries, collapse recoveries) for the whole edit history.
+//!
+//! [`run_edit_sequence_supervised`] carries the particles as execution
+//! graphs end to end. For flat-trace particles, hand the loop
+//! [`incremental::TraceStateAdapter`]-wrapped chain links instead, or
+//! flatten the graph-native run with [`SequenceRun::flatten`].
 
 use std::sync::Arc;
 
-use rand::RngCore;
-
 use incremental::{
-    run_sequence_with_policy, run_state_sequence_parallel_with_policy,
-    run_state_sequence_supervised, run_state_sequence_with_policy, Checkpoint, CheckpointError,
-    FailurePolicy, ParticleCollection, SequenceRun, SmcConfig, SmcError, Stage, StageObserver,
-    StagePolicy, StateTranslator, StepReport, TraceStateAdapter,
+    run_state_sequence_supervised, Checkpoint, CheckpointError, FailurePolicy, ParticleCollection,
+    SequenceRun, SmcConfig, SmcError, StageObserver, StagePolicy, StateTranslator, StepReport,
 };
 use ppl::ast::Program;
 use ppl::{LogWeight, PplError};
@@ -43,34 +45,6 @@ pub fn edit_chain_shared(programs: &[Arc<Program>]) -> Vec<IncrementalTranslator
         .collect()
 }
 
-/// Runs Algorithm 2 across the whole edit history `programs[0] → ... →
-/// programs[n]` under a [`FailurePolicy`], starting from `initial`
-/// (posterior traces of `programs[0]`). Stage `s` translates across the
-/// edit `programs[s] → programs[s+1]` and is addressed as SMC step `s`
-/// in failure records and retry seeds.
-///
-/// # Errors
-///
-/// Propagates typed errors from the SMC runtime
-/// ([`incremental::infer_with_policy`]).
-pub fn run_edit_sequence(
-    programs: &[Program],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun, SmcError> {
-    let chain = edit_chain(programs);
-    let stages: Vec<Stage<'_>> = chain
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect();
-    run_sequence_with_policy(&stages, initial, config, policy, rng)
-}
-
 /// Lifts a flat collection of `program` traces into graph-native
 /// particles: each trace is replayed once into an [`ExecGraph`] sharing
 /// the given program handle (so the first edit-chain translator validates
@@ -92,102 +66,6 @@ pub fn lift_collection(
         lifted.push(Arc::new(graph), particle.log_weight);
     }
     Ok(lifted)
-}
-
-/// Graph-native [`run_edit_sequence`]: lifts `initial` into execution
-/// graphs once, then threads the *graphs* through every stage — each
-/// stage's [`IncrementalTranslator`] propagates the edit directly on the
-/// previous stage's graph, never flattening to a trace between stages.
-/// Flatten the returned run lazily with
-/// [`SequenceRun::flatten`](incremental::SequenceRun::flatten) at the API
-/// boundary.
-///
-/// For workloads whose edits reuse all random choices, the resulting
-/// weights are bit-identical to [`run_edit_sequence`] — the differential
-/// tests pin this down — while per-stage cost drops from O(M·|t|) to
-/// O(M·K) for an edit touching K records.
-///
-/// # Errors
-///
-/// Lift failures surface as [`SmcError::Eval`]; stage errors as in
-/// [`run_edit_sequence`].
-pub fn run_edit_sequence_graph(
-    programs: &[Program],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<Arc<ExecGraph>>, SmcError> {
-    let shared: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
-    let chain = edit_chain_shared(&shared);
-    let lifted = match shared.first() {
-        Some(first) => lift_collection(first, initial).map_err(SmcError::Eval)?,
-        None => ParticleCollection::new(),
-    };
-    let stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = chain
-        .iter()
-        .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-        .collect();
-    run_state_sequence_with_policy(&stages, &lifted, config, policy, rng)
-}
-
-/// [`run_edit_sequence_graph`] with pooled parallel translation: every
-/// stage's translate/reweight loop runs on the persistent
-/// [`incremental::WorkerPool`], with per-particle randomness derived from
-/// `base_seed` so results are bit-identical for any `threads` value.
-/// `rng` drives only resampling, as in the serial runner.
-///
-/// # Errors
-///
-/// As [`run_edit_sequence_graph`].
-pub fn run_edit_sequence_parallel_with_policy(
-    programs: &[Program],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<Arc<ExecGraph>>, SmcError> {
-    let shared: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
-    let chain = edit_chain_shared(&shared);
-    let lifted = match shared.first() {
-        Some(first) => lift_collection(first, initial).map_err(SmcError::Eval)?,
-        None => ParticleCollection::new(),
-    };
-    let stages: Vec<&(dyn StateTranslator<Arc<ExecGraph>> + Sync)> = chain
-        .iter()
-        .map(|t| t as &(dyn StateTranslator<Arc<ExecGraph>> + Sync))
-        .collect();
-    run_state_sequence_parallel_with_policy(
-        &stages, &lifted, config, policy, base_seed, threads, rng,
-    )
-}
-
-/// [`run_edit_sequence_parallel_with_policy`] under
-/// [`FailurePolicy::FailFast`], with errors flattened to [`PplError`].
-///
-/// # Errors
-///
-/// Propagates errors from [`run_edit_sequence_parallel_with_policy`].
-pub fn run_edit_sequence_parallel(
-    programs: &[Program],
-    initial: &ParticleCollection,
-    config: &SmcConfig,
-    base_seed: u64,
-    threads: usize,
-    rng: &mut dyn RngCore,
-) -> Result<SequenceRun<Arc<ExecGraph>>, PplError> {
-    run_edit_sequence_parallel_with_policy(
-        programs,
-        initial,
-        config,
-        &FailurePolicy::FailFast,
-        base_seed,
-        threads,
-        rng,
-    )
-    .map_err(PplError::from)
 }
 
 /// Rebuilds the particle collection of a checkpoint against the program
@@ -231,12 +109,18 @@ pub fn resume_collection(
     Ok(collection)
 }
 
-/// Graph-native crash-safe sequence runner: the supervised analogue of
-/// [`run_edit_sequence_parallel_with_policy`], with resume support.
+/// Runs Algorithm 2 across the edit history `programs[0] → ... →
+/// programs[n]` with graph-native particles: lifts `initial` into
+/// execution graphs once, then threads the *graphs* through the one
+/// stage loop — each stage's [`IncrementalTranslator`] propagates the
+/// edit directly on the previous stage's graph, never flattening to a
+/// trace between stages, so per-stage cost is O(M·K) for an edit
+/// touching K records. Flatten the returned run lazily with
+/// [`SequenceRun::flatten`] at the API boundary.
 ///
 /// `initial` must hold posterior traces of `programs[start_step]` (for a
 /// fresh run `start_step == 0`; for a resume, the collection rebuilt by
-/// [`resume_collection`]). Stage `i` of the remaining chain runs as
+/// [`resume_collection`]). The remaining chain's `i`-th stage runs as
 /// absolute SMC step `start_step + i`, with all per-stage randomness
 /// derived from `base_seed` and the absolute index
 /// ([`incremental::stage_seed`] / [`incremental::resample_seed`]) — so a
@@ -248,7 +132,8 @@ pub fn resume_collection(
 ///
 /// # Errors
 ///
-/// As [`run_edit_sequence_parallel_with_policy`], plus any error the
+/// Lift failures surface as [`SmcError::Eval`]; stage errors as in
+/// [`incremental::run_state_sequence_supervised`], plus any error the
 /// observer returns.
 #[allow(clippy::too_many_arguments)]
 pub fn run_edit_sequence_supervised(
@@ -264,13 +149,16 @@ pub fn run_edit_sequence_supervised(
     threads: usize,
     observer: Option<&mut StageObserver<'_, Arc<ExecGraph>>>,
 ) -> Result<SequenceRun<Arc<ExecGraph>>, SmcError> {
-    let shared: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
-    let chain = edit_chain_shared(&shared);
-    let remaining = chain.into_iter().skip(start_step);
-    let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> = remaining
-        .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>)
-        .collect();
-    let lifted = match shared.get(start_step) {
+    // Only the links still to run are built: a resumed run never
+    // re-diffs or re-plans its completed prefix.
+    let remaining = programs.get(start_step..).unwrap_or_default();
+    let shared: Vec<Arc<Program>> = remaining.iter().cloned().map(Arc::new).collect();
+    let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
+        edit_chain_shared(&shared)
+            .into_iter()
+            .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>)
+            .collect();
+    let lifted = match shared.first() {
         Some(target) => lift_collection(target, initial).map_err(SmcError::Eval)?,
         None => ParticleCollection::new(),
     };
@@ -289,61 +177,16 @@ pub fn run_edit_sequence_supervised(
     )
 }
 
-/// Flat-trace crash-safe sequence runner: [`run_edit_sequence_supervised`]
-/// with the particles carried as plain traces (each stage's
-/// [`IncrementalTranslator`] adapted via
-/// [`TraceStateAdapter`]). Same seeds, same absolute
-/// step indexing, same observer contract — the differential tests prove
-/// its resumed trajectories bitwise-equal to the graph-native runner's.
-///
-/// # Errors
-///
-/// As [`run_edit_sequence_supervised`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_edit_sequence_flat_supervised(
-    programs: &[Program],
-    initial: &ParticleCollection,
-    start_step: usize,
-    prior_ess: &[f64],
-    prior_reports: &[StepReport],
-    config: &SmcConfig,
-    policy: &FailurePolicy,
-    stage_policy: &StagePolicy,
-    base_seed: u64,
-    threads: usize,
-    observer: Option<&mut StageObserver<'_, ppl::Trace>>,
-) -> Result<SequenceRun, SmcError> {
-    let chain = edit_chain(programs);
-    let stages: Vec<Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>> = chain
-        .into_iter()
-        .skip(start_step)
-        .map(|t| {
-            Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>
-        })
-        .collect();
-    run_state_sequence_supervised(
-        &stages,
-        initial,
-        start_step,
-        prior_ess,
-        prior_reports,
-        config,
-        policy,
-        stage_policy,
-        base_seed,
-        threads,
-        observer,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incremental::{FaultKind, FaultPlan, FaultSpec, FaultyTranslator};
+    use incremental::{FaultKind, FaultPlan, FaultSpec, FaultyTranslator, TraceStateAdapter};
     use ppl::handlers::simulate;
-    use ppl::parse;
+    use ppl::{parse, Trace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    type TraceStage = Arc<dyn StateTranslator<Trace> + Send + Sync>;
 
     fn programs() -> Vec<Program> {
         // An evidence-strengthening edit history over one latent.
@@ -356,6 +199,55 @@ mod tests {
                 .unwrap()
             })
             .collect()
+    }
+
+    /// Prior simulations of the first program; its observation is
+    /// uninformative (flip(0.5)), so they are posterior samples of it.
+    fn initial(ps: &[Program], m: usize, seed: u64) -> ParticleCollection {
+        let mut rng = StdRng::seed_from_u64(seed);
+        ParticleCollection::from_traces((0..m).map(|_| simulate(&ps[0], &mut rng).unwrap()))
+    }
+
+    fn run_graph(
+        ps: &[Program],
+        initial: &ParticleCollection,
+        threads: usize,
+    ) -> SequenceRun<Arc<ExecGraph>> {
+        run_edit_sequence_supervised(
+            ps,
+            initial,
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            &FailurePolicy::FailFast,
+            &StagePolicy::default(),
+            31,
+            threads,
+            None,
+        )
+        .unwrap()
+    }
+
+    /// Runs flat-trace stages through the same loop.
+    fn run_flat(
+        stages: &[TraceStage],
+        initial: &ParticleCollection,
+        policy: &FailurePolicy,
+    ) -> Result<SequenceRun, SmcError> {
+        run_state_sequence_supervised(
+            stages,
+            initial,
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            policy,
+            &StagePolicy::default(),
+            31,
+            1,
+            None,
+        )
     }
 
     #[test]
@@ -374,21 +266,9 @@ mod tests {
     #[test]
     fn clean_edit_sequence_reports_are_clean() {
         let ps = programs();
-        let mut rng = StdRng::seed_from_u64(21);
-        // The first program's observation is uninformative (flip(0.5)),
-        // so prior simulations are posterior samples of it.
-        let traces: Vec<_> = (0..4_000)
-            .map(|_| simulate(&ps[0], &mut rng).unwrap())
-            .collect();
-        let initial = ParticleCollection::from_traces(traces);
-        let run = run_edit_sequence(
-            &ps,
-            &initial,
-            &SmcConfig::translate_only(),
-            &FailurePolicy::FailFast,
-            &mut rng,
-        )
-        .unwrap();
+        let run = run_graph(&ps, &initial(&ps, 4_000, 21), 1)
+            .flatten()
+            .unwrap();
         assert_eq!(run.reports.len(), 2);
         assert!(run.is_clean());
         let estimate = run
@@ -402,30 +282,13 @@ mod tests {
     #[test]
     fn graph_native_sequence_matches_flat_sequence_bitwise() {
         let ps = programs();
-        let mut rng = StdRng::seed_from_u64(23);
-        let traces: Vec<_> = (0..500)
-            .map(|_| simulate(&ps[0], &mut rng).unwrap())
+        let initial = initial(&ps, 500, 23);
+        let stages: Vec<TraceStage> = edit_chain(&ps)
+            .into_iter()
+            .map(|t| Arc::new(TraceStateAdapter(t)) as TraceStage)
             .collect();
-        let initial = ParticleCollection::from_traces(traces);
-        let config = SmcConfig::translate_only();
-        let mut rng_flat = StdRng::seed_from_u64(31);
-        let flat = run_edit_sequence(
-            &ps,
-            &initial,
-            &config,
-            &FailurePolicy::FailFast,
-            &mut rng_flat,
-        )
-        .unwrap();
-        let mut rng_graph = StdRng::seed_from_u64(31);
-        let graph = run_edit_sequence_graph(
-            &ps,
-            &initial,
-            &config,
-            &FailurePolicy::FailFast,
-            &mut rng_graph,
-        )
-        .unwrap();
+        let flat = run_flat(&stages, &initial, &FailurePolicy::FailFast).unwrap();
+        let graph = run_graph(&ps, &initial, 1);
         assert_eq!(graph.collections.len(), flat.collections.len());
         let flattened = graph.flatten().unwrap();
         for (a, b) in flat.collections.iter().zip(flattened.collections.iter()) {
@@ -435,15 +298,10 @@ mod tests {
                 assert_eq!(pa.trace.to_choice_map(), pb.trace.to_choice_map());
             }
         }
-        // Parallel graph-native runs are thread-count invariant.
-        let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(57);
-            run_edit_sequence_parallel(&ps, &initial, &config, 777, threads, &mut rng).unwrap()
-        };
-        let one = run_with(1);
+        // Pooled graph-native runs are thread-count invariant.
         for threads in [3, 8] {
-            let other = run_with(threads);
-            for (a, b) in one.collections.iter().zip(other.collections.iter()) {
+            let other = run_graph(&ps, &initial, threads);
+            for (a, b) in graph.collections.iter().zip(other.collections.iter()) {
                 for (pa, pb) in a.iter().zip(b.iter()) {
                     assert_eq!(
                         pa.log_weight.log().to_bits(),
@@ -458,34 +316,21 @@ mod tests {
     #[test]
     fn faults_in_one_stage_are_quarantined_and_reported() {
         let ps = programs();
-        let chain = edit_chain(&ps);
         // Inject failures into stage 1 only, through the same
         // TranslateCtx plumbing the runtime uses.
         let plan = FaultPlan::new()
             .with(FaultSpec::always(1, 5, FaultKind::Error))
             .with(FaultSpec::always(1, 9, FaultKind::NanWeight));
-        let faulty: Vec<_> = chain
+        let stages: Vec<TraceStage> = edit_chain(&ps)
             .into_iter()
-            .map(|t| FaultyTranslator::new(t, plan.clone()))
-            .collect();
-        let stages: Vec<Stage<'_>> = faulty
-            .iter()
-            .map(|translator| Stage {
-                translator,
-                mcmc: None,
+            .map(|t| {
+                Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as TraceStage
             })
             .collect();
-        let mut rng = StdRng::seed_from_u64(22);
-        let traces: Vec<_> = (0..200)
-            .map(|_| simulate(&ps[0], &mut rng).unwrap())
-            .collect();
-        let initial = ParticleCollection::from_traces(traces);
-        let run = incremental::run_sequence_with_policy(
+        let run = run_flat(
             &stages,
-            &initial,
-            &SmcConfig::translate_only(),
+            &initial(&ps, 200, 22),
             &FailurePolicy::DropAndRenormalize { max_loss: 0.1 },
-            &mut rng,
         )
         .unwrap();
         assert!(run.reports[0].is_clean());

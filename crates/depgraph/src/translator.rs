@@ -46,7 +46,7 @@ pub struct IncrementalTranslator {
     /// never re-hashes (let alone deep-compares) the program.
     p_fingerprint: u64,
     edit: ProgramEdit,
-    /// Stage-invariant translation plan, built once per edit and shared
+    /// Translation plan invariant across a stage, built once per edit and shared
     /// (immutably) by every particle task in a stage.
     plan: Arc<StagePlan>,
 }

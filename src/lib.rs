@@ -56,9 +56,10 @@ pub use ppl;
 /// Everything needed for typical incremental-inference workflows.
 pub mod prelude {
     pub use incremental::{
-        infer, infer_without_weights, resample, run_sequence, Correspondence,
-        CorrespondenceTranslator, McmcKernel, Particle, ParticleCollection, ResamplePolicy,
-        ResampleScheme, SmcConfig, Stage, TraceTranslator, Translated,
+        infer, infer_without_weights, resample, run_state_sequence_supervised, Correspondence,
+        CorrespondenceTranslator, FailurePolicy, McmcKernel, Particle, ParticleCollection,
+        ResamplePolicy, ResampleScheme, SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
+        TraceTranslator, Translated,
     };
     pub use ppl::dist::Dist;
     pub use ppl::handlers::{generate, score, simulate};

@@ -13,13 +13,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use depgraph::{
-    resume_collection, run_edit_sequence_flat_supervised, run_edit_sequence_supervised, ExecGraph,
-};
+use depgraph::{edit_chain, resume_collection, run_edit_sequence_supervised, ExecGraph};
 use incremental::{
-    collection_checksum, Checkpoint, CheckpointError, FailurePolicy, ParticleCollection,
-    ParticleState, ResamplePolicy, SequenceRun, SmcConfig, SmcError, StageObserver, StagePolicy,
-    StageSnapshot, StepReport,
+    collection_checksum, run_state_sequence_supervised, Checkpoint, CheckpointError, FailurePolicy,
+    ParticleCollection, ParticleState, ResamplePolicy, SequenceRun, SmcConfig, SmcError,
+    StageObserver, StagePolicy, StageSnapshot, StateTranslator, StepReport, TraceStateAdapter,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -31,7 +29,7 @@ const PARTICLES: usize = 120;
 const SEED: u64 = 20_260_808;
 
 /// A 4-program (3-stage) observation-strength edit history over a small
-/// latent chain. Stage 0's program is uninformative enough that prior
+/// latent chain. The first program is uninformative enough that prior
 /// simulations serve as its posterior samples.
 fn programs() -> Vec<Program> {
     chain_programs(&[0.5, 0.6, 0.8, 0.9])
@@ -142,8 +140,17 @@ fn run_flat(
     threads: usize,
     observer: Option<&mut StageObserver<'_, ppl::Trace>>,
 ) -> Result<SequenceRun, SmcError> {
-    run_edit_sequence_flat_supervised(
-        ps,
+    // Flat-trace stages: the remaining edit-chain links behind the trace
+    // adapter, run through the same loop as the graph-native runner.
+    let stages: Vec<Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>> =
+        edit_chain(&ps[start_step..])
+            .into_iter()
+            .map(|t| {
+                Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>
+            })
+            .collect();
+    run_state_sequence_supervised(
+        &stages,
         start,
         start_step,
         prior_ess,
@@ -239,8 +246,8 @@ fn flat_kill_and_resume_is_bit_identical() {
 }
 
 /// Flat-trace and graph-native supervised runs agree bit-for-bit — the
-/// same representation-independence contract `graph_native.rs` pins for
-/// the legacy runners, now extended to the crash-safe path.
+/// same representation-independence contract `graph_native.rs` pins,
+/// here on the checkpointing path with resampling enabled.
 #[test]
 fn flat_and_graph_supervised_runs_agree() {
     let ps = programs();

@@ -14,13 +14,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use depgraph::{
-    edit_chain_shared, lift_collection, run_edit_sequence_parallel_with_policy, ExecGraph,
-};
+use depgraph::{edit_chain_shared, lift_collection, run_edit_sequence_supervised, ExecGraph};
 use incremental::{
-    run_state_sequence_parallel_with_policy, run_state_sequence_supervised, Backoff, FailurePolicy,
-    FaultKind, FaultPlan, FaultSpec, FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig,
-    StagePolicy, StateTranslator, TraceTranslator,
+    run_state_sequence_supervised, Backoff, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
+    FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, StagePolicy, StateTranslator,
+    TraceTranslator,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -110,15 +108,18 @@ fn chunk_size_and_thread_count_do_not_change_results() {
     let init = initial(&ps);
     let run_with = |chunk: Option<usize>, threads: usize| {
         let config = SmcConfig::translate_only().with_chunk_size(chunk);
-        let mut rng = StdRng::seed_from_u64(61);
-        run_edit_sequence_parallel_with_policy(
+        run_edit_sequence_supervised(
             &ps,
             &init,
+            0,
+            &[],
+            &[],
             &config,
             &FailurePolicy::FailFast,
+            &StagePolicy::default(),
             707,
             threads,
-            &mut rng,
+            None,
         )
         .unwrap()
         .flatten()
@@ -166,18 +167,27 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
         ),
     ] {
         let run_with = |chunk: Option<usize>, threads: usize| {
-            let faulty: Vec<_> = edit_chain_shared(&shared)
-                .into_iter()
-                .map(|t| FaultyTranslator::new(t, plan.clone()))
-                .collect();
-            let stages: Vec<&(dyn StateTranslator<Arc<ExecGraph>> + Sync)> = faulty
-                .iter()
-                .map(|t| t as &(dyn StateTranslator<Arc<ExecGraph>> + Sync))
-                .collect();
+            let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
+                edit_chain_shared(&shared)
+                    .into_iter()
+                    .map(|t| {
+                        Arc::new(FaultyTranslator::new(t, plan.clone()))
+                            as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>
+                    })
+                    .collect();
             let config = SmcConfig::translate_only().with_chunk_size(chunk);
-            let mut rng = StdRng::seed_from_u64(67);
-            run_state_sequence_parallel_with_policy(
-                &stages, &lifted, &config, &policy, 808, threads, &mut rng,
+            run_state_sequence_supervised(
+                &stages,
+                &lifted,
+                0,
+                &[],
+                &[],
+                &config,
+                &policy,
+                &StagePolicy::default(),
+                808,
+                threads,
+                None,
             )
             .unwrap()
             .flatten()

@@ -9,8 +9,8 @@
 //! at 1, 3, and 8 worker threads, and the summed log-weight checksum
 //! must match to the bit.
 
-use depgraph::{run_edit_sequence_parallel_with_policy, ExecGraph};
-use incremental::{FailurePolicy, ParticleCollection, SequenceRun, SmcConfig};
+use depgraph::{run_edit_sequence_supervised, ExecGraph};
+use incremental::{FailurePolicy, ParticleCollection, SequenceRun, SmcConfig, StagePolicy};
 use ppl::ast::Program;
 use ppl::handlers::simulate;
 use ppl::parse;
@@ -51,15 +51,18 @@ fn run(threads: usize) -> SequenceRun<Arc<ExecGraph>> {
         .map(|_| simulate(&programs[0], &mut rng).expect("prior simulation"))
         .collect();
     let initial = ParticleCollection::from_traces(traces);
-    let mut seq_rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
+    run_edit_sequence_supervised(
         &programs,
         &initial,
+        0,
+        &[],
+        &[],
         &SmcConfig::translate_only(),
         &FailurePolicy::FailFast,
+        &StagePolicy::default(),
         SEED,
         threads,
-        &mut seq_rng,
+        None,
     )
     .expect("graph-native run")
 }

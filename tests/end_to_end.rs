@@ -4,8 +4,9 @@
 use std::sync::Arc;
 
 use incremental::{
-    infer, infer_without_weights, run_sequence, Correspondence, CorrespondenceTranslator,
-    ParticleCollection, ResamplePolicy, SmcConfig, Stage,
+    infer, infer_without_weights, run_state_sequence_supervised, Correspondence,
+    CorrespondenceTranslator, FailurePolicy, ParticleCollection, ResamplePolicy, SmcConfig,
+    StagePolicy, StateTranslator, TraceStateAdapter,
 };
 use inference::stats::mean;
 use models::data::hospital::HospitalData;
@@ -19,7 +20,7 @@ use models::regression::{
     OutlierParams, RobustRegModel,
 };
 use ppl::dist::Dist;
-use ppl::{addr, Enumeration, Handler, PplError, Value};
+use ppl::{addr, Enumeration, Handler, PplError, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -171,21 +172,15 @@ fn sequence_with_adaptive_resampling() {
         .iter()
         .map(|&q| stage_model(q))
         .collect();
-    let translators: Vec<_> = models
+    let stages: Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> = models
         .windows(2)
         .map(|w| {
-            CorrespondenceTranslator::new(
+            let translator = CorrespondenceTranslator::new(
                 w[0].clone(),
                 w[1].clone(),
                 Correspondence::identity_on(["x"]),
-            )
-        })
-        .collect();
-    let stages: Vec<Stage> = translators
-        .iter()
-        .map(|t| Stage {
-            translator: t,
-            mcmc: None,
+            );
+            Arc::new(TraceStateAdapter(translator)) as Arc<dyn StateTranslator<Trace> + Send + Sync>
         })
         .collect();
     let sampler = inference::ExactPosterior::new(&models[0]).unwrap();
@@ -195,7 +190,20 @@ fn sequence_with_adaptive_resampling() {
         resample: ResamplePolicy::EssBelow(0.5),
         ..SmcConfig::default()
     };
-    let run = run_sequence(&stages, &initial, &config, &mut rng).unwrap();
+    let run = run_state_sequence_supervised(
+        &stages,
+        &initial,
+        0,
+        &[],
+        &[],
+        &config,
+        &FailurePolicy::FailFast,
+        &StagePolicy::default(),
+        15,
+        1,
+        None,
+    )
+    .unwrap();
     let estimate = run
         .last()
         .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())

@@ -7,14 +7,16 @@
 //! renormalize completes on the survivors and reports the quarantine, and
 //! retry recovers deterministically with reseeded per-attempt RNGs.
 
+use std::sync::Arc;
+
 use incremental::{
-    infer, run_sequence, run_sequence_with_policy, Correspondence, CorrespondenceTranslator,
-    FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator,
-    ParticleCollection, SmcConfig, SmcError, Stage,
+    infer, run_state_sequence_supervised, Correspondence, CorrespondenceTranslator, FailureKind,
+    FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator, ParticleCollection,
+    SequenceRun, SmcConfig, SmcError, StagePolicy, StateTranslator, TraceStateAdapter,
 };
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
-use ppl::{addr, Handler, PplError, Value};
+use ppl::{addr, Handler, PplError, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,24 +72,36 @@ fn all_modes_plan(fail_attempts: fn(usize, usize, FaultKind) -> FaultSpec) -> Fa
         .with(fail_attempts(2, 11, FaultKind::Error))
 }
 
-fn faulty_stages<'a>(
-    chain: &'a [impl incremental::TraceTranslator],
-    plan: &FaultPlan,
-) -> Vec<FaultyTranslator<&'a dyn incremental::TraceTranslator>> {
-    chain
-        .iter()
-        .map(|t| FaultyTranslator::new(t as &dyn incremental::TraceTranslator, plan.clone()))
+type TraceStage = Arc<dyn StateTranslator<Trace> + Send + Sync>;
+
+/// The translator chain as loop stages, each wrapped to inject `plan`.
+fn faulty_stages(plan: &FaultPlan) -> Vec<TraceStage> {
+    translator_chain()
+        .into_iter()
+        .map(|t| Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as TraceStage)
         .collect()
 }
 
-fn stages<'a>(translators: &'a [impl incremental::TraceTranslator]) -> Vec<Stage<'a>> {
-    translators
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect()
+/// Runs `stages` translate-only through the sequence loop on one thread.
+fn run_stages(
+    stages: &[TraceStage],
+    initial: &ParticleCollection,
+    policy: &FailurePolicy,
+    seed: u64,
+) -> Result<SequenceRun, SmcError> {
+    run_state_sequence_supervised(
+        stages,
+        initial,
+        0,
+        &[],
+        &[],
+        &SmcConfig::translate_only(),
+        policy,
+        &StagePolicy::default(),
+        seed,
+        1,
+        None,
+    )
 }
 
 fn posterior_true(c: &ParticleCollection) -> f64 {
@@ -97,16 +111,8 @@ fn posterior_true(c: &ParticleCollection) -> f64 {
 
 #[test]
 fn fail_fast_surfaces_the_first_fault_as_a_typed_error() {
-    let chain = translator_chain();
-    let wrapped = faulty_stages(&chain, &all_modes_plan(FaultSpec::always));
-    let err = run_sequence_with_policy(
-        &stages(&wrapped),
-        &initial_particles(1),
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        &mut StdRng::seed_from_u64(1),
-    )
-    .unwrap_err();
+    let stages = faulty_stages(&all_modes_plan(FaultSpec::always));
+    let err = run_stages(&stages, &initial_particles(1), &FailurePolicy::FailFast, 1).unwrap_err();
     // The first planned fault is the stage-0 panic: the run dies there
     // with a structured record, not an unwinding panic.
     match err {
@@ -126,14 +132,12 @@ fn fail_fast_surfaces_the_first_fault_as_a_typed_error() {
 
 #[test]
 fn drop_and_renormalize_quarantines_all_three_modes() {
-    let chain = translator_chain();
-    let wrapped = faulty_stages(&chain, &all_modes_plan(FaultSpec::always));
-    let run = run_sequence_with_policy(
-        &stages(&wrapped),
+    let stages = faulty_stages(&all_modes_plan(FaultSpec::always));
+    let run = run_stages(
+        &stages,
         &initial_particles(2),
-        &SmcConfig::translate_only(),
         &FailurePolicy::DropAndRenormalize { max_loss: 0.05 },
-        &mut StdRng::seed_from_u64(2),
+        2,
     )
     .unwrap();
 
@@ -174,19 +178,16 @@ fn drop_and_renormalize_quarantines_all_three_modes() {
 
 #[test]
 fn drop_policy_rejects_runs_exceeding_the_loss_bound() {
-    let chain = translator_chain();
     // Fault 3 of 400 particles at stage 0 with a 0.5% loss budget (2 max).
     let plan = FaultPlan::new()
         .with(FaultSpec::always(0, 1, FaultKind::Error))
         .with(FaultSpec::always(0, 2, FaultKind::Error))
         .with(FaultSpec::always(0, 3, FaultKind::Error));
-    let wrapped = faulty_stages(&chain, &plan);
-    let err = run_sequence_with_policy(
-        &stages(&wrapped),
+    let err = run_stages(
+        &faulty_stages(&plan),
         &initial_particles(3),
-        &SmcConfig::translate_only(),
         &FailurePolicy::DropAndRenormalize { max_loss: 0.005 },
-        &mut StdRng::seed_from_u64(3),
+        3,
     )
     .unwrap_err();
     match err {
@@ -208,24 +209,15 @@ fn drop_policy_rejects_runs_exceeding_the_loss_bound() {
 
 #[test]
 fn retry_recovers_transient_faults_deterministically() {
-    let chain = translator_chain();
     // Each fault clears after the first attempt, so one reseeded retry
     // recovers every particle.
-    let wrapped = faulty_stages(&chain, &all_modes_plan(FaultSpec::once));
+    let stages = faulty_stages(&all_modes_plan(FaultSpec::once));
     let policy = FailurePolicy::Retry {
         max_attempts: 3,
         seed: 17,
     };
-    let run_once = |seed: u64| {
-        run_sequence_with_policy(
-            &stages(&wrapped),
-            &initial_particles(seed),
-            &SmcConfig::translate_only(),
-            &policy,
-            &mut StdRng::seed_from_u64(seed),
-        )
-        .unwrap()
-    };
+    let run_once =
+        |seed: u64| run_stages(&stages, &initial_particles(seed), &policy, seed).unwrap();
     let run = run_once(4);
 
     // No particle is lost; each stage records exactly one recovery.
@@ -240,9 +232,9 @@ fn retry_recovers_transient_faults_deterministically() {
     assert!((estimate - 0.9).abs() < 0.06, "estimate {estimate}");
 
     // Retry RNGs are derived from (policy seed, step, particle, attempt),
-    // not from the shared stream, so a rerun is bit-identical.
+    // not from any shared stream, so a rerun is bit-identical.
     let rerun = run_once(4);
-    let bits = |r: &incremental::SequenceRun| -> Vec<u64> {
+    let bits = |r: &SequenceRun| -> Vec<u64> {
         r.last()
             .iter()
             .map(|p| p.log_weight.log().to_bits())
@@ -257,19 +249,16 @@ fn retry_recovers_transient_faults_deterministically() {
 
 #[test]
 fn retry_exhaustion_is_a_typed_error() {
-    let chain = translator_chain();
     // A permanent fault outlives any retry budget.
     let plan = FaultPlan::new().with(FaultSpec::always(1, 5, FaultKind::Error));
-    let wrapped = faulty_stages(&chain, &plan);
-    let err = run_sequence_with_policy(
-        &stages(&wrapped),
+    let err = run_stages(
+        &faulty_stages(&plan),
         &initial_particles(5),
-        &SmcConfig::translate_only(),
         &FailurePolicy::Retry {
             max_attempts: 4,
             seed: 0,
         },
-        &mut StdRng::seed_from_u64(5),
+        5,
     )
     .unwrap_err();
     match err {
@@ -280,30 +269,26 @@ fn retry_exhaustion_is_a_typed_error() {
     }
 }
 
-/// The robustness machinery must be invisible on clean runs: the policy
-/// path (even wrapped in a no-fault `FaultyTranslator`) reproduces the
-/// legacy `infer`/`run_sequence` results bit for bit.
+/// The robustness machinery must be invisible on clean runs: a tolerant
+/// policy over stages wrapped in a no-fault `FaultyTranslator`
+/// reproduces the plain fail-fast run and `infer` bit for bit.
 #[test]
 fn clean_runs_are_bit_identical_to_the_legacy_path() {
     let chain = translator_chain();
 
-    // Legacy sequence run.
-    let legacy = run_sequence(
-        &stages(&chain),
-        &initial_particles(6),
-        &SmcConfig::translate_only(),
-        &mut StdRng::seed_from_u64(6),
-    )
-    .unwrap();
+    // Plain fail-fast sequence run.
+    let plain: Vec<TraceStage> = translator_chain()
+        .into_iter()
+        .map(|t| Arc::new(TraceStateAdapter(t)) as TraceStage)
+        .collect();
+    let legacy = run_stages(&plain, &initial_particles(6), &FailurePolicy::FailFast, 6).unwrap();
 
     // Policy path with an empty fault plan and a tolerant policy.
-    let wrapped = faulty_stages(&chain, &FaultPlan::new());
-    let policy_run = run_sequence_with_policy(
-        &stages(&wrapped),
+    let policy_run = run_stages(
+        &faulty_stages(&FaultPlan::new()),
         &initial_particles(6),
-        &SmcConfig::translate_only(),
         &FailurePolicy::DropAndRenormalize { max_loss: 0.5 },
-        &mut StdRng::seed_from_u64(6),
+        6,
     )
     .unwrap();
 

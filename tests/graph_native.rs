@@ -1,28 +1,30 @@
 //! Differential tests for graph-native particle SMC.
 //!
-//! The graph-native edit-sequence runner ([`run_edit_sequence_graph`] and
-//! its pooled variant) must be *bit-identical* to the flat-trace
-//! reference ([`run_edit_sequence`]) whenever the edits reuse every
-//! random choice: the representation (traces vs. persistent execution
-//! graphs) and the threading (serial vs. worker pool) are implementation
-//! details that may never change the weights. These tests pin that
-//! contract down across failure policies, resampling schemes, thread
-//! counts, and fault injection with quarantine and retry.
+//! Graph-native stages ([`run_edit_sequence_supervised`], or
+//! [`IncrementalTranslator`]s over lifted graphs) must be *bit-identical*
+//! to flat-trace stages (the same translators behind
+//! [`TraceStateAdapter`]) run through the same stage loop, whenever the
+//! edits reuse every random choice: the representation (traces vs.
+//! persistent execution graphs) and the threading (inline vs. worker
+//! pool) are implementation details that may never change the weights.
+//! These tests pin that contract down across failure policies,
+//! resampling schemes, thread counts, and fault injection with
+//! quarantine and retry.
 
 use std::sync::Arc;
 
 use depgraph::{
-    edit_chain, edit_chain_shared, lift_collection, run_edit_sequence, run_edit_sequence_graph,
-    run_edit_sequence_parallel_with_policy, ExecGraph,
+    edit_chain, edit_chain_shared, lift_collection, run_edit_sequence_supervised, ExecGraph,
+    IncrementalTranslator,
 };
 use incremental::{
-    run_sequence_with_policy, run_state_sequence_with_policy, FailurePolicy, FaultKind, FaultPlan,
-    FaultSpec, FaultyTranslator, ParticleCollection, ResamplePolicy, ResampleScheme, SequenceRun,
-    SmcConfig, Stage, StateTranslator,
+    run_state_sequence_supervised, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
+    FaultyTranslator, ParticleCollection, ResamplePolicy, ResampleScheme, SequenceRun, SmcConfig,
+    StagePolicy, StateTranslator, TraceStateAdapter,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
-use ppl::parse;
+use ppl::{parse, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +32,7 @@ const PARTICLES: usize = 300;
 
 /// A loop-structured edit history: whole-chain observation-strength
 /// edits over a small latent chain, so translation exercises indexed
-/// (per-iteration) addresses. Stage 0 is uninformative, so prior
+/// (per-iteration) addresses. The first program is uninformative, so prior
 /// simulations are posterior samples of it.
 fn programs() -> Vec<Program> {
     [0.5_f64, 0.6, 0.8, 0.9]
@@ -95,6 +97,102 @@ fn assert_bit_identical(reference: &SequenceRun, candidate: &SequenceRun, contex
     }
 }
 
+/// Seed of every run in this suite: flat and graph runs share it, so
+/// their per-stage seeds agree.
+const SEED: u64 = 41;
+
+type DynStage<S> = Arc<dyn StateTranslator<S> + Send + Sync>;
+
+/// Runs `stages` through the one stage loop.
+fn run_loop<S: Clone + Send + Sync + 'static>(
+    stages: &[DynStage<S>],
+    initial: &ParticleCollection<S>,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    threads: usize,
+) -> SequenceRun<S> {
+    run_state_sequence_supervised(
+        stages,
+        initial,
+        0,
+        &[],
+        &[],
+        config,
+        policy,
+        &StagePolicy::default(),
+        SEED,
+        threads,
+        None,
+    )
+    .unwrap()
+}
+
+/// The flat-trace reference: the edit chain's links adapted to traces,
+/// each wrapped to inject `plan`.
+fn flat_run(
+    ps: &[Program],
+    init: &ParticleCollection,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    plan: &FaultPlan,
+) -> SequenceRun {
+    let stages: Vec<DynStage<Trace>> = edit_chain(ps)
+        .into_iter()
+        .map(|t| {
+            Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as DynStage<Trace>
+        })
+        .collect();
+    run_loop(&stages, init, config, policy, 1)
+}
+
+/// Graph-native stages over lifted particles, each wrapped to inject
+/// `plan`, flattened for comparison.
+fn graph_run(
+    ps: &[Program],
+    init: &ParticleCollection,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    plan: &FaultPlan,
+) -> SequenceRun {
+    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
+    let stages: Vec<DynStage<Arc<ExecGraph>>> = edit_chain_shared(&shared)
+        .into_iter()
+        .map(|t: IncrementalTranslator| {
+            Arc::new(FaultyTranslator::new(t, plan.clone())) as DynStage<Arc<ExecGraph>>
+        })
+        .collect();
+    let lifted = lift_collection(&shared[0], init).unwrap();
+    run_loop(&stages, &lifted, config, policy, 1)
+        .flatten()
+        .unwrap()
+}
+
+/// The graph-native edit-history runner, flattened for comparison.
+fn supervised_run(
+    ps: &[Program],
+    init: &ParticleCollection,
+    config: &SmcConfig,
+    policy: &FailurePolicy,
+    threads: usize,
+) -> SequenceRun {
+    run_edit_sequence_supervised(
+        ps,
+        init,
+        0,
+        &[],
+        &[],
+        config,
+        policy,
+        &StagePolicy::default(),
+        SEED,
+        threads,
+        None,
+    )
+    .unwrap()
+    .flatten()
+    .unwrap()
+}
+
 #[test]
 fn graph_native_matches_flat_across_failure_policies() {
     let ps = programs();
@@ -108,13 +206,8 @@ fn graph_native_matches_flat_across_failure_policies() {
             seed: 5,
         },
     ] {
-        let mut rng_flat = StdRng::seed_from_u64(41);
-        let flat = run_edit_sequence(&ps, &init, &config, &policy, &mut rng_flat).unwrap();
-        let mut rng_graph = StdRng::seed_from_u64(41);
-        let graph = run_edit_sequence_graph(&ps, &init, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+        let flat = flat_run(&ps, &init, &config, &policy, &FaultPlan::new());
+        let graph = supervised_run(&ps, &init, &config, &policy, 1);
         assert_bit_identical(&flat, &graph, &format!("{policy:?}"));
     }
 }
@@ -134,20 +227,9 @@ fn graph_native_matches_flat_across_resampling_schemes() {
             scheme,
             ..SmcConfig::translate_only()
         };
-        let mut rng_flat = StdRng::seed_from_u64(43);
-        let flat = run_edit_sequence(&ps, &init, &config, &FailurePolicy::FailFast, &mut rng_flat)
-            .unwrap();
-        let mut rng_graph = StdRng::seed_from_u64(43);
-        let graph = run_edit_sequence_graph(
-            &ps,
-            &init,
-            &config,
-            &FailurePolicy::FailFast,
-            &mut rng_graph,
-        )
-        .unwrap()
-        .flatten()
-        .unwrap();
+        let policy = FailurePolicy::FailFast;
+        let flat = flat_run(&ps, &init, &config, &policy, &FaultPlan::new());
+        let graph = supervised_run(&ps, &init, &config, &policy, 1);
         assert_bit_identical(&flat, &graph, &format!("{scheme:?}"));
     }
 }
@@ -164,18 +246,9 @@ fn pooled_runs_are_thread_count_invariant() {
             seed: 7,
         },
     ] {
-        let run_with = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(47);
-            run_edit_sequence_parallel_with_policy(
-                &ps, &init, &config, &policy, 909, threads, &mut rng,
-            )
-            .unwrap()
-            .flatten()
-            .unwrap()
-        };
-        let reference = run_with(1);
+        let reference = supervised_run(&ps, &init, &config, &policy, 1);
         for threads in [3, 8] {
-            let candidate = run_with(threads);
+            let candidate = supervised_run(&ps, &init, &config, &policy, threads);
             assert_bit_identical(
                 &reference,
                 &candidate,
@@ -186,7 +259,7 @@ fn pooled_runs_are_thread_count_invariant() {
 }
 
 /// Injects the same fault plan into the flat reference and the
-/// graph-native runner; both must quarantine the same particles and
+/// graph-native stages; both must quarantine the same particles and
 /// produce bit-identical survivors.
 #[test]
 fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
@@ -197,38 +270,8 @@ fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
     let plan = FaultPlan::new()
         .with(FaultSpec::always(1, 3, FaultKind::Error))
         .with(FaultSpec::always(2, 7, FaultKind::NanWeight));
-
-    let flat_chain = edit_chain(&ps);
-    let flat_faulty: Vec<_> = flat_chain
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let stages: Vec<Stage<'_>> = flat_faulty
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect();
-    let mut rng_flat = StdRng::seed_from_u64(53);
-    let flat = run_sequence_with_policy(&stages, &init, &config, &policy, &mut rng_flat).unwrap();
-
-    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
-    let graph_faulty: Vec<_> = edit_chain_shared(&shared)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let graph_stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = graph_faulty
-        .iter()
-        .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-        .collect();
-    let lifted = lift_collection(&shared[0], &init).unwrap();
-    let mut rng_graph = StdRng::seed_from_u64(53);
-    let graph =
-        run_state_sequence_with_policy(&graph_stages, &lifted, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+    let flat = flat_run(&ps, &init, &config, &policy, &plan);
+    let graph = graph_run(&ps, &init, &config, &policy, &plan);
 
     assert_eq!(flat.reports[1].dropped, 1);
     assert_eq!(flat.reports[2].dropped, 1);
@@ -247,8 +290,8 @@ fn fault_quarantine_is_identical_in_flat_and_graph_runs() {
     assert_bit_identical(&flat, &graph, "quarantine");
 }
 
-/// A transient panic cleared by one retry: both runners must recover the
-/// same particle deterministically and agree bit-for-bit.
+/// A transient panic cleared by one retry: both representations must
+/// recover the same particle deterministically and agree bit-for-bit.
 #[test]
 fn fault_retry_recovers_identically_in_flat_and_graph_runs() {
     let ps = programs();
@@ -259,37 +302,8 @@ fn fault_retry_recovers_identically_in_flat_and_graph_runs() {
         seed: 9,
     };
     let plan = FaultPlan::new().with(FaultSpec::once(1, 4, FaultKind::Panic));
-
-    let flat_faulty: Vec<_> = edit_chain(&ps)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let stages: Vec<Stage<'_>> = flat_faulty
-        .iter()
-        .map(|translator| Stage {
-            translator,
-            mcmc: None,
-        })
-        .collect();
-    let mut rng_flat = StdRng::seed_from_u64(59);
-    let flat = run_sequence_with_policy(&stages, &init, &config, &policy, &mut rng_flat).unwrap();
-
-    let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
-    let graph_faulty: Vec<_> = edit_chain_shared(&shared)
-        .into_iter()
-        .map(|t| FaultyTranslator::new(t, plan.clone()))
-        .collect();
-    let graph_stages: Vec<&dyn StateTranslator<Arc<ExecGraph>>> = graph_faulty
-        .iter()
-        .map(|t| t as &dyn StateTranslator<Arc<ExecGraph>>)
-        .collect();
-    let lifted = lift_collection(&shared[0], &init).unwrap();
-    let mut rng_graph = StdRng::seed_from_u64(59);
-    let graph =
-        run_state_sequence_with_policy(&graph_stages, &lifted, &config, &policy, &mut rng_graph)
-            .unwrap()
-            .flatten()
-            .unwrap();
+    let flat = flat_run(&ps, &init, &config, &policy, &plan);
+    let graph = graph_run(&ps, &init, &config, &policy, &plan);
 
     assert_eq!(flat.reports[1].recovered, 1);
     assert_eq!(flat.reports[1].retries, 1);

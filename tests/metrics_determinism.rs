@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use depgraph::{edit_chain, run_edit_sequence_parallel_with_policy};
+use depgraph::{edit_chain, run_edit_sequence_supervised};
 use incremental::{
-    metrics, run_sequence_parallel_with_policy, FailurePolicy, MetricsRecorder, ParallelStage,
-    ParticleCollection, SmcConfig,
+    metrics, run_state_sequence_supervised, FailurePolicy, MetricsRecorder, ParticleCollection,
+    SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
-use ppl::parse;
+use ppl::{parse, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,6 +55,25 @@ fn initial(ps: &[Program]) -> ParticleCollection {
     ParticleCollection::from_traces(traces)
 }
 
+/// Runs the graph-native runner over `programs` (the recorder, if any,
+/// must already be installed).
+fn run_graph(programs: &[Program], initial: &ParticleCollection, threads: usize) {
+    run_edit_sequence_supervised(
+        programs,
+        initial,
+        0,
+        &[],
+        &[],
+        &SmcConfig::translate_only(),
+        &FailurePolicy::FailFast,
+        &StagePolicy::default(),
+        SEED,
+        threads,
+        None,
+    )
+    .expect("graph-native run");
+}
+
 /// Runs the graph-native pooled runner under a recorder and returns the
 /// deterministic counter document.
 fn graph_counters(threads: usize) -> String {
@@ -62,17 +81,7 @@ fn graph_counters(threads: usize) -> String {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        threads,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_graph(&programs, &initial, threads);
     recorder.report("graph").counters_json()
 }
 
@@ -81,25 +90,24 @@ fn graph_counters(threads: usize) -> String {
 fn flat_counters(threads: usize) -> String {
     let programs = programs();
     let initial = initial(&programs);
-    let chain = edit_chain(&programs);
-    let stages: Vec<ParallelStage<'_>> = chain
-        .iter()
-        .map(|t| ParallelStage {
-            translator: t,
-            mcmc: None,
-        })
+    let stages: Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> = edit_chain(&programs)
+        .into_iter()
+        .map(|t| Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
         .collect();
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_sequence_parallel_with_policy(
+    run_state_sequence_supervised(
         &stages,
         &initial,
+        0,
+        &[],
+        &[],
         &SmcConfig::translate_only(),
         &FailurePolicy::FailFast,
+        &StagePolicy::default(),
         SEED,
         threads,
-        &mut rng,
+        None,
     )
     .expect("flat run");
     recorder.report("flat").counters_json()
@@ -138,17 +146,7 @@ fn propagation_totals_reflect_the_chain_workload() {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        2,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_graph(&programs, &initial, 2);
     let report = recorder.report("totals");
     assert_eq!(report.stages.len(), programs.len() - 1);
     let totals = report.total_propagation();
@@ -184,17 +182,7 @@ fn prior_edit_counts_reused_choices() {
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);
-    let mut rng = StdRng::seed_from_u64(7);
-    run_edit_sequence_parallel_with_policy(
-        &programs,
-        &initial,
-        &SmcConfig::translate_only(),
-        &FailurePolicy::FailFast,
-        SEED,
-        2,
-        &mut rng,
-    )
-    .expect("graph-native run");
+    run_graph(&programs, &initial, 2);
     let totals = recorder.report("prior-edit").total_propagation();
     assert_eq!(totals.choices_reused, PARTICLES as u64);
     assert_eq!(totals.choices_fresh, 0);

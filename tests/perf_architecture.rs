@@ -7,18 +7,19 @@
 //! 2. interning must round-trip: `a.id().resolve() == a`, and ids are
 //!    equal exactly when addresses are;
 //! 3. pooled parallel translation must be bit-identical across thread
-//!    counts and to the pre-pool scoped-thread reference implementation.
+//!    counts and to the inline `threads = 1` loop.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
 
 use incremental::{
-    translate_parallel_with_policy, translate_parallel_with_policy_scoped, Correspondence,
-    CorrespondenceTranslator, FailurePolicy, ParticleCollection,
+    run_state_sequence_supervised, Correspondence, CorrespondenceTranslator, FailurePolicy,
+    ParticleCollection, SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
 };
 use ppl::address::Component;
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
-use ppl::{addr, Address, Handler, PplError, Value};
+use ppl::{addr, Address, Handler, PplError, Trace, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,7 +162,7 @@ fn q_model(h: &mut dyn Handler) -> Result<Value, PplError> {
 type ModelFn = fn(&mut dyn Handler) -> Result<Value, PplError>;
 
 fn fixture() -> (
-    CorrespondenceTranslator<ModelFn, ModelFn>,
+    Arc<dyn StateTranslator<Trace> + Send + Sync>,
     ParticleCollection,
 ) {
     let translator = CorrespondenceTranslator::new(
@@ -173,7 +174,38 @@ fn fixture() -> (
     let traces: Vec<_> = (0..61)
         .map(|_| simulate(&p_model, &mut rng).unwrap())
         .collect();
-    (translator, ParticleCollection::from_traces(traces))
+    (
+        Arc::new(TraceStateAdapter(translator)),
+        ParticleCollection::from_traces(traces),
+    )
+}
+
+/// One translate-only, fail-fast stage through the sequence loop, run as
+/// SMC step `step`.
+fn pooled_step(
+    translator: &Arc<dyn StateTranslator<Trace> + Send + Sync>,
+    particles: &ParticleCollection,
+    base_seed: u64,
+    threads: usize,
+    step: usize,
+) -> ParticleCollection {
+    run_state_sequence_supervised(
+        std::slice::from_ref(translator),
+        particles,
+        step,
+        &[],
+        &[],
+        &SmcConfig::translate_only(),
+        &FailurePolicy::FailFast,
+        &StagePolicy::default(),
+        base_seed,
+        threads,
+        None,
+    )
+    .unwrap()
+    .collections
+    .pop()
+    .unwrap()
 }
 
 /// Exact (bit-level) equality of two collections: same traces in the
@@ -193,59 +225,25 @@ fn assert_bit_identical(a: &ParticleCollection, b: &ParticleCollection, label: &
 #[test]
 fn pooled_translation_is_bit_identical_across_thread_counts() {
     let (translator, particles) = fixture();
-    let baseline = translate_parallel_with_policy(
-        &translator,
-        &particles,
-        4242,
-        1,
-        &FailurePolicy::FailFast,
-        0,
-    )
-    .unwrap()
-    .0;
+    let baseline = pooled_step(&translator, &particles, 4242, 1, 0);
     for threads in [3, 8] {
-        let out = translate_parallel_with_policy(
-            &translator,
-            &particles,
-            4242,
-            threads,
-            &FailurePolicy::FailFast,
-            0,
-        )
-        .unwrap()
-        .0;
+        let out = pooled_step(&translator, &particles, 4242, threads, 0);
         assert_bit_identical(&baseline, &out, &format!("threads={threads}"));
     }
 }
 
+/// The inline `threads = 1` loop is the reference the pooled dispatch
+/// must reproduce, at a nonzero step so stage seeding is exercised too.
 #[test]
 fn pooled_translation_matches_scoped_reference() {
     let (translator, particles) = fixture();
-    for threads in [1, 3, 8] {
-        let pooled = translate_parallel_with_policy(
-            &translator,
-            &particles,
-            9000,
-            threads,
-            &FailurePolicy::FailFast,
-            2,
-        )
-        .unwrap()
-        .0;
-        let scoped = translate_parallel_with_policy_scoped(
-            &translator,
-            &particles,
-            9000,
-            threads,
-            &FailurePolicy::FailFast,
-            2,
-        )
-        .unwrap()
-        .0;
+    let inline = pooled_step(&translator, &particles, 9000, 1, 2);
+    for threads in [3, 8] {
+        let pooled = pooled_step(&translator, &particles, 9000, threads, 2);
         assert_bit_identical(
+            &inline,
             &pooled,
-            &scoped,
-            &format!("pooled vs scoped, threads={threads}"),
+            &format!("pooled vs inline, threads={threads}"),
         );
     }
 }
@@ -260,16 +258,7 @@ fn pool_reuse_across_steps_is_deterministic() {
         let mut current = particles.clone();
         let mut weights = Vec::new();
         for step in 0..5 {
-            current = translate_parallel_with_policy(
-                &translator,
-                &current,
-                1000 + step as u64,
-                4,
-                &FailurePolicy::FailFast,
-                step,
-            )
-            .unwrap()
-            .0;
+            current = pooled_step(&translator, &current, 1000 + step as u64, 4, step);
             weights.extend(current.iter().map(|p| p.log_weight.log().to_bits()));
         }
         weights

@@ -52,7 +52,7 @@ fn data_annealing_by_trace_translation() {
     let data = [2.1, 1.4, 1.9, 1.2, 2.4, 1.5, 1.8, 2.0, 1.1, 1.6];
     let mut rng = StdRng::seed_from_u64(7);
 
-    // Stage 0 observes nothing: prior samples ARE posterior samples.
+    // The first stage observes nothing: prior samples ARE posterior samples.
     let m = 20_000;
     let initial_model = prefix_model(&data, 0);
     let traces: Vec<_> = (0..m)

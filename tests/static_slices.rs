@@ -11,12 +11,13 @@ mod common;
 use std::sync::Arc;
 
 use common::{perturb_constants, program_strategy};
-use depgraph::{
-    run_edit_sequence, run_edit_sequence_parallel_with_policy, ExecGraph, IncrementalTranslator,
+use depgraph::{edit_chain, run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
+use incremental::{
+    collection_checksum, run_state_sequence_supervised, FailurePolicy, ParticleCollection,
+    SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
 };
-use incremental::{collection_checksum, FailurePolicy, ParticleCollection, SmcConfig};
 use ppl::handlers::simulate;
-use ppl::parse;
+use ppl::{parse, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,8 +81,8 @@ proptest! {
         prop_assert_eq!(result.stats.static_skips, top_level, "src:\n{}", src);
     }
 
-    /// The oracle holds across whole edit sequences driven by the flat
-    /// runner (graph built from each trace per stage).
+    /// The oracle holds across whole edit sequences with flat-trace
+    /// stages (graph built from each trace per stage).
     #[test]
     fn slice_oracle_holds_across_flat_sequences(
         src in program_strategy(),
@@ -100,12 +101,22 @@ proptest! {
             .map(|_| simulate(&programs[0], &mut rng).unwrap())
             .collect();
         let particles = ParticleCollection::from_traces(traces);
-        let run = run_edit_sequence(
-            &programs,
+        let stages: Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> = edit_chain(&programs)
+            .into_iter()
+            .map(|t| Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
+            .collect();
+        let run = run_state_sequence_supervised(
+            &stages,
             &particles,
+            0,
+            &[],
+            &[],
             &SmcConfig::translate_only(),
             &FailurePolicy::FailFast,
-            &mut rng,
+            &StagePolicy::default(),
+            seed,
+            1,
+            None,
         );
         prop_assert!(
             run.is_ok(),
@@ -135,15 +146,18 @@ fn slice_oracle_holds_for_every_thread_count() {
     let particles = ParticleCollection::from_traces(traces);
     let mut checksums = Vec::new();
     for threads in [1usize, 3, 8] {
-        let mut rng = StdRng::seed_from_u64(7);
-        let run = run_edit_sequence_parallel_with_policy(
+        let run = run_edit_sequence_supervised(
             &programs,
             &particles,
+            0,
+            &[],
+            &[],
             &SmcConfig::translate_only(),
             &FailurePolicy::FailFast,
+            &StagePolicy::default(),
             42,
             threads,
-            &mut rng,
+            None,
         )
         .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
         let flat = run.last().flatten().unwrap();
