@@ -1,28 +1,24 @@
 //! Building execution graphs: run a program once, recording every
 //! statement instance, its dependencies, and its effects.
 //!
-//! Execution drives the compiled form of the program
-//! ([`ppl::compile`]): the program is lowered once (cached globally) and
-//! every build shares the artifact by `Arc`; the environment is a pooled
-//! slot frame instead of a string-keyed map.
+//! A build is a walk of the propagation runtime ([`crate::propagate`])
+//! with no old graph: every statement is walked fresh from the program's
+//! compiled form ([`ppl::compile`], lowered once, cached globally and
+//! shared by `Arc`), drawing each choice from the prior or from the trace
+//! being replayed.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::RngCore;
 
 use ppl::ast::Program;
-use ppl::compile::{
-    acquire_frame, compiled_for_shared, note_compiled_exec, CBlockId, CStmt, CompiledProgram,
-    EvalFrame, ExprId,
-};
+use ppl::compile::compiled_for_shared;
 use ppl::dist::Dist;
 use ppl::{Address, ChoiceMap, PplError, Trace, Value};
 
-use crate::eval::{ChoiceSource, ExprEval};
-use crate::record::{
-    BlockRecord, Effect, ExecGraph, ObsData, StmtId, StmtRecord, StoreBuilder, Summary,
-};
+use crate::eval::ChoiceSource;
+use crate::propagate::{walk, Tally};
+use crate::record::ExecGraph;
 
 /// Samples every choice from its prior.
 struct PriorSource<'a> {
@@ -30,7 +26,12 @@ struct PriorSource<'a> {
 }
 
 impl ChoiceSource for PriorSource<'_> {
-    fn draw(&mut self, _addr: &Address, dist: &Dist) -> Result<Value, PplError> {
+    fn draw(
+        &mut self,
+        _addr: &Address,
+        dist: &Dist,
+        _tally: &mut Tally,
+    ) -> Result<Value, PplError> {
         Ok(dist.sample(self.rng))
     }
 }
@@ -41,7 +42,12 @@ struct ReplaySource<'a> {
 }
 
 impl ChoiceSource for ReplaySource<'_> {
-    fn draw(&mut self, addr: &Address, _dist: &Dist) -> Result<Value, PplError> {
+    fn draw(
+        &mut self,
+        addr: &Address,
+        _dist: &Dist,
+        _tally: &mut Tally,
+    ) -> Result<Value, PplError> {
         self.choices
             .get(addr)
             .cloned()
@@ -56,335 +62,35 @@ impl ExecGraph {
     ///
     /// Propagates evaluation errors.
     pub fn simulate(program: &Program, rng: &mut dyn RngCore) -> Result<ExecGraph, PplError> {
-        Self::simulate_shared(&Arc::new(program.clone()), rng)
-    }
-
-    /// [`ExecGraph::simulate`] with a shared program handle: the graph
-    /// aliases `program` instead of cloning it, so translator validation
-    /// can succeed on `Arc` identity alone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn simulate_shared(
-        program: &Arc<Program>,
-        rng: &mut dyn RngCore,
-    ) -> Result<ExecGraph, PplError> {
-        let mut source = PriorSource { rng };
-        build(program, &mut source)
-    }
-
-    /// Builds a graph by replaying the given choices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PplError::MissingChoice`] when the program needs a choice
-    /// the map lacks, plus any evaluation errors.
-    pub fn replay(program: &Program, choices: &ChoiceMap) -> Result<ExecGraph, PplError> {
-        let mut source = ReplaySource { choices };
-        build(&Arc::new(program.clone()), &mut source)
+        build(&Arc::new(program.clone()), &mut PriorSource { rng })
     }
 
     /// Builds a graph from an existing trace of the program.
     ///
     /// # Errors
     ///
-    /// See [`ExecGraph::replay`].
+    /// Returns [`PplError::MissingChoice`] when the program needs a choice
+    /// the trace lacks, plus any evaluation errors.
     pub fn from_trace(program: &Program, trace: &Trace) -> Result<ExecGraph, PplError> {
-        Self::replay(program, &trace.to_choice_map())
+        Self::from_trace_shared(&Arc::new(program.clone()), trace)
     }
 
-    /// [`ExecGraph::from_trace`] with a shared program handle.
+    /// [`ExecGraph::from_trace`] with a shared program handle: the graph
+    /// aliases `program` instead of cloning it, so translator validation
+    /// can succeed on `Arc` identity alone.
     ///
     /// # Errors
     ///
-    /// See [`ExecGraph::replay`].
+    /// See [`ExecGraph::from_trace`].
     pub fn from_trace_shared(program: &Arc<Program>, trace: &Trace) -> Result<ExecGraph, PplError> {
         let choices = trace.to_choice_map();
-        let mut source = ReplaySource { choices: &choices };
-        build(program, &mut source)
+        build(program, &mut ReplaySource { choices: &choices })
     }
 }
 
 fn build(program: &Arc<Program>, source: &mut dyn ChoiceSource) -> Result<ExecGraph, PplError> {
     let compiled = compiled_for_shared(program);
-    note_compiled_exec();
-    let mut frame = acquire_frame();
-    frame.prepare(compiled.slot_count());
-    let mut store = StoreBuilder::new();
-    let mut builder = Builder {
-        prog: &compiled,
-        frame: &mut frame,
-        source,
-        store: &mut store,
-    };
-    let mut stmts = builder.exec_block(compiled.body())?;
-    // The return expression is recorded as a trailing pseudo-leaf so that
-    // any choices it makes are part of the graph.
-    let mut ret_summary = Summary::default();
-    let return_value = match compiled.ret() {
-        Some(e) => {
-            let v = builder.eval(e, &mut ret_summary)?;
-            if !ret_summary.choices.is_empty() || !ret_summary.reads.is_empty() {
-                stmts.push(builder.store.push_stmt(StmtRecord::Leaf {
-                    summary: ret_summary,
-                }));
-            }
-            v
-        }
-        None => Value::Int(0),
-    };
-    let root_block = BlockRecord::finalize(&store, stmts);
-    let root = store.push_block(root_block);
-    Ok(ExecGraph::assemble(
-        Arc::clone(program),
-        store.finish(),
-        root,
-        return_value,
-    ))
-}
-
-struct Builder<'a> {
-    prog: &'a CompiledProgram,
-    frame: &'a mut EvalFrame,
-    source: &'a mut dyn ChoiceSource,
-    store: &'a mut StoreBuilder,
-}
-
-impl Builder<'_> {
-    fn eval(&mut self, expr: ExprId, sum: &mut Summary) -> Result<Value, PplError> {
-        let mut ev = ExprEval {
-            prog: self.prog,
-            frame: self.frame,
-            source: self.source,
-        };
-        ev.eval(expr, sum)
-    }
-
-    fn exec_block(&mut self, block: CBlockId) -> Result<Vec<StmtId>, PplError> {
-        let n = self.prog.block(block).stmts.len();
-        let mut records = Vec::with_capacity(n);
-        for i in 0..n {
-            let sid = self.prog.block(block).stmts[i];
-            let record = self.exec_stmt(sid)?;
-            records.push(self.store.push_stmt(record));
-        }
-        Ok(records)
-    }
-
-    fn exec_stmt(&mut self, id: ppl::compile::CStmtId) -> Result<StmtRecord, PplError> {
-        match self.prog.stmt(id) {
-            CStmt::Skip => Ok(StmtRecord::Skip),
-            CStmt::Assign { slot, name, expr } => {
-                let (slot, name, expr) = (*slot, *name, *expr);
-                let mut summary = Summary::default();
-                let value = self.eval(expr, &mut summary)?;
-                self.frame.bind(slot, value.clone(), false);
-                summary.effects.push(Effect::Var(name, value));
-                Ok(StmtRecord::Leaf { summary })
-            }
-            CStmt::AssignIndex {
-                slot,
-                name,
-                index,
-                expr,
-            } => {
-                let (slot, name, index, expr) = (*slot, *name, *index, *expr);
-                let mut summary = Summary::default();
-                let i = self.eval(index, &mut summary)?.as_int()?;
-                let value = self.eval(expr, &mut summary)?;
-                // Element assignment reads the array (it preserves the
-                // other elements).
-                summary.reads.insert(name);
-                let s = self
-                    .frame
-                    .get_mut(slot)
-                    .ok_or_else(|| PplError::UnboundVariable(name.to_string()))?;
-                let items = s.value.as_array_mut()?;
-                if i < 0 || i as usize >= items.len() {
-                    return Err(PplError::IndexOutOfBounds {
-                        index: i,
-                        len: items.len(),
-                    });
-                }
-                items[i as usize] = value.clone();
-                summary.effects.push(Effect::Elem(name, i, value));
-                Ok(StmtRecord::Leaf { summary })
-            }
-            CStmt::Observe { rand, value } => {
-                let (rand, value_e) = (rand.clone(), *value);
-                let mut summary = Summary::default();
-                let dist = {
-                    let mut ev = ExprEval {
-                        prog: self.prog,
-                        frame: self.frame,
-                        source: self.source,
-                    };
-                    ev.build_dist(&rand.kind, &mut summary)?
-                };
-                let value = self.eval(value_e, &mut summary)?;
-                let addr = self.frame.address_for(&rand.site);
-                let log_prob = dist.log_prob(&value);
-                summary.obs_score += log_prob;
-                summary.observations.push((
-                    addr,
-                    ObsData {
-                        value,
-                        dist,
-                        log_prob,
-                    },
-                ));
-                Ok(StmtRecord::Leaf { summary })
-            }
-            CStmt::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                let (cond, then_b, else_b) = (*cond, *then_b, *else_b);
-                let mut summary = Summary::default();
-                let took_then = self.eval(cond, &mut summary)?.truthy()?;
-                let branch = if took_then { then_b } else { else_b };
-                let stmts = self.exec_block(branch)?;
-                let body_block = BlockRecord::finalize(self.store, stmts);
-                summary
-                    .reads
-                    .extend(body_block.summary.reads.iter().cloned());
-                summary
-                    .effects
-                    .extend(body_block.summary.effects.iter().cloned());
-                summary.obs_score += body_block.summary.obs_score;
-                let body = self.store.push_block(body_block);
-                Ok(StmtRecord::If {
-                    took_then,
-                    body,
-                    summary,
-                })
-            }
-            CStmt::For {
-                slot,
-                name,
-                lo,
-                hi,
-                body,
-            } => {
-                let (slot, var_name, lo_e, hi_e, body) = (*slot, *name, *lo, *hi, *body);
-                let mut summary = Summary::default();
-                let lo = self.eval(lo_e, &mut summary)?.as_int()?;
-                let hi = self.eval(hi_e, &mut summary)?.as_int()?;
-                let mut iters = Vec::with_capacity((hi - lo).max(0) as usize);
-                let mut written: BTreeSet<&'static str> = BTreeSet::new();
-                written.insert(var_name);
-                for i in lo..hi {
-                    self.frame.bind(slot, Value::Int(i), false);
-                    self.frame.push_loop(i);
-                    let iter_result = self.exec_block(body);
-                    self.frame.pop_loop();
-                    let iter = BlockRecord::finalize(self.store, iter_result?);
-                    // Def-before-use across iterations: a read satisfied
-                    // by an earlier iteration's write is loop-internal.
-                    summary.reads.extend(
-                        iter.summary
-                            .reads
-                            .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
-                    );
-                    summary.obs_score += iter.summary.obs_score;
-                    for effect in &iter.summary.effects {
-                        written.insert(effect.var_name());
-                    }
-                    iters.push(self.store.push_block(iter));
-                }
-                // Compress effects into one final snapshot per written
-                // variable (O(1) each thanks to Arc-backed arrays).
-                for name in &written {
-                    if let Some(slot) = self.prog.slot_of(name) {
-                        if let Some(s) = self.frame.get(slot) {
-                            summary.effects.push(Effect::Var(name, s.value.clone()));
-                        }
-                    }
-                }
-                // The loop variable itself is loop-internal; reading it
-                // within the body does not create an external dependency.
-                summary.reads.remove(var_name);
-                Ok(StmtRecord::For {
-                    lo,
-                    hi,
-                    iters,
-                    summary,
-                })
-            }
-            CStmt::While { cond, body } => {
-                let (cond_e, body) = (*cond, *body);
-                let mut summary = Summary::default();
-                let mut iters = Vec::new();
-                let mut written: BTreeSet<&'static str> = BTreeSet::new();
-                let mut i = 0_i64;
-                loop {
-                    self.frame.push_loop(i);
-                    let mut cond_sum = Summary::default();
-                    let continued = self.eval(cond_e, &mut cond_sum).and_then(|v| v.truthy());
-                    let continued = match continued {
-                        Ok(b) => b,
-                        Err(e) => {
-                            self.frame.pop_loop();
-                            return Err(e);
-                        }
-                    };
-                    summary.reads.extend(
-                        cond_sum
-                            .reads
-                            .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
-                    );
-                    summary.obs_score += cond_sum.obs_score;
-                    if !continued {
-                        self.frame.pop_loop();
-                        iters.push(crate::record::WhileIter {
-                            cond: cond_sum,
-                            continued: false,
-                            body: None,
-                        });
-                        break;
-                    }
-                    let body_result = self.exec_block(body);
-                    self.frame.pop_loop();
-                    let body_rec = BlockRecord::finalize(self.store, body_result?);
-                    summary.reads.extend(
-                        body_rec
-                            .summary
-                            .reads
-                            .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
-                    );
-                    summary.obs_score += body_rec.summary.obs_score;
-                    for effect in &body_rec.summary.effects {
-                        written.insert(effect.var_name());
-                    }
-                    iters.push(crate::record::WhileIter {
-                        cond: cond_sum,
-                        continued: true,
-                        body: Some(self.store.push_block(body_rec)),
-                    });
-                    i += 1;
-                    if i > 10_000_000 {
-                        return Err(PplError::FuelExhausted { budget: 10_000_000 });
-                    }
-                }
-                for name in &written {
-                    if let Some(slot) = self.prog.slot_of(name) {
-                        if let Some(s) = self.frame.get(slot) {
-                            summary.effects.push(Effect::Var(name, s.value.clone()));
-                        }
-                    }
-                }
-                Ok(StmtRecord::While { iters, summary })
-            }
-        }
-    }
+    Ok(walk(program, &compiled, None, source, None)?.graph)
 }
 
 #[cfg(test)]

@@ -1,180 +1,58 @@
-//! Shared expression evaluator for the dependency-graph runtime.
+//! The dependency-graph runtime's side of expression evaluation.
 //!
-//! Mirrors the semantics of `ppl::interp` exactly (operator semantics are
-//! reused from there), but additionally records into a [`Summary`] the
-//! variables read and the random choices made — the dependency
-//! information change propagation runs on.
+//! Expressions are evaluated by [`CompiledProgram::eval`], the one
+//! evaluator over compiled expressions, which forward execution shares.
+//! [`Recorder`] is this runtime's [`EvalHooks`]: it charges no fuel,
+//! records every variable read into a [`Summary`] — the dependency
+//! information change propagation runs on — and draws each random choice
+//! from a [`ChoiceSource`], recording the value with its density.
 //!
-//! Since the compiled-evaluation rework, this evaluator walks a
-//! [`CompiledProgram`]'s flat expression arena instead of the AST:
-//! variables are already resolved to dense frame slots ([`EvalFrame`]),
-//! constants are pre-folded (folded subtrees are effect- and read-free,
-//! so folding never changes a [`Summary`]), and builtin arity is
-//! pre-checked. The frame doubles as the propagation environment — each
-//! slot carries the value plus the dirty bit change propagation tracks.
+//! The frame doubles as the propagation environment: each slot carries
+//! the value plus the dirty bit change propagation tracks, which
+//! [`apply_effects`] writes and [`any_dirty`] reads.
 
-use ppl::compile::{bad_arity, CRand, CRandKind, CompiledProgram, EvalFrame, ExprId};
+use ppl::compile::{CompiledProgram, EvalFrame, EvalHooks};
 use ppl::dist::Dist;
-use ppl::interp::{apply_binary, apply_builtin, apply_unary};
 use ppl::{Address, PplError, Value};
 
+use crate::propagate::Tally;
 use crate::record::{ChoiceData, Effect, Summary};
 
 /// Where choice values come from: prior sampling (graph building), replay
 /// (rebuilding a graph from a trace), or correspondence reuse (change
-/// propagation).
+/// propagation, which accounts its weight factors in the [`Tally`]).
 pub(crate) trait ChoiceSource {
-    fn draw(&mut self, addr: &Address, dist: &Dist) -> Result<Value, PplError>;
+    fn draw(&mut self, addr: &Address, dist: &Dist, tally: &mut Tally) -> Result<Value, PplError>;
 }
 
-/// Evaluates compiled expressions against a slot frame and a choice
-/// source, recording reads and choices into summaries.
-pub(crate) struct ExprEval<'a> {
-    pub prog: &'a CompiledProgram,
-    pub frame: &'a mut EvalFrame,
+/// Records the reads and choices of one evaluation into `sum`.
+pub(crate) struct Recorder<'a> {
     pub source: &'a mut dyn ChoiceSource,
+    pub tally: &'a mut Tally,
+    pub sum: &'a mut Summary,
 }
 
-impl ExprEval<'_> {
-    pub fn address_for(&self, rand: &CRand) -> Address {
-        self.frame.address_for(&rand.site)
+impl EvalHooks for Recorder<'_> {
+    fn charge(&mut self, _ticks: u64) -> Result<(), PplError> {
+        Ok(())
     }
 
-    pub fn eval(&mut self, id: ExprId, sum: &mut Summary) -> Result<Value, PplError> {
-        use ppl::compile::CExpr;
-        match self.prog.expr(id) {
-            CExpr::Const { value, .. } => Ok(value.clone()),
-            CExpr::Var { slot, name } => {
-                sum.reads.insert(name);
-                self.frame
-                    .get(*slot)
-                    .map(|s| s.value.clone())
-                    .ok_or_else(|| PplError::UnboundVariable((*name).to_string()))
-            }
-            CExpr::Unary(op, e) => {
-                let v = self.eval(*e, sum)?;
-                apply_unary(*op, &v)
-            }
-            CExpr::Binary(op, a, b) => {
-                let (a, b) = (*a, *b);
-                let va = self.eval(a, sum)?;
-                let vb = self.eval(b, sum)?;
-                apply_binary(*op, &va, &vb)
-            }
-            CExpr::Index(arr, idx) => {
-                let (arr, idx) = (*arr, *idx);
-                let a = self.eval(arr, sum)?;
-                let i = self.eval(idx, sum)?.as_int()?;
-                let items = a.as_array()?;
-                if i < 0 || i as usize >= items.len() {
-                    return Err(PplError::IndexOutOfBounds {
-                        index: i,
-                        len: items.len(),
-                    });
-                }
-                Ok(items[i as usize].clone())
-            }
-            CExpr::ArrayInit(n, init) => {
-                let (n, init) = (*n, *init);
-                let n = self.eval(n, sum)?.as_int()?;
-                if n < 0 {
-                    return Err(PplError::Other(format!("array length is negative: {n}")));
-                }
-                let init = self.eval(init, sum)?;
-                Ok(Value::array(vec![init; n as usize]))
-            }
-            CExpr::Call { builtin, args } => {
-                let (builtin, args) = (*builtin, *args);
-                // Arity was verified at compile time and is at most 2:
-                // evaluate into fixed scratch, no per-eval allocation.
-                let mut vals: [Value; 2] = [Value::Int(0), Value::Int(0)];
-                let n = args.len();
-                for (k, val) in vals.iter_mut().enumerate().take(n) {
-                    let arg = self.prog.args(args)[k];
-                    *val = self.eval(arg, sum)?;
-                }
-                apply_builtin(builtin, &vals[..n])
-            }
-            CExpr::CallBadArity { builtin, got } => Err(bad_arity(*builtin, *got)),
-            CExpr::Ternary(c, t, e) => {
-                let (c, t, e) = (*c, *t, *e);
-                if self.eval(c, sum)?.truthy()? {
-                    self.eval(t, sum)
-                } else {
-                    self.eval(e, sum)
-                }
-            }
-            CExpr::Random(rand) => {
-                let rand = rand.clone();
-                let dist = self.build_dist(&rand.kind, sum)?;
-                let addr = self.address_for(&rand);
-                let value = self.source.draw(&addr, &dist)?;
-                let log_prob = dist.log_prob(&value);
-                sum.choices.push((
-                    addr,
-                    ChoiceData {
-                        value: value.clone(),
-                        dist,
-                        log_prob,
-                    },
-                ));
-                Ok(value)
-            }
-        }
+    fn read(&mut self, name: &'static str) {
+        self.sum.reads.insert(name);
     }
 
-    pub fn build_dist(&mut self, kind: &CRandKind, sum: &mut Summary) -> Result<Dist, PplError> {
-        match kind {
-            CRandKind::Flip(p) => {
-                let p = self.eval(*p, sum)?.as_real()?;
-                Dist::try_flip(p)
-            }
-            CRandKind::UniformInt(lo, hi) => {
-                let (lo, hi) = (*lo, *hi);
-                let lo = self.eval(lo, sum)?.as_int()?;
-                let hi = self.eval(hi, sum)?.as_int()?;
-                Dist::try_uniform_int(lo, hi)
-            }
-            CRandKind::UniformReal(lo, hi) => {
-                let (lo, hi) = (*lo, *hi);
-                let lo = self.eval(lo, sum)?.as_real()?;
-                let hi = self.eval(hi, sum)?.as_real()?;
-                Dist::try_uniform_real(lo, hi)
-            }
-            CRandKind::Gauss(mean, std) => {
-                let (mean, std) = (*mean, *std);
-                let mean = self.eval(mean, sum)?.as_real()?;
-                let std = self.eval(std, sum)?.as_real()?;
-                Dist::try_normal(mean, std)
-            }
-            CRandKind::Categorical(ws) => {
-                let ws = *ws;
-                let mut probs = Vec::with_capacity(ws.len());
-                for k in 0..ws.len() {
-                    let w = self.prog.args(ws)[k];
-                    probs.push(self.eval(w, sum)?.as_real()?);
-                }
-                Dist::try_categorical(&probs)
-            }
-            CRandKind::Poisson(l) => {
-                let l = self.eval(*l, sum)?.as_real()?;
-                Dist::try_poisson(l)
-            }
-            CRandKind::GeometricDist(p) => {
-                let p = self.eval(*p, sum)?.as_real()?;
-                Dist::try_geometric(p)
-            }
-            CRandKind::Beta(a, b) => {
-                let (a, b) = (*a, *b);
-                let a = self.eval(a, sum)?.as_real()?;
-                let b = self.eval(b, sum)?.as_real()?;
-                Dist::try_beta(a, b)
-            }
-            CRandKind::Exponential(r) => {
-                let r = self.eval(*r, sum)?.as_real()?;
-                Dist::try_exponential(r)
-            }
-        }
+    fn draw(&mut self, addr: Address, dist: Dist) -> Result<Value, PplError> {
+        let value = self.source.draw(&addr, &dist, self.tally)?;
+        let log_prob = dist.log_prob(&value);
+        self.sum.choices.push((
+            addr,
+            ChoiceData {
+                value: value.clone(),
+                dist,
+                log_prob,
+            },
+        ));
+        Ok(value)
     }
 }
 

@@ -6,8 +6,8 @@
 //! - every `StmtDiff::is_unchanged()` / `BlockDiff::is_unchanged()`
 //!   decision, which the propagator would otherwise recompute (a full
 //!   subtree walk) once per statement per particle per skip check;
-//! - the fresh-execution sub-plans that [`crate::propagate`] used to
-//!   allocate per particle per fresh subtree (`fresh_block_diff`);
+//! - the edit's static impact slice, which marks the statements the
+//!   propagator may skip without consulting dirty bits;
 //! - the interned base addresses of every random site in `q`, with the
 //!   [`Correspondence`](incremental::Correspondence) memo cache pre-warmed
 //!   so the per-particle `lookup_id` calls take the shared read path.
@@ -17,6 +17,12 @@
 //! and shared immutably (`Arc`) by every particle task. Walking a plan is
 //! semantically identical to walking the diff — the propagator's output
 //! (graph, weight, and RNG consumption) is bit-for-bit the same.
+//!
+//! A plan covers only statements matched to an old statement. A statement
+//! with no old counterpart is a [`PlanOp::Fresh`] leaf carrying its
+//! pre-order index: the propagator walks it, and everything under it,
+//! straight from the compiled program, as it walks a flipped branch or an
+//! unmatched loop iteration.
 
 use std::sync::Arc;
 
@@ -62,18 +68,24 @@ pub(crate) enum PlanOp {
     /// An old statement removed by the edit (its observations enter the
     /// weight denominator).
     RemovedP(usize),
-    /// A statement of `q`.
+    /// A statement of `q` with no old counterpart: walked fresh.
+    Fresh {
+        /// Index into the block's statements.
+        q_index: usize,
+        /// Pre-order index of the statement in `q`.
+        pre_index: usize,
+    },
+    /// A statement of `q` matched to an old statement.
     Stmt {
         /// Index into the block's statements.
         q_index: usize,
-        /// Matching old statement index, if any.
-        p_index: Option<usize>,
+        /// Index of the matching old statement.
+        p_index: usize,
         /// Precomputed `StmtDiff::is_unchanged()` — the skip-eligibility
         /// half of the propagator's per-statement check.
         unchanged: bool,
         /// Pre-order index of the statement in `q` (the indexing of
-        /// [`ppl::analysis::ProgramEffects`]); fresh sub-plans of the
-        /// same AST block carry the same indices as matched ones.
+        /// [`ppl::analysis::ProgramEffects`]).
         pre_index: usize,
         /// Statically proven skippable: unchanged *and* outside the
         /// edit's [`ImpactSet`], so the propagator may skip without
@@ -89,28 +101,23 @@ pub(crate) enum PlanOp {
 pub(crate) enum PlanStmt {
     /// `skip` / assignment / observe: no sub-blocks.
     Opaque,
-    /// `if`: matched branch plans when the diff aligned the statement
-    /// with an old `if` (`IfDiff`), plus the fresh plans used when the
-    /// taken branch flips or there is no old record.
+    /// `if`: the branch plans of the `IfDiff`, used when the same branch
+    /// runs again.
     If {
-        /// `(then, else)` plans from the `IfDiff`, when present.
-        matched: Option<(PlanBlock, PlanBlock)>,
-        fresh_then: PlanBlock,
-        fresh_else: PlanBlock,
+        then_plan: PlanBlock,
+        else_plan: PlanBlock,
     },
     /// `for`: body plan plus the hoisted per-iteration skip eligibility.
     For {
         body: PlanBlock,
-        /// Precomputed `body_diff.is_unchanged()`; `false` on the fresh
-        /// path (fresh diffs are never unchanged).
+        /// Precomputed `body_diff.is_unchanged()`.
         body_unchanged: bool,
     },
     /// `while`: body plan plus the hoisted per-iteration skip
     /// eligibility.
     While {
         body: PlanBlock,
-        /// Precomputed `!cond_changed && body_diff.is_unchanged()`;
-        /// `false` on the fresh path.
+        /// Precomputed `!cond_changed && body_diff.is_unchanged()`.
         iter_skippable: bool,
     },
 }
@@ -188,29 +195,10 @@ struct PlanCtx<'a> {
     impact: &'a ImpactSet,
 }
 
-impl PlanCtx<'_> {
-    /// Pre-order indices of a block's statements, given the pre-order
-    /// index of its first statement.
-    fn child_indices(&self, start: usize, count: usize) -> Vec<usize> {
-        self.effects.block_child_indices(start, count)
-    }
-
-    /// One past the last pre-order index of `count` siblings at `start`.
-    fn block_end(&self, start: usize, count: usize) -> usize {
-        let mut i = start;
-        for _ in 0..count {
-            i = self.effects.stmts[i].end;
-        }
-        i
-    }
-}
-
-/// Mirrors the propagator's `(stmt, diff)` dispatch: matched sub-plans
-/// are derived only where the old runtime would have used the matched
-/// diff, and fresh sub-plans replace `fresh_block_diff` allocations.
-/// `start` is the pre-order index of the block's first statement.
+/// Mirrors the propagator's `(stmt, diff)` dispatch. `start` is the
+/// pre-order index of the block's first statement.
 fn plan_block(block: &Block, diff: &BlockDiff, start: usize, ctx: &PlanCtx<'_>) -> PlanBlock {
-    let indices = ctx.child_indices(start, block.stmts().len());
+    let indices = ctx.effects.block_child_indices(start, block.stmts().len());
     let ops = diff
         .ops
         .iter()
@@ -218,7 +206,15 @@ fn plan_block(block: &Block, diff: &BlockDiff, start: usize, ctx: &PlanCtx<'_>) 
             DiffOp::RemovedP(p_index) => PlanOp::RemovedP(*p_index),
             DiffOp::Stmt {
                 q_index,
-                p_index,
+                p_index: None,
+                ..
+            } => PlanOp::Fresh {
+                q_index: *q_index,
+                pre_index: indices[*q_index],
+            },
+            DiffOp::Stmt {
+                q_index,
+                p_index: Some(p_index),
                 diff,
             } => {
                 let pre_index = indices[*q_index];
@@ -240,94 +236,35 @@ fn plan_block(block: &Block, diff: &BlockDiff, start: usize, ctx: &PlanCtx<'_>) 
 }
 
 fn plan_stmt(stmt: &Stmt, diff: &StmtDiff, pre_index: usize, ctx: &PlanCtx<'_>) -> PlanStmt {
-    match stmt {
-        Stmt::If(_, then_b, else_b) => {
+    match (stmt, diff) {
+        (
+            Stmt::If(_, then_b, else_b),
+            StmtDiff::IfDiff {
+                then_diff,
+                else_diff,
+                ..
+            },
+        ) => {
             let then_start = pre_index + 1;
-            let else_start = ctx.block_end(then_start, then_b.stmts().len());
-            let matched = match diff {
-                StmtDiff::IfDiff {
-                    then_diff,
-                    else_diff,
-                    ..
-                } => Some((
-                    plan_block(then_b, then_diff, then_start, ctx),
-                    plan_block(else_b, else_diff, else_start, ctx),
-                )),
-                _ => None,
-            };
+            let else_start = ctx.effects.block_end(then_start, then_b.stmts().len());
             PlanStmt::If {
-                matched,
-                fresh_then: fresh_block(then_b, then_start, ctx),
-                fresh_else: fresh_block(else_b, else_start, ctx),
+                then_plan: plan_block(then_b, then_diff, then_start, ctx),
+                else_plan: plan_block(else_b, else_diff, else_start, ctx),
             }
         }
-        Stmt::For(_, _, _, body) => match diff {
-            StmtDiff::ForDiff { body_diff, .. } => PlanStmt::For {
-                body: plan_block(body, body_diff, pre_index + 1, ctx),
-                body_unchanged: body_diff.is_unchanged(),
-            },
-            _ => PlanStmt::For {
-                body: fresh_block(body, pre_index + 1, ctx),
-                body_unchanged: false,
-            },
+        (Stmt::For(_, _, _, body), StmtDiff::ForDiff { body_diff, .. }) => PlanStmt::For {
+            body: plan_block(body, body_diff, pre_index + 1, ctx),
+            body_unchanged: body_diff.is_unchanged(),
         },
-        Stmt::While(_, body) => match diff {
+        (
+            Stmt::While(_, body),
             StmtDiff::WhileDiff {
                 cond_changed,
                 body_diff,
-            } => PlanStmt::While {
-                body: plan_block(body, body_diff, pre_index + 1, ctx),
-                iter_skippable: !cond_changed && body_diff.is_unchanged(),
             },
-            _ => PlanStmt::While {
-                body: fresh_block(body, pre_index + 1, ctx),
-                iter_skippable: false,
-            },
-        },
-        _ => PlanStmt::Opaque,
-    }
-}
-
-/// Plan for executing `block` fresh (no old records, nothing skippable) —
-/// the plan-level analogue of the propagator's old `fresh_block_diff`.
-/// Fresh plans carry the same pre-order indices as the matched plans of
-/// the same AST block, so oracle visit attribution is path-independent.
-fn fresh_block(block: &Block, start: usize, ctx: &PlanCtx<'_>) -> PlanBlock {
-    let indices = ctx.child_indices(start, block.stmts().len());
-    let ops = block
-        .stmts()
-        .iter()
-        .enumerate()
-        .map(|(j, stmt)| PlanOp::Stmt {
-            q_index: j,
-            p_index: None,
-            unchanged: false,
-            pre_index: indices[j],
-            static_skip: false,
-            detail: fresh_stmt(stmt, indices[j], ctx),
-        })
-        .collect();
-    PlanBlock { ops }
-}
-
-fn fresh_stmt(stmt: &Stmt, pre_index: usize, ctx: &PlanCtx<'_>) -> PlanStmt {
-    match stmt {
-        Stmt::If(_, t, e) => {
-            let then_start = pre_index + 1;
-            let else_start = ctx.block_end(then_start, t.stmts().len());
-            PlanStmt::If {
-                matched: None,
-                fresh_then: fresh_block(t, then_start, ctx),
-                fresh_else: fresh_block(e, else_start, ctx),
-            }
-        }
-        Stmt::For(_, _, _, b) => PlanStmt::For {
-            body: fresh_block(b, pre_index + 1, ctx),
-            body_unchanged: false,
-        },
-        Stmt::While(_, b) => PlanStmt::While {
-            body: fresh_block(b, pre_index + 1, ctx),
-            iter_skippable: false,
+        ) => PlanStmt::While {
+            body: plan_block(body, body_diff, pre_index + 1, ctx),
+            iter_skippable: !cond_changed && body_diff.is_unchanged(),
         },
         _ => PlanStmt::Opaque,
     }
@@ -436,37 +373,18 @@ mod tests {
     }
 
     #[test]
-    fn fresh_plans_are_never_skippable() {
-        let q = parse(
-            "n = 3; s = 0.0; for i in [0..n) { s = s + gauss(0.0, 1.0); } \
-             while s > 10.0 { s = s - 1.0; } return s;",
-        )
-        .unwrap();
-        let effects = ppl::analysis::infer_effects(&q);
-        let impact = ppl::analysis::impact(
-            &effects,
-            &ppl::analysis::ChangeSeed::identity(effects.len()),
-        );
-        let ctx = PlanCtx {
-            effects: &effects,
-            impact: &impact,
-        };
-        let fresh = fresh_block(&q.body, 0, &ctx);
-        for op in &fresh.ops {
-            match op {
-                PlanOp::Stmt {
-                    p_index,
-                    unchanged,
-                    static_skip,
-                    ..
-                } => {
-                    assert!(p_index.is_none());
-                    assert!(!unchanged);
-                    assert!(!static_skip);
-                }
-                PlanOp::RemovedP(_) => panic!("fresh plan cannot remove"),
+    fn unmatched_statements_are_fresh_leaves() {
+        let p = parse("a = 1; return a;").unwrap();
+        let q = parse("a = 1; for i in [0..2) { b = flip(0.5); } return a;").unwrap();
+        let edit = diff_programs(&p, &q);
+        let plan = StagePlan::new(&q, &p, &edit);
+        assert!(matches!(
+            plan.root().ops[1],
+            PlanOp::Fresh {
+                q_index: 1,
+                pre_index: 1
             }
-        }
+        ));
     }
 
     #[test]
@@ -485,7 +403,7 @@ mod tests {
                     static_skip,
                     ..
                 } => Some((*pre_index, *static_skip)),
-                PlanOp::RemovedP(_) => None,
+                PlanOp::RemovedP(_) | PlanOp::Fresh { .. } => None,
             })
             .collect();
         // a (edited) and b (reads a) are impacted; c and the observe are
@@ -496,19 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn nested_pre_indices_align_between_matched_and_fresh_plans() {
-        let src = "p = 1; if p > 0 { x = 1; y = 2; } else { z = 3; } return p;";
-        let p = parse(src).unwrap();
-        let q = parse(src).unwrap();
+    fn nested_pre_indices_follow_pre_order() {
+        let p = parse("p = 1; if p > 0 { x = 1; y = 2; } else { z = 3; } return p;").unwrap();
+        let q =
+            parse("p = 1; if p > 0 { x = 1; w = 0; y = 2; } else { z = 3; } return p;").unwrap();
         let edit = diff_programs(&p, &q);
         let plan = StagePlan::new(&q, &p, &edit);
         let PlanOp::Stmt { detail, .. } = &plan.root().ops[1] else {
             panic!("expected a statement op");
         };
         let PlanStmt::If {
-            matched,
-            fresh_then,
-            fresh_else,
+            then_plan,
+            else_plan,
         } = detail
         else {
             panic!("expected an if plan");
@@ -517,15 +434,14 @@ mod tests {
             b.ops
                 .iter()
                 .filter_map(|op| match op {
-                    PlanOp::Stmt { pre_index, .. } => Some(*pre_index),
+                    PlanOp::Stmt { pre_index, .. } | PlanOp::Fresh { pre_index, .. } => {
+                        Some(*pre_index)
+                    }
                     PlanOp::RemovedP(_) => None,
                 })
                 .collect()
         };
-        let (mt, me) = matched.as_ref().expect("matched plans");
-        assert_eq!(indices(mt), vec![2, 3]);
-        assert_eq!(indices(me), vec![4]);
-        assert_eq!(indices(fresh_then), indices(mt));
-        assert_eq!(indices(fresh_else), indices(me));
+        assert_eq!(indices(then_plan), vec![2, 3, 4]);
+        assert_eq!(indices(else_plan), vec![5]);
     }
 }

@@ -1,4 +1,5 @@
-//! Change propagation: the optimized trace translation of Section 6.
+//! Change propagation: the optimized trace translation of Section 6, and
+//! the one statement walker of the dependency-graph runtime.
 //!
 //! Given the execution graph `G_t` of `P`, the edited program `Q`, and
 //! the diff-derived correspondence, this constructs the translated graph
@@ -9,12 +10,17 @@
 //! so an unchanged subtree is shared between `G_t` and `G_u` by copying
 //! its 4-byte node id.
 //!
-//! Re-execution drives the stage's compiled program
-//! ([`StagePlan::compiled`]): expressions come from the flat arena,
-//! variables resolve to frame slots (the slot universe covers both `P`
-//! and `Q`, so old-record effects replay into the same frame), and the
-//! frame itself is pooled per worker — a particle task borrows warmed
-//! storage and returns it on drop.
+//! A subtree with no old record — a new statement, a flipped branch, an
+//! unmatched loop iteration — is walked straight from its compiled block.
+//! Building a graph from scratch ([`ExecGraph::simulate`],
+//! [`ExecGraph::from_trace`]) is the same walk with no old graph at all.
+//!
+//! The walk drives a compiled program (for a translation,
+//! [`StagePlan::compiled`]): expressions are evaluated by
+//! [`CompiledProgram::eval`], variables resolve to frame slots (the slot
+//! universe covers both `P` and `Q`, so old-record effects replay into
+//! the same frame), and the frame itself is pooled per worker — a
+//! particle task borrows warmed storage and returns it on drop.
 //!
 //! Weight accounting follows the paper's efficient scheme exactly:
 //!
@@ -34,19 +40,21 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use incremental::Correspondence;
+use ppl::analysis::ProgramEffects;
 use ppl::ast::Program;
 use ppl::compile::{
-    acquire_frame, note_compiled_exec, CBlockId, CRand, CRandKind, CStmt, CStmtId, CompiledProgram,
+    acquire_frame, note_compiled_exec, CBlockId, CRandKind, CStmt, CStmtId, CompiledProgram,
     EvalFrame, ExprId,
 };
 use ppl::dist::Dist;
 use ppl::{Address, LogWeight, PplError, Value};
 
 use crate::diff::ProgramEdit;
-use crate::eval::{any_dirty, apply_effects, ChoiceSource, ExprEval};
+use crate::eval::{any_dirty, apply_effects, ChoiceSource, Recorder};
 use crate::plan::{PlanBlock, PlanOp, PlanStmt, StagePlan};
 use crate::record::{
-    BlockId, BlockRecord, Effect, ExecGraph, ObsData, StmtId, StmtRecord, StoreBuilder, Summary,
+    BlockId, BlockRecord, Effect, ExecGraph, NodeStore, ObsData, StmtId, StmtRecord, StoreBuilder,
+    Summary, WhileIter,
 };
 
 /// How much work a translation did — the quantity Figure 10 plots.
@@ -131,26 +139,11 @@ pub struct IncrementalResult {
 }
 
 /// Translates the execution graph `old` of `P` into a graph of `q`,
-/// guided by `edit` (produced by [`crate::diff::diff_programs`]).
-///
-/// # Errors
-///
-/// Propagates evaluation errors from re-executing the affected slice.
-pub fn translate_graph(
-    q: &Arc<Program>,
-    edit: &ProgramEdit,
-    old: &ExecGraph,
-    rng: &mut dyn RngCore,
-) -> Result<IncrementalResult, PplError> {
-    let plan = StagePlan::new(q, &old.program, edit);
-    translate_graph_with_plan(q, edit, &plan, old, rng)
-}
-
-/// [`translate_graph`] against a precomputed [`StagePlan`] — the
-/// per-particle entry point used by
-/// [`IncrementalTranslator`](crate::IncrementalTranslator), which builds
-/// the plan once per stage and shares it across all particle tasks.
-/// Output is bit-identical to [`translate_graph`].
+/// guided by `edit` (produced by [`crate::diff::diff_programs`]) and the
+/// edit's precomputed [`StagePlan`] — the per-particle entry point used
+/// by [`IncrementalTranslator`](crate::IncrementalTranslator), which
+/// builds the plan once per stage and shares it across all particle
+/// tasks.
 ///
 /// # Errors
 ///
@@ -163,31 +156,88 @@ pub fn translate_graph_with_plan(
     old: &ExecGraph,
     rng: &mut dyn RngCore,
 ) -> Result<IncrementalResult, PplError> {
-    let prog = plan.compiled().as_ref();
+    let mut source = ReuseSource {
+        old,
+        correspondence: &edit.correspondence,
+        rng,
+    };
+    let oracle = verify_slices_enabled().then(|| plan.effects());
+    let pass = walk(
+        q,
+        plan.compiled(),
+        Some((old, plan.root())),
+        &mut source,
+        oracle,
+    )?;
+    let mut stats = pass.tally.stats;
+    if let Some(visited) = pass.visited {
+        stats.oracle_checks += visited.len();
+        verify_visited_in_slice(&visited, plan)?;
+    }
+    Ok(IncrementalResult {
+        graph: pass.graph,
+        log_weight: pass.tally.log_num - pass.tally.log_den,
+        stats,
+    })
+}
+
+/// The running weight estimate and work counters of one walk.
+#[derive(Default)]
+pub(crate) struct Tally {
+    log_num: LogWeight,
+    log_den: LogWeight,
+    stats: VisitStats,
+}
+
+/// What one walk produced.
+pub(crate) struct Pass {
+    pub(crate) graph: ExecGraph,
+    tally: Tally,
+    /// Pre-order indices of the visited statements, when the oracle ran.
+    visited: Option<BTreeSet<usize>>,
+}
+
+/// Walks `prog`, the compiled form of `program`, once and assembles the
+/// resulting graph. With `old`, the walk propagates from that graph along
+/// the plan; without it, every statement is walked fresh — a graph build.
+/// With `oracle`, the walk records the pre-order index (in those effect
+/// facts) of every statement it visits.
+pub(crate) fn walk(
+    program: &Arc<Program>,
+    prog: &CompiledProgram,
+    old: Option<(&ExecGraph, &PlanBlock)>,
+    source: &mut dyn ChoiceSource,
+    oracle: Option<&ProgramEffects>,
+) -> Result<Pass, PplError> {
     note_compiled_exec();
     let mut frame = acquire_frame();
     frame.prepare(prog.slot_count());
-    let mut propagator = Propagator {
-        old,
+    let empty = NodeStore::default();
+    let old_store = old.map_or(&empty, |(graph, _)| graph.store());
+    let mut walker = Propagator {
+        old: old_store,
         prog,
-        builder: StoreBuilder::extending(old.store()),
-        rng,
-        correspondence: &edit.correspondence,
+        builder: StoreBuilder::extending(old_store),
+        source,
         frame: &mut frame,
-        log_num: LogWeight::ONE,
-        log_den: LogWeight::ONE,
-        stats: VisitStats::default(),
-        oracle: verify_slices_enabled().then(BTreeSet::new),
+        tally: Tally::default(),
+        oracle: oracle.map(|effects| Oracle {
+            effects,
+            visited: BTreeSet::new(),
+        }),
     };
-    let mut stmts = propagator.exec_block(prog.body(), plan.root(), Some(old.root()))?;
-    // Return expression: always evaluated (cheap), recorded like build.rs
-    // does so flattening yields a complete trace.
+    let mut stmts = match old {
+        Some((graph, plan)) => walker.exec_block(prog.body(), plan, graph.root())?,
+        None => walker.fresh_block(prog.body(), 0)?,
+    };
+    // The return expression is recorded as a trailing pseudo-leaf so that
+    // any choices it makes are part of the graph.
     let mut ret_summary = Summary::default();
     let return_value = match prog.ret() {
         Some(e) => {
-            let v = propagator.eval(e, &mut ret_summary)?;
+            let v = walker.eval(e, &mut ret_summary)?;
             if !ret_summary.choices.is_empty() || !ret_summary.reads.is_empty() {
-                stmts.push(propagator.builder.push_stmt(StmtRecord::Leaf {
+                stmts.push(walker.builder.push_stmt(StmtRecord::Leaf {
                     summary: ret_summary,
                 }));
             }
@@ -197,103 +247,68 @@ pub fn translate_graph_with_plan(
     };
     let Propagator {
         mut builder,
-        log_num,
-        log_den,
-        mut stats,
+        tally,
         oracle,
         ..
-    } = propagator;
-    if let Some(visited) = oracle {
-        stats.oracle_checks += visited.len();
-        verify_visited_in_slice(&visited, plan)?;
-    }
+    } = walker;
     let root_block = BlockRecord::finalize(&builder, stmts);
     let root = builder.push_block(root_block);
-    let graph = ExecGraph::assemble(Arc::clone(q), builder.finish(), root, return_value);
-    Ok(IncrementalResult {
-        graph,
-        log_weight: log_num - log_den,
-        stats,
+    Ok(Pass {
+        graph: ExecGraph::assemble(Arc::clone(program), builder.finish(), root, return_value),
+        tally,
+        visited: oracle.map(|o| o.visited),
     })
 }
 
+/// The statement walker: one pass over a compiled program, against the
+/// old graph's records where they exist and fresh where they do not.
 struct Propagator<'a> {
-    old: &'a ExecGraph,
-    /// The stage's compiled program (slot universe covers `P` and `Q`).
+    /// The old graph's arena (empty for a graph build).
+    old: &'a NodeStore,
+    /// The compiled program walked (for a translation, the stage's
+    /// program, whose slot universe covers `P` and `Q`).
     prog: &'a CompiledProgram,
     /// Output arena, extending the old graph's store — so old node ids
     /// remain valid and a skipped subtree is shared by pushing its id.
     builder: StoreBuilder,
-    rng: &'a mut dyn RngCore,
-    correspondence: &'a Correspondence,
+    source: &'a mut dyn ChoiceSource,
     frame: &'a mut EvalFrame,
-    log_num: LogWeight,
-    log_den: LogWeight,
-    stats: VisitStats,
-    /// Pre-order indices of visited statements, collected only when the
-    /// slice-soundness oracle is enabled.
-    oracle: Option<BTreeSet<usize>>,
+    tally: Tally,
+    /// Present only while the slice-soundness oracle runs.
+    oracle: Option<Oracle<'a>>,
 }
 
-/// The slice-soundness check: every dynamically visited statement must
-/// lie inside the static impact slice. A violation is a bug in the
-/// static analysis (or an unsound skip rule) and produces a structured
-/// report naming each escaping statement.
-fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Result<(), PplError> {
-    let impact = plan.impact();
-    let violations: Vec<usize> = visited
-        .iter()
-        .copied()
-        .filter(|i| !impact.contains(*i))
-        .collect();
-    if violations.is_empty() {
-        return Ok(());
-    }
-    let effects = plan.effects();
-    let mut report = format!(
-        "slice-soundness violation: {} dynamically visited statement(s) \
-         outside the static impact slice ({} impacted of {} total)",
-        violations.len(),
-        impact.impacted.len(),
-        impact.total,
-    );
-    for i in violations {
-        let detail = effects
-            .stmts
-            .get(i)
-            .map(|f| format!("`{}` (depth {})", f.label, f.depth))
-            .unwrap_or_else(|| "<unknown statement>".to_string());
-        report.push_str(&format!("\n  - statement #{i}: {detail}"));
-    }
-    Err(PplError::Other(report))
+/// The slice-soundness oracle's record of one walk.
+struct Oracle<'a> {
+    /// Static facts of the target program, whose pre-order indexing
+    /// freshly walked statements are numbered in.
+    effects: &'a ProgramEffects,
+    visited: BTreeSet<usize>,
 }
 
 /// Choice source used inside visited statements: reuse through the
 /// correspondence when the old graph has a same-support counterpart
 /// (accumulating Eq. (8) factors), sample fresh otherwise (the fresh
 /// factors cancel against the kernel density).
-struct ReuseSource<'a, 'b> {
+struct ReuseSource<'a> {
     old: &'a ExecGraph,
     correspondence: &'a Correspondence,
-    rng: &'b mut dyn RngCore,
-    log_num: &'b mut LogWeight,
-    log_den: &'b mut LogWeight,
-    stats: &'b mut VisitStats,
+    rng: &'a mut dyn RngCore,
 }
 
-impl ChoiceSource for ReuseSource<'_, '_> {
-    fn draw(&mut self, addr: &Address, dist: &Dist) -> Result<Value, PplError> {
+impl ChoiceSource for ReuseSource<'_> {
+    fn draw(&mut self, addr: &Address, dist: &Dist, tally: &mut Tally) -> Result<Value, PplError> {
         if let Some(p_id) = self.correspondence.lookup_id(addr.id()) {
             if let Some(old_choice) = self.old.choice_by_id(p_id) {
                 if dist.same_support(&old_choice.dist) {
-                    *self.log_num += dist.log_prob(&old_choice.value);
-                    *self.log_den += old_choice.log_prob;
-                    self.stats.choices_reused += 1;
+                    tally.log_num += dist.log_prob(&old_choice.value);
+                    tally.log_den += old_choice.log_prob;
+                    tally.stats.choices_reused += 1;
                     return Ok(old_choice.value.clone());
                 }
             }
         }
-        self.stats.choices_fresh += 1;
+        tally.stats.choices_fresh += 1;
         Ok(dist.sample(self.rng))
     }
 }
@@ -303,54 +318,44 @@ impl<'a> Propagator<'a> {
     /// the *input graph* (lifetime `'a`), not the propagator, so it stays
     /// usable across subsequent `&mut self` calls.
     fn old_stmt(&self, id: StmtId) -> &'a StmtRecord {
-        self.old.store().stmt(id)
+        self.old.stmt(id)
     }
 
     /// Resolves an old-graph block id (see [`Propagator::old_stmt`]).
     fn old_block(&self, id: BlockId) -> &'a BlockRecord {
-        self.old.store().block(id)
+        self.old.block(id)
     }
 
     fn eval(&mut self, expr: ExprId, sum: &mut Summary) -> Result<Value, PplError> {
-        let mut source = ReuseSource {
-            old: self.old,
-            correspondence: self.correspondence,
-            rng: self.rng,
-            log_num: &mut self.log_num,
-            log_den: &mut self.log_den,
-            stats: &mut self.stats,
+        let mut hooks = Recorder {
+            source: &mut *self.source,
+            tally: &mut self.tally,
+            sum,
         };
-        let mut ev = ExprEval {
-            prog: self.prog,
-            frame: self.frame,
-            source: &mut source,
-        };
-        ev.eval(expr, sum)
+        self.prog.eval(self.frame, expr, &mut hooks)
     }
 
-    fn build_dist(&mut self, kind: &CRandKind, sum: &mut Summary) -> Result<Dist, PplError> {
-        let mut source = ReuseSource {
-            old: self.old,
-            correspondence: self.correspondence,
-            rng: self.rng,
-            log_num: &mut self.log_num,
-            log_den: &mut self.log_den,
-            stats: &mut self.stats,
+    fn eval_dist(&mut self, kind: &CRandKind, sum: &mut Summary) -> Result<Dist, PplError> {
+        let mut hooks = Recorder {
+            source: &mut *self.source,
+            tally: &mut self.tally,
+            sum,
         };
-        let mut ev = ExprEval {
-            prog: self.prog,
-            frame: self.frame,
-            source: &mut source,
-        };
-        ev.build_dist(kind, sum)
-    }
-
-    fn address_for(&self, rand: &CRand) -> Address {
-        self.frame.address_for(&rand.site)
+        self.prog.eval_dist(self.frame, kind, &mut hooks)
     }
 
     fn any_dirty(&self, reads: &BTreeSet<&'static str>) -> bool {
         any_dirty(self.prog, self.frame, reads.iter().copied())
+    }
+
+    /// One past the last pre-order index of `count` sibling subtrees
+    /// starting at `start`. Pre-order indices feed only the oracle, so
+    /// without it this returns `start`.
+    fn pre_end(&self, start: usize, count: usize) -> usize {
+        match &self.oracle {
+            Some(oracle) => oracle.effects.block_end(start, count),
+            None => start,
+        }
     }
 
     /// Applies a skipped record's effects (clean: identical to the old
@@ -359,10 +364,10 @@ impl<'a> Propagator<'a> {
         if let Some(summary) = record.summary() {
             apply_effects(self.prog, self.frame, &summary.effects, false)?;
         }
-        self.stats.skipped += 1;
+        self.tally.stats.skipped += 1;
         if matches!(record, StmtRecord::For { .. } | StmtRecord::While { .. }) {
             // An entire loop skipped as one record — the O(1) claim.
-            self.stats.loop_skips += 1;
+            self.tally.stats.loop_skips += 1;
         }
         Ok(())
     }
@@ -370,7 +375,7 @@ impl<'a> Propagator<'a> {
     /// Accounts for a removed old subtree: its observations enter the
     /// denominator, and variables it wrote are re-checked for dirtiness.
     fn remove_record(&mut self, summary: &Summary) {
-        self.log_den += summary.obs_score;
+        self.tally.log_den += summary.obs_score;
         self.reconcile_writes(summary);
     }
 
@@ -397,24 +402,42 @@ impl<'a> Propagator<'a> {
         }
     }
 
+    /// Walks a block against its plan and old records when it has them,
+    /// fresh otherwise; `start` is the pre-order index of its first
+    /// statement.
+    fn walk_block(
+        &mut self,
+        block: CBlockId,
+        old: Option<(&'a PlanBlock, BlockId)>,
+        start: usize,
+    ) -> Result<Vec<StmtId>, PplError> {
+        match old {
+            Some((plan, old_block)) => self.exec_block(block, plan, old_block),
+            None => self.fresh_block(block, start),
+        }
+    }
+
+    /// Walks a block that has an old record, along its plan.
     fn exec_block(
         &mut self,
         block: CBlockId,
-        plan: &PlanBlock,
-        old: Option<BlockId>,
+        plan: &'a PlanBlock,
+        old: BlockId,
     ) -> Result<Vec<StmtId>, PplError> {
         let prog = self.prog;
-        let old_blk: Option<&'a BlockRecord> = old.map(|b| self.old_block(b));
-        let mut records = Vec::with_capacity(prog.block(block).stmts.len());
+        let stmts = &prog.block(block).stmts;
+        let old_block = self.old_block(old);
+        let mut records = Vec::with_capacity(stmts.len());
         for op in &plan.ops {
             match op {
                 PlanOp::RemovedP(p_index) => {
-                    if let Some(old_block) = old_blk {
-                        let removed = self.old_stmt(old_block.stmts[*p_index]);
-                        if let Some(summary) = removed.summary() {
-                            self.remove_record(summary);
-                        }
+                    if let Some(summary) = self.old_stmt(old_block.stmts[*p_index]).summary() {
+                        self.remove_record(summary);
                     }
+                }
+                PlanOp::Fresh { q_index, pre_index } => {
+                    let record = self.visit_stmt(stmts[*q_index], None, *pre_index)?;
+                    records.push(self.builder.push_stmt(record));
                 }
                 PlanOp::Stmt {
                     q_index,
@@ -426,43 +449,31 @@ impl<'a> Propagator<'a> {
                 } => {
                     // Compiled blocks are index-aligned with the AST
                     // blocks the plan was built from.
-                    let stmt = prog.block(block).stmts[*q_index];
-                    let old_sid: Option<StmtId> = match (old_blk, p_index) {
-                        (Some(old_block), Some(i)) => Some(old_block.stmts[*i]),
-                        _ => None,
-                    };
-                    let old_rec: Option<&'a StmtRecord> = old_sid.map(|sid| self.old_stmt(sid));
+                    let old_sid = old_block.stmts[*p_index];
+                    let rec = self.old_stmt(old_sid);
+                    // Static pre-pruning: the plan proved this statement
+                    // outside the impact slice, so its inputs cannot be
+                    // dirty — skip without scanning the recorded read
+                    // set. Bit-identical to the dynamic path (the dirty
+                    // scan consumes no RNG).
+                    if *static_skip {
+                        self.skip_record(rec)?;
+                        self.tally.stats.static_skips += 1;
+                        records.push(old_sid);
+                        continue;
+                    }
                     // Skip when nothing changed and no dirty inputs (the
                     // diff half of the check is precomputed in the plan).
-                    if let Some(rec) = old_rec {
-                        // Static pre-pruning: the plan proved this
-                        // statement outside the impact slice, so its
-                        // inputs cannot be dirty — skip without scanning
-                        // the recorded read set. Bit-identical to the
-                        // dynamic path (the dirty scan consumes no RNG).
-                        if *static_skip {
-                            self.skip_record(rec)?;
-                            self.stats.static_skips += 1;
-                            records.push(old_sid.expect("skip requires an old record"));
-                            continue;
-                        }
-                        let clean = match rec.summary() {
-                            Some(s) => !self.any_dirty(&s.reads),
-                            None => true,
-                        };
-                        if *unchanged && clean {
-                            self.skip_record(rec)?;
-                            // O(1) subtree sharing: the old id is valid in
-                            // the extending store.
-                            records.push(old_sid.expect("skip requires an old record"));
-                            continue;
-                        }
+                    let clean = rec.summary().is_none_or(|s| !self.any_dirty(&s.reads));
+                    if *unchanged && clean {
+                        self.skip_record(rec)?;
+                        // O(1) subtree sharing: the old id is valid in
+                        // the extending store.
+                        records.push(old_sid);
+                        continue;
                     }
-                    self.stats.visited += 1;
-                    if let Some(visited) = &mut self.oracle {
-                        visited.insert(*pre_index);
-                    }
-                    let record = self.visit_stmt(stmt, detail, old_rec)?;
+                    let record =
+                        self.visit_stmt(stmts[*q_index], Some((detail, rec)), *pre_index)?;
                     records.push(self.builder.push_stmt(record));
                 }
             }
@@ -470,12 +481,34 @@ impl<'a> Propagator<'a> {
         Ok(records)
     }
 
+    /// Walks a block that has no old record, straight from its compiled
+    /// statements; `start` is the pre-order index of its first statement.
+    fn fresh_block(&mut self, block: CBlockId, start: usize) -> Result<Vec<StmtId>, PplError> {
+        let prog = self.prog;
+        let stmts = &prog.block(block).stmts;
+        let mut records = Vec::with_capacity(stmts.len());
+        let mut pre_index = start;
+        for &stmt in stmts {
+            let record = self.visit_stmt(stmt, None, pre_index)?;
+            records.push(self.builder.push_stmt(record));
+            pre_index = self.pre_end(pre_index, 1);
+        }
+        Ok(records)
+    }
+
+    /// Executes one statement — against its plan and old record when it
+    /// has one, fresh otherwise — and counts the visit.
     fn visit_stmt(
         &mut self,
         stmt: CStmtId,
-        detail: &PlanStmt,
-        old_rec: Option<&'a StmtRecord>,
+        old: Option<(&'a PlanStmt, &'a StmtRecord)>,
+        pre_index: usize,
     ) -> Result<StmtRecord, PplError> {
+        self.tally.stats.visited += 1;
+        if let Some(oracle) = &mut self.oracle {
+            oracle.visited.insert(pre_index);
+        }
+        let old_rec = old.map(|(_, rec)| rec);
         let prog = self.prog;
         match prog.stmt(stmt) {
             CStmt::Skip => Ok(StmtRecord::Skip),
@@ -499,6 +532,8 @@ impl<'a> Propagator<'a> {
                 let mut summary = Summary::default();
                 let i = self.eval(index, &mut summary)?.as_int()?;
                 let value = self.eval(expr, &mut summary)?;
+                // Element assignment reads the array (it preserves the
+                // other elements).
                 summary.reads.insert(name);
                 let old_elem = old_rec.and_then(|r| {
                     r.summary().and_then(|s| {
@@ -527,17 +562,17 @@ impl<'a> Propagator<'a> {
             }
             CStmt::Observe { rand, value } => {
                 let value_e = *value;
-                self.stats.observes_rescored += 1;
+                self.tally.stats.observes_rescored += 1;
                 let mut summary = Summary::default();
-                let dist = self.build_dist(&rand.kind, &mut summary)?;
+                let dist = self.eval_dist(&rand.kind, &mut summary)?;
                 let value = self.eval(value_e, &mut summary)?;
-                let addr = self.address_for(rand);
+                let addr = self.frame.address_for(&rand.site);
                 let log_prob = dist.log_prob(&value);
                 // Numerator: the observation under Q.
-                self.log_num += log_prob;
+                self.tally.log_num += log_prob;
                 // Denominator: the matched old observation, if any.
                 if let Some(old_summary) = old_rec.and_then(StmtRecord::summary) {
-                    self.log_den += old_summary.obs_score;
+                    self.tally.log_den += old_summary.obs_score;
                 }
                 summary.obs_score += log_prob;
                 summary.observations.push((
@@ -556,42 +591,48 @@ impl<'a> Propagator<'a> {
                 else_b,
             } => {
                 let (cond, then_b, else_b) = (*cond, *then_b, *else_b);
-                let PlanStmt::If {
-                    matched,
-                    fresh_then,
-                    fresh_else,
-                } = detail
-                else {
-                    return Err(plan_shape_mismatch("if"));
+                let plans = match old {
+                    Some((
+                        PlanStmt::If {
+                            then_plan,
+                            else_plan,
+                        },
+                        rec,
+                    )) => Some((then_plan, else_plan, rec)),
+                    Some(_) => return Err(plan_shape_mismatch("if")),
+                    None => None,
                 };
                 let mut summary = Summary::default();
                 let took_then = self.eval(cond, &mut summary)?.truthy()?;
                 let branch = if took_then { then_b } else { else_b };
-                let (branch_plan, old_body) = match (matched, old_rec) {
-                    (
-                        Some((then_plan, else_plan)),
-                        Some(StmtRecord::If {
+                let old_branch = match plans {
+                    Some((
+                        then_plan,
+                        else_plan,
+                        StmtRecord::If {
                             took_then: old_took,
                             body,
                             ..
-                        }),
-                    ) if *old_took == took_then => {
-                        let p = if took_then { then_plan } else { else_plan };
-                        (p, Some(*body))
-                    }
-                    _ => {
-                        // Branch flipped, statement replaced, or no old
-                        // record: the old executed branch is removed and
-                        // the new branch runs fresh.
-                        if let Some(StmtRecord::If { body, .. }) = old_rec {
+                        },
+                    )) => {
+                        if *old_took == took_then {
+                            Some((if took_then { then_plan } else { else_plan }, *body))
+                        } else {
+                            // The branch flipped: the old branch is removed
+                            // and the new branch runs fresh.
                             let removed = &self.old_block(*body).summary;
                             self.remove_record(removed);
+                            None
                         }
-                        let p = if took_then { fresh_then } else { fresh_else };
-                        (p, None)
                     }
+                    _ => None,
                 };
-                let body_records = self.exec_block(branch, branch_plan, old_body)?;
+                let start = if took_then {
+                    pre_index + 1
+                } else {
+                    self.pre_end(pre_index + 1, prog.block(then_b).stmts.len())
+                };
+                let body_records = self.walk_block(branch, old_branch, start)?;
                 let body_block = BlockRecord::finalize(&self.builder, body_records);
                 summary
                     .reads
@@ -618,20 +659,28 @@ impl<'a> Propagator<'a> {
                 body,
             } => {
                 let (slot, var_name, lo_e, hi_e, body) = (*slot, *name, *lo, *hi, *body);
-                let PlanStmt::For {
-                    body: body_plan,
-                    body_unchanged,
-                } = detail
-                else {
-                    return Err(plan_shape_mismatch("for"));
+                // The body plan, whether an iteration with clean inputs
+                // may be skipped, and the old loop's bounds and iterations.
+                let (body_plan, body_unchanged, old_for) = match old {
+                    Some((
+                        PlanStmt::For {
+                            body: plan,
+                            body_unchanged,
+                        },
+                        rec,
+                    )) => {
+                        let old_for: Option<(i64, i64, &'a [BlockId])> = match rec {
+                            StmtRecord::For { lo, hi, iters, .. } => Some((*lo, *hi, iters)),
+                            _ => None,
+                        };
+                        (Some(plan), *body_unchanged, old_for)
+                    }
+                    Some(_) => return Err(plan_shape_mismatch("for")),
+                    None => (None, false, None),
                 };
                 let mut summary = Summary::default();
                 let lo = self.eval(lo_e, &mut summary)?.as_int()?;
                 let hi = self.eval(hi_e, &mut summary)?.as_int()?;
-                let old_for: Option<(i64, i64, &'a [BlockId])> = match old_rec {
-                    Some(StmtRecord::For { lo, hi, iters, .. }) => Some((*lo, *hi, iters)),
-                    _ => None,
-                };
                 let mut iters = Vec::with_capacity((hi - lo).max(0) as usize);
                 let mut written: BTreeSet<&'static str> = BTreeSet::new();
                 written.insert(var_name);
@@ -645,7 +694,7 @@ impl<'a> Propagator<'a> {
                                 None
                             }
                         });
-                    let skippable = *body_unchanged
+                    let skippable = body_unchanged
                         && match old_iter {
                             Some(oid) => {
                                 let reads = &self.old_block(oid).summary.reads;
@@ -659,14 +708,15 @@ impl<'a> Propagator<'a> {
                             // by id.
                             let old_sum = &self.old_block(oid).summary;
                             apply_effects(self.prog, self.frame, &old_sum.effects, false)?;
-                            self.stats.skipped += 1;
-                            self.stats.iter_skips += 1;
+                            self.tally.stats.skipped += 1;
+                            self.tally.stats.iter_skips += 1;
                             oid
                         }
                         _ => {
-                            self.stats.visited += 1;
+                            self.tally.stats.visited += 1;
                             self.frame.push_loop(i);
-                            let result = self.exec_block(body, body_plan, old_iter);
+                            let result =
+                                self.walk_block(body, body_plan.zip(old_iter), pre_index + 1);
                             self.frame.pop_loop();
                             let block = BlockRecord::finalize(&self.builder, result?);
                             self.builder.push_block(block)
@@ -697,6 +747,8 @@ impl<'a> Propagator<'a> {
                         }
                     }
                 }
+                // Compress effects into one final snapshot per written
+                // variable (O(1) each thanks to Arc-backed arrays).
                 for name in &written {
                     if let Some(slot) = prog.slot_of(name) {
                         if let Some(s) = self.frame.get(slot) {
@@ -704,6 +756,8 @@ impl<'a> Propagator<'a> {
                         }
                     }
                 }
+                // The loop variable itself is loop-internal; reading it
+                // within the body does not create an external dependency.
                 summary.reads.remove(var_name);
                 if let Some(old_summary) = old_rec.and_then(StmtRecord::summary) {
                     self.reconcile_writes(old_summary);
@@ -717,19 +771,27 @@ impl<'a> Propagator<'a> {
             }
             CStmt::While { cond, body } => {
                 let (cond_e, body) = (*cond, *body);
-                let PlanStmt::While {
-                    body: body_plan,
-                    iter_skippable,
-                } = detail
-                else {
-                    return Err(plan_shape_mismatch("while"));
+                // The body plan, whether an iteration with clean inputs
+                // may be skipped, and the old loop's iterations.
+                let (body_plan, iter_skippable, old_iters) = match old {
+                    Some((
+                        PlanStmt::While {
+                            body: plan,
+                            iter_skippable,
+                        },
+                        rec,
+                    )) => {
+                        let old_iters: Option<&'a [WhileIter]> = match rec {
+                            StmtRecord::While { iters, .. } => Some(iters),
+                            _ => None,
+                        };
+                        (Some(plan), *iter_skippable, old_iters)
+                    }
+                    Some(_) => return Err(plan_shape_mismatch("while")),
+                    None => (None, false, None),
                 };
                 let mut summary = Summary::default();
-                let old_iters: Option<&'a Vec<crate::record::WhileIter>> = match old_rec {
-                    Some(StmtRecord::While { iters, .. }) => Some(iters),
-                    _ => None,
-                };
-                let mut iters: Vec<crate::record::WhileIter> = Vec::new();
+                let mut iters: Vec<WhileIter> = Vec::new();
                 let mut written: BTreeSet<&'static str> = BTreeSet::new();
                 let mut i = 0_i64;
                 loop {
@@ -737,21 +799,19 @@ impl<'a> Propagator<'a> {
                     // Skip the iteration wholesale when nothing can have
                     // changed (same code, clean inputs).
                     if let Some(old_iter) = old_iter {
-                        let clean = *iter_skippable
-                            && !any_dirty(self.prog, self.frame, old_iter.reads(self.old.store()));
+                        let clean = iter_skippable
+                            && !any_dirty(self.prog, self.frame, old_iter.reads(self.old));
                         if clean {
                             if let Some(b) = old_iter.body {
                                 let body_sum = &self.old_block(b).summary;
                                 apply_effects(self.prog, self.frame, &body_sum.effects, false)?;
                             }
-                            self.stats.skipped += 1;
-                            self.stats.iter_skips += 1;
-                            summary.reads.extend(
-                                old_iter
-                                    .reads(self.old.store())
-                                    .filter(|r| !written.contains(*r)),
-                            );
-                            summary.obs_score += old_iter.obs_score(self.old.store());
+                            self.tally.stats.skipped += 1;
+                            self.tally.stats.iter_skips += 1;
+                            summary
+                                .reads
+                                .extend(old_iter.reads(self.old).filter(|r| !written.contains(*r)));
+                            summary.obs_score += old_iter.obs_score(self.old);
                             for effect in old_iter
                                 .body
                                 .iter()
@@ -771,7 +831,7 @@ impl<'a> Propagator<'a> {
                     // Visit: re-evaluate the condition (reusing choices
                     // through the correspondence) and, when it holds, the
                     // body against the matched old records.
-                    self.stats.visited += 1;
+                    self.tally.stats.visited += 1;
                     self.frame.push_loop(i);
                     let mut cond_sum = Summary::default();
                     let continued = self.eval(cond_e, &mut cond_sum).and_then(|v| v.truthy());
@@ -792,7 +852,7 @@ impl<'a> Propagator<'a> {
                     summary.obs_score += cond_sum.obs_score;
                     if !continued {
                         self.frame.pop_loop();
-                        iters.push(crate::record::WhileIter {
+                        iters.push(WhileIter {
                             cond: cond_sum,
                             continued: false,
                             body: None,
@@ -808,7 +868,7 @@ impl<'a> Propagator<'a> {
                         break;
                     }
                     let old_body: Option<BlockId> = old_iter.and_then(|it| it.body);
-                    let body_result = self.exec_block(body, body_plan, old_body);
+                    let body_result = self.walk_block(body, body_plan.zip(old_body), pre_index + 1);
                     self.frame.pop_loop();
                     let body_rec = BlockRecord::finalize(&self.builder, body_result?);
                     summary.reads.extend(
@@ -823,7 +883,7 @@ impl<'a> Propagator<'a> {
                     for effect in &body_rec.summary.effects {
                         written.insert(effect.var_name());
                     }
-                    iters.push(crate::record::WhileIter {
+                    iters.push(WhileIter {
                         cond: cond_sum,
                         continued: true,
                         body: Some(self.builder.push_block(body_rec)),
@@ -837,7 +897,7 @@ impl<'a> Propagator<'a> {
                 // removed entirely.
                 if let Some(old_iters) = old_iters {
                     for old_iter in old_iters.iter().skip(iters.len()) {
-                        self.log_den += old_iter.obs_score(self.old.store());
+                        self.tally.log_den += old_iter.obs_score(self.old);
                         if let Some(b) = old_iter.body {
                             let removed = &self.old_block(b).summary;
                             self.reconcile_writes(removed);
@@ -879,4 +939,37 @@ fn plan_shape_mismatch(at: &str) -> PplError {
     PplError::Other(format!(
         "stage plan does not match the target program (at `{at}` statement)"
     ))
+}
+
+/// The slice-soundness check: every dynamically visited statement must
+/// lie inside the static impact slice. A violation is a bug in the
+/// static analysis (or an unsound skip rule) and produces a structured
+/// report naming each escaping statement.
+fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Result<(), PplError> {
+    let impact = plan.impact();
+    let violations: Vec<usize> = visited
+        .iter()
+        .copied()
+        .filter(|i| !impact.contains(*i))
+        .collect();
+    if violations.is_empty() {
+        return Ok(());
+    }
+    let effects = plan.effects();
+    let mut report = format!(
+        "slice-soundness violation: {} dynamically visited statement(s) \
+         outside the static impact slice ({} impacted of {} total)",
+        violations.len(),
+        impact.impacted.len(),
+        impact.total,
+    );
+    for i in violations {
+        let detail = effects
+            .stmts
+            .get(i)
+            .map(|f| format!("`{}` (depth {})", f.label, f.depth))
+            .unwrap_or_else(|| "<unknown statement>".to_string());
+        report.push_str(&format!("\n  - statement #{i}: {detail}"));
+    }
+    Err(PplError::Other(report))
 }

@@ -123,6 +123,12 @@ impl ProgramEffects {
         }
         out
     }
+
+    /// One past the last pre-order index of the `count` sibling subtrees
+    /// whose first statement sits at pre-order index `start`.
+    pub fn block_end(&self, start: usize, count: usize) -> usize {
+        (0..count).fold(start, |i, _| self.stmts[i].end)
+    }
 }
 
 /// Computes per-statement effect facts for `program`.

@@ -27,6 +27,13 @@
 //! are index-aligned with their AST blocks so structural consumers (the
 //! dependency-graph planner) can address both with the same indices.
 //!
+//! [`CompiledProgram::eval`] is the one evaluator over compiled
+//! expressions. What differs between its callers — fuel, read tracking,
+//! where a random choice's value comes from — goes through the
+//! [`EvalHooks`] they pass: forward execution ([`run_compiled`]) charges
+//! fuel and samples through a [`Handler`]; the dependency-graph runtime
+//! records reads and choices for change propagation.
+//!
 //! Frames are pooled per worker thread ([`acquire_frame`]): a particle
 //! task takes a warmed frame, evaluates an entire translation with zero
 //! per-eval allocation on the happy path, and returns the frame's storage
@@ -733,6 +740,169 @@ fn fold_array_init(n: &Value, init: &Value) -> Option<Value> {
 }
 
 // ---------------------------------------------------------------------------
+// Expression evaluation: the one evaluator over compiled expressions.
+// ---------------------------------------------------------------------------
+
+/// The caller's side of [`CompiledProgram::eval`]: fuel, read tracking,
+/// and the source of random choices (see the module docs).
+pub trait EvalHooks {
+    /// Charges `n` fuel ticks on entering a node (`n > 1` only for folded
+    /// constants, whose original subtrees tick consecutively with no
+    /// observable effect in between).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PplError::FuelExhausted`] when the budget runs out.
+    fn charge(&mut self, n: u64) -> Result<(), PplError>;
+
+    /// Notes a read of the variable `name`.
+    fn read(&mut self, name: &'static str);
+
+    /// Draws the value of the random choice at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the caller's sampling errors.
+    fn draw(&mut self, addr: Address, dist: Dist) -> Result<Value, PplError>;
+}
+
+impl CompiledProgram {
+    /// Evaluates expression `id` against `frame`. Node visit order, fuel
+    /// charging, draws and errors are bit-identical to the tree-walk
+    /// (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors and the errors `hooks` returns.
+    pub fn eval<H: EvalHooks>(
+        &self,
+        frame: &EvalFrame,
+        id: ExprId,
+        hooks: &mut H,
+    ) -> Result<Value, PplError> {
+        match self.expr(id) {
+            CExpr::Const { value, ticks } => {
+                hooks.charge(u64::from(*ticks))?;
+                Ok(value.clone())
+            }
+            CExpr::Var { slot, name } => {
+                hooks.charge(1)?;
+                hooks.read(name);
+                frame
+                    .get(*slot)
+                    .map(|s| s.value.clone())
+                    .ok_or_else(|| PplError::UnboundVariable((*name).to_string()))
+            }
+            CExpr::Unary(op, e) => {
+                hooks.charge(1)?;
+                let v = self.eval(frame, *e, hooks)?;
+                apply_unary(*op, &v)
+            }
+            CExpr::Binary(op, lhs, rhs) => {
+                hooks.charge(1)?;
+                let a = self.eval(frame, *lhs, hooks)?;
+                let b = self.eval(frame, *rhs, hooks)?;
+                apply_binary(*op, &a, &b)
+            }
+            CExpr::Index(arr, idx) => {
+                hooks.charge(1)?;
+                let a = self.eval(frame, *arr, hooks)?;
+                let i = self.eval(frame, *idx, hooks)?.as_int()?;
+                let items = a.as_array()?;
+                if i < 0 || i as usize >= items.len() {
+                    return Err(PplError::IndexOutOfBounds {
+                        index: i,
+                        len: items.len(),
+                    });
+                }
+                Ok(items[i as usize].clone())
+            }
+            CExpr::ArrayInit(n, init) => {
+                hooks.charge(1)?;
+                let n = self.eval(frame, *n, hooks)?.as_int()?;
+                if n < 0 {
+                    return Err(PplError::Other(format!("array length is negative: {n}")));
+                }
+                let init = self.eval(frame, *init, hooks)?;
+                Ok(Value::array(vec![init; n as usize]))
+            }
+            CExpr::Call { builtin, args } => {
+                hooks.charge(1)?;
+                // Arity was verified at compile time and is at most 2:
+                // evaluate into fixed scratch, no per-eval allocation.
+                let args = self.args(*args);
+                let mut vals: [Value; 2] = [Value::Int(0), Value::Int(0)];
+                for (val, arg) in vals.iter_mut().zip(args) {
+                    *val = self.eval(frame, *arg, hooks)?;
+                }
+                apply_builtin(*builtin, &vals[..args.len()])
+            }
+            CExpr::CallBadArity { builtin, got } => {
+                hooks.charge(1)?;
+                Err(bad_arity(*builtin, *got))
+            }
+            CExpr::Ternary(cond, then_e, else_e) => {
+                hooks.charge(1)?;
+                if self.eval(frame, *cond, hooks)?.truthy()? {
+                    self.eval(frame, *then_e, hooks)
+                } else {
+                    self.eval(frame, *else_e, hooks)
+                }
+            }
+            CExpr::Random(rand) => {
+                hooks.charge(1)?;
+                let dist = self.eval_dist(frame, &rand.kind, hooks)?;
+                hooks.draw(frame.address_for(&rand.site), dist)
+            }
+        }
+    }
+
+    /// Evaluates a random expression's parameters into its distribution.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledProgram::eval`], plus invalid parameters.
+    pub fn eval_dist<H: EvalHooks>(
+        &self,
+        frame: &EvalFrame,
+        kind: &CRandKind,
+        hooks: &mut H,
+    ) -> Result<Dist, PplError> {
+        let real = |e: ExprId, hooks: &mut H| self.eval(frame, e, hooks)?.as_real();
+        match kind {
+            CRandKind::Flip(p) => Dist::try_flip(real(*p, hooks)?),
+            CRandKind::UniformInt(lo, hi) => {
+                let lo = self.eval(frame, *lo, hooks)?.as_int()?;
+                let hi = self.eval(frame, *hi, hooks)?.as_int()?;
+                Dist::try_uniform_int(lo, hi)
+            }
+            CRandKind::UniformReal(lo, hi) => {
+                let lo = real(*lo, hooks)?;
+                Dist::try_uniform_real(lo, real(*hi, hooks)?)
+            }
+            CRandKind::Gauss(mean, std) => {
+                let mean = real(*mean, hooks)?;
+                Dist::try_normal(mean, real(*std, hooks)?)
+            }
+            CRandKind::Categorical(ws) => {
+                let mut probs = Vec::with_capacity(ws.len());
+                for w in self.args(*ws) {
+                    probs.push(real(*w, hooks)?);
+                }
+                Dist::try_categorical(&probs)
+            }
+            CRandKind::Poisson(l) => Dist::try_poisson(real(*l, hooks)?),
+            CRandKind::GeometricDist(p) => Dist::try_geometric(real(*p, hooks)?),
+            CRandKind::Beta(a, b) => {
+                let a = real(*a, hooks)?;
+                Dist::try_beta(a, real(*b, hooks)?)
+            }
+            CRandKind::Exponential(r) => Dist::try_exponential(real(*r, hooks)?),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Forward execution against a Handler (the compiled twin of crate::interp).
 // ---------------------------------------------------------------------------
 
@@ -755,27 +925,28 @@ pub fn run_compiled(
     let mut run = Run {
         prog,
         frame,
-        fuel,
-        budget: fuel,
+        hooks: Fueled {
+            fuel,
+            budget: fuel,
+            handler,
+        },
     };
-    run.exec_block(prog.body(), handler)?;
+    run.exec_block(prog.body())?;
     match prog.ret() {
-        Some(e) => run.eval(e, handler),
+        Some(e) => run.eval(e),
         None => Ok(Value::Int(0)),
     }
 }
 
-struct Run<'a> {
-    prog: &'a CompiledProgram,
-    frame: &'a mut EvalFrame,
+/// Forward execution's [`EvalHooks`]: a fuel budget and the handler that
+/// samples choices.
+struct Fueled<'h> {
     fuel: u64,
     budget: u64,
+    handler: &'h mut dyn Handler,
 }
 
-impl Run<'_> {
-    /// Charges `n` fuel ticks; `n > 1` only for folded constants, whose
-    /// original subtrees tick consecutively with no observable effect in
-    /// between.
+impl EvalHooks for Fueled<'_> {
     fn charge(&mut self, n: u64) -> Result<(), PplError> {
         if self.fuel < n {
             return Err(PplError::FuelExhausted {
@@ -786,161 +957,40 @@ impl Run<'_> {
         Ok(())
     }
 
-    fn eval(&mut self, id: ExprId, handler: &mut dyn Handler) -> Result<Value, PplError> {
-        match self.prog.expr(id) {
-            CExpr::Const { value, ticks } => {
-                self.charge(u64::from(*ticks))?;
-                Ok(value.clone())
-            }
-            CExpr::Var { slot, name } => {
-                self.charge(1)?;
-                self.frame
-                    .get(*slot)
-                    .map(|s| s.value.clone())
-                    .ok_or_else(|| PplError::UnboundVariable((*name).to_string()))
-            }
-            CExpr::Unary(op, e) => {
-                self.charge(1)?;
-                let v = self.eval(*e, handler)?;
-                apply_unary(*op, &v)
-            }
-            CExpr::Binary(op, lhs, rhs) => {
-                self.charge(1)?;
-                let (lhs, rhs) = (*lhs, *rhs);
-                let a = self.eval(lhs, handler)?;
-                let b = self.eval(rhs, handler)?;
-                apply_binary(*op, &a, &b)
-            }
-            CExpr::Index(arr, idx) => {
-                self.charge(1)?;
-                let (arr, idx) = (*arr, *idx);
-                let a = self.eval(arr, handler)?;
-                let i = self.eval(idx, handler)?.as_int()?;
-                let items = a.as_array()?;
-                if i < 0 || i as usize >= items.len() {
-                    return Err(PplError::IndexOutOfBounds {
-                        index: i,
-                        len: items.len(),
-                    });
-                }
-                Ok(items[i as usize].clone())
-            }
-            CExpr::ArrayInit(n, init) => {
-                self.charge(1)?;
-                let (n, init) = (*n, *init);
-                let n = self.eval(n, handler)?.as_int()?;
-                if n < 0 {
-                    return Err(PplError::Other(format!("array length is negative: {n}")));
-                }
-                let init = self.eval(init, handler)?;
-                Ok(Value::array(vec![init; n as usize]))
-            }
-            CExpr::Call { builtin, args } => {
-                self.charge(1)?;
-                let (builtin, args) = (*builtin, *args);
-                // Arity was verified at compile time and is at most 2:
-                // evaluate into fixed scratch, no per-eval allocation.
-                let mut vals: [Value; 2] = [Value::Int(0), Value::Int(0)];
-                let n = args.len as usize;
-                for (k, val) in vals.iter_mut().enumerate().take(n) {
-                    let arg = self.prog.args(args)[k];
-                    *val = self.eval(arg, handler)?;
-                }
-                apply_builtin(builtin, &vals[..n])
-            }
-            CExpr::CallBadArity { builtin, got } => {
-                self.charge(1)?;
-                Err(bad_arity(*builtin, *got))
-            }
-            CExpr::Ternary(cond, then_e, else_e) => {
-                self.charge(1)?;
-                let (cond, then_e, else_e) = (*cond, *then_e, *else_e);
-                if self.eval(cond, handler)?.truthy()? {
-                    self.eval(then_e, handler)
-                } else {
-                    self.eval(else_e, handler)
-                }
-            }
-            CExpr::Random(rand) => {
-                self.charge(1)?;
-                let rand = rand.clone();
-                let dist = self.build_dist(&rand.kind, handler)?;
-                let addr = self.frame.address_for(&rand.site);
-                handler.sample(addr, dist)
-            }
-        }
+    fn read(&mut self, _name: &'static str) {}
+
+    fn draw(&mut self, addr: Address, dist: Dist) -> Result<Value, PplError> {
+        self.handler.sample(addr, dist)
+    }
+}
+
+struct Run<'a> {
+    prog: &'a CompiledProgram,
+    frame: &'a mut EvalFrame,
+    hooks: Fueled<'a>,
+}
+
+impl Run<'_> {
+    fn eval(&mut self, id: ExprId) -> Result<Value, PplError> {
+        self.prog.eval(self.frame, id, &mut self.hooks)
     }
 
-    fn build_dist(
-        &mut self,
-        kind: &CRandKind,
-        handler: &mut dyn Handler,
-    ) -> Result<Dist, PplError> {
-        match kind {
-            CRandKind::Flip(p) => {
-                let p = self.eval(*p, handler)?.as_real()?;
-                Dist::try_flip(p)
-            }
-            CRandKind::UniformInt(lo, hi) => {
-                let lo = self.eval(*lo, handler)?.as_int()?;
-                let hi = self.eval(*hi, handler)?.as_int()?;
-                Dist::try_uniform_int(lo, hi)
-            }
-            CRandKind::UniformReal(lo, hi) => {
-                let lo = self.eval(*lo, handler)?.as_real()?;
-                let hi = self.eval(*hi, handler)?.as_real()?;
-                Dist::try_uniform_real(lo, hi)
-            }
-            CRandKind::Gauss(mean, std) => {
-                let mean = self.eval(*mean, handler)?.as_real()?;
-                let std = self.eval(*std, handler)?.as_real()?;
-                Dist::try_normal(mean, std)
-            }
-            CRandKind::Categorical(ws) => {
-                let ws = *ws;
-                let mut probs = Vec::with_capacity(ws.len as usize);
-                for k in 0..ws.len as usize {
-                    let w = self.prog.args(ws)[k];
-                    probs.push(self.eval(w, handler)?.as_real()?);
-                }
-                Dist::try_categorical(&probs)
-            }
-            CRandKind::Poisson(l) => {
-                let l = self.eval(*l, handler)?.as_real()?;
-                Dist::try_poisson(l)
-            }
-            CRandKind::GeometricDist(p) => {
-                let p = self.eval(*p, handler)?.as_real()?;
-                Dist::try_geometric(p)
-            }
-            CRandKind::Beta(a, b) => {
-                let a = self.eval(*a, handler)?.as_real()?;
-                let b = self.eval(*b, handler)?.as_real()?;
-                Dist::try_beta(a, b)
-            }
-            CRandKind::Exponential(r) => {
-                let r = self.eval(*r, handler)?.as_real()?;
-                Dist::try_exponential(r)
-            }
-        }
-    }
-
-    fn exec_block(&mut self, id: CBlockId, handler: &mut dyn Handler) -> Result<(), PplError> {
-        for i in 0..self.prog.block(id).stmts.len() {
-            let sid = self.prog.block(id).stmts[i];
-            self.exec_stmt(sid, handler)?;
+    fn exec_block(&mut self, id: CBlockId) -> Result<(), PplError> {
+        let prog = self.prog;
+        for &sid in &prog.block(id).stmts {
+            self.exec_stmt(sid)?;
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, id: CStmtId, handler: &mut dyn Handler) -> Result<(), PplError> {
-        self.charge(1)?;
-        match self.prog.stmt(id) {
+    fn exec_stmt(&mut self, id: CStmtId) -> Result<(), PplError> {
+        self.hooks.charge(1)?;
+        let prog = self.prog;
+        match prog.stmt(id) {
             CStmt::Skip => Ok(()),
             CStmt::Assign { slot, expr, .. } => {
-                let (slot, expr) = (*slot, *expr);
-                let v = self.eval(expr, handler)?;
-                self.frame.bind(slot, v, false);
+                let v = self.eval(*expr)?;
+                self.frame.bind(*slot, v, false);
                 Ok(())
             }
             CStmt::AssignIndex {
@@ -949,12 +999,11 @@ impl Run<'_> {
                 index,
                 expr,
             } => {
-                let (slot, name, index, expr) = (*slot, *name, *index, *expr);
-                let i = self.eval(index, handler)?.as_int()?;
-                let v = self.eval(expr, handler)?;
+                let i = self.eval(*index)?.as_int()?;
+                let v = self.eval(*expr)?;
                 let s = self
                     .frame
-                    .get_mut(slot)
+                    .get_mut(*slot)
                     .ok_or_else(|| PplError::UnboundVariable(name.to_string()))?;
                 let items = s.value.as_array_mut()?;
                 if i < 0 || i as usize >= items.len() {
@@ -971,19 +1020,17 @@ impl Run<'_> {
                 then_b,
                 else_b,
             } => {
-                let (cond, then_b, else_b) = (*cond, *then_b, *else_b);
-                if self.eval(cond, handler)?.truthy()? {
-                    self.exec_block(then_b, handler)
+                if self.eval(*cond)?.truthy()? {
+                    self.exec_block(*then_b)
                 } else {
-                    self.exec_block(else_b, handler)
+                    self.exec_block(*else_b)
                 }
             }
             CStmt::While { cond, body } => {
-                let (cond, body) = (*cond, *body);
                 let mut iter = 0_i64;
                 loop {
                     self.frame.push_loop(iter);
-                    let keep_going = self.eval(cond, handler).and_then(|v| v.truthy());
+                    let keep_going = self.eval(*cond).and_then(|v| v.truthy());
                     match keep_going {
                         Ok(true) => {}
                         other => {
@@ -991,7 +1038,7 @@ impl Run<'_> {
                             return other.map(|_| ());
                         }
                     }
-                    let r = self.exec_block(body, handler);
+                    let r = self.exec_block(*body);
                     self.frame.pop_loop();
                     r?;
                     iter += 1;
@@ -1000,25 +1047,22 @@ impl Run<'_> {
             CStmt::For {
                 slot, lo, hi, body, ..
             } => {
-                let (slot, lo, hi, body) = (*slot, *lo, *hi, *body);
-                let lo = self.eval(lo, handler)?.as_int()?;
-                let hi = self.eval(hi, handler)?.as_int()?;
+                let lo = self.eval(*lo)?.as_int()?;
+                let hi = self.eval(*hi)?.as_int()?;
                 for i in lo..hi {
-                    self.frame.bind(slot, Value::Int(i), false);
+                    self.frame.bind(*slot, Value::Int(i), false);
                     self.frame.push_loop(i);
-                    let r = self.exec_block(body, handler);
+                    let r = self.exec_block(*body);
                     self.frame.pop_loop();
                     r?;
                 }
                 Ok(())
             }
             CStmt::Observe { rand, value } => {
-                let value = *value;
-                let rand = rand.clone();
-                let dist = self.build_dist(&rand.kind, handler)?;
-                let v = self.eval(value, handler)?;
+                let dist = prog.eval_dist(self.frame, &rand.kind, &mut self.hooks)?;
+                let v = self.eval(*value)?;
                 let addr = self.frame.address_for(&rand.site);
-                handler.observe(addr, dist, v)
+                self.hooks.handler.observe(addr, dist, v)
             }
         }
     }
@@ -1270,7 +1314,7 @@ pub fn note_tree_walk_exec() {
 }
 
 /// Counts one execution through a compiled program outside
-/// [`run_compiled`] (the dependency-graph executors call this).
+/// [`run_compiled`] (the dependency-graph walker calls this).
 pub fn note_compiled_exec() {
     telemetry().compiled_execs.fetch_add(1, Ordering::Relaxed);
 }

@@ -48,6 +48,16 @@ pub enum PplError {
     },
     /// Exact enumeration met a choice with non-finite support.
     NonEnumerable(Address),
+    /// The source nests deeper than the parser accepts
+    /// ([`crate::parser::MAX_NESTING`]).
+    NestingTooDeep {
+        /// 1-based line of the token that went past the limit.
+        line: usize,
+        /// 1-based column of that token.
+        col: usize,
+        /// The nesting limit.
+        limit: usize,
+    },
     /// Any other error, carrying a message.
     Other(String),
 }
@@ -101,6 +111,10 @@ impl fmt::Display for PplError {
                     "choice at `{addr}` has non-finite support; exact enumeration impossible"
                 )
             }
+            PplError::NestingTooDeep { line, col, limit } => write!(
+                f,
+                "parse error at line {line}, column {col}: nesting deeper than {limit} levels"
+            ),
             PplError::Other(msg) => write!(f, "{msg}"),
         }
     }

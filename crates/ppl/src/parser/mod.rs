@@ -25,6 +25,16 @@ use crate::value::Value;
 
 use lexer::{lex, Tok, Token};
 
+/// The deepest nesting the parser accepts. Parsing, checking, lowering,
+/// evaluation and dropping a program all recurse once per level, so
+/// deeper input would overflow the stack; it is rejected with
+/// [`PplError::NestingTooDeep`] instead. A statement, a (parenthesized or
+/// argument) expression, a prefix operator, an index, and each operator
+/// of a left-associative chain count as one level each. The value keeps
+/// a program nested exactly this deep within a 2 MiB thread stack in an
+/// unoptimized build, where every level costs the most stack.
+pub const MAX_NESTING: usize = 128;
+
 /// A 1-based source position (line and column) of a statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Span {
@@ -95,6 +105,7 @@ pub fn parse_with_spans(source: &str) -> Result<(Program, SpanTable), PplError> 
         pos: 0,
         site_counters: HashMap::new(),
         spans: SpanTable::default(),
+        depth: 0,
     };
     let program = parser.program()?;
     parser.expect(&Tok::Eof)?;
@@ -106,6 +117,8 @@ struct Parser {
     pos: usize,
     site_counters: HashMap<&'static str, usize>,
     spans: SpanTable,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -131,6 +144,21 @@ impl Parser {
             "parse error at line {}, column {}: {msg} (found `{}`)",
             t.line, t.col, t.tok
         ))
+    }
+
+    /// Enters one nesting level, failing past [`MAX_NESTING`]. Callers
+    /// restore `depth` when the nested construct is done.
+    fn descend(&mut self) -> Result<(), PplError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            let t = &self.tokens[self.pos];
+            return Err(PplError::NestingTooDeep {
+                line: t.line,
+                col: t.col,
+                limit: MAX_NESTING,
+            });
+        }
+        Ok(())
     }
 
     fn expect(&mut self, tok: &Tok) -> Result<(), PplError> {
@@ -230,6 +258,13 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, PplError> {
+        self.descend()?;
+        let stmt = self.stmt_body()?;
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, PplError> {
         // Statements are recorded in pre-order: a statement's span lands
         // before the spans of the statements inside its sub-blocks.
         self.spans.stmts.push(self.here());
@@ -331,7 +366,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, PplError> {
-        self.ternary()
+        self.descend()?;
+        let e = self.ternary()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn ternary(&mut self) -> Result<Expr, PplError> {
@@ -348,26 +386,33 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.and_expr()?;
         while self.peek() == &Tok::OrOr {
             self.advance();
+            self.descend()?;
             let rhs = self.and_expr()?;
             lhs = Expr::bin(BinOp::Or, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.eq_expr()?;
         while self.peek() == &Tok::AndAnd {
             self.advance();
+            self.descend()?;
             let rhs = self.eq_expr()?;
             lhs = Expr::bin(BinOp::And, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn eq_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.rel_expr()?;
         loop {
             let op = match self.peek() {
@@ -376,13 +421,16 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.rel_expr()?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.add_expr()?;
         loop {
             let op = match self.peek() {
@@ -393,13 +441,16 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.add_expr()?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn add_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -408,13 +459,16 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -424,36 +478,38 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.descend()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, PplError> {
-        match self.peek() {
-            Tok::Minus => {
-                self.advance();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
-            }
-            Tok::Bang => {
-                self.advance();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Not, Box::new(e)))
-            }
-            _ => self.postfix_expr(),
-        }
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            _ => return self.postfix_expr(),
+        };
+        self.advance();
+        self.descend()?;
+        let e = self.unary_expr()?;
+        self.depth -= 1;
+        Ok(Expr::Unary(op, Box::new(e)))
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, PplError> {
+        let depth = self.depth;
         let mut e = self.primary()?;
         while self.peek() == &Tok::LBracket {
             self.advance();
+            self.descend()?;
             let idx = self.expr()?;
             self.expect(&Tok::RBracket)?;
             e = e.index(idx);
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -502,131 +558,139 @@ impl Parser {
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) => match name.as_str() {
-                "true" => {
-                    self.advance();
-                    Ok(Expr::Const(Value::Bool(true)))
-                }
-                "false" => {
-                    self.advance();
-                    Ok(Expr::Const(Value::Bool(false)))
-                }
-                "flip" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("flip", Some(1))?;
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Flip(Box::new(args.remove(0))),
-                    }))
-                }
-                "uniform" | "uniformInt" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("uniform", Some(2))?;
-                    let lo = args.remove(0);
-                    let hi = args.remove(0);
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::UniformInt(Box::new(lo), Box::new(hi)),
-                    }))
-                }
-                "uniformReal" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("uniformReal", Some(2))?;
-                    let lo = args.remove(0);
-                    let hi = args.remove(0);
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::UniformReal(Box::new(lo), Box::new(hi)),
-                    }))
-                }
-                "gauss" | "normal" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("gauss", Some(2))?;
-                    let mean = args.remove(0);
-                    let std = args.remove(0);
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Gauss(Box::new(mean), Box::new(std)),
-                    }))
-                }
-                "poisson" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("poisson", Some(1))?;
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Poisson(Box::new(args.remove(0))),
-                    }))
-                }
-                "geometric" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("geometric", Some(1))?;
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::GeometricDist(Box::new(args.remove(0))),
-                    }))
-                }
-                "beta" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("beta", Some(2))?;
-                    let a = args.remove(0);
-                    let b = args.remove(0);
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Beta(Box::new(a), Box::new(b)),
-                    }))
-                }
-                "exponential" => {
-                    self.advance();
-                    let (mut args, site) = self.rand_call("exponential", Some(1))?;
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Exponential(Box::new(args.remove(0))),
-                    }))
-                }
-                "categorical" => {
-                    self.advance();
-                    let (args, site) = self.rand_call("categorical", None)?;
-                    if args.is_empty() {
-                        return Err(self.error("categorical needs at least one weight"));
-                    }
-                    Ok(Expr::Random(RandExpr {
-                        site,
-                        kind: RandKind::Categorical(args),
-                    }))
-                }
-                "array" => {
-                    self.advance();
-                    let mut args = self.args()?;
-                    if args.len() != 2 {
-                        return Err(self.error("array expects 2 arguments: array(n, init)"));
-                    }
-                    let n = args.remove(0);
-                    let init = args.remove(0);
-                    Ok(Expr::ArrayInit(Box::new(n), Box::new(init)))
-                }
-                _ => {
-                    if let Some(builtin) = Builtin::from_name(&name) {
-                        if self.peek2() == &Tok::LParen {
-                            self.advance();
-                            let args = self.args()?;
-                            if args.len() != builtin.arity() {
-                                return Err(self.error(&format!(
-                                    "{} expects {} argument(s)",
-                                    builtin.name(),
-                                    builtin.arity()
-                                )));
-                            }
-                            return Ok(Expr::Call(builtin, args));
-                        }
-                    }
-                    if Self::is_keyword(&name) {
-                        return Err(self.error("unexpected keyword in expression"));
-                    }
-                    self.advance();
-                    Ok(Expr::var(&name))
-                }
-            },
+            Tok::Ident(name) => self.named_expr(name),
             _ => Err(self.error("expected expression")),
+        }
+    }
+
+    /// A primary expression that starts with an identifier: a literal
+    /// keyword, a random expression, an array, a builtin call or a
+    /// variable. Kept out of [`Parser::primary`] so the frame that every
+    /// parenthesized level pays stays small.
+    fn named_expr(&mut self, name: String) -> Result<Expr, PplError> {
+        match name.as_str() {
+            "true" => {
+                self.advance();
+                Ok(Expr::Const(Value::Bool(true)))
+            }
+            "false" => {
+                self.advance();
+                Ok(Expr::Const(Value::Bool(false)))
+            }
+            "flip" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("flip", Some(1))?;
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Flip(Box::new(args.remove(0))),
+                }))
+            }
+            "uniform" | "uniformInt" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("uniform", Some(2))?;
+                let lo = args.remove(0);
+                let hi = args.remove(0);
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::UniformInt(Box::new(lo), Box::new(hi)),
+                }))
+            }
+            "uniformReal" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("uniformReal", Some(2))?;
+                let lo = args.remove(0);
+                let hi = args.remove(0);
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::UniformReal(Box::new(lo), Box::new(hi)),
+                }))
+            }
+            "gauss" | "normal" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("gauss", Some(2))?;
+                let mean = args.remove(0);
+                let std = args.remove(0);
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Gauss(Box::new(mean), Box::new(std)),
+                }))
+            }
+            "poisson" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("poisson", Some(1))?;
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Poisson(Box::new(args.remove(0))),
+                }))
+            }
+            "geometric" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("geometric", Some(1))?;
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::GeometricDist(Box::new(args.remove(0))),
+                }))
+            }
+            "beta" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("beta", Some(2))?;
+                let a = args.remove(0);
+                let b = args.remove(0);
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Beta(Box::new(a), Box::new(b)),
+                }))
+            }
+            "exponential" => {
+                self.advance();
+                let (mut args, site) = self.rand_call("exponential", Some(1))?;
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Exponential(Box::new(args.remove(0))),
+                }))
+            }
+            "categorical" => {
+                self.advance();
+                let (args, site) = self.rand_call("categorical", None)?;
+                if args.is_empty() {
+                    return Err(self.error("categorical needs at least one weight"));
+                }
+                Ok(Expr::Random(RandExpr {
+                    site,
+                    kind: RandKind::Categorical(args),
+                }))
+            }
+            "array" => {
+                self.advance();
+                let mut args = self.args()?;
+                if args.len() != 2 {
+                    return Err(self.error("array expects 2 arguments: array(n, init)"));
+                }
+                let n = args.remove(0);
+                let init = args.remove(0);
+                Ok(Expr::ArrayInit(Box::new(n), Box::new(init)))
+            }
+            _ => {
+                if let Some(builtin) = Builtin::from_name(&name) {
+                    if self.peek2() == &Tok::LParen {
+                        self.advance();
+                        let args = self.args()?;
+                        if args.len() != builtin.arity() {
+                            return Err(self.error(&format!(
+                                "{} expects {} argument(s)",
+                                builtin.name(),
+                                builtin.arity()
+                            )));
+                        }
+                        return Ok(Expr::Call(builtin, args));
+                    }
+                }
+                if Self::is_keyword(&name) {
+                    return Err(self.error("unexpected keyword in expression"));
+                }
+                self.advance();
+                Ok(Expr::var(&name))
+            }
         }
     }
 }
@@ -635,6 +699,8 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::addr;
+    use crate::check::is_clean;
+    use crate::compile::compile;
     use crate::handlers::score;
     use crate::trace::ChoiceMap;
 
@@ -770,5 +836,38 @@ mod tests {
         let p = parse(src).unwrap();
         let sites: Vec<String> = p.sites().iter().map(|s| s.to_string()).collect();
         assert_eq!(sites, ["center", "pick", "point"]);
+    }
+
+    /// A program nested exactly to the limit parses, checks, compiles and
+    /// runs on a test thread's stack; one level deeper is a positioned
+    /// parse error. `x = e;` spends two levels (the statement and its
+    /// expression) before `e` nests.
+    #[test]
+    fn nesting_is_bounded() {
+        let shapes: [fn(usize) -> String; 4] = [
+            |n| format!("x = {}1{};", "(".repeat(n), ")".repeat(n)),
+            |n| format!("x = 1{};", "+1".repeat(n)),
+            |n| format!("x = {}1;", "-".repeat(n)),
+            |n| format!("{}x = 1;{}", "if true { ".repeat(n), " }".repeat(n)),
+        ];
+        for shape in shapes {
+            let at_limit = shape(MAX_NESTING - 2);
+            let p = parse(&at_limit).unwrap();
+            assert!(is_clean(&p), "{at_limit}");
+            compile(&p);
+            score(&p, &ChoiceMap::new()).unwrap();
+            let err = parse(&shape(MAX_NESTING - 1)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PplError::NestingTooDeep {
+                        line: 1,
+                        limit: MAX_NESTING,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 }

@@ -60,4 +60,20 @@ proptest! {
             graph.to_trace().unwrap().to_choice_map()
         );
     }
+
+    /// Building a graph agrees with the interpreter: under the prior, the
+    /// same seed gives the same choices, score bits and return value; from
+    /// a trace, flattening the graph gives the trace back.
+    #[test]
+    fn graph_builds_agree_with_the_interpreter(src in program_strategy(), seed in 0u64..100) {
+        let p = parse(&src).unwrap();
+        let graph = depgraph::ExecGraph::simulate(&p, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let built = graph.to_trace().unwrap();
+        let reference = simulate(&p, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(built.to_choice_map(), reference.to_choice_map(), "src:\n{}", src);
+        prop_assert_eq!(built.score().log().to_bits(), reference.score().log().to_bits());
+        prop_assert_eq!(built.return_value(), reference.return_value());
+        let lifted = depgraph::ExecGraph::from_trace(&p, &reference).unwrap();
+        prop_assert_eq!(lifted.to_trace().unwrap(), reference, "src:\n{}", src);
+    }
 }
