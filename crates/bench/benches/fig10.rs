@@ -18,7 +18,6 @@ fn bench_fig10(c: &mut Criterion) {
         let optimized = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(7 + n as u64);
         let graph = ExecGraph::simulate(&p, &mut rng).expect("gmm simulates");
-        graph.warm_index();
         let trace = graph.to_trace().expect("flattens");
 
         group.bench_with_input(BenchmarkId::new("baseline_sec5", n), &n, |b, _| {

@@ -87,7 +87,6 @@ pub fn run(config: &Fig10Config) -> Vec<Fig10Point> {
         let optimized = IncrementalTranslator::from_edit(p.clone(), q.clone());
         let mut rng = StdRng::seed_from_u64(config.seed + n as u64);
         let graph = ExecGraph::simulate(&p, &mut rng).expect("gmm simulates");
-        graph.warm_index();
         let trace = graph.to_trace().expect("graph flattens");
 
         let mut base_times = Vec::with_capacity(config.reps);

@@ -897,7 +897,6 @@ pub fn cmd_translate_stats(p_source: &str, q_source: &str, seed: u64) -> Result<
     let translator = IncrementalTranslator::from_edit(p.clone(), q);
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = ExecGraph::simulate(&p, &mut rng)?;
-    graph.warm_index();
     let result = translator.translate_graph(&graph, &mut rng)?;
     let mut out = String::new();
     let _ = writeln!(out, "trace size: {} choices", graph.num_choices());

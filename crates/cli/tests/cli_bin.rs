@@ -115,3 +115,17 @@ fn translate_stats_on_files() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("visited"), "{text}");
 }
+
+#[test]
+fn huge_arrays_make_run_exit_1_not_abort() {
+    for (name, n) in [
+        ("huge.ppl", "100000000000"),
+        ("max.ppl", "9223372036854775807"),
+    ] {
+        let file = temp_file(name, &format!("x = array({n}, 0); return 0;"));
+        let out = ppl().arg("run").arg(&file).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("exceeds the limit"), "{text}");
+    }
+}

@@ -164,6 +164,13 @@ mod tests {
     }
 
     #[test]
+    fn huge_arrays_are_a_typed_error_in_graph_builds() {
+        let program = parse("x = array(100000000000, 0); return 0;").unwrap();
+        let err = ExecGraph::simulate(&program, &mut StdRng::seed_from_u64(6)).unwrap_err();
+        assert!(matches!(err, PplError::ArrayTooLong { .. }), "{err}");
+    }
+
+    #[test]
     fn observations_recorded_with_scores() {
         let program = parse("observe(flip(0.25) @ o == 1); return 0;").unwrap();
         let mut rng = StdRng::seed_from_u64(5);

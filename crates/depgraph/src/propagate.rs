@@ -204,7 +204,7 @@ pub(crate) struct Pass {
 /// facts) of every statement it visits.
 pub(crate) fn walk(
     program: &Arc<Program>,
-    prog: &CompiledProgram,
+    prog: &Arc<CompiledProgram>,
     old: Option<(&ExecGraph, &PlanBlock)>,
     source: &mut dyn ChoiceSource,
     oracle: Option<&ProgramEffects>,
@@ -254,7 +254,13 @@ pub(crate) fn walk(
     let root_block = BlockRecord::finalize(&builder, stmts);
     let root = builder.push_block(root_block);
     Ok(Pass {
-        graph: ExecGraph::assemble(Arc::clone(program), builder.finish(), root, return_value),
+        graph: ExecGraph::assemble(
+            Arc::clone(program),
+            Arc::clone(prog),
+            builder.finish(),
+            root,
+            return_value,
+        ),
         tally,
         visited: oracle.map(|o| o.visited),
     })

@@ -24,9 +24,11 @@ use std::collections::BTreeSet;
 use std::hash::Hasher as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use ppl::address::Component;
 use ppl::ast::Program;
+use ppl::compile::{CompiledProgram, SitePath, SiteStep};
 use ppl::dist::Dist;
-use ppl::{Address, AddressId, AddressInterner, FxHashMap, LogWeight, PplError, Trace, Value};
+use ppl::{Address, AddressId, LogWeight, PplError, Trace, Value};
 
 /// The global variable-name interner, shared with the compiled-program
 /// slot tables in [`ppl::compile`].
@@ -431,25 +433,25 @@ impl BlockRecord {
     }
 }
 
-/// The execution graph `G_t` of a program `P` on a trace `t`.
-///
-/// The by-address indices are built lazily on first lookup, so that
-/// *producing* a translated graph stays proportional to the number of
-/// visited nodes (the Figure 10 `O(K)` property), while repeated reuse
-/// lookups against an input graph are O(1).
-#[derive(Debug, Clone, Default)]
-struct Indexes {
-    choices: FxHashMap<AddressId, ChoiceData>,
-    observations: FxHashMap<AddressId, ObsData>,
-}
-
 /// The execution graph of one program run.
+///
+/// A graph holds no address index. A lookup resolves an address
+/// `site/i₁/…/iₖ` along the static paths of `site` in the compiled
+/// program's [`SiteTable`](ppl::compile::SiteTable). Records are
+/// index-aligned with the compiled blocks, so each step is one record-id
+/// hop and a lookup costs O(nesting depth) whatever the trace size.
+/// Producing a translated graph therefore stays proportional to the
+/// visited nodes (the Figure 10 `O(K)` property), and so does querying
+/// it.
 #[derive(Debug, Clone)]
 pub struct ExecGraph {
     /// The program this graph was built from (shared, so graphs produced
     /// by a chain of translations alias one allocation per program and
     /// validation can compare `Arc` identity).
     pub program: Arc<Program>,
+    /// The compiled program the graph was walked with; its site table
+    /// resolves addresses.
+    compiled: Arc<CompiledProgram>,
     /// Arena holding every record of this graph (plus the shared
     /// segments of ancestor graphs along a translation chain).
     store: NodeStore,
@@ -457,7 +459,6 @@ pub struct ExecGraph {
     root: BlockId,
     /// The return value of the execution.
     pub return_value: Value,
-    indexes: OnceLock<Indexes>,
     fingerprint: OnceLock<u64>,
 }
 
@@ -471,21 +472,23 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 }
 
 impl ExecGraph {
-    /// Assembles a graph. The address indices are built lazily; duplicate
-    /// addresses (which only well-formed programs avoid) surface as
+    /// Assembles a graph from the records a walk of `compiled` (the
+    /// compiled form of `program`) produced. Duplicate addresses (which
+    /// only well-formed programs avoid) surface as
     /// [`PplError::AddressCollision`] from [`ExecGraph::to_trace`].
     pub fn assemble(
         program: Arc<Program>,
+        compiled: Arc<CompiledProgram>,
         store: NodeStore,
         root: BlockId,
         return_value: Value,
     ) -> ExecGraph {
         ExecGraph {
             program,
+            compiled,
             store,
             root,
             return_value,
-            indexes: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
     }
@@ -507,55 +510,106 @@ impl ExecGraph {
             .get_or_init(|| program_fingerprint(&self.program))
     }
 
-    fn indexes(&self) -> &Indexes {
-        self.indexes.get_or_init(|| {
-            let mut idx = Indexes::default();
-            index_block(&self.store, self.store.block(self.root), &mut idx);
-            idx
-        })
-    }
-
-    /// Forces the lazy index build (useful before timing translations).
-    pub fn warm_index(&self) {
-        let _ = self.indexes();
-    }
-
-    /// Looks up the choice at `addr` in `t`.
+    /// Looks up the choice at `addr` in `t`. When several records carry
+    /// the address, the first in execution order wins.
     pub fn choice(&self, addr: &Address) -> Option<&ChoiceData> {
-        AddressInterner::global()
-            .get(addr)
-            .and_then(|id| self.choice_by_id(id))
+        let (site, indices) = split_address(addr)?;
+        let paths = self.compiled.sites().choice_paths(site);
+        self.first_on(paths, addr, indices, |s| &s.choices)
     }
 
-    /// Looks up the choice at an interned address id (the hot path:
-    /// change propagation resolves every reuse candidate through here).
+    /// Looks up the choice at an interned address id (change propagation
+    /// resolves every reuse candidate through here).
     pub fn choice_by_id(&self, id: AddressId) -> Option<&ChoiceData> {
-        self.indexes().choices.get(&id)
+        self.choice(id.resolve())
     }
 
     /// Looks up the observation at `addr`.
     pub fn observation(&self, addr: &Address) -> Option<&ObsData> {
-        AddressInterner::global()
-            .get(addr)
-            .and_then(|id| self.observation_by_id(id))
+        let (site, indices) = split_address(addr)?;
+        let paths = self.compiled.sites().observation_paths(site);
+        self.first_on(paths, addr, indices, |s| &s.observations)
     }
 
-    /// Looks up the observation at an interned address id.
-    pub fn observation_by_id(&self, id: AddressId) -> Option<&ObsData> {
-        self.indexes().observations.get(&id)
+    /// The first record at `addr` in the summaries `paths` reach, trying
+    /// the paths in pre-order.
+    fn first_on<'g, T>(
+        &'g self,
+        mut paths: impl Iterator<Item = SitePath<'g>>,
+        addr: &Address,
+        indices: &[Component],
+        records: impl Fn(&'g Summary) -> &'g Vec<(Address, T)>,
+    ) -> Option<&'g T> {
+        paths.find_map(|path| {
+            let summary = self.resolve(path, indices)?;
+            records(summary)
+                .iter()
+                .find(|(a, _)| a == addr)
+                .map(|(_, r)| r)
+        })
+    }
+
+    /// Follows `path` through the records, taking one of `indices` per
+    /// loop step, to the summary of the statement (or `while` condition)
+    /// it names. `None` when the run never reached that statement
+    /// instance.
+    fn resolve(&self, path: SitePath<'_>, indices: &[Component]) -> Option<&Summary> {
+        if path.loops() != indices.len() {
+            return None;
+        }
+        let store = &self.store;
+        let mut indices = indices.iter();
+        let mut block = store.block(self.root);
+        let mut stmt = &StmtRecord::Skip;
+        for step in path.steps() {
+            match (*step, stmt) {
+                (SiteStep::Stmt(i), _) => stmt = store.stmt(*block.stmts.get(i as usize)?),
+                (
+                    SiteStep::Branch(then),
+                    StmtRecord::If {
+                        took_then, body, ..
+                    },
+                ) if *took_then == then => {
+                    block = store.block(*body);
+                }
+                (SiteStep::ForIter, StmtRecord::For { lo, iters, .. }) => {
+                    let k = next_index(&mut indices)?.checked_sub(*lo)?;
+                    block = store.block(*iters.get(usize::try_from(k).ok()?)?);
+                }
+                (SiteStep::WhileBody, StmtRecord::While { iters, .. }) => {
+                    let i = usize::try_from(next_index(&mut indices)?).ok()?;
+                    block = store.block(iters.get(i)?.body?);
+                }
+                (SiteStep::WhileCond, StmtRecord::While { iters, .. }) => {
+                    let i = usize::try_from(next_index(&mut indices)?).ok()?;
+                    return Some(&iters.get(i)?.cond);
+                }
+                _ => return None,
+            }
+        }
+        stmt.summary()
     }
 
     /// Number of recorded choices.
     pub fn num_choices(&self) -> usize {
-        self.indexes().choices.len()
+        self.summaries().iter().map(|s| s.choices.len()).sum()
     }
 
-    /// `log P̃r[t ∼ P]`: total score of the recorded execution.
+    /// `log P̃r[t ∼ P]`: total score of the recorded execution, summed in
+    /// execution order (as [`Trace::score`] sums the flattened trace).
     pub fn score(&self) -> LogWeight {
-        let idx = self.indexes();
-        let choice_score: LogWeight = idx.choices.values().map(|c| c.log_prob).sum();
-        let obs_score: LogWeight = idx.observations.values().map(|o| o.log_prob).sum();
-        choice_score + obs_score
+        let summaries = self.summaries();
+        let choices: LogWeight = summaries
+            .iter()
+            .flat_map(|s| &s.choices)
+            .map(|(_, c)| c.log_prob)
+            .sum();
+        let observations: LogWeight = summaries
+            .iter()
+            .flat_map(|s| &s.observations)
+            .map(|(_, o)| o.log_prob)
+            .sum();
+        choices + observations
     }
 
     /// Flattens the graph into a [`Trace`] (O(trace size)).
@@ -565,60 +619,7 @@ impl ExecGraph {
     /// Returns [`PplError::AddressCollision`] on duplicate addresses.
     pub fn to_trace(&self) -> Result<Trace, PplError> {
         let mut trace = Trace::new();
-        flatten_block(&self.store, self.store.block(self.root), &mut trace)?;
-        trace.set_return_value(self.return_value.clone());
-        Ok(trace)
-    }
-}
-
-fn index_block(store: &NodeStore, block: &BlockRecord, idx: &mut Indexes) {
-    for &sid in &block.stmts {
-        let stmt = store.stmt(sid);
-        if let Some(summary) = stmt.summary() {
-            for (addr, data) in &summary.choices {
-                idx.choices.entry(addr.id()).or_insert_with(|| data.clone());
-            }
-            for (addr, data) in &summary.observations {
-                idx.observations
-                    .entry(addr.id())
-                    .or_insert_with(|| data.clone());
-            }
-        }
-        match stmt {
-            StmtRecord::If { body, .. } => index_block(store, store.block(*body), idx),
-            StmtRecord::For { iters, .. } => {
-                for iter in iters {
-                    index_block(store, store.block(*iter), idx);
-                }
-            }
-            StmtRecord::While { iters, .. } => {
-                for iter in iters {
-                    for (addr, data) in &iter.cond.choices {
-                        idx.choices.entry(addr.id()).or_insert_with(|| data.clone());
-                    }
-                    for (addr, data) in &iter.cond.observations {
-                        idx.observations
-                            .entry(addr.id())
-                            .or_insert_with(|| data.clone());
-                    }
-                    if let Some(body) = iter.body {
-                        index_block(store, store.block(body), idx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-fn flatten_block(
-    store: &NodeStore,
-    block: &BlockRecord,
-    trace: &mut Trace,
-) -> Result<(), PplError> {
-    for &sid in &block.stmts {
-        let stmt = store.stmt(sid);
-        if let Some(summary) = stmt.summary() {
+        for summary in self.summaries() {
             for (addr, data) in &summary.choices {
                 trace.record_choice(
                     addr.clone(),
@@ -636,38 +637,211 @@ fn flatten_block(
                 )?;
             }
         }
+        trace.set_return_value(self.return_value.clone());
+        Ok(trace)
+    }
+
+    /// Every statement summary and `while` condition of the run, in
+    /// execution order.
+    fn summaries(&self) -> Vec<&Summary> {
+        let mut out = Vec::new();
+        collect_summaries(&self.store, self.store.block(self.root), &mut out);
+        out
+    }
+}
+
+/// Splits an address into its site label and its loop indices; `None`
+/// when it does not start with a label.
+fn split_address(addr: &Address) -> Option<(&str, &[Component])> {
+    match addr.components() {
+        [Component::Sym(site), indices @ ..] => Some((site, indices)),
+        _ => None,
+    }
+}
+
+/// The next loop index of an address; `None` past the end or at a label.
+fn next_index(indices: &mut std::slice::Iter<'_, Component>) -> Option<i64> {
+    match indices.next()? {
+        Component::Idx(i) => Some(*i),
+        Component::Sym(_) => None,
+    }
+}
+
+fn collect_summaries<'s>(store: &'s NodeStore, block: &'s BlockRecord, out: &mut Vec<&'s Summary>) {
+    for &sid in &block.stmts {
+        let stmt = store.stmt(sid);
+        out.extend(stmt.summary());
         match stmt {
-            StmtRecord::If { body, .. } => flatten_block(store, store.block(*body), trace)?,
+            StmtRecord::If { body, .. } => collect_summaries(store, store.block(*body), out),
             StmtRecord::For { iters, .. } => {
                 for iter in iters {
-                    flatten_block(store, store.block(*iter), trace)?;
+                    collect_summaries(store, store.block(*iter), out);
                 }
             }
             StmtRecord::While { iters, .. } => {
                 for iter in iters {
-                    for (addr, data) in &iter.cond.choices {
-                        trace.record_choice(
-                            addr.clone(),
-                            data.value.clone(),
-                            data.dist.clone(),
-                            data.log_prob,
-                        )?;
-                    }
-                    for (addr, data) in &iter.cond.observations {
-                        trace.record_observation(
-                            addr.clone(),
-                            data.value.clone(),
-                            data.dist.clone(),
-                            data.log_prob,
-                        )?;
-                    }
+                    out.push(&iter.cond);
                     if let Some(body) = iter.body {
-                        flatten_block(store, store.block(body), trace)?;
+                        collect_summaries(store, store.block(body), out);
                     }
                 }
             }
-            _ => {}
+            StmtRecord::Skip | StmtRecord::Leaf { .. } => {}
         }
     }
-    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use ppl::dist::Dist;
+    use ppl::{addr, parse, PplError};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    fn simulate(src: &str, seed: u64) -> ExecGraph {
+        let program = parse(src).unwrap();
+        ExecGraph::simulate(&program, &mut StdRng::seed_from_u64(seed)).unwrap()
+    }
+
+    /// Every address of the flattened trace resolves to the record the
+    /// trace holds, bit for bit, and the record walks agree with it.
+    fn assert_lookups_match_trace(graph: &ExecGraph) {
+        let trace = graph.to_trace().unwrap();
+        for (addr, c) in trace.choices() {
+            let found = graph
+                .choice(addr)
+                .unwrap_or_else(|| panic!("no choice at {addr}"));
+            assert_eq!(found.value, c.value, "{addr}");
+            assert_eq!(found.dist, c.dist, "{addr}");
+            assert_eq!(found.log_prob.log().to_bits(), c.log_prob.log().to_bits());
+            assert!(graph.choice_by_id(addr.id()).is_some());
+            assert!(
+                graph.observation(addr).is_none(),
+                "{addr} is not an observation"
+            );
+        }
+        for (addr, o) in trace.observations() {
+            let found = graph
+                .observation(addr)
+                .unwrap_or_else(|| panic!("no obs at {addr}"));
+            assert_eq!(found.value, o.value, "{addr}");
+            assert_eq!(found.dist, o.dist, "{addr}");
+            assert_eq!(found.log_prob.log().to_bits(), o.log_prob.log().to_bits());
+        }
+        assert_eq!(graph.num_choices(), trace.len());
+        assert_eq!(graph.score().log().to_bits(), trace.score().log().to_bits());
+    }
+
+    #[test]
+    fn while_conditions_and_bodies_resolve() {
+        let src = "n = 0; while flip(0.7) @ c { n = n + 1; x = flip(0.4) @ b; } return n;";
+        let mut longest = 0;
+        for seed in 0..20 {
+            let graph = simulate(src, seed);
+            assert_lookups_match_trace(&graph);
+            let k = graph.return_value.as_int().unwrap();
+            longest = longest.max(k);
+            // The last condition evaluated false, so its body never ran.
+            assert!(graph.choice(&addr!["c", k]).is_some());
+            assert!(graph.choice(&addr!["c", k + 1]).is_none());
+            assert!(graph.choice(&addr!["b", k]).is_none());
+            assert!(graph.choice(&addr!["c", -1]).is_none());
+            assert!(graph.choice(&addr!["c"]).is_none());
+            assert!(graph.choice(&addr!["c", 0, 0]).is_none());
+        }
+        assert!(longest >= 2, "some run should iterate twice");
+    }
+
+    #[test]
+    fn nested_loops_resolve_one_index_per_loop() {
+        let src = "for i in [1..3) { for j in [0..i) { x = flip(0.5) @ a; } y = flip(0.3) @ b; }
+                   return 0;";
+        let graph = simulate(src, 1);
+        assert_lookups_match_trace(&graph);
+        assert!(graph.choice(&addr!["a", 2, 1]).is_some());
+        assert!(graph.choice(&addr!["b", 1]).is_some());
+        // Past the inner bound at i = 1, below and past the outer bounds.
+        assert!(graph.choice(&addr!["a", 1, 1]).is_none());
+        assert!(graph.choice(&addr!["a", 0, 0]).is_none());
+        assert!(graph.choice(&addr!["a", 3, 0]).is_none());
+        assert!(graph.choice(&addr!["a", 1, -1]).is_none());
+        assert!(graph.choice(&addr!["a", i64::MIN, 0]).is_none());
+        // Missing and extra indices, and a label where an index belongs.
+        assert!(graph.choice(&addr!["a", 1]).is_none());
+        assert!(graph.choice(&addr!["b", 1, 0]).is_none());
+        assert!(graph.choice(&addr!["a", 1, "x"]).is_none());
+        assert!(graph.choice(&addr!["zz", 1]).is_none());
+    }
+
+    #[test]
+    fn sites_in_a_for_bound_and_the_return_expression_resolve() {
+        let src = "for i in [0..uniform(1, 4) @ n) { x = flip(0.5) @ a; } return flip(0.25) @ r;";
+        for seed in 0..5 {
+            let graph = simulate(src, seed);
+            assert_lookups_match_trace(&graph);
+            let n = graph.choice(&addr!["n"]).unwrap().value.as_int().unwrap();
+            assert!(graph.choice(&addr!["a", n - 1]).is_some());
+            assert!(graph.choice(&addr!["a", n]).is_none());
+            assert!(graph.choice(&addr!["n", 0]).is_none());
+            let r = graph.choice(&addr!["r"]).unwrap();
+            assert_eq!(r.value, graph.return_value);
+            assert_eq!(r.dist, Dist::flip(0.25));
+        }
+    }
+
+    #[test]
+    fn only_the_taken_branch_resolves() {
+        let src = "c = flip(0.5) @ c;
+                   if c { x = flip(0.2) @ t; y = flip(0.2) @ s; }
+                   else { x = flip(0.8) @ e; y = flip(0.8) @ s; }
+                   observe(flip(0.5) @ o == c);
+                   return c;";
+        let mut taken = [false, false];
+        for seed in 0..20 {
+            let graph = simulate(src, seed);
+            assert_lookups_match_trace(&graph);
+            let then = graph.choice(&addr!["c"]).unwrap().value.truthy().unwrap();
+            taken[usize::from(then)] = true;
+            assert_eq!(graph.choice(&addr!["t"]).is_some(), then);
+            assert_eq!(graph.choice(&addr!["e"]).is_some(), !then);
+            let p = if then { 0.2 } else { 0.8 };
+            assert_eq!(graph.choice(&addr!["s"]).unwrap().dist, Dist::flip(p));
+            assert!(graph.observation(&addr!["o"]).is_some());
+            assert!(graph.choice(&addr!["o"]).is_none());
+        }
+        assert_eq!(taken, [true, true], "both branches should be taken");
+    }
+
+    #[test]
+    fn a_colliding_site_resolves_to_its_first_record_in_pre_order() {
+        let graph = simulate("x = flip(0.1) @ a; y = flip(0.9) @ a; return x;", 0);
+        assert_eq!(graph.choice(&addr!["a"]).unwrap().dist, Dist::flip(0.1));
+        assert!(matches!(
+            graph.to_trace(),
+            Err(PplError::AddressCollision(_))
+        ));
+
+        let graph = simulate(
+            "for i in [0..2) { x = flip(0.1) @ a; } for j in [1..3) { y = flip(0.9) @ a; }
+             return 0;",
+            0,
+        );
+        assert_eq!(graph.choice(&addr!["a", 1]).unwrap().dist, Dist::flip(0.1));
+        assert_eq!(graph.choice(&addr!["a", 2]).unwrap().dist, Dist::flip(0.9));
+
+        // A `while` condition runs before its body at the same index.
+        let mut bodies = 0;
+        for seed in 0..20 {
+            let graph = simulate("while flip(0.5) @ c { y = flip(0.1) @ c; } return 0;", seed);
+            bodies += graph.num_choices() / 2;
+            for i in 0..=graph.num_choices() as i64 {
+                if let Some(c) = graph.choice(&addr!["c", i]) {
+                    assert_eq!(c.dist, Dist::flip(0.5));
+                }
+            }
+        }
+        assert!(bodies > 0, "some run should enter the body");
+    }
 }

@@ -251,7 +251,6 @@ mod tests {
             let q = models::gmm::gmm_program(20.0, n, 10);
             let translator = IncrementalTranslator::from_edit(p.clone(), q);
             let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
-            graph.warm_index();
             let result = translator.translate_graph(&graph, &mut rng).unwrap();
             visit_counts.push(result.stats.visited);
         }

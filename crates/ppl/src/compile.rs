@@ -40,6 +40,9 @@
 //! to the pool on drop. Compiled programs are cached globally keyed by
 //! program fingerprint ([`compiled_for`]), so a stage compiles once and
 //! every particle shares the artifact by `Arc`.
+//!
+//! A compiled program also answers where each random site is evaluated:
+//! [`CompiledProgram::sites`] builds its [`SiteTable`] on first use.
 
 use std::cell::RefCell;
 use std::hash::Hasher as _;
@@ -53,8 +56,12 @@ use crate::effects::Handler;
 use crate::error::PplError;
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::intern::intern_name;
-use crate::interp::{apply_binary, apply_builtin, apply_unary};
+use crate::interp::{apply_binary, apply_builtin, apply_unary, array_len};
 use crate::value::Value;
+
+mod sites;
+
+pub use sites::{SitePath, SiteStep, SiteTable};
 
 /// Index of a compiled expression node in [`CompiledProgram`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,6 +274,9 @@ pub struct CompiledProgram {
     ret: Option<ExprId>,
     slots: Vec<&'static str>,
     slot_ids: FxHashMap<&'static str, SlotId>,
+    /// Where each random site is evaluated, built on the first
+    /// [`CompiledProgram::sites`] call.
+    sites: OnceLock<SiteTable>,
 }
 
 impl CompiledProgram {
@@ -314,6 +324,12 @@ impl CompiledProgram {
     /// The interned name of a slot.
     pub fn slot_name(&self, slot: SlotId) -> &'static str {
         self.slots[slot.0 as usize]
+    }
+
+    /// The program's site table, built once on first use (a compile that
+    /// serves no address lookup never builds it).
+    pub fn sites(&self) -> &SiteTable {
+        self.sites.get_or_init(|| SiteTable::build(self))
     }
 }
 
@@ -460,6 +476,7 @@ pub fn compile_with_extra_names(program: &Program, extra: &[&str]) -> CompiledPr
         ret,
         slots,
         slot_ids,
+        sites: OnceLock::new(),
     }
 }
 
@@ -819,12 +836,9 @@ impl CompiledProgram {
             }
             CExpr::ArrayInit(n, init) => {
                 hooks.charge(1)?;
-                let n = self.eval(frame, *n, hooks)?.as_int()?;
-                if n < 0 {
-                    return Err(PplError::Other(format!("array length is negative: {n}")));
-                }
+                let n = array_len(self.eval(frame, *n, hooks)?.as_int()?)?;
                 let init = self.eval(frame, *init, hooks)?;
-                Ok(Value::array(vec![init; n as usize]))
+                Ok(Value::array(vec![init; n]))
             }
             CExpr::Call { builtin, args } => {
                 hooks.charge(1)?;
@@ -1450,6 +1464,29 @@ mod tests {
             after.frames_reused > before.frames_reused
                 || after.frames_created > before.frames_created
         );
+    }
+
+    #[test]
+    fn huge_arrays_are_the_same_typed_error_as_in_the_tree_walk() {
+        use crate::handlers::PriorSampler;
+        use crate::interp::{Interp, MAX_ARRAY_LEN};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for n in ["100000000000", "9223372036854775807"] {
+            let p = parse(&format!("x = array({n}, 0); return 0;")).unwrap();
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut h = PriorSampler::new(&mut rng);
+            let err = run_compiled(&compile(&p), &mut EvalFrame::new(), 1_000, &mut h).unwrap_err();
+            assert_eq!(
+                err,
+                PplError::ArrayTooLong {
+                    len: n.parse().unwrap(),
+                    limit: MAX_ARRAY_LEN,
+                }
+            );
+            let tree = Interp::new().run_tree_walk(&p, &mut h).unwrap_err();
+            assert_eq!(err, tree);
+        }
     }
 
     #[test]

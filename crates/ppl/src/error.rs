@@ -58,6 +58,14 @@ pub enum PplError {
         /// The nesting limit.
         limit: usize,
     },
+    /// `array(n, init)` asked for more than
+    /// [`crate::interp::MAX_ARRAY_LEN`] elements.
+    ArrayTooLong {
+        /// The requested length.
+        len: i64,
+        /// The length limit.
+        limit: i64,
+    },
     /// Any other error, carrying a message.
     Other(String),
 }
@@ -115,6 +123,9 @@ impl fmt::Display for PplError {
                 f,
                 "parse error at line {line}, column {col}: nesting deeper than {limit} levels"
             ),
+            PplError::ArrayTooLong { len, limit } => {
+                write!(f, "array length {len} exceeds the limit of {limit}")
+            }
             PplError::Other(msg) => write!(f, "{msg}"),
         }
     }

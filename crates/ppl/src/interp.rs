@@ -22,6 +22,12 @@ use crate::value::Value;
 /// enough to catch accidental infinite loops in tests.
 pub const DEFAULT_FUEL: u64 = 10_000_000;
 
+/// The longest array `array(n, init)` may build: 2^24 elements (256 MiB
+/// of values). Fuel charges one tick per `array` call whatever its length,
+/// so without this bound one expression could ask for terabytes and abort
+/// the process.
+pub const MAX_ARRAY_LEN: i64 = 1 << 24;
+
 /// The interpreter configuration.
 #[derive(Debug, Clone)]
 pub struct Interp {
@@ -154,12 +160,9 @@ impl State {
                 Ok(items[i as usize].clone())
             }
             Expr::ArrayInit(n, init) => {
-                let n = self.eval(n, handler)?.as_int()?;
-                if n < 0 {
-                    return Err(PplError::Other(format!("array length is negative: {n}")));
-                }
+                let n = array_len(self.eval(n, handler)?.as_int()?)?;
                 let init = self.eval(init, handler)?;
-                Ok(Value::array(vec![init; n as usize]))
+                Ok(Value::array(vec![init; n]))
             }
             Expr::Call(builtin, args) => {
                 if args.len() != builtin.arity() {
@@ -328,6 +331,26 @@ impl State {
             }
         }
     }
+}
+
+/// Checks the length `n` of an `array(n, init)` expression: negative
+/// lengths and lengths past [`MAX_ARRAY_LEN`] are errors.
+///
+/// # Errors
+///
+/// Returns [`PplError::ArrayTooLong`] past the limit, and
+/// [`PplError::Other`] for a negative length.
+pub(crate) fn array_len(n: i64) -> Result<usize, PplError> {
+    if n < 0 {
+        return Err(PplError::Other(format!("array length is negative: {n}")));
+    }
+    if n > MAX_ARRAY_LEN {
+        return Err(PplError::ArrayTooLong {
+            len: n,
+            limit: MAX_ARRAY_LEN,
+        });
+    }
+    Ok(n as usize)
 }
 
 /// Applies a unary operator to a value — the language's operator
@@ -583,6 +606,29 @@ mod tests {
         let mut h = crate::handlers::PriorSampler::new(&mut rng);
         let err = Interp::with_fuel(1000).run(&program, &mut h).unwrap_err();
         assert!(matches!(err, PplError::FuelExhausted { .. }));
+    }
+
+    #[test]
+    fn huge_arrays_are_a_typed_error_not_an_abort() {
+        for n in ["100000000000", "9223372036854775807"] {
+            let program = crate::parse(&format!("x = array({n}, 0); return 0;")).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut h = crate::handlers::PriorSampler::new(&mut rng);
+            let err = Interp::new().run_tree_walk(&program, &mut h).unwrap_err();
+            assert_eq!(
+                err,
+                PplError::ArrayTooLong {
+                    len: n.parse().unwrap(),
+                    limit: MAX_ARRAY_LEN,
+                }
+            );
+        }
+        // The limit itself is allowed; one past it is not.
+        assert_eq!(array_len(MAX_ARRAY_LEN), Ok(MAX_ARRAY_LEN as usize));
+        assert!(matches!(
+            array_len(MAX_ARRAY_LEN + 1),
+            Err(PplError::ArrayTooLong { .. })
+        ));
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn main() -> Result<(), PplError> {
 
     let mut rng = StdRng::seed_from_u64(3);
     let graph = ExecGraph::simulate(&p, &mut rng)?;
-    graph.warm_index();
     println!(
         "trace of P has {} random choices (K={k} centers + 2N={})",
         graph.num_choices(),

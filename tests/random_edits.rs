@@ -6,10 +6,11 @@
 mod common;
 
 use common::{perturb_constants, program_strategy};
-use depgraph::IncrementalTranslator;
+use depgraph::{ExecGraph, IncrementalTranslator};
 use incremental::{exact_weight_estimate, TraceTranslator};
+use ppl::address::Component;
 use ppl::handlers::simulate;
-use ppl::parse;
+use ppl::{parse, Address};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,4 +77,82 @@ proptest! {
         let lifted = depgraph::ExecGraph::from_trace(&p, &reference).unwrap();
         prop_assert_eq!(lifted.to_trace().unwrap(), reference, "src:\n{}", src);
     }
+
+    /// Address lookups agree with the flattened trace on a simulated
+    /// graph and on its translation under a constant edit, and addresses
+    /// no run records resolve to nothing.
+    #[test]
+    fn lookups_agree_with_the_flattened_trace(
+        src in program_strategy(),
+        delta in 1u32..37,
+        seed in 0u64..100,
+    ) {
+        let p = parse(&src).unwrap();
+        let q = parse(&perturb_constants(&src, delta)).unwrap();
+        let translator = IncrementalTranslator::from_edit(p.clone(), q);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
+        let translated = translator.translate_graph(&graph, &mut rng).unwrap().graph;
+        for g in [&graph, &translated] {
+            if let Err(msg) = lookups_agree(g) {
+                return Err(format!("src:\n{src}\n{msg}"));
+            }
+        }
+    }
+}
+
+/// Checks one graph's lookups against its flattened trace: same value,
+/// dist and log-prob bits at every address, `None` at every perturbation
+/// of one.
+fn lookups_agree(graph: &ExecGraph) -> Result<(), String> {
+    let trace = graph.to_trace().unwrap();
+    for (addr, c) in trace.choices() {
+        let found = graph.choice(addr);
+        prop_assert!(found.is_some(), "no choice at {addr}");
+        let found = found.unwrap();
+        prop_assert_eq!(&found.value, &c.value, "value at {}", addr);
+        prop_assert_eq!(&found.dist, &c.dist, "dist at {}", addr);
+        prop_assert_eq!(found.log_prob.log().to_bits(), c.log_prob.log().to_bits());
+        for wrong in perturbed(addr) {
+            prop_assert!(graph.choice(&wrong).is_none(), "choice at {wrong}");
+        }
+    }
+    for (addr, o) in trace.observations() {
+        let found = graph.observation(addr);
+        prop_assert!(found.is_some(), "no observation at {addr}");
+        let found = found.unwrap();
+        prop_assert_eq!(&found.value, &o.value, "value at {}", addr);
+        prop_assert_eq!(&found.dist, &o.dist, "dist at {}", addr);
+        prop_assert_eq!(found.log_prob.log().to_bits(), o.log_prob.log().to_bits());
+        for wrong in perturbed(addr) {
+            prop_assert!(
+                graph.observation(&wrong).is_none(),
+                "observation at {wrong}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Addresses no run of a generated program records: a loop index past
+/// its bounds, a missing or an extra index, and an unknown site. (The
+/// generator's loops run at most four iterations, and every site label is
+/// unique.)
+fn perturbed(addr: &Address) -> Vec<Address> {
+    let comps = addr.components();
+    let mut out = vec![
+        addr.child(0_i64),
+        Address::new(
+            std::iter::once(Component::from("no_such_site"))
+                .chain(comps[1..].iter().cloned())
+                .collect(),
+        ),
+    ];
+    if let Some((Component::Idx(last), init)) = comps.split_last() {
+        out.push(Address::new(init.to_vec()));
+        let mut past = init.to_vec();
+        past.push(Component::Idx(last + 4));
+        out.push(Address::new(past));
+    }
+    out
 }
