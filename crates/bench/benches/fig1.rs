@@ -2,7 +2,7 @@
 //! translation vs sampling the refined model from scratch by rejection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use incremental::{CorrespondenceTranslator, TraceTranslator};
+use incremental::{CorrespondenceTranslator, StateTranslator};
 use inference::{rejection_sample, ExactPosterior};
 use models::burglary;
 use rand::rngs::StdRng;

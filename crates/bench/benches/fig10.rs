@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use depgraph::{ExecGraph, IncrementalTranslator};
-use incremental::{CorrespondenceTranslator, TraceTranslator};
+use incremental::{CorrespondenceTranslator, StateTranslator};
 use models::gmm::{gmm_correspondence, gmm_program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -131,7 +131,7 @@ pub fn fresh_proposal_ablation(
     m: usize,
     replications: usize,
 ) -> (f64, Vec<ProposalRow>) {
-    use incremental::TraceTranslator;
+    use incremental::StateTranslator;
     let p = obs_model(0.6);
     let q = |h: &mut dyn Handler| -> Result<Value, PplError> {
         let x = h.sample(addr!["x"], Dist::flip(0.5))?;
@@ -171,10 +171,10 @@ pub fn fresh_proposal_ablation(
             let particles = ParticleCollection::from_traces(sampler.samples(m, &mut rng));
             let mut adapted = ParticleCollection::new();
             for particle in particles.iter() {
-                let out = translator
+                let (u, w) = translator
                     .translate(&particle.trace, &mut rng)
                     .expect("translates");
-                adapted.push(out.trace, out.log_weight);
+                adapted.push(u, w);
             }
             fractions.push(adapted.ess() / m as f64);
             let ey = adapted

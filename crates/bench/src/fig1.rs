@@ -4,7 +4,7 @@
 
 use incremental::{
     infer, translator_error, Correspondence, CorrespondenceTranslator, ParticleCollection,
-    SmcConfig, TraceTranslator,
+    SmcConfig, StateTranslator,
 };
 use inference::ExactPosterior;
 use models::burglary;
@@ -110,15 +110,13 @@ fn showcased_translation_weight(seed: u64) -> f64 {
     );
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..100_000 {
-        let out = translator.translate(&t, &mut rng).expect("translates");
-        if out
-            .trace
-            .value(&addr!["gamma_"])
+        let (u, w) = translator.translate(&t, &mut rng).expect("translates");
+        if u.value(&addr!["gamma_"])
             .expect("earthquake choice exists")
             .truthy()
             .unwrap()
         {
-            return out.log_weight.prob();
+            return w.prob();
         }
     }
     unreachable!("flip(0.005) surely fires within 100k attempts")

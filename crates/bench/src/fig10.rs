@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use depgraph::{ExecGraph, IncrementalTranslator};
-use incremental::{CorrespondenceTranslator, TraceTranslator};
+use incremental::{CorrespondenceTranslator, StateTranslator};
 use models::gmm::{gmm_correspondence, gmm_program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use incremental::CorrespondenceTranslator;
-use incremental::{McmcKernel, ParticleCollection, TraceTranslator};
+use incremental::{McmcKernel, ParticleCollection, StateTranslator};
 use inference::stats::mean;
 use inference::{GaussianDriftKernel, IndependentMetropolisCycle};
 use models::data::hospital::HospitalData;
@@ -222,7 +222,7 @@ pub fn run(config: &Fig8Config) -> Fig8Results {
 }
 
 fn estimate_slope(
-    translator: &dyn TraceTranslator,
+    translator: &dyn StateTranslator<ppl::Trace>,
     particles: &ParticleCollection,
     use_weights: bool,
     rng: &mut StdRng,

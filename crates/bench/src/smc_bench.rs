@@ -15,15 +15,14 @@
 //! the stages, the particle representation, and the thread count:
 //!
 //! - `serial_edit_sequence` — closure-model correspondence translators
-//!   (adapted with [`incremental::TraceStateAdapter`]) on one thread: a
-//!   pure measurement of the translate/replay hot path.
+//!   on one thread: a pure measurement of the translate/replay hot path.
 //! - `parallel_edit_sequence` — the same stages on the persistent worker
 //!   pool with `threads` workers (pool dispatch plus the same
 //!   per-particle hot path).
 //! - `incremental_flat_edit_sequence` — the same edit history as a
-//!   *parsed* chain program, its [`depgraph::edit_chain`] links adapted
-//!   to flat traces: every stage rebuilds each particle's execution
-//!   graph from its trace and flattens it back, O(M·|t|) per stage.
+//!   *parsed* chain program, its [`depgraph::edit_chain`] links run on
+//!   flat traces: every stage rebuilds each particle's execution graph
+//!   from its trace and flattens it back, O(M·|t|) per stage.
 //! - `incremental_graph_edit_sequence` — the graph-native runner
 //!   ([`depgraph::run_edit_sequence_supervised`]) on one thread:
 //!   particles *are* execution graphs, carried across all stages; each
@@ -54,7 +53,6 @@ use depgraph::{
 use incremental::{
     run_state_sequence_supervised, Correspondence, CorrespondenceTranslator, FailurePolicy,
     MetricsRecorder, ParticleCollection, SequenceRun, SmcConfig, StagePolicy, StateTranslator,
-    TraceStateAdapter,
 };
 use ppl::ast::Program;
 use ppl::dist::Dist;
@@ -152,6 +150,11 @@ pub struct SmcBenchReport {
     pub label: String,
     /// The configuration measured.
     pub config: SmcBenchConfig,
+    /// Cores available to the process
+    /// (`std::thread::available_parallelism`): with fewer cores than
+    /// `config.threads`, the pooled timings say nothing about parallel
+    /// speed-up.
+    pub cores: usize,
     /// Per-workload results.
     pub results: Vec<WorkloadResult>,
     /// The fixed-size-edit scaling sweep ([`run_scaling`]).
@@ -198,7 +201,7 @@ fn build_translators(config: &SmcBenchConfig) -> Vec<DynStage<Trace>> {
             let q: ChainModel = Box::new(chain_model(config.chain_len, stage_strength(s + 1)));
             let translator =
                 CorrespondenceTranslator::new(p, q, Correspondence::identity_on(["state"]));
-            Arc::new(TraceStateAdapter(translator)) as DynStage<Trace>
+            Arc::new(translator) as DynStage<Trace>
         })
         .collect()
 }
@@ -209,7 +212,7 @@ fn build_translators(config: &SmcBenchConfig) -> Vec<DynStage<Trace>> {
 fn flat_edit_stages(programs: &[Program]) -> Vec<DynStage<Trace>> {
     edit_chain(programs)
         .into_iter()
-        .map(|t| Arc::new(TraceStateAdapter(t)) as DynStage<Trace>)
+        .map(|t| Arc::new(t) as DynStage<Trace>)
         .collect()
 }
 
@@ -407,6 +410,7 @@ pub fn run(config: &SmcBenchConfig, label: &str) -> SmcBenchReport {
     SmcBenchReport {
         label: label.to_string(),
         config: config.clone(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         results,
         scaling: run_scaling(config),
     }
@@ -545,8 +549,8 @@ impl SmcBenchReport {
         let sizes: Vec<String> = c.scaling_sizes.iter().map(|n| n.to_string()).collect();
         let _ = writeln!(
             out,
-            "{indent}  \"config\": {{\"chain_len\": {}, \"particles\": {}, \"steps\": {}, \"threads\": {}, \"repeats\": {}, \"seed\": {}, \"scaling_sizes\": [{}]}},",
-            c.chain_len, c.particles, c.steps, c.threads, c.repeats, c.seed, sizes.join(", ")
+            "{indent}  \"config\": {{\"chain_len\": {}, \"particles\": {}, \"steps\": {}, \"threads\": {}, \"cores\": {}, \"repeats\": {}, \"seed\": {}, \"scaling_sizes\": [{}]}},",
+            c.chain_len, c.particles, c.steps, c.threads, self.cores, c.repeats, c.seed, sizes.join(", ")
         );
         let _ = writeln!(out, "{indent}  \"results\": [");
         for (i, r) in self.results.iter().enumerate() {
@@ -589,12 +593,13 @@ impl SmcBenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== BENCH_smc [{}] chain_len={} particles={} steps={} threads={} ==",
+            "== BENCH_smc [{}] chain_len={} particles={} steps={} threads={} cores={} ==",
             self.label,
             self.config.chain_len,
             self.config.particles,
             self.config.steps,
-            self.config.threads
+            self.config.threads,
+            self.cores
         );
         for r in &self.results {
             let _ = writeln!(
@@ -647,6 +652,14 @@ mod tests {
         assert!(json.contains("incremental_graph_edit_sequence"));
         assert!(json.contains("incremental_graph_pooled_edit_sequence"));
         assert!(json.contains("\"scaling\""));
+        assert!(report.cores >= 1);
+        assert!(
+            json.contains(&format!("\"threads\": 2, \"cores\": {}, ", report.cores)),
+            "{json}"
+        );
+        assert!(report
+            .render()
+            .contains(&format!(" cores={} ", report.cores)));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

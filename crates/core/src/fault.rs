@@ -1,6 +1,6 @@
 //! Deterministic fault injection for exercising the SMC failure paths.
 //!
-//! [`FaultyTranslator`] wraps any [`TraceTranslator`] and misbehaves
+//! [`FaultyTranslator`] wraps any [`StateTranslator`] and misbehaves
 //! exactly where a [`FaultPlan`] says to: "particle `j` at step `s`
 //! panics / returns a NaN weight / errors". Because faults key on the
 //! [`TranslateCtx`] position rather than on call order, an injected run
@@ -9,9 +9,9 @@
 
 use rand::RngCore;
 
-use ppl::{LogWeight, PplError, Trace};
+use ppl::{LogWeight, PplError};
 
-use crate::translator::{StateTranslator, TraceTranslator, TranslateCtx, Translated};
+use crate::translator::{StateTranslator, TranslateCtx};
 
 /// The kind of fault to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ impl FaultPlan {
     }
 }
 
-/// A [`TraceTranslator`] wrapper that injects the faults of a
+/// A [`StateTranslator`] wrapper that injects the faults of a
 /// [`FaultPlan`] and otherwise delegates to the inner translator.
 #[derive(Debug, Clone)]
 pub struct FaultyTranslator<T> {
@@ -148,42 +148,6 @@ impl<T> FaultyTranslator<T> {
     /// The wrapped translator.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-}
-
-impl<T: TraceTranslator> TraceTranslator for FaultyTranslator<T> {
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-        // A context-less call is position (0, 0, 0): plans targeting step
-        // 0 / particle 0 still fire so the wrapper is testable standalone.
-        self.translate_at(t, TranslateCtx::default(), rng)
-    }
-
-    fn translate_at(
-        &self,
-        t: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<Translated, PplError> {
-        match self.plan.fault_at(ctx) {
-            Some(FaultKind::Panic) => panic!(
-                "injected panic: step {} particle {} attempt {}",
-                ctx.step, ctx.particle, ctx.attempt
-            ),
-            Some(FaultKind::Error) => Err(PplError::Other(format!(
-                "injected translation error: step {} particle {} attempt {}",
-                ctx.step, ctx.particle, ctx.attempt
-            ))),
-            Some(FaultKind::NanWeight) => {
-                let mut out = self.inner.translate_at(t, ctx, rng)?;
-                out.log_weight = LogWeight::from_log(f64::NAN);
-                Ok(out)
-            }
-            Some(FaultKind::Hang) => {
-                std::thread::sleep(self.plan.hang);
-                self.inner.translate_at(t, ctx, rng)
-            }
-            None => self.inner.translate_at(t, ctx, rng),
-        }
     }
 }
 
@@ -219,19 +183,20 @@ impl<S, T: StateTranslator<S>> StateTranslator<S> for FaultyTranslator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppl::Value;
+    use ppl::{addr, Trace, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     struct Identity;
 
-    impl TraceTranslator for Identity {
-        fn translate(&self, t: &Trace, _rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-            Ok(Translated {
-                trace: t.clone(),
-                log_weight: LogWeight::ONE,
-                output: Value::Int(0),
-            })
+    impl StateTranslator<Trace> for Identity {
+        fn translate_state(
+            &self,
+            t: &Trace,
+            _ctx: TranslateCtx,
+            _rng: &mut dyn RngCore,
+        ) -> Result<(Trace, LogWeight), PplError> {
+            Ok((t.clone(), LogWeight::ONE))
         }
     }
 
@@ -240,10 +205,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let faulty = FaultyTranslator::new(Identity, FaultPlan::new());
         assert!(faulty.plan.is_empty());
-        let out = faulty
-            .translate_at(&Trace::new(), TranslateCtx::new(3, 9), &mut rng)
+        let (_, w) = faulty
+            .translate_state(&Trace::new(), TranslateCtx::new(3, 9), &mut rng)
             .unwrap();
-        assert_eq!(out.log_weight, LogWeight::ONE);
+        assert_eq!(w, LogWeight::ONE);
     }
 
     #[test]
@@ -254,13 +219,13 @@ mod tests {
         let faulty = FaultyTranslator::new(Identity, plan);
         let t = Trace::new();
         assert!(faulty
-            .translate_at(&t, TranslateCtx::new(1, 2), &mut rng)
+            .translate_state(&t, TranslateCtx::new(1, 2), &mut rng)
             .is_err());
         assert!(faulty
-            .translate_at(&t, TranslateCtx::new(1, 3), &mut rng)
+            .translate_state(&t, TranslateCtx::new(1, 3), &mut rng)
             .is_ok());
         assert!(faulty
-            .translate_at(&t, TranslateCtx::new(0, 2), &mut rng)
+            .translate_state(&t, TranslateCtx::new(0, 2), &mut rng)
             .is_ok());
     }
 
@@ -271,9 +236,9 @@ mod tests {
         let faulty = FaultyTranslator::new(Identity, plan);
         let t = Trace::new();
         let ctx = TranslateCtx::new(0, 5);
-        assert!(faulty.translate_at(&t, ctx, &mut rng).is_err());
+        assert!(faulty.translate_state(&t, ctx, &mut rng).is_err());
         assert!(faulty
-            .translate_at(&t, ctx.with_attempt(1), &mut rng)
+            .translate_state(&t, ctx.with_attempt(1), &mut rng)
             .is_ok());
     }
 
@@ -282,11 +247,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let plan = FaultPlan::new().with(FaultSpec::always(0, 0, FaultKind::NanWeight));
         let faulty = FaultyTranslator::new(Identity, plan);
-        let out = faulty
-            .translate_at(&Trace::new(), TranslateCtx::new(0, 0), &mut rng)
-            .unwrap();
-        assert!(out.log_weight.is_nan());
-        assert_eq!(out.output, Value::Int(0));
+        let mut t = Trace::new();
+        t.record_choice(
+            addr!["x"],
+            Value::Int(4),
+            ppl::dist::Dist::uniform_int(0, 9),
+            LogWeight::ONE,
+        )
+        .unwrap();
+        // A context-less `translate` is position (0, 0, 0), so the plan
+        // fires on a standalone call too.
+        let (u, w) = faulty.translate(&t, &mut rng).unwrap();
+        assert!(w.is_nan());
+        assert_eq!(u.to_choice_map(), t.to_choice_map());
     }
 
     #[test]
@@ -298,11 +271,11 @@ mod tests {
         assert_eq!(plan.hang_duration(), std::time::Duration::from_millis(30));
         let faulty = FaultyTranslator::new(Identity, plan);
         let start = std::time::Instant::now();
-        let out = faulty
-            .translate_at(&Trace::new(), TranslateCtx::new(0, 0), &mut rng)
+        let (_, w) = faulty
+            .translate_state(&Trace::new(), TranslateCtx::new(0, 0), &mut rng)
             .unwrap();
         assert!(start.elapsed() >= std::time::Duration::from_millis(30));
-        assert_eq!(out.log_weight, LogWeight::ONE);
+        assert_eq!(w, LogWeight::ONE);
     }
 
     #[test]
@@ -311,7 +284,7 @@ mod tests {
         let faulty = FaultyTranslator::new(Identity, plan);
         let result = std::panic::catch_unwind(|| {
             let mut rng = StdRng::seed_from_u64(0);
-            faulty.translate_at(&Trace::new(), TranslateCtx::new(0, 0), &mut rng)
+            faulty.translate_state(&Trace::new(), TranslateCtx::new(0, 0), &mut rng)
         });
         assert!(result.is_err());
     }

@@ -25,7 +25,7 @@ use ppl::dist::Dist;
 use ppl::{Address, Handler, LogWeight, Model, PplError, Trace, Value};
 
 use crate::correspondence::Correspondence;
-use crate::translator::{TraceTranslator, Translated};
+use crate::translator::{StateTranslator, TranslateCtx};
 
 /// Why a choice of `Q` was not reused from the old trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,7 @@ where
 /// # Examples
 ///
 /// ```
-/// use incremental::{Correspondence, CorrespondenceTranslator, TraceTranslator};
+/// use incremental::{Correspondence, CorrespondenceTranslator, StateTranslator};
 /// use ppl::{addr, Handler, PplError, Value};
 /// use ppl::dist::Dist;
 /// use ppl::handlers::simulate;
@@ -102,8 +102,8 @@ where
 /// let translator = CorrespondenceTranslator::new(p, q, Correspondence::identity_on(["x"]));
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let t = simulate(&p, &mut rng)?;
-/// let out = translator.translate(&t, &mut rng)?;
-/// assert_eq!(out.trace.value(&addr!["x"]), t.value(&addr!["x"]));
+/// let (u, _log_weight) = translator.translate(&t, &mut rng)?;
+/// assert_eq!(u.value(&addr!["x"]), t.value(&addr!["x"]));
 /// # Ok::<(), PplError>(())
 /// ```
 #[derive(Clone)]
@@ -160,7 +160,8 @@ impl<P: Model, Q: Model> CorrespondenceTranslator<P, Q> {
         &self.correspondence
     }
 
-    /// Translates `t` and additionally returns per-translation statistics.
+    /// Translates `t` into `(u, log ŵ)`, as [`StateTranslator::translate`],
+    /// and additionally returns per-translation statistics.
     ///
     /// # Errors
     ///
@@ -170,7 +171,7 @@ impl<P: Model, Q: Model> CorrespondenceTranslator<P, Q> {
         &self,
         t: &Trace,
         rng: &mut dyn RngCore,
-    ) -> Result<(Translated, TranslationStats), PplError> {
+    ) -> Result<(Trace, LogWeight, TranslationStats), PplError> {
         // 1. Forward: run Q, reusing corresponding choices of t.
         let mut fwd = ForwardHandler {
             old: t,
@@ -188,7 +189,7 @@ impl<P: Model, Q: Model> CorrespondenceTranslator<P, Q> {
             mut stats,
             ..
         } = fwd;
-        trace.set_return_value(output.clone());
+        trace.set_return_value(output);
 
         // 2. Backward: replay P pinned to t, reusing from u, to get
         //    log ℓ_{Q→P}(t; u) and a freshly re-scored log P̃r[t ∼ P].
@@ -200,20 +201,19 @@ impl<P: Model, Q: Model> CorrespondenceTranslator<P, Q> {
 
         // 3. ŵ = P̃r[u ∼ Q] · ℓ(t; u) / (P̃r[t ∼ P] · k(u; t)).
         let log_weight = trace.score() + log_l - t_score - log_kernel;
-        Ok((
-            Translated {
-                trace,
-                log_weight,
-                output,
-            },
-            stats,
-        ))
+        Ok((trace, log_weight, stats))
     }
 }
 
-impl<P: Model, Q: Model> TraceTranslator for CorrespondenceTranslator<P, Q> {
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-        self.translate_with_stats(t, rng).map(|(out, _)| out)
+impl<P: Model, Q: Model> StateTranslator<Trace> for CorrespondenceTranslator<P, Q> {
+    fn translate_state(
+        &self,
+        t: &Trace,
+        _ctx: TranslateCtx,
+        rng: &mut dyn RngCore,
+    ) -> Result<(Trace, LogWeight), PplError> {
+        self.translate_with_stats(t, rng)
+            .map(|(u, log_weight, _)| (u, log_weight))
     }
 }
 
@@ -452,17 +452,13 @@ mod tests {
         }
         let translator = CorrespondenceTranslator::new(fig5_p, fig5_q, fig5_correspondence());
         let mut rng = StdRng::seed_from_u64(17);
-        let (out, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
-        assert_eq!(out.trace.value(&addr!["eps"]), Some(&Value::Bool(true)));
-        assert_eq!(out.trace.value(&addr!["eta"]), Some(&Value::Bool(true)));
+        let (u, w, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
+        assert_eq!(u.value(&addr!["eps"]), Some(&Value::Bool(true)));
+        assert_eq!(u.value(&addr!["eta"]), Some(&Value::Bool(true)));
         assert_eq!(stats.reused, 2);
         assert_eq!(stats.fresh.len(), 2); // theta and iota sampled fresh
         assert!(!stats.backward_zero);
-        assert!(
-            (out.log_weight.prob() - 2.0 / 3.0).abs() < 1e-12,
-            "weight {}",
-            out.log_weight.prob()
-        );
+        assert!((w.prob() - 2.0 / 3.0).abs() < 1e-12, "weight {}", w.prob());
     }
 
     #[test]
@@ -535,20 +531,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut seen_earthquake = false;
         for _ in 0..10_000 {
-            let out = translator.translate(&t, &mut rng).unwrap();
-            let earthquake = out.trace.value(&addr!["gamma'"]).unwrap().truthy().unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            let earthquake = u.value(&addr!["gamma'"]).unwrap().truthy().unwrap();
             if earthquake {
                 seen_earthquake = true;
                 let expected = (0.02 * 0.95 * 0.9) / (0.02 * 0.9 * 0.8);
                 assert!(
-                    (out.log_weight.prob() - expected).abs() < 1e-9,
+                    (w.prob() - expected).abs() < 1e-9,
                     "weight {} vs expected {expected}",
-                    out.log_weight.prob()
+                    w.prob()
                 );
             } else {
                 // γ' = 0: pAlarm stays 0.9, pMaryWakes stays 0.8 — the
                 // weight is exactly 1 (nothing changed).
-                assert!((out.log_weight.prob() - 1.0).abs() < 1e-9);
+                assert!((w.prob() - 1.0).abs() < 1e-9);
             }
         }
         assert!(seen_earthquake, "0.005 flip never came up in 10k runs");
@@ -571,7 +567,7 @@ mod tests {
                 .unwrap();
         }
         let mut rng = StdRng::seed_from_u64(5);
-        let (_, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
+        let (_, _, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
         assert!(stats
             .fresh
             .iter()
@@ -603,8 +599,8 @@ mod tests {
         ])
         .unwrap();
         let translator = CorrespondenceTranslator::new(p_small, fig5_q, f);
-        let (out, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
-        assert_eq!(out.trace.value(&addr!["eps"]), Some(&Value::Bool(true)));
+        let (u, _, stats) = translator.translate_with_stats(&t, &mut rng).unwrap();
+        assert_eq!(u.value(&addr!["eps"]), Some(&Value::Bool(true)));
         assert!(stats
             .fresh
             .iter()
@@ -627,13 +623,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..20 {
             let t = simulate(&model, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            assert!(
-                out.log_weight.log().abs() < 1e-12,
-                "identity weight {}",
-                out.log_weight.prob()
-            );
-            assert_eq!(out.trace.to_choice_map(), t.to_choice_map());
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            assert!(w.log().abs() < 1e-12, "identity weight {}", w.prob());
+            assert_eq!(u.to_choice_map(), t.to_choice_map());
         }
     }
 
@@ -682,8 +674,8 @@ mod tests {
             let mut out = ParticleCollection::new();
             for _ in 0..m {
                 let t = simulate(&p, &mut rng).unwrap();
-                let tr = translator.translate(&t, &mut rng).unwrap();
-                out.push(tr.trace, tr.log_weight);
+                let (u, w) = translator.translate(&t, &mut rng).unwrap();
+                out.push(u, w);
             }
             out
         };
@@ -725,7 +717,7 @@ mod tests {
         let translator = CorrespondenceTranslator::new(p, q, Correspondence::new());
         let mut rng = StdRng::seed_from_u64(8);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert!((out.log_weight.prob() - 0.75 / 0.25).abs() < 1e-12);
+        let (_, w) = translator.translate(&t, &mut rng).unwrap();
+        assert!((w.prob() - 0.75 / 0.25).abs() < 1e-12);
     }
 }

@@ -5,8 +5,9 @@
 //! `P` into weighted posterior samples of a related program `Q`, with SMC
 //! convergence guarantees.
 //!
-//! - [`TraceTranslator`] / [`Translated`] — the abstract translator tuple
-//!   `R = (P, Q, k_{P→Q}, ℓ_{Q→P})` and Algorithm 1.
+//! - [`StateTranslator`] — the abstract translator tuple
+//!   `R = (P, Q, k_{P→Q}, ℓ_{Q→P})` and Algorithm 1's `translate`, over
+//!   flat traces or any other particle state.
 //! - [`Correspondence`] + [`CorrespondenceTranslator`] — the Section 5
 //!   translator: reuse corresponding random choices, sample the rest,
 //!   weight by Eq. (8).
@@ -116,6 +117,4 @@ pub use smc::{
     auto_chunk_size, infer, infer_with_policy, infer_without_weights, translate_collection,
     ResamplePolicy, SmcConfig,
 };
-pub use translator::{
-    StateTranslator, TraceStateAdapter, TraceTranslator, TranslateCtx, Translated,
-};
+pub use translator::{StateTranslator, TranslateCtx};

@@ -7,10 +7,9 @@
 //! program to the next."
 //!
 //! [`run_state_sequence_supervised`] is that loop, for any particle state:
-//! flat traces (stages adapted with [`crate::TraceStateAdapter`]) or
-//! execution graphs (depgraph's translators). Threads, chunk size,
-//! failure policy, watchdog deadline, backoff, checkpoint cadence, and
-//! resume are all arguments of the one loop.
+//! flat traces or execution graphs (depgraph's translators). Threads,
+//! chunk size, failure policy, watchdog deadline, backoff, checkpoint
+//! cadence, and resume are all arguments of the one loop.
 
 use std::sync::Arc;
 
@@ -239,7 +238,6 @@ mod tests {
     use super::*;
     use crate::correspondence::Correspondence;
     use crate::forward::CorrespondenceTranslator;
-    use crate::translator::TraceStateAdapter;
     use ppl::dist::Dist;
     use ppl::handlers::simulate;
     use ppl::{addr, Enumeration, Handler, Value};
@@ -273,7 +271,7 @@ mod tests {
                     model_with_obs(to),
                     Correspondence::identity_on(["x"]),
                 );
-                Arc::new(TraceStateAdapter(translator)) as TraceStage
+                Arc::new(translator) as TraceStage
             })
             .collect()
     }

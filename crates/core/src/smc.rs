@@ -40,7 +40,7 @@ use crate::metrics;
 use crate::particles::{Particle, ParticleCollection};
 use crate::pool::WorkerPool;
 use crate::resample::{resample, ResampleError, ResampleScheme};
-use crate::translator::{StateTranslator, TraceStateAdapter, TraceTranslator, TranslateCtx};
+use crate::translator::{StateTranslator, TranslateCtx};
 
 /// When to resample within an `infer` step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -234,7 +234,7 @@ fn translate_particle<S>(
 /// and [`SmcError::Eval`] for evaluation errors outside translation
 /// (resampling an empty collection, MCMC rejuvenation).
 pub fn infer_with_policy(
-    translator: &dyn TraceTranslator,
+    translator: &dyn StateTranslator<Trace>,
     mcmc: Option<&dyn McmcKernel>,
     particles: &ParticleCollection,
     config: &SmcConfig,
@@ -244,10 +244,9 @@ pub fn infer_with_policy(
 ) -> Result<(ParticleCollection, StepReport), SmcError> {
     // 1. Translate and reweight, applying the policy per particle.
     let t_translate = metrics::clock();
-    let adapted = TraceStateAdapter(translator);
     let mut slots = Vec::with_capacity(particles.len());
     for (j, particle) in particles.iter().enumerate() {
-        let slot = translate_particle(&adapted, particle, step, j, policy, rng);
+        let slot = translate_particle(translator, particle, step, j, policy, rng);
         // Only a drop policy survives a failed particle; stop at the
         // first fatal failure instead of drawing further from `rng`.
         let fatal = slot.is_err() && !matches!(policy, FailurePolicy::DropAndRenormalize { .. });
@@ -317,7 +316,7 @@ pub fn infer_with_policy(
 /// # Ok::<(), PplError>(())
 /// ```
 pub fn infer(
-    translator: &dyn TraceTranslator,
+    translator: &dyn StateTranslator<Trace>,
     mcmc: Option<&dyn McmcKernel>,
     particles: &ParticleCollection,
     config: &SmcConfig,
@@ -788,19 +787,16 @@ fn degeneracy_tail<S: Clone>(
 ///
 /// Propagates translation errors.
 pub fn translate_collection(
-    translator: &dyn TraceTranslator,
+    translator: &dyn StateTranslator<Trace>,
     particles: &ParticleCollection,
     rng: &mut dyn RngCore,
 ) -> Result<(ParticleCollection, Vec<f64>), PplError> {
     let mut out = ParticleCollection::new();
     let mut increments = Vec::with_capacity(particles.len());
     for particle in particles.iter() {
-        let translated = translator.translate(&particle.trace, rng)?;
-        increments.push(translated.log_weight.log());
-        out.push(
-            translated.trace,
-            particle.log_weight + translated.log_weight,
-        );
+        let (u, log_weight) = translator.translate(&particle.trace, rng)?;
+        increments.push(log_weight.log());
+        out.push(u, particle.log_weight + log_weight);
     }
     Ok((out, increments))
 }
@@ -815,14 +811,14 @@ pub fn translate_collection(
 ///
 /// Propagates translation errors.
 pub fn infer_without_weights(
-    translator: &dyn TraceTranslator,
+    translator: &dyn StateTranslator<Trace>,
     particles: &ParticleCollection,
     rng: &mut dyn RngCore,
 ) -> Result<ParticleCollection, PplError> {
     let mut out = ParticleCollection::new();
     for particle in particles.iter() {
-        let translated = translator.translate(&particle.trace, rng)?;
-        out.push(translated.trace, particle.log_weight);
+        let (u, _) = translator.translate(&particle.trace, rng)?;
+        out.push(u, particle.log_weight);
     }
     Ok(out)
 }
@@ -884,7 +880,7 @@ mod tests {
     /// One pooled translate-only step through the sequence loop: a single
     /// stage run as SMC step `step` with translation seeded from
     /// `base_seed`.
-    fn pooled_step<T: TraceTranslator + Send + Sync + 'static>(
+    fn pooled_step<T: StateTranslator<Trace> + Send + Sync + 'static>(
         translator: T,
         particles: &ParticleCollection,
         base_seed: u64,
@@ -892,8 +888,7 @@ mod tests {
         policy: &FailurePolicy,
         step: usize,
     ) -> Result<(ParticleCollection, StepReport), SmcError> {
-        let stage: Arc<dyn StateTranslator<Trace> + Send + Sync> =
-            Arc::new(TraceStateAdapter(translator));
+        let stage: Arc<dyn StateTranslator<Trace> + Send + Sync> = Arc::new(translator);
         let mut run = crate::run_state_sequence_supervised(
             &[stage],
             particles,
@@ -1158,17 +1153,14 @@ mod tests {
     fn collapse_recovery_keeps_pre_step_collection() {
         /// A translator that zeroes every weight: total collapse.
         struct Zeroing;
-        impl TraceTranslator for Zeroing {
-            fn translate(
+        impl StateTranslator<Trace> for Zeroing {
+            fn translate_state(
                 &self,
                 t: &Trace,
+                _ctx: TranslateCtx,
                 _rng: &mut dyn RngCore,
-            ) -> Result<crate::Translated, PplError> {
-                Ok(crate::Translated {
-                    trace: t.clone(),
-                    log_weight: LogWeight::ZERO,
-                    output: Value::Int(0),
-                })
+            ) -> Result<(Trace, LogWeight), PplError> {
+                Ok((t.clone(), LogWeight::ZERO))
             }
         }
         let mut rng = StdRng::seed_from_u64(109);

@@ -15,14 +15,14 @@
 
 use rand::RngCore;
 
-use ppl::{LogWeight, PplError, Trace, Value};
+use ppl::{LogWeight, PplError};
 
 /// The position of one `translate` call inside a larger SMC run: which
 /// sequence step, which particle, and which attempt (0 for the first try,
 /// ≥ 1 for retries under [`crate::FailurePolicy::Retry`]).
 ///
-/// The runtime threads this through [`TraceTranslator::translate_at`] so
-/// that wrappers such as [`crate::FaultyTranslator`] can behave
+/// The runtime threads this through [`StateTranslator::translate_state`]
+/// so that wrappers such as [`crate::FaultyTranslator`] can behave
 /// deterministically regardless of thread count or retry schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TranslateCtx {
@@ -51,94 +51,23 @@ impl TranslateCtx {
     }
 }
 
-/// The result of translating one trace.
-#[derive(Debug, Clone)]
-pub struct Translated {
-    /// The translated trace `u` of program `Q`.
-    pub trace: Trace,
-    /// The log weight estimate `log ŵ_{P→Q}(u; t)`.
-    pub log_weight: LogWeight,
-    /// The return value of `Q` under `u`.
-    pub output: Value,
-}
-
-/// A trace translator: anything that can adapt a trace of one program into
-/// a weighted trace of another (Algorithm 1's `translate`).
+/// A trace translator over a particle state `S`: anything that can adapt
+/// a state of one program into a weighted state of another (Algorithm 1's
+/// `translate`).
+///
+/// The state is a flat [`ppl::Trace`] or, in the Section 6 runtime, an
+/// execution graph that SMC threads through a whole program sequence
+/// without flattening between stages. The returned [`LogWeight`] is the
+/// weight increment `log ŵ_{P→Q}(u; t)`.
 ///
 /// Implementations in this workspace:
 /// - [`crate::CorrespondenceTranslator`] — the Section 5 translator driven
-///   by a semantic correspondence of random choices;
+///   by a semantic correspondence of random choices, over traces;
 /// - `depgraph::IncrementalTranslator` — the Section 6 optimized
 ///   translator that re-executes only the program slice affected by an
-///   edit.
-pub trait TraceTranslator {
-    /// Translates trace `t` of `P` into a weighted trace of `Q`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from running `Q` (or replaying `P`).
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError>;
-
-    /// Translates trace `t` at a known position `ctx` within an SMC run.
-    ///
-    /// The default implementation ignores the context and calls
-    /// [`TraceTranslator::translate`] — translators are position-independent
-    /// unless they opt in (fault injectors, per-particle instrumentation).
-    /// Wrapper impls (`&T`, `Box<T>`) forward the context so injection
-    /// works through trait objects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors from running `Q` (or replaying `P`).
-    fn translate_at(
-        &self,
-        t: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<Translated, PplError> {
-        let _ = ctx;
-        self.translate(t, rng)
-    }
-}
-
-impl<T: TraceTranslator + ?Sized> TraceTranslator for &T {
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-        (**self).translate(t, rng)
-    }
-
-    fn translate_at(
-        &self,
-        t: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<Translated, PplError> {
-        (**self).translate_at(t, ctx, rng)
-    }
-}
-
-impl<T: TraceTranslator + ?Sized> TraceTranslator for Box<T> {
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-        (**self).translate(t, rng)
-    }
-
-    fn translate_at(
-        &self,
-        t: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<Translated, PplError> {
-        (**self).translate_at(t, ctx, rng)
-    }
-}
-
-/// A translator over an arbitrary particle state `S`.
-///
-/// [`TraceTranslator`] is Algorithm 1's interface over flat traces;
-/// `StateTranslator` generalizes the *runtime* contract so SMC can thread
-/// richer particle states (the Section 6 execution graphs) through a
-/// whole program sequence without flattening between stages. The returned
-/// [`LogWeight`] is the weight increment `log ŵ`, exactly as
-/// [`Translated::log_weight`].
+///   edit, over execution graphs and (lifting and flattening) traces;
+/// - [`crate::FaultyTranslator`] — a fault-injecting wrapper over any
+///   translator.
 pub trait StateTranslator<S> {
     /// Translates `state` at a known position `ctx` within an SMC run,
     /// returning the successor state and the log weight increment.
@@ -152,6 +81,16 @@ pub trait StateTranslator<S> {
         ctx: TranslateCtx,
         rng: &mut dyn RngCore,
     ) -> Result<(S, LogWeight), PplError>;
+
+    /// Translates `state` outside any SMC run: [`Self::translate_state`]
+    /// at the default position (step 0, particle 0, attempt 0).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::translate_state`].
+    fn translate(&self, state: &S, rng: &mut dyn RngCore) -> Result<(S, LogWeight), PplError> {
+        self.translate_state(state, TranslateCtx::default(), rng)
+    }
 }
 
 impl<S, T: StateTranslator<S> + ?Sized> StateTranslator<S> for &T {
@@ -176,103 +115,53 @@ impl<S, T: StateTranslator<S> + ?Sized> StateTranslator<S> for Box<T> {
     }
 }
 
-/// Adapts an owned [`TraceTranslator`] to the
-/// [`StateTranslator`]`<Trace>` runtime interface (forwarding the call
-/// context), so flat-trace stages can be driven by the state-generic
-/// machinery — in particular the `Arc<dyn StateTranslator<_>>` stages of
-/// the supervised sequence runner.
-///
-/// (A blanket `impl StateTranslator<Trace> for T: TraceTranslator` would
-/// conflict with wrapper impls such as [`crate::FaultyTranslator`]'s
-/// generic one, hence the explicit newtype.)
-#[derive(Debug, Clone)]
-pub struct TraceStateAdapter<T>(pub T);
-
-impl<T: TraceTranslator> StateTranslator<Trace> for TraceStateAdapter<T> {
-    fn translate_state(
-        &self,
-        state: &Trace,
-        ctx: TranslateCtx,
-        rng: &mut dyn RngCore,
-    ) -> Result<(Trace, LogWeight), PplError> {
-        let out = self.0.translate_at(state, ctx, rng)?;
-        Ok((out.trace, out.log_weight))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppl::Trace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// A translator usable through references and boxes.
-    struct Null;
-
-    impl TraceTranslator for Null {
-        fn translate(&self, t: &Trace, _rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-            Ok(Translated {
-                trace: t.clone(),
-                log_weight: LogWeight::ONE,
-                output: Value::Int(0),
-            })
-        }
-    }
-
-    #[test]
-    fn trait_objects_compose() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let t = Trace::new();
-        let boxed: Box<dyn TraceTranslator> = Box::new(Null);
-        let out = boxed.translate(&t, &mut rng).unwrap();
-        assert_eq!(out.log_weight, LogWeight::ONE);
-        let by_ref: &dyn TraceTranslator = &Null;
-        by_ref.translate(&t, &mut rng).unwrap();
-    }
-
-    /// A translator whose output encodes the context it was handed, to
-    /// check that wrappers forward `translate_at` rather than falling back
-    /// to the context-blind default.
+    /// A translator whose weight encodes the context it was handed, to
+    /// check that wrappers forward it and that `translate` passes the
+    /// default position.
     struct CtxEcho;
 
-    impl TraceTranslator for CtxEcho {
-        fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-            self.translate_at(t, TranslateCtx::default(), rng)
-        }
-
-        fn translate_at(
+    impl StateTranslator<Trace> for CtxEcho {
+        fn translate_state(
             &self,
             t: &Trace,
             ctx: TranslateCtx,
             _rng: &mut dyn RngCore,
-        ) -> Result<Translated, PplError> {
-            Ok(Translated {
-                trace: t.clone(),
-                log_weight: LogWeight::ONE,
-                output: Value::Int((ctx.step * 100 + ctx.particle * 10 + ctx.attempt) as i64),
-            })
+        ) -> Result<(Trace, LogWeight), PplError> {
+            let code = ctx.step * 100 + ctx.particle * 10 + ctx.attempt;
+            Ok((t.clone(), LogWeight::from_log(code as f64)))
         }
     }
 
     #[test]
-    fn wrappers_forward_translate_at() {
+    fn wrappers_forward_the_context() {
         let mut rng = StdRng::seed_from_u64(0);
         let t = Trace::new();
         let ctx = TranslateCtx::new(1, 2).with_attempt(3);
-        let boxed: Box<dyn TraceTranslator> = Box::new(CtxEcho);
-        assert_eq!(
-            boxed.translate_at(&t, ctx, &mut rng).unwrap().output,
-            Value::Int(123)
-        );
-        let by_ref: &dyn TraceTranslator = &CtxEcho;
-        assert_eq!(
-            by_ref.translate_at(&t, ctx, &mut rng).unwrap().output,
-            Value::Int(123)
-        );
-        // The default impl ignores the context.
-        assert_eq!(
-            Null.translate_at(&t, ctx, &mut rng).unwrap().log_weight,
-            LogWeight::ONE
-        );
+        let boxed: Box<dyn StateTranslator<Trace>> = Box::new(CtxEcho);
+        let (_, w) = boxed.translate_state(&t, ctx, &mut rng).unwrap();
+        assert_eq!(w.log(), 123.0);
+        let by_ref: &dyn StateTranslator<Trace> = &CtxEcho;
+        let (_, w) = by_ref.translate_state(&t, ctx, &mut rng).unwrap();
+        assert_eq!(w.log(), 123.0);
+        let (_, w) = (&by_ref).translate_state(&t, ctx, &mut rng).unwrap();
+        assert_eq!(w.log(), 123.0);
+    }
+
+    #[test]
+    fn translate_uses_the_default_position() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let t = Trace::new();
+        let (_, w) = CtxEcho.translate(&t, &mut rng).unwrap();
+        assert_eq!(w, LogWeight::ONE);
+        let boxed: Box<dyn StateTranslator<Trace>> = Box::new(CtxEcho);
+        let (_, w) = boxed.translate(&t, &mut rng).unwrap();
+        assert_eq!(w, LogWeight::ONE);
     }
 }

@@ -254,63 +254,13 @@ fn exprs_sites_equal(a: &Expr, b: &Expr) -> bool {
     sa == sb
 }
 
-/// Whether two (leaf) statements carry identical site labels.
+/// Whether two statements that are equal modulo sites carry identical
+/// site labels.
 fn stmt_sites_equal(p: &Stmt, q: &Stmt) -> bool {
-    fn stmt_sites(s: &Stmt, out: &mut Vec<ppl::ast::SiteId>) {
-        match s {
-            Stmt::Skip => {}
-            Stmt::Assign(_, e) => e.collect_sites(out),
-            Stmt::AssignIndex(_, i, e) => {
-                i.collect_sites(out);
-                e.collect_sites(out);
-            }
-            Stmt::Observe(r, e) => {
-                out.push(r.site.clone());
-                match &r.kind {
-                    RandKind::Flip(p)
-                    | RandKind::Poisson(p)
-                    | RandKind::GeometricDist(p)
-                    | RandKind::Exponential(p) => p.collect_sites(out),
-                    RandKind::UniformInt(a, b)
-                    | RandKind::UniformReal(a, b)
-                    | RandKind::Gauss(a, b)
-                    | RandKind::Beta(a, b) => {
-                        a.collect_sites(out);
-                        b.collect_sites(out);
-                    }
-                    RandKind::Categorical(ws) => {
-                        for w in ws {
-                            w.collect_sites(out);
-                        }
-                    }
-                }
-                e.collect_sites(out);
-            }
-            Stmt::If(c, t, e) => {
-                c.collect_sites(out);
-                for s in t.stmts().iter().chain(e.stmts()) {
-                    stmt_sites(s, out);
-                }
-            }
-            Stmt::While(c, b) => {
-                c.collect_sites(out);
-                for s in b.stmts() {
-                    stmt_sites(s, out);
-                }
-            }
-            Stmt::For(_, lo, hi, b) => {
-                lo.collect_sites(out);
-                hi.collect_sites(out);
-                for s in b.stmts() {
-                    stmt_sites(s, out);
-                }
-            }
-        }
-    }
     let mut sp = Vec::new();
     let mut sq = Vec::new();
-    stmt_sites(p, &mut sp);
-    stmt_sites(q, &mut sq);
+    p.collect_sites(&mut sp);
+    q.collect_sites(&mut sq);
     sp == sq
 }
 

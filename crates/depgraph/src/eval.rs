@@ -2,10 +2,11 @@
 //!
 //! Expressions are evaluated by [`CompiledProgram::eval`], the one
 //! evaluator over compiled expressions, which forward execution shares.
-//! [`Recorder`] is this runtime's [`EvalHooks`]: it charges no fuel,
-//! records every variable read into a [`Summary`] — the dependency
-//! information change propagation runs on — and draws each random choice
-//! from a [`ChoiceSource`], recording the value with its density.
+//! [`Recorder`] is this runtime's [`EvalHooks`]: it charges fuel to the
+//! walk's [`Tally`], records every variable read into a [`Summary`] — the
+//! dependency information change propagation runs on — and draws each
+//! random choice from a [`ChoiceSource`], recording the value with its
+//! density.
 //!
 //! The frame doubles as the propagation environment: each slot carries
 //! the value plus the dirty bit change propagation tracks, which
@@ -33,8 +34,8 @@ pub(crate) struct Recorder<'a> {
 }
 
 impl EvalHooks for Recorder<'_> {
-    fn charge(&mut self, _ticks: u64) -> Result<(), PplError> {
-        Ok(())
+    fn charge(&mut self, ticks: u64) -> Result<(), PplError> {
+        self.tally.charge(ticks)
     }
 
     fn read(&mut self, name: &'static str) {

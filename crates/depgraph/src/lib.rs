@@ -18,8 +18,8 @@
 //! [`edit_chain`], lifts the starting traces into graphs once
 //! ([`lift_collection`]), and carries graph-native particles through every
 //! edit, with failure policies, a watchdog deadline, and checkpoint/resume
-//! ([`resume_collection`]). Flat-trace runs hand the loop
-//! `incremental::TraceStateAdapter`-wrapped chain links instead.
+//! ([`resume_collection`]). Flat-trace runs hand the loop the same chain
+//! links, which also translate `Trace` particles.
 //!
 //! Loops are fully supported: `for` iterations are keyed by the loop
 //! variable and `while` iterations by their iteration counter, matching

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use ppl::analysis::{ImpactSet, ProgramEffects};
-use ppl::ast::{Block, Expr, Program, RandKind, Stmt};
+use ppl::ast::{Block, Program, Stmt};
 use ppl::compile::{compiled_for_pair, CompiledProgram};
 use ppl::Address;
 
@@ -136,11 +136,7 @@ impl StagePlan {
             impact: &impact,
         };
         let root = plan_block(&q.body, &edit.diff, 0, &ctx);
-        let mut names: Vec<Arc<str>> = Vec::new();
-        collect_block_sites(&q.body, &mut names);
-        if let Some(ret) = &q.ret {
-            collect_expr_sites(ret, &mut names);
-        }
+        let mut names: Vec<Arc<str>> = q.sites().into_iter().map(|site| site.0).collect();
         names.sort_unstable();
         names.dedup();
         let sites: Vec<Address> = names
@@ -267,84 +263,6 @@ fn plan_stmt(stmt: &Stmt, diff: &StmtDiff, pre_index: usize, ctx: &PlanCtx<'_>) 
             iter_skippable: !cond_changed && body_diff.is_unchanged(),
         },
         _ => PlanStmt::Opaque,
-    }
-}
-
-fn collect_block_sites(block: &Block, out: &mut Vec<Arc<str>>) {
-    for stmt in block.stmts() {
-        match stmt {
-            Stmt::Skip => {}
-            Stmt::Assign(_, e) => collect_expr_sites(e, out),
-            Stmt::AssignIndex(_, i, e) => {
-                collect_expr_sites(i, out);
-                collect_expr_sites(e, out);
-            }
-            Stmt::Observe(rand, e) => {
-                out.push(Arc::clone(&rand.site.0));
-                collect_rand_sites(&rand.kind, out);
-                collect_expr_sites(e, out);
-            }
-            Stmt::If(c, t, e) => {
-                collect_expr_sites(c, out);
-                collect_block_sites(t, out);
-                collect_block_sites(e, out);
-            }
-            Stmt::For(_, lo, hi, b) => {
-                collect_expr_sites(lo, out);
-                collect_expr_sites(hi, out);
-                collect_block_sites(b, out);
-            }
-            Stmt::While(c, b) => {
-                collect_expr_sites(c, out);
-                collect_block_sites(b, out);
-            }
-        }
-    }
-}
-
-fn collect_expr_sites(expr: &Expr, out: &mut Vec<Arc<str>>) {
-    match expr {
-        Expr::Const(_) | Expr::Var(_) => {}
-        Expr::Unary(_, e) => collect_expr_sites(e, out),
-        Expr::Binary(_, a, b) | Expr::Index(a, b) | Expr::ArrayInit(a, b) => {
-            collect_expr_sites(a, out);
-            collect_expr_sites(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_expr_sites(a, out);
-            }
-        }
-        Expr::Ternary(c, t, e) => {
-            collect_expr_sites(c, out);
-            collect_expr_sites(t, out);
-            collect_expr_sites(e, out);
-        }
-        Expr::Random(rand) => {
-            out.push(Arc::clone(&rand.site.0));
-            collect_rand_sites(&rand.kind, out);
-        }
-    }
-}
-
-fn collect_rand_sites(kind: &RandKind, out: &mut Vec<Arc<str>>) {
-    match kind {
-        RandKind::Flip(a)
-        | RandKind::Poisson(a)
-        | RandKind::GeometricDist(a)
-        | RandKind::Exponential(a) => collect_expr_sites(a, out),
-        RandKind::UniformInt(a, b)
-        | RandKind::UniformReal(a, b)
-        | RandKind::Gauss(a, b)
-        | RandKind::Beta(a, b) => {
-            collect_expr_sites(a, out);
-            collect_expr_sites(b, out);
-        }
-        RandKind::Categorical(ws) => {
-            for w in ws {
-                collect_expr_sites(w, out);
-            }
-        }
     }
 }
 

@@ -47,6 +47,7 @@ use ppl::compile::{
     EvalFrame, ExprId,
 };
 use ppl::dist::Dist;
+use ppl::interp::DEFAULT_FUEL;
 use ppl::{Address, LogWeight, PplError, Value};
 
 use crate::diff::ProgramEdit;
@@ -181,12 +182,30 @@ pub fn translate_graph_with_plan(
     })
 }
 
-/// The running weight estimate and work counters of one walk.
+/// The running weight estimate, work counters and fuel of one walk.
 #[derive(Default)]
 pub(crate) struct Tally {
     log_num: LogWeight,
     log_den: LogWeight,
     stats: VisitStats,
+    /// Fuel ticks spent so far, out of [`DEFAULT_FUEL`].
+    ticks: u64,
+}
+
+impl Tally {
+    /// Charges `n` fuel ticks: one per visited statement plus the
+    /// expression ticks of [`CompiledProgram::eval`], exactly what forward
+    /// execution charges for the same statements, so a walk runs out of
+    /// fuel where [`ppl::Interp::run`] would.
+    pub(crate) fn charge(&mut self, n: u64) -> Result<(), PplError> {
+        if DEFAULT_FUEL - self.ticks < n {
+            return Err(PplError::FuelExhausted {
+                budget: DEFAULT_FUEL,
+            });
+        }
+        self.ticks += n;
+        Ok(())
+    }
 }
 
 /// What one walk produced.
@@ -510,6 +529,7 @@ impl<'a> Propagator<'a> {
         old: Option<(&'a PlanStmt, &'a StmtRecord)>,
         pre_index: usize,
     ) -> Result<StmtRecord, PplError> {
+        self.tally.charge(1)?;
         self.tally.stats.visited += 1;
         if let Some(oracle) = &mut self.oracle {
             oracle.visited.insert(pre_index);
@@ -687,7 +707,11 @@ impl<'a> Propagator<'a> {
                 let mut summary = Summary::default();
                 let lo = self.eval(lo_e, &mut summary)?.as_int()?;
                 let hi = self.eval(hi_e, &mut summary)?.as_int()?;
-                let mut iters = Vec::with_capacity((hi - lo).max(0) as usize);
+                // A body that costs a tick per iteration runs out of fuel
+                // within `DEFAULT_FUEL` iterations, so reserving more would
+                // only let huge bounds allocate before the budget fails.
+                let trip = hi.saturating_sub(lo).clamp(0, DEFAULT_FUEL as i64);
+                let mut iters = Vec::with_capacity(trip as usize);
                 let mut written: BTreeSet<&'static str> = BTreeSet::new();
                 written.insert(var_name);
                 for i in lo..hi {
@@ -895,9 +919,6 @@ impl<'a> Propagator<'a> {
                         body: Some(self.builder.push_block(body_rec)),
                     });
                     i += 1;
-                    if i > 10_000_000 {
-                        return Err(PplError::FuelExhausted { budget: 10_000_000 });
-                    }
                 }
                 // Old iterations beyond the new termination point were
                 // removed entirely.
@@ -978,4 +999,87 @@ fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Resul
         report.push_str(&format!("\n  - statement #{i}: {detail}"));
     }
     Err(PplError::Other(report))
+}
+
+#[cfg(test)]
+mod tests {
+    use incremental::{
+        FailureKind, FailurePolicy, ParticleCollection, SmcConfig, SmcError, StagePolicy,
+    };
+    use ppl::handlers::simulate;
+    use ppl::{parse, PplError};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use crate::{run_edit_sequence_supervised, ExecGraph};
+
+    /// `n` iterations of a loop whose body costs 200 fuel ticks: one for
+    /// the statement, two for `i * (…)` and 197 for the constant sum,
+    /// which the compiler folds into one node charged in one step.
+    fn heavy_loop(n: u64) -> String {
+        let sum = vec!["1"; 99].join(" + ");
+        format!("for i in [0..{n}) {{ y = i * ({sum}); }}")
+    }
+
+    /// The largest `n` for which `heavy_loop(n); return 0;` fits the
+    /// default budget: the loop statement and its bounds cost 3 ticks,
+    /// the return expression 1.
+    const HEAVY_LOOP_MAX: u64 = (ppl::interp::DEFAULT_FUEL - 4) / 200;
+
+    /// A graph build charges what `Interp::run` charges, so the two accept
+    /// and reject the same iteration counts.
+    #[test]
+    fn graph_builds_run_out_of_fuel_where_the_interpreter_does() {
+        let run = |n: u64| {
+            let program = parse(&format!("{} return 0;", heavy_loop(n))).unwrap();
+            let interp = simulate(&program, &mut StdRng::seed_from_u64(0));
+            let graph = ExecGraph::simulate(&program, &mut StdRng::seed_from_u64(0));
+            (interp.map(|_| ()), graph.map(|_| ()))
+        };
+        let (interp, graph) = run(HEAVY_LOOP_MAX);
+        assert!(interp.is_ok() && graph.is_ok(), "{interp:?} {graph:?}");
+        let (interp, graph) = run(HEAVY_LOOP_MAX + 1);
+        for err in [interp.unwrap_err(), graph.unwrap_err()] {
+            assert!(matches!(err, PplError::FuelExhausted { .. }), "{err}");
+        }
+    }
+
+    /// An edit that inserts a loop past the budget fails the particle with
+    /// a typed fuel error instead of running the loop to completion.
+    #[test]
+    fn inserting_an_overlong_loop_fails_the_particle() {
+        let obs = "observe(flip(x ? 0.6 : 0.4) @ o == 1); return x;";
+        let p = parse(&format!("x = flip(0.5) @ x; {obs}")).unwrap();
+        let q = parse(&format!(
+            "x = flip(0.5) @ x; {} {obs}",
+            heavy_loop(HEAVY_LOOP_MAX + 1)
+        ))
+        .unwrap();
+        let initial =
+            ParticleCollection::from_traces([simulate(&p, &mut StdRng::seed_from_u64(1)).unwrap()]);
+        let err = run_edit_sequence_supervised(
+            &[p, q],
+            &initial,
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            &FailurePolicy::FailFast,
+            &StagePolicy::default(),
+            7,
+            1,
+            None,
+        )
+        .unwrap_err();
+        match err {
+            SmcError::Particle(failure) => assert!(
+                matches!(
+                    failure.kind,
+                    FailureKind::Error(PplError::FuelExhausted { .. })
+                ),
+                "{failure}"
+            ),
+            other => panic!("expected a particle failure, got {other}"),
+        }
+    }
 }

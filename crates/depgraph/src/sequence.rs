@@ -9,9 +9,9 @@
 //! particles, retries, collapse recoveries) for the whole edit history.
 //!
 //! [`run_edit_sequence_supervised`] carries the particles as execution
-//! graphs end to end. For flat-trace particles, hand the loop
-//! [`incremental::TraceStateAdapter`]-wrapped chain links instead, or
-//! flatten the graph-native run with [`SequenceRun::flatten`].
+//! graphs end to end. For flat-trace particles, hand the loop the same
+//! chain links as `StateTranslator<Trace>` stages, or flatten the
+//! graph-native run with [`SequenceRun::flatten`].
 
 use std::sync::Arc;
 
@@ -180,7 +180,7 @@ pub fn run_edit_sequence_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incremental::{FaultKind, FaultPlan, FaultSpec, FaultyTranslator, TraceStateAdapter};
+    use incremental::{FaultKind, FaultPlan, FaultSpec, FaultyTranslator};
     use ppl::handlers::simulate;
     use ppl::{parse, Trace};
     use rand::rngs::StdRng;
@@ -285,7 +285,7 @@ mod tests {
         let initial = initial(&ps, 500, 23);
         let stages: Vec<TraceStage> = edit_chain(&ps)
             .into_iter()
-            .map(|t| Arc::new(TraceStateAdapter(t)) as TraceStage)
+            .map(|t| Arc::new(t) as TraceStage)
             .collect();
         let flat = run_flat(&stages, &initial, &FailurePolicy::FailFast).unwrap();
         let graph = run_graph(&ps, &initial, 1);
@@ -323,9 +323,7 @@ mod tests {
             .with(FaultSpec::always(1, 9, FaultKind::NanWeight));
         let stages: Vec<TraceStage> = edit_chain(&ps)
             .into_iter()
-            .map(|t| {
-                Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as TraceStage
-            })
+            .map(|t| Arc::new(FaultyTranslator::new(t, plan.clone())) as TraceStage)
             .collect();
         let run = run_flat(
             &stages,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use incremental::{ParticleState, StateTranslator, TraceTranslator, TranslateCtx, Translated};
+use incremental::{ParticleState, StateTranslator, TranslateCtx};
 use ppl::ast::Program;
 use ppl::{LogWeight, PplError, Trace};
 
@@ -156,26 +156,6 @@ fn record_propagation(stats: &crate::VisitStats) {
     });
 }
 
-impl TraceTranslator for IncrementalTranslator {
-    /// Interop path: builds the graph from the flat trace, translates
-    /// incrementally, and flattens back. The graph construction costs
-    /// O(|t|); callers holding graphs should use
-    /// [`IncrementalTranslator::translate_graph`] directly (or run the
-    /// SMC machinery over `Arc<ExecGraph>` particle states) to get the
-    /// Section 6 asymptotics.
-    fn translate(&self, t: &Trace, rng: &mut dyn RngCore) -> Result<Translated, PplError> {
-        let graph = ExecGraph::from_trace_shared(&self.p, t)?;
-        let result = self.translate_graph(&graph, rng)?;
-        let trace = result.graph.to_trace()?;
-        let output = result.graph.return_value.clone();
-        Ok(Translated {
-            trace,
-            log_weight: result.log_weight,
-            output,
-        })
-    }
-}
-
 /// The graph-native runtime interface: SMC particles *are* execution
 /// graphs, carried across the whole edit sequence. Each stage calls
 /// [`IncrementalTranslator::translate_graph`] directly on the previous
@@ -193,6 +173,24 @@ impl StateTranslator<Arc<ExecGraph>> for IncrementalTranslator {
     ) -> Result<(Arc<ExecGraph>, LogWeight), PplError> {
         let result = self.translate_graph(state, rng)?;
         Ok((Arc::new(result.graph), result.log_weight))
+    }
+}
+
+/// The flat-trace interop path: lifts the trace to a graph, translates
+/// incrementally, and flattens back. The lift costs O(|t|); callers
+/// holding graphs should use [`IncrementalTranslator::translate_graph`]
+/// directly (or run the SMC machinery over `Arc<ExecGraph>` particle
+/// states) to get the Section 6 asymptotics.
+impl StateTranslator<Trace> for IncrementalTranslator {
+    fn translate_state(
+        &self,
+        t: &Trace,
+        _ctx: TranslateCtx,
+        rng: &mut dyn RngCore,
+    ) -> Result<(Trace, LogWeight), PplError> {
+        let graph = ExecGraph::from_trace_shared(&self.p, t)?;
+        let result = self.translate_graph(&graph, rng)?;
+        Ok((result.graph.to_trace()?, result.log_weight))
     }
 }
 
@@ -228,14 +226,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
             let t = simulate(&p, &mut rng).unwrap();
-            let a = incr.translate(&t, &mut rng).unwrap();
-            let b = baseline.translate(&t, &mut rng).unwrap();
-            assert_eq!(a.trace.to_choice_map(), b.trace.to_choice_map());
+            let (u_incr, w_incr) = incr.translate(&t, &mut rng).unwrap();
+            let (u_base, w_base) = baseline.translate(&t, &mut rng).unwrap();
+            assert_eq!(u_incr.to_choice_map(), u_base.to_choice_map());
             assert!(
-                (a.log_weight.log() - b.log_weight.log()).abs() < 1e-9,
+                (w_incr.log() - w_base.log()).abs() < 1e-9,
                 "incremental {} vs baseline {}",
-                a.log_weight.log(),
-                b.log_weight.log()
+                w_incr.log(),
+                w_base.log()
             );
         }
     }
@@ -316,12 +314,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..50 {
             let t = simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
             assert!(
-                (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                (w.log() - exact.log()).abs() < 1e-9,
                 "incremental {} vs exact {}",
-                out.log_weight.log(),
+                w.log(),
                 exact.log()
             );
         }
@@ -336,13 +334,9 @@ mod tests {
         let translator = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(5);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert!(
-            (out.log_weight.prob() - 0.4 / 0.8).abs() < 1e-9,
-            "weight {}",
-            out.log_weight.prob()
-        );
-        assert_eq!(out.trace.value(&addr!["x"]), t.value(&addr!["x"]));
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        assert!((w.prob() - 0.4 / 0.8).abs() < 1e-9, "weight {}", w.prob());
+        assert_eq!(u.value(&addr!["x"]), t.value(&addr!["x"]));
     }
 
     /// Removed observations factor into the denominator.
@@ -353,12 +347,8 @@ mod tests {
         let translator = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(6);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert!(
-            (out.log_weight.prob() - 1.0 / 0.25).abs() < 1e-9,
-            "weight {}",
-            out.log_weight.prob()
-        );
+        let (_, w) = translator.translate(&t, &mut rng).unwrap();
+        assert!((w.prob() - 1.0 / 0.25).abs() < 1e-9, "weight {}", w.prob());
     }
 
     /// Added observations factor into the numerator.
@@ -369,8 +359,8 @@ mod tests {
         let translator = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(7);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert!((out.log_weight.prob() - 0.9).abs() < 1e-9);
+        let (_, w) = translator.translate(&t, &mut rng).unwrap();
+        assert!((w.prob() - 0.9).abs() < 1e-9);
     }
 
     /// Identity edit: weight exactly 1, everything skipped.
@@ -403,16 +393,16 @@ mod tests {
         let translator = IncrementalTranslator::from_edit(p.clone(), q.clone());
         let mut rng = StdRng::seed_from_u64(9);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert_eq!(out.trace.len(), 5);
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        assert_eq!(u.len(), 5);
         for i in 0..3_i64 {
-            assert_eq!(out.trace.value(&addr!["x", i]), t.value(&addr!["x", i]));
+            assert_eq!(u.value(&addr!["x", i]), t.value(&addr!["x", i]));
         }
         // The weight for identical-parameter reuse + fresh sampling is 1.
-        assert!(out.log_weight.log().abs() < 1e-9);
+        assert!(w.log().abs() < 1e-9);
         let corr = &translator.edit().correspondence;
-        let exact = exact_weight_estimate(&p, &q, corr, &t, &out.trace).unwrap();
-        assert!((out.log_weight.log() - exact.log()).abs() < 1e-9);
+        let exact = exact_weight_estimate(&p, &q, corr, &t, &u).unwrap();
+        assert!((w.log() - exact.log()).abs() < 1e-9);
     }
 
     /// An edit that replaces a statement with a different *kind* of
@@ -435,13 +425,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         for _ in 0..20 {
             let t = simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            assert_eq!(out.trace.len(), 2); // a/0 and a/1 now
-            let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            assert_eq!(u.len(), 2); // a/0 and a/1 now
+            let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
             assert!(
-                (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                (w.log() - exact.log()).abs() < 1e-9,
                 "incremental {} vs exact {}",
-                out.log_weight.log(),
+                w.log(),
                 exact.log()
             );
         }
@@ -493,12 +483,12 @@ mod tests {
             for seed in 0..30 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let t = simulate(&p, &mut rng).unwrap();
-                let out = translator.translate(&t, &mut rng).unwrap();
-                let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+                let (u, w) = translator.translate(&t, &mut rng).unwrap();
+                let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
                 assert!(
-                    (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                    (w.log() - exact.log()).abs() < 1e-9,
                     "seed {seed} on `{src_q}`: incremental {} vs exact {}",
-                    out.log_weight.log(),
+                    w.log(),
                     exact.log()
                 );
             }
@@ -562,17 +552,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..30 {
             let t = simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            assert_eq!(out.trace.len(), 5);
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            assert_eq!(u.len(), 5);
             // The first three flips are reused.
             for i in 0..3_i64 {
-                assert_eq!(out.trace.value(&addr!["f", i]), t.value(&addr!["f", i]));
+                assert_eq!(u.value(&addr!["f", i]), t.value(&addr!["f", i]));
             }
-            let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+            let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
             assert!(
-                (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                (w.log() - exact.log()).abs() < 1e-9,
                 "incremental {} vs exact {}",
-                out.log_weight.log(),
+                w.log(),
                 exact.log()
             );
         }
@@ -581,13 +571,13 @@ mod tests {
         let corr = translator.edit().correspondence.clone();
         for _ in 0..30 {
             let t = simulate(&q, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            assert_eq!(out.trace.len(), 3);
-            let exact = exact_weight_estimate(&q, &p, &corr, &t, &out.trace).unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            assert_eq!(u.len(), 3);
+            let exact = exact_weight_estimate(&q, &p, &corr, &t, &u).unwrap();
             assert!(
-                (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                (w.log() - exact.log()).abs() < 1e-9,
                 "shrink: incremental {} vs exact {}",
-                out.log_weight.log(),
+                w.log(),
                 exact.log()
             );
         }
@@ -611,7 +601,7 @@ mod tests {
         );
     }
 
-    /// Translated graphs compose: translate P → Q, then reuse the output
+    /// Graph translations compose: translate P → Q, then reuse the output
     /// graph to translate Q → R.
     #[test]
     fn chained_edits_compose() {

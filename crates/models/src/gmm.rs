@@ -50,7 +50,7 @@ pub fn gmm_correspondence() -> Correspondence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incremental::{CorrespondenceTranslator, TraceTranslator};
+    use incremental::{CorrespondenceTranslator, StateTranslator};
     use ppl::handlers::simulate;
     use ppl::{addr, Value};
     use rand::rngs::StdRng;
@@ -80,7 +80,7 @@ mod tests {
         let translator = CorrespondenceTranslator::new(p.clone(), q, gmm_correspondence());
         let mut rng = StdRng::seed_from_u64(2);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
         let mut expected = 0.0;
         for i in 0..4_i64 {
             let c = t.value(&addr!["center", i]).unwrap().as_real().unwrap();
@@ -89,13 +89,13 @@ mod tests {
             expected += n20.log_prob(&Value::Real(c)).log() - n10.log_prob(&Value::Real(c)).log();
         }
         assert!(
-            (out.log_weight.log() - expected).abs() < 1e-9,
+            (w.log() - expected).abs() < 1e-9,
             "weight {} vs expected {}",
-            out.log_weight.log(),
+            w.log(),
             expected
         );
         // All choices reused: u's choice map equals t's.
-        assert_eq!(out.trace.to_choice_map(), t.to_choice_map());
+        assert_eq!(u.to_choice_map(), t.to_choice_map());
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn geometric_correspondence() -> Correspondence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incremental::{CorrespondenceTranslator, TraceTranslator};
+    use incremental::{CorrespondenceTranslator, StateTranslator};
     use ppl::handlers::simulate;
     use ppl::Enumeration;
     use rand::rngs::StdRng;
@@ -160,16 +160,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
             let t = simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
             // The whole trial sequence is reused, so the return values
             // match and the weight is (1/3 / 1/2)^(n-1) * (2/3 / 1/2).
-            assert_eq!(out.trace.return_value(), t.return_value());
+            assert_eq!(u.return_value(), t.return_value());
             let n = t.return_value().unwrap().as_int().unwrap();
             let expected = (2.0f64 / 3.0).powi((n - 1) as i32) * ((2.0 / 3.0) / 0.5);
             assert!(
-                (out.log_weight.prob() - expected).abs() < 1e-9,
+                (w.prob() - expected).abs() < 1e-9,
                 "n={n}: {} vs {expected}",
-                out.log_weight.prob()
+                w.prob()
             );
         }
     }

@@ -143,7 +143,7 @@ impl ppl::Model for DiscreteMixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incremental::{translator_error, CorrespondenceTranslator, TraceTranslator};
+    use incremental::{translator_error, CorrespondenceTranslator, StateTranslator};
     use inference::ExactPosterior;
     use ppl::{Enumeration, Trace};
     use rand::rngs::StdRng;
@@ -261,9 +261,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..20 {
             let t = ppl::handlers::simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            let oracle = incremental::exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
-            assert!((out.log_weight.log() - oracle.log()).abs() < 1e-9);
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            let oracle = incremental::exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
+            assert!((w.log() - oracle.log()).abs() < 1e-9);
         }
     }
 

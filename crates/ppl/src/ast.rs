@@ -346,25 +346,33 @@ impl Expr {
                 e.collect_sites(out);
             }
             Expr::Random(r) => {
-                match &r.kind {
-                    RandKind::Flip(p)
-                    | RandKind::Poisson(p)
-                    | RandKind::GeometricDist(p)
-                    | RandKind::Exponential(p) => p.collect_sites(out),
-                    RandKind::UniformInt(a, b)
-                    | RandKind::UniformReal(a, b)
-                    | RandKind::Gauss(a, b)
-                    | RandKind::Beta(a, b) => {
-                        a.collect_sites(out);
-                        b.collect_sites(out);
-                    }
-                    RandKind::Categorical(ws) => {
-                        for w in ws {
-                            w.collect_sites(out);
-                        }
-                    }
-                }
+                r.kind.collect_sites(out);
                 out.push(r.site.clone());
+            }
+        }
+    }
+}
+
+impl RandKind {
+    /// Collects the sites of all random expressions in the distribution's
+    /// parameters, in evaluation order.
+    fn collect_sites(&self, out: &mut Vec<SiteId>) {
+        match self {
+            RandKind::Flip(p)
+            | RandKind::Poisson(p)
+            | RandKind::GeometricDist(p)
+            | RandKind::Exponential(p) => p.collect_sites(out),
+            RandKind::UniformInt(a, b)
+            | RandKind::UniformReal(a, b)
+            | RandKind::Gauss(a, b)
+            | RandKind::Beta(a, b) => {
+                a.collect_sites(out);
+                b.collect_sites(out);
+            }
+            RandKind::Categorical(ws) => {
+                for w in ws {
+                    w.collect_sites(out);
+                }
             }
         }
     }
@@ -387,6 +395,48 @@ pub enum Stmt {
     For(Ident, Expr, Expr, Block),
     /// `observe(R == e)`
     Observe(RandExpr, Expr),
+}
+
+impl Stmt {
+    /// Collects the sites of all random expressions and observations in
+    /// this statement, nested blocks included, in evaluation order: an
+    /// observation lists its distribution's parameters, then its observed
+    /// value, then its own site. Both branches of an `if` are listed, then
+    /// branch first.
+    pub fn collect_sites(&self, out: &mut Vec<SiteId>) {
+        let block = |b: &Block, out: &mut Vec<SiteId>| {
+            for s in &b.0 {
+                s.collect_sites(out);
+            }
+        };
+        match self {
+            Stmt::Skip => {}
+            Stmt::Assign(_, e) => e.collect_sites(out),
+            Stmt::AssignIndex(_, i, e) => {
+                i.collect_sites(out);
+                e.collect_sites(out);
+            }
+            Stmt::If(c, t, e) => {
+                c.collect_sites(out);
+                block(t, out);
+                block(e, out);
+            }
+            Stmt::While(c, b) => {
+                c.collect_sites(out);
+                block(b, out);
+            }
+            Stmt::For(_, lo, hi, b) => {
+                lo.collect_sites(out);
+                hi.collect_sites(out);
+                block(b, out);
+            }
+            Stmt::Observe(r, e) => {
+                r.kind.collect_sites(out);
+                e.collect_sites(out);
+                out.push(r.site.clone());
+            }
+        }
+    }
 }
 
 /// A sequence of statements.
@@ -425,41 +475,14 @@ impl Program {
         Program { body, ret }
     }
 
-    /// Collects the sites of all random expressions (including those inside
-    /// observations) in syntactic order.
+    /// Collects the sites of all random expressions and observations,
+    /// those nested in an observation's distribution included, in the
+    /// order of [`Stmt::collect_sites`], then the return expression's.
     pub fn sites(&self) -> Vec<SiteId> {
-        fn walk_block(block: &Block, out: &mut Vec<SiteId>) {
-            for stmt in &block.0 {
-                match stmt {
-                    Stmt::Skip => {}
-                    Stmt::Assign(_, e) => e.collect_sites(out),
-                    Stmt::AssignIndex(_, i, e) => {
-                        i.collect_sites(out);
-                        e.collect_sites(out);
-                    }
-                    Stmt::If(c, t, e) => {
-                        c.collect_sites(out);
-                        walk_block(t, out);
-                        walk_block(e, out);
-                    }
-                    Stmt::While(c, b) => {
-                        c.collect_sites(out);
-                        walk_block(b, out);
-                    }
-                    Stmt::For(_, lo, hi, b) => {
-                        lo.collect_sites(out);
-                        hi.collect_sites(out);
-                        walk_block(b, out);
-                    }
-                    Stmt::Observe(r, e) => {
-                        out.push(r.site.clone());
-                        e.collect_sites(out);
-                    }
-                }
-            }
-        }
         let mut out = Vec::new();
-        walk_block(&self.body, &mut out);
+        for stmt in &self.body.0 {
+            stmt.collect_sites(&mut out);
+        }
         if let Some(e) = &self.ret {
             e.collect_sites(&mut out);
         }
@@ -599,6 +622,20 @@ mod tests {
         );
         let sites: Vec<String> = p.sites().iter().map(|s| s.to_string()).collect();
         assert_eq!(sites, ["alpha", "beta", "o"]);
+    }
+
+    #[test]
+    fn sites_nested_in_an_observation_are_collected() {
+        let p =
+            crate::parse("observe(flip(flip(0.5) @ a ? 0.9 : 0.1) @ o == 1); return 0;").unwrap();
+        let sites: Vec<String> = p.sites().iter().map(|s| s.to_string()).collect();
+        assert_eq!(sites, ["a", "o"]);
+        // Parameters, then the observed value, then the observation.
+        let p =
+            crate::parse("observe(gauss(flip(0.5) @ m, 1) @ o == uniform(0, 3) @ v); return 0;")
+                .unwrap();
+        let sites: Vec<String> = p.sites().iter().map(|s| s.to_string()).collect();
+        assert_eq!(sites, ["m", "v", "o"]);
     }
 
     #[test]

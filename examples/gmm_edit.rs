@@ -42,17 +42,17 @@ fn main() -> Result<(), PplError> {
     let baseline = CorrespondenceTranslator::new(p.clone(), q, gmm_correspondence());
     let trace = graph.to_trace()?;
     let start = Instant::now();
-    let out = baseline.translate(&trace, &mut rng)?;
+    let (_, log_weight) = baseline.translate(&trace, &mut rng)?;
     let baseline_time = start.elapsed();
     println!(
         "baseline translation: log-weight {:.4}, {:?}",
-        out.log_weight.log(),
+        log_weight.log(),
         baseline_time
     );
     println!(
         "speedup: {:.1}x (weights agree to {:.2e})",
         baseline_time.as_secs_f64() / optimized_time.as_secs_f64().max(1e-12),
-        (out.log_weight.log() - result.log_weight.log()).abs()
+        (log_weight.log() - result.log_weight.log()).abs()
     );
     Ok(())
 }

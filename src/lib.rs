@@ -58,8 +58,7 @@ pub mod prelude {
     pub use incremental::{
         infer, infer_without_weights, resample, run_state_sequence_supervised, Correspondence,
         CorrespondenceTranslator, FailurePolicy, McmcKernel, Particle, ParticleCollection,
-        ResamplePolicy, ResampleScheme, SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
-        TraceTranslator, Translated,
+        ResamplePolicy, ResampleScheme, SmcConfig, StagePolicy, StateTranslator,
     };
     pub use ppl::dist::Dist;
     pub use ppl::handlers::{generate, score, simulate};

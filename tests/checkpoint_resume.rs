@@ -17,7 +17,7 @@ use depgraph::{edit_chain, resume_collection, run_edit_sequence_supervised, Exec
 use incremental::{
     collection_checksum, run_state_sequence_supervised, Checkpoint, CheckpointError, FailurePolicy,
     ParticleCollection, ParticleState, ResamplePolicy, SequenceRun, SmcConfig, SmcError,
-    StageObserver, StagePolicy, StageSnapshot, StateTranslator, StepReport, TraceStateAdapter,
+    StageObserver, StagePolicy, StageSnapshot, StateTranslator, StepReport,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -145,9 +145,7 @@ fn run_flat(
     let stages: Vec<Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>> =
         edit_chain(&ps[start_step..])
             .into_iter()
-            .map(|t| {
-                Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>
-            })
+            .map(|t| Arc::new(t) as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>)
             .collect();
     run_state_sequence_supervised(
         &stages,

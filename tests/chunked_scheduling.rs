@@ -18,7 +18,6 @@ use depgraph::{edit_chain_shared, lift_collection, run_edit_sequence_supervised,
 use incremental::{
     run_state_sequence_supervised, Backoff, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
     FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, StagePolicy, StateTranslator,
-    TraceTranslator,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -289,20 +288,20 @@ proptest! {
             let mut rng_graph = StdRng::seed_from_u64(seed ^ 0xfeed ^ step as u64);
             let result = translator.translate_graph(&graph, &mut rng_graph).expect("graph step");
             let mut rng_flat = StdRng::seed_from_u64(seed ^ 0xfeed ^ step as u64);
-            let reference = translator.translate(&flat, &mut rng_flat).expect("flat step");
+            let (u, w) = translator.translate(&flat, &mut rng_flat).expect("flat step");
             let flattened = result.graph.to_trace().expect("flatten");
             prop_assert_eq!(
                 flattened.to_choice_map(),
-                reference.trace.to_choice_map(),
+                u.to_choice_map(),
                 "stage {} choices", step
             );
             prop_assert_eq!(
                 result.log_weight.log().to_bits(),
-                reference.log_weight.log().to_bits(),
+                w.log().to_bits(),
                 "stage {} weight", step
             );
             graph = result.graph;
-            flat = reference.trace;
+            flat = u;
         }
     }
 }

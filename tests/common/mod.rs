@@ -1,6 +1,7 @@
 //! Shared generators for the property-based differential suites: random
-//! surface programs and the "hyperparameter edit" constant perturbation.
-//! Used by `random_edits.rs` (weight-oracle differential tests) and
+//! surface programs, the "hyperparameter edit" constant perturbation, and
+//! structural edits that insert or delete a statement. Used by
+//! `random_edits.rs` (weight-oracle differential tests) and
 //! `static_slices.rs` (static impact-slice soundness tests).
 
 #![allow(dead_code)]
@@ -64,4 +65,33 @@ pub fn perturb_constants(src: &str, delta: u32) -> String {
         }
     }
     out
+}
+
+/// A structural edit `(P, Q)`: `Q` is `P` with one statement line of a
+/// second generated program inserted at a generated position, or, half
+/// the time, the same pair swapped so that the edit deletes that line.
+/// The edits remove old statements, add fresh ones, and shift the
+/// auto-generated site labels of every later random expression.
+pub fn structural_edit_strategy() -> impl Strategy<Value = (String, String)> {
+    (
+        program_strategy(),
+        program_strategy(),
+        0usize..8,
+        0usize..8,
+        0u8..2,
+    )
+        .prop_map(|(src, donor, at, pick, delete)| {
+            // Line 0 initializes the variables and the last line returns,
+            // so statement lines sit strictly between them.
+            let donor: Vec<&str> = donor.lines().collect();
+            let line = donor[1 + pick % (donor.len() - 2)];
+            let mut lines: Vec<&str> = src.lines().collect();
+            lines.insert(1 + at % (lines.len() - 1), line);
+            let edited = lines.join("\n");
+            if delete == 1 {
+                (edited, src)
+            } else {
+                (src, edited)
+            }
+        })
 }

@@ -3,7 +3,7 @@
 //! baseline translator across crates.
 
 use depgraph::{diff_programs, ExecGraph, IncrementalTranslator};
-use incremental::{exact_weight_estimate, CorrespondenceTranslator, TraceTranslator};
+use incremental::{exact_weight_estimate, CorrespondenceTranslator, StateTranslator};
 use models::worked_examples::{fig7_edited, fig7_original};
 use ppl::handlers::simulate;
 use ppl::{addr, parse};
@@ -53,10 +53,10 @@ fn gmm_edit_derived_correspondence_and_agreement() {
     let base = CorrespondenceTranslator::new(p.clone(), q, models::gmm::gmm_correspondence());
     let mut rng = StdRng::seed_from_u64(2);
     let t = simulate(&p, &mut rng).unwrap();
-    let a = incr.translate(&t, &mut rng).unwrap();
-    let b = base.translate(&t, &mut rng).unwrap();
-    assert_eq!(a.trace.to_choice_map(), b.trace.to_choice_map());
-    assert!((a.log_weight.log() - b.log_weight.log()).abs() < 1e-9);
+    let (u_incr, w_incr) = incr.translate(&t, &mut rng).unwrap();
+    let (u_base, w_base) = base.translate(&t, &mut rng).unwrap();
+    assert_eq!(u_incr.to_choice_map(), u_base.to_choice_map());
+    assert!((w_incr.log() - w_base.log()).abs() < 1e-9);
 }
 
 /// Inserting a statement shifts auto-generated site labels; the diff
@@ -83,11 +83,11 @@ fn insertion_edit_translates_correctly() {
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..25 {
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
-        assert!((out.log_weight.log() - exact.log()).abs() < 1e-9);
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
+        assert!((w.log() - exact.log()).abs() < 1e-9);
         // x is reused.
-        assert_eq!(out.trace.value(&addr!["flip#2"]), t.value(&addr!["flip#1"]));
+        assert_eq!(u.value(&addr!["flip#2"]), t.value(&addr!["flip#1"]));
     }
 }
 
@@ -219,12 +219,12 @@ fn randomized_cross_runtime_agreement() {
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
             let t = simulate(&p, &mut rng).unwrap();
-            let out = translator.translate(&t, &mut rng).unwrap();
-            let exact = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+            let (u, w) = translator.translate(&t, &mut rng).unwrap();
+            let exact = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
             assert!(
-                (out.log_weight.log() - exact.log()).abs() < 1e-9,
+                (w.log() - exact.log()).abs() < 1e-9,
                 "seed {seed}: {} vs {} for `{sq}`",
-                out.log_weight.log(),
+                w.log(),
                 exact.log()
             );
         }

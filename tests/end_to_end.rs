@@ -6,7 +6,7 @@ use std::sync::Arc;
 use incremental::{
     infer, infer_without_weights, run_state_sequence_supervised, Correspondence,
     CorrespondenceTranslator, FailurePolicy, ParticleCollection, ResamplePolicy, SmcConfig,
-    StagePolicy, StateTranslator, TraceStateAdapter,
+    StagePolicy, StateTranslator,
 };
 use inference::stats::mean;
 use models::data::hospital::HospitalData;
@@ -180,7 +180,7 @@ fn sequence_with_adaptive_resampling() {
                 w[1].clone(),
                 Correspondence::identity_on(["x"]),
             );
-            Arc::new(TraceStateAdapter(translator)) as Arc<dyn StateTranslator<Trace> + Send + Sync>
+            Arc::new(translator) as Arc<dyn StateTranslator<Trace> + Send + Sync>
         })
         .collect();
     let sampler = inference::ExactPosterior::new(&models[0]).unwrap();

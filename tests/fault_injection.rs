@@ -12,7 +12,7 @@ use std::sync::Arc;
 use incremental::{
     infer, run_state_sequence_supervised, Correspondence, CorrespondenceTranslator, FailureKind,
     FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator, ParticleCollection,
-    SequenceRun, SmcConfig, SmcError, StagePolicy, StateTranslator, TraceStateAdapter,
+    SequenceRun, SmcConfig, SmcError, StagePolicy, StateTranslator,
 };
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
@@ -78,7 +78,7 @@ type TraceStage = Arc<dyn StateTranslator<Trace> + Send + Sync>;
 fn faulty_stages(plan: &FaultPlan) -> Vec<TraceStage> {
     translator_chain()
         .into_iter()
-        .map(|t| Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as TraceStage)
+        .map(|t| Arc::new(FaultyTranslator::new(t, plan.clone())) as TraceStage)
         .collect()
 }
 
@@ -279,7 +279,7 @@ fn clean_runs_are_bit_identical_to_the_legacy_path() {
     // Plain fail-fast sequence run.
     let plain: Vec<TraceStage> = translator_chain()
         .into_iter()
-        .map(|t| Arc::new(TraceStateAdapter(t)) as TraceStage)
+        .map(|t| Arc::new(t) as TraceStage)
         .collect();
     let legacy = run_stages(&plain, &initial_particles(6), &FailurePolicy::FailFast, 6).unwrap();
 

@@ -2,8 +2,8 @@
 //!
 //! Graph-native stages ([`run_edit_sequence_supervised`], or
 //! [`IncrementalTranslator`]s over lifted graphs) must be *bit-identical*
-//! to flat-trace stages (the same translators behind
-//! [`TraceStateAdapter`]) run through the same stage loop, whenever the
+//! to flat-trace stages (the same translators over `Trace` particles) run
+//! through the same stage loop, whenever the
 //! edits reuse every random choice: the representation (traces vs.
 //! persistent execution graphs) and the threading (inline vs. worker
 //! pool) are implementation details that may never change the weights.
@@ -20,7 +20,7 @@ use depgraph::{
 use incremental::{
     run_state_sequence_supervised, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
     FaultyTranslator, ParticleCollection, ResamplePolicy, ResampleScheme, SequenceRun, SmcConfig,
-    StagePolicy, StateTranslator, TraceStateAdapter,
+    StagePolicy, StateTranslator,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -138,9 +138,7 @@ fn flat_run(
 ) -> SequenceRun {
     let stages: Vec<DynStage<Trace>> = edit_chain(ps)
         .into_iter()
-        .map(|t| {
-            Arc::new(TraceStateAdapter(FaultyTranslator::new(t, plan.clone()))) as DynStage<Trace>
-        })
+        .map(|t| Arc::new(FaultyTranslator::new(t, plan.clone())) as DynStage<Trace>)
         .collect();
     run_loop(&stages, init, config, policy, 1)
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use depgraph::{edit_chain, run_edit_sequence_supervised};
 use incremental::{
     metrics, run_state_sequence_supervised, FailurePolicy, MetricsRecorder, ParticleCollection,
-    SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
+    SmcConfig, StagePolicy, StateTranslator,
 };
 use ppl::ast::Program;
 use ppl::handlers::simulate;
@@ -92,7 +92,7 @@ fn flat_counters(threads: usize) -> String {
     let initial = initial(&programs);
     let stages: Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> = edit_chain(&programs)
         .into_iter()
-        .map(|t| Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
+        .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
         .collect();
     let recorder = Arc::new(MetricsRecorder::new());
     let _guard = metrics::install(Arc::clone(&recorder) as _);

@@ -1,6 +1,6 @@
 //! Integration tests pinning every worked example in the paper's text.
 
-use incremental::{CorrespondenceTranslator, TraceTranslator};
+use incremental::{CorrespondenceTranslator, StateTranslator};
 use models::{burglary, worked_examples};
 use ppl::dist::Dist;
 use ppl::{addr, Enumeration, Trace, Value};
@@ -47,9 +47,9 @@ fn figure1_weight() {
     let expected = (0.02 * 0.95 * 0.9) / (0.02 * 0.9 * 0.8); // = 1.1875
     let mut seen = false;
     for _ in 0..50_000 {
-        let out = translator.translate(&t, &mut rng).unwrap();
-        if out.trace.value(&addr!["gamma_"]).unwrap().truthy().unwrap() {
-            assert!((out.log_weight.prob() - expected).abs() < 1e-9);
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        if u.value(&addr!["gamma_"]).unwrap().truthy().unwrap() {
+            assert!((w.prob() - expected).abs() < 1e-9);
             seen = true;
             break;
         }
@@ -89,12 +89,12 @@ fn example3_weight_two_thirds() {
     );
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..20 {
-        let out = translator.translate(&t, &mut rng).unwrap();
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
         // The weight is 2/3 regardless of how θ and ι are sampled.
-        assert!((out.log_weight.prob() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((w.prob() - 2.0 / 3.0).abs() < 1e-12);
         // θ and ι were sampled fresh within their supports.
-        let theta = out.trace.value(&addr!["theta"]).unwrap().as_int().unwrap();
-        let iota = out.trace.value(&addr!["iota"]).unwrap().as_int().unwrap();
+        let theta = u.value(&addr!["theta"]).unwrap().as_int().unwrap();
+        let iota = u.value(&addr!["iota"]).unwrap().as_int().unwrap();
         assert!((1..=6).contains(&theta));
         assert!((-5..=-2).contains(&iota));
     }
@@ -123,8 +123,8 @@ fn example3_support_discipline() {
             .unwrap();
     }
     let mut rng = StdRng::seed_from_u64(2);
-    let out = translator.translate(&t, &mut rng).unwrap();
-    assert!(out.log_weight.log().is_finite());
+    let (_, w) = translator.translate(&t, &mut rng).unwrap();
+    assert!(w.log().is_finite());
 }
 
 /// Section 5.4: the geometric program's trials are indexed so that
@@ -138,9 +138,9 @@ fn geometric_loop_correspondence() {
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..30 {
         let t = ppl::handlers::simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        assert_eq!(out.trace.return_value(), t.return_value());
-        assert_eq!(out.trace.len(), t.len());
+        let (u, _) = translator.translate(&t, &mut rng).unwrap();
+        assert_eq!(u.return_value(), t.return_value());
+        assert_eq!(u.len(), t.len());
     }
 }
 

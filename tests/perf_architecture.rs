@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use incremental::{
     run_state_sequence_supervised, Correspondence, CorrespondenceTranslator, FailurePolicy,
-    ParticleCollection, SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
+    ParticleCollection, SmcConfig, StagePolicy, StateTranslator,
 };
 use ppl::address::Component;
 use ppl::dist::Dist;
@@ -175,7 +175,7 @@ fn fixture() -> (
         .map(|_| simulate(&p_model, &mut rng).unwrap())
         .collect();
     (
-        Arc::new(TraceStateAdapter(translator)),
+        Arc::new(translator),
         ParticleCollection::from_traces(traces),
     )
 }

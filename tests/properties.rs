@@ -3,7 +3,7 @@
 
 use incremental::{
     resample, Correspondence, CorrespondenceTranslator, ParticleCollection, ResampleScheme,
-    TraceTranslator,
+    StateTranslator,
 };
 use ppl::dist::Dist;
 use ppl::handlers::{score, simulate};
@@ -90,10 +90,10 @@ proptest! {
         let translator = CorrespondenceTranslator::new(p.clone(), q.clone(), corr.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        let oracle = incremental::exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
-        prop_assert!((out.log_weight.log() - oracle.log()).abs() < 1e-9,
-            "translator {} vs oracle {}", out.log_weight.log(), oracle.log());
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        let oracle = incremental::exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
+        prop_assert!((w.log() - oracle.log()).abs() < 1e-9,
+            "translator {} vs oracle {}", w.log(), oracle.log());
     }
 
     /// LogWeight algebra: addition is commutative/associative and ONE is

@@ -1,15 +1,15 @@
 //! Property-based differential testing of the whole incremental pipeline:
-//! random surface programs, random constant edits, and the invariant that
-//! the Section 6 translator's weight always equals the exact Eq. (2)
-//! oracle for the produced trace pair.
+//! random surface programs, random constant and structural edits, and the
+//! invariant that the Section 6 translator's weight always equals the
+//! exact Eq. (2) oracle for the produced trace pair.
 
 mod common;
 
-use common::{perturb_constants, program_strategy};
+use common::{perturb_constants, program_strategy, structural_edit_strategy};
 use depgraph::{ExecGraph, IncrementalTranslator};
-use incremental::{exact_weight_estimate, TraceTranslator};
+use incremental::{exact_weight_estimate, StateTranslator};
 use ppl::address::Component;
-use ppl::handlers::simulate;
+use ppl::handlers::{score, simulate};
 use ppl::{parse, Address};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,13 +34,13 @@ proptest! {
         let corr = translator.edit().correspondence.clone();
         let mut rng = StdRng::seed_from_u64(seed);
         let t = simulate(&p, &mut rng).unwrap();
-        let out = translator.translate(&t, &mut rng).unwrap();
-        let oracle = exact_weight_estimate(&p, &q, &corr, &t, &out.trace).unwrap();
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        let oracle = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
         prop_assert!(
-            (out.log_weight.log() - oracle.log()).abs() < 1e-9
-                || (out.log_weight.is_zero() && oracle.is_zero()),
+            (w.log() - oracle.log()).abs() < 1e-9
+                || (w.is_zero() && oracle.is_zero()),
             "src:\n{src}\nq:\n{q_src}\nincremental {} vs oracle {}",
-            out.log_weight.log(),
+            w.log(),
             oracle.log()
         );
     }
@@ -98,6 +98,44 @@ proptest! {
                 return Err(format!("src:\n{src}\n{msg}"));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Structural edits — inserted and deleted statements, shifted
+    /// auto-labels — through the flat-trace translator: the weight
+    /// matches the exact oracle, and replaying the translated trace under
+    /// `Q` gives back its choices and score bits.
+    #[test]
+    fn structural_edits_match_the_oracle_and_replay_under_q(
+        edit in structural_edit_strategy(),
+        seed in 0u64..200,
+    ) {
+        let (p_src, q_src) = edit;
+        let p = parse(&p_src).unwrap();
+        let q = parse(&q_src).unwrap();
+        let translator = IncrementalTranslator::from_edit(p.clone(), q.clone());
+        let corr = translator.edit().correspondence.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = simulate(&p, &mut rng).unwrap();
+        let (u, w) = translator.translate(&t, &mut rng).unwrap();
+        let oracle = exact_weight_estimate(&p, &q, &corr, &t, &u).unwrap();
+        prop_assert!(
+            (w.log() - oracle.log()).abs() < 1e-9 || (w.is_zero() && oracle.is_zero()),
+            "p:\n{p_src}\nq:\n{q_src}\nincremental {} vs oracle {}",
+            w.log(),
+            oracle.log()
+        );
+        let replayed = score(&q, &u.to_choice_map()).unwrap();
+        prop_assert_eq!(replayed.to_choice_map(), u.to_choice_map(), "q:\n{}", q_src);
+        prop_assert_eq!(
+            replayed.score().log().to_bits(),
+            u.score().log().to_bits(),
+            "q:\n{}",
+            q_src
+        );
     }
 }
 

@@ -10,11 +10,11 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{perturb_constants, program_strategy};
+use common::{perturb_constants, program_strategy, structural_edit_strategy};
 use depgraph::{edit_chain, run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
 use incremental::{
     collection_checksum, run_state_sequence_supervised, FailurePolicy, ParticleCollection,
-    SmcConfig, StagePolicy, StateTranslator, TraceStateAdapter,
+    SmcConfig, StagePolicy, StateTranslator,
 };
 use ppl::handlers::simulate;
 use ppl::{parse, Trace};
@@ -103,7 +103,7 @@ proptest! {
         let particles = ParticleCollection::from_traces(traces);
         let stages: Vec<Arc<dyn StateTranslator<Trace> + Send + Sync>> = edit_chain(&programs)
             .into_iter()
-            .map(|t| Arc::new(TraceStateAdapter(t)) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
+            .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
             .collect();
         let run = run_state_sequence_supervised(
             &stages,
@@ -123,6 +123,32 @@ proptest! {
             "slice oracle rejected sequence of:\n{}\n{}",
             sources.join("\n---\n"),
             run.err().map(|e| e.to_string()).unwrap_or_default()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The slice oracle holds under structural edits, which remove old
+    /// statements, walk fresh ones and shift auto-generated site labels.
+    #[test]
+    fn visited_statements_stay_inside_the_slice_under_structural_edits(
+        edit in structural_edit_strategy(),
+        seed in 0u64..200,
+    ) {
+        depgraph::set_verify_slices(true);
+        let (p_src, q_src) = edit;
+        let p = parse(&p_src).unwrap();
+        let q = parse(&q_src).unwrap();
+        let translator = IncrementalTranslator::from_edit(p.clone(), q);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
+        let result = translator.translate_graph(&graph, &mut rng);
+        prop_assert!(
+            result.is_ok(),
+            "slice oracle rejected p:\n{p_src}\nq:\n{q_src}\n{}",
+            result.err().map(|e| e.to_string()).unwrap_or_default()
         );
     }
 }

@@ -5,7 +5,7 @@
 
 use incremental::{
     infer, translator_error, Correspondence, CorrespondenceTranslator, ParticleCollection,
-    SmcConfig, TraceTranslator,
+    SmcConfig, StateTranslator,
 };
 use inference::{ExactPosterior, SingleSiteMh};
 use ppl::dist::Dist;
@@ -48,8 +48,8 @@ fn lemma6_mean_weight_converges_to_z_ratio() {
     let mut total = 0.0;
     for _ in 0..m {
         let t = sampler.sample(&mut rng);
-        let out = translator.translate(&t, &mut rng).unwrap();
-        total += out.log_weight.prob();
+        let (_, w) = translator.translate(&t, &mut rng).unwrap();
+        total += w.prob();
     }
     let estimate = total / m as f64;
     let expected = z_q / z_p;

@@ -21,7 +21,7 @@ use incremental::{
     collection_checksum, run_state_sequence_supervised, Backoff, Correspondence,
     CorrespondenceTranslator, FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
     FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, SmcError, StagePolicy,
-    StateTranslator, TraceStateAdapter,
+    StateTranslator,
 };
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
@@ -62,10 +62,8 @@ fn stages(plan: &FaultPlan) -> Vec<Arc<dyn StateTranslator<ppl::Trace> + Send + 
                 model_with_obs(p_to),
                 Correspondence::identity_on(["x"]),
             );
-            Arc::new(TraceStateAdapter(FaultyTranslator::new(
-                inner,
-                plan.clone(),
-            ))) as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>
+            Arc::new(FaultyTranslator::new(inner, plan.clone()))
+                as Arc<dyn StateTranslator<ppl::Trace> + Send + Sync>
         })
         .collect()
 }
