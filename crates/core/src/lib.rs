@@ -103,8 +103,8 @@ pub use health::{
 };
 pub use mcmc::{IdentityKernel, McmcKernel};
 pub use metrics::{
-    ArenaTelemetry, EvalTelemetry, MetricsGuard, MetricsRecorder, MetricsReport, MetricsSink,
-    NoopSink, PoolTelemetry, PropagationCounters, StageMetrics,
+    EvalTelemetry, MetricsGuard, MetricsRecorder, MetricsReport, MetricsSink, NoopSink,
+    PoolTelemetry, PropagationCounters, StageMetrics,
 };
 pub use particles::{Particle, ParticleCollection, ParticleState};
 pub use pool::WorkerPool;

@@ -170,29 +170,6 @@ impl Default for PoolTelemetry {
     }
 }
 
-/// Arena-allocator telemetry accumulated over a metrics-enabled run:
-/// how many execution-graph nodes live in arena segments, and how much
-/// segment capacity was recycled instead of re-allocated.
-///
-/// Node totals are value-deterministic, but frees (and therefore
-/// occupancy and the high-water mark) happen when particle graphs drop —
-/// a schedule-dependent instant under parallel translation — so the
-/// whole struct stays out of the deterministic counter subset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaTelemetry {
-    /// Graph nodes allocated into arena segments.
-    pub nodes_allocated: u64,
-    /// Graph nodes released when their segment dropped.
-    pub nodes_freed: u64,
-    /// Nodes currently live (`allocated - freed`, saturating).
-    pub occupancy: u64,
-    /// High-water mark of live nodes.
-    pub high_water: u64,
-    /// Segment buffers reused from the capacity pool instead of being
-    /// freshly allocated.
-    pub recycled_buffers: u64,
-}
-
 /// Compiled-evaluation telemetry snapshot: compile-cache effectiveness,
 /// compiled-vs-tree-walk execution mix, and eval-frame reuse. Counts are
 /// process-wide and schedule-dependent (frame pools are per worker
@@ -251,7 +228,6 @@ impl MetricsRecorder {
             label: label.to_string(),
             stages: lock(&self.stages).clone(),
             pool: pool_telemetry(),
-            arena: arena_telemetry(),
             eval: eval_telemetry(),
         }
     }
@@ -273,8 +249,6 @@ pub struct MetricsReport {
     pub stages: Vec<StageMetrics>,
     /// Pool telemetry accumulated over the run.
     pub pool: PoolTelemetry,
-    /// Arena telemetry accumulated over the run.
-    pub arena: ArenaTelemetry,
     /// Compiled-evaluation telemetry accumulated over the run.
     pub eval: EvalTelemetry,
 }
@@ -332,22 +306,6 @@ impl MetricsReport {
         out.push_str(&format!(
             "    \"latency_us_log2_buckets\": [{}]\n",
             buckets.join(", ")
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"arena\": {\n");
-        out.push_str(&format!(
-            "    \"nodes_allocated\": {},\n",
-            self.arena.nodes_allocated
-        ));
-        out.push_str(&format!(
-            "    \"nodes_freed\": {},\n",
-            self.arena.nodes_freed
-        ));
-        out.push_str(&format!("    \"occupancy\": {},\n", self.arena.occupancy));
-        out.push_str(&format!("    \"high_water\": {},\n", self.arena.high_water));
-        out.push_str(&format!(
-            "    \"recycled_buffers\": {}\n",
-            self.arena.recycled_buffers
         ));
         out.push_str("  },\n");
         out.push_str("  \"eval\": {\n");
@@ -447,13 +405,6 @@ impl MetricsReport {
         out.push_str(&format!(
             "  pool: {} tasks, queue depth high-water {}, {} respawns, {} retirements\n",
             self.pool.tasks, self.pool.queue_depth_hwm, self.pool.respawns, self.pool.retirements,
-        ));
-        out.push_str(&format!(
-            "  arena: {} nodes allocated, {} live (high-water {}), {} buffers recycled\n",
-            self.arena.nodes_allocated,
-            self.arena.occupancy,
-            self.arena.high_water,
-            self.arena.recycled_buffers,
         ));
         out.push_str(&format!(
             "  eval: {} compiled / {} tree-walk execs, cache {} hits / {} misses, \
@@ -557,12 +508,6 @@ static T_CHECKPOINT_NS: AtomicU64 = AtomicU64::new(0);
 static D_TASKS: AtomicU64 = AtomicU64::new(0);
 static D_CHUNK: AtomicU64 = AtomicU64::new(0);
 
-// Arena telemetry (accumulated per run, read at report time).
-static ARENA_ALLOC: AtomicU64 = AtomicU64::new(0);
-static ARENA_FREED: AtomicU64 = AtomicU64::new(0);
-static ARENA_HWM: AtomicU64 = AtomicU64::new(0);
-static ARENA_RECYCLED: AtomicU64 = AtomicU64::new(0);
-
 // Pool telemetry (accumulated per run, read at report time).
 static POOL_TASKS: AtomicU64 = AtomicU64::new(0);
 static POOL_DEPTH: AtomicU64 = AtomicU64::new(0);
@@ -614,10 +559,6 @@ pub fn install(sink: std::sync::Arc<dyn MetricsSink>) -> MetricsGuard {
         &T_CHECKPOINT_NS,
         &D_TASKS,
         &D_CHUNK,
-        &ARENA_ALLOC,
-        &ARENA_FREED,
-        &ARENA_HWM,
-        &ARENA_RECYCLED,
         &POOL_TASKS,
         &POOL_DEPTH,
         &POOL_DEPTH_HWM,
@@ -754,48 +695,6 @@ pub fn note_stage_dispatch(tasks: u64, chunk: u64) {
     }
     D_TASKS.fetch_add(tasks, Ordering::Relaxed);
     D_CHUNK.fetch_max(chunk, Ordering::Relaxed);
-}
-
-/// Records `n` execution-graph nodes allocated into an arena segment,
-/// updating the live-node high-water mark.
-#[inline]
-pub fn note_arena_alloc(n: u64) {
-    if !enabled() || n == 0 {
-        return;
-    }
-    let allocated = ARENA_ALLOC.fetch_add(n, Ordering::Relaxed) + n;
-    let live = allocated.saturating_sub(ARENA_FREED.load(Ordering::Relaxed));
-    ARENA_HWM.fetch_max(live, Ordering::Relaxed);
-}
-
-/// Records `n` execution-graph nodes released by a dropped arena
-/// segment.
-#[inline]
-pub fn note_arena_free(n: u64) {
-    if enabled() && n > 0 {
-        ARENA_FREED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Records a segment buffer reused from the arena capacity pool.
-#[inline]
-pub fn note_arena_recycle() {
-    if enabled() {
-        ARENA_RECYCLED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the arena telemetry accumulated since [`install`].
-pub fn arena_telemetry() -> ArenaTelemetry {
-    let nodes_allocated = ARENA_ALLOC.load(Ordering::Relaxed);
-    let nodes_freed = ARENA_FREED.load(Ordering::Relaxed);
-    ArenaTelemetry {
-        nodes_allocated,
-        nodes_freed,
-        occupancy: nodes_allocated.saturating_sub(nodes_freed),
-        high_water: ARENA_HWM.load(Ordering::Relaxed),
-        recycled_buffers: ARENA_RECYCLED.load(Ordering::Relaxed),
-    }
 }
 
 /// Snapshot of the compiled-evaluation telemetry maintained by
@@ -1004,7 +903,6 @@ mod tests {
             label: "a\"b\\c".to_string(),
             stages: vec![],
             pool: PoolTelemetry::default(),
-            arena: ArenaTelemetry::default(),
             eval: EvalTelemetry::default(),
         };
         assert!(rep.to_json().contains("a\\\"b\\\\c"));

@@ -5,10 +5,10 @@
 //! the diff-derived correspondence, this constructs the translated graph
 //! `G_u` and the weight estimate `ŵ_{P→Q}(u; t)` by re-executing only the
 //! statements affected by the edit — "propagating changes from these
-//! nodes throughout the dependency graph in topological order". The new
-//! graph's arena *extends* the old one's ([`StoreBuilder::extending`]),
-//! so an unchanged subtree is shared between `G_t` and `G_u` by copying
-//! its 4-byte node id.
+//! nodes throughout the dependency graph in topological order". The walk
+//! pushes a new record, `Arc::new(record)`, for each visited statement
+//! or loop iteration, and shares a skipped one between `G_t` and `G_u`
+//! by cloning its `Arc`: no store, no ids, no lookups.
 //!
 //! A subtree with no old record — a new statement, a flipped branch, an
 //! unmatched loop iteration — is walked straight from its compiled block.
@@ -54,8 +54,7 @@ use crate::diff::ProgramEdit;
 use crate::eval::{any_dirty, apply_effects, ChoiceSource, Recorder};
 use crate::plan::{PlanBlock, PlanOp, PlanStmt, StagePlan};
 use crate::record::{
-    BlockId, BlockRecord, Effect, ExecGraph, NodeStore, ObsData, StmtId, StmtRecord, StoreBuilder,
-    Summary, WhileIter,
+    BlockRecord, Effect, ExecGraph, ObsData, ReadSet, StmtRecord, Summary, WhileIter,
 };
 
 /// How much work a translation did — the quantity Figure 10 plots.
@@ -193,10 +192,10 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// Charges `n` fuel ticks: one per visited statement plus the
-    /// expression ticks of [`CompiledProgram::eval`], exactly what forward
-    /// execution charges for the same statements, so a walk runs out of
-    /// fuel where [`ppl::Interp::run`] would.
+    /// Charges `n` fuel ticks: one per visited statement and `for`
+    /// iteration plus the expression ticks of [`CompiledProgram::eval`],
+    /// exactly what forward execution charges for the same statements, so
+    /// a walk runs out of fuel where [`ppl::Interp::run`] would.
     pub(crate) fn charge(&mut self, n: u64) -> Result<(), PplError> {
         if DEFAULT_FUEL - self.ticks < n {
             return Err(PplError::FuelExhausted {
@@ -231,12 +230,8 @@ pub(crate) fn walk(
     note_compiled_exec();
     let mut frame = acquire_frame();
     frame.prepare(prog.slot_count());
-    let empty = NodeStore::default();
-    let old_store = old.map_or(&empty, |(graph, _)| graph.store());
     let mut walker = Propagator {
-        old: old_store,
         prog,
-        builder: StoreBuilder::extending(old_store),
         source,
         frame: &mut frame,
         tally: Tally::default(),
@@ -256,7 +251,7 @@ pub(crate) fn walk(
         Some(e) => {
             let v = walker.eval(e, &mut ret_summary)?;
             if !ret_summary.choices.is_empty() || !ret_summary.reads.is_empty() {
-                stmts.push(walker.builder.push_stmt(StmtRecord::Leaf {
+                stmts.push(Arc::new(StmtRecord::Leaf {
                     summary: ret_summary,
                 }));
             }
@@ -264,20 +259,12 @@ pub(crate) fn walk(
         }
         None => Value::Int(0),
     };
-    let Propagator {
-        mut builder,
-        tally,
-        oracle,
-        ..
-    } = walker;
-    let root_block = BlockRecord::finalize(&builder, stmts);
-    let root = builder.push_block(root_block);
+    let Propagator { tally, oracle, .. } = walker;
     Ok(Pass {
         graph: ExecGraph::assemble(
             Arc::clone(program),
             Arc::clone(prog),
-            builder.finish(),
-            root,
+            BlockRecord::finalize(stmts),
             return_value,
         ),
         tally,
@@ -288,14 +275,9 @@ pub(crate) fn walk(
 /// The statement walker: one pass over a compiled program, against the
 /// old graph's records where they exist and fresh where they do not.
 struct Propagator<'a> {
-    /// The old graph's arena (empty for a graph build).
-    old: &'a NodeStore,
     /// The compiled program walked (for a translation, the stage's
     /// program, whose slot universe covers `P` and `Q`).
     prog: &'a CompiledProgram,
-    /// Output arena, extending the old graph's store — so old node ids
-    /// remain valid and a skipped subtree is shared by pushing its id.
-    builder: StoreBuilder,
     source: &'a mut dyn ChoiceSource,
     frame: &'a mut EvalFrame,
     tally: Tally,
@@ -339,18 +321,6 @@ impl ChoiceSource for ReuseSource<'_> {
 }
 
 impl<'a> Propagator<'a> {
-    /// Resolves an old-graph statement id. The returned reference borrows
-    /// the *input graph* (lifetime `'a`), not the propagator, so it stays
-    /// usable across subsequent `&mut self` calls.
-    fn old_stmt(&self, id: StmtId) -> &'a StmtRecord {
-        self.old.stmt(id)
-    }
-
-    /// Resolves an old-graph block id (see [`Propagator::old_stmt`]).
-    fn old_block(&self, id: BlockId) -> &'a BlockRecord {
-        self.old.block(id)
-    }
-
     fn eval(&mut self, expr: ExprId, sum: &mut Summary) -> Result<Value, PplError> {
         let mut hooks = Recorder {
             source: &mut *self.source,
@@ -369,8 +339,8 @@ impl<'a> Propagator<'a> {
         self.prog.eval_dist(self.frame, kind, &mut hooks)
     }
 
-    fn any_dirty(&self, reads: &BTreeSet<&'static str>) -> bool {
-        any_dirty(self.prog, self.frame, reads.iter().copied())
+    fn any_dirty(&self, reads: &ReadSet) -> bool {
+        any_dirty(self.prog, self.frame, reads.iter())
     }
 
     /// One past the last pre-order index of `count` sibling subtrees
@@ -429,17 +399,18 @@ impl<'a> Propagator<'a> {
 
     /// Walks a block against its plan and old records when it has them,
     /// fresh otherwise; `start` is the pre-order index of its first
-    /// statement.
+    /// statement. Returns the block's finished record.
     fn walk_block(
         &mut self,
         block: CBlockId,
-        old: Option<(&'a PlanBlock, BlockId)>,
+        old: Option<(&'a PlanBlock, &'a BlockRecord)>,
         start: usize,
-    ) -> Result<Vec<StmtId>, PplError> {
-        match old {
+    ) -> Result<BlockRecord, PplError> {
+        let stmts = match old {
             Some((plan, old_block)) => self.exec_block(block, plan, old_block),
             None => self.fresh_block(block, start),
-        }
+        };
+        Ok(BlockRecord::finalize(stmts?))
     }
 
     /// Walks a block that has an old record, along its plan.
@@ -447,22 +418,21 @@ impl<'a> Propagator<'a> {
         &mut self,
         block: CBlockId,
         plan: &'a PlanBlock,
-        old: BlockId,
-    ) -> Result<Vec<StmtId>, PplError> {
+        old_block: &'a BlockRecord,
+    ) -> Result<Vec<Arc<StmtRecord>>, PplError> {
         let prog = self.prog;
         let stmts = &prog.block(block).stmts;
-        let old_block = self.old_block(old);
         let mut records = Vec::with_capacity(stmts.len());
         for op in &plan.ops {
             match op {
                 PlanOp::RemovedP(p_index) => {
-                    if let Some(summary) = self.old_stmt(old_block.stmts[*p_index]).summary() {
+                    if let Some(summary) = old_block.stmts[*p_index].summary() {
                         self.remove_record(summary);
                     }
                 }
                 PlanOp::Fresh { q_index, pre_index } => {
                     let record = self.visit_stmt(stmts[*q_index], None, *pre_index)?;
-                    records.push(self.builder.push_stmt(record));
+                    records.push(Arc::new(record));
                 }
                 PlanOp::Stmt {
                     q_index,
@@ -474,8 +444,8 @@ impl<'a> Propagator<'a> {
                 } => {
                     // Compiled blocks are index-aligned with the AST
                     // blocks the plan was built from.
-                    let old_sid = old_block.stmts[*p_index];
-                    let rec = self.old_stmt(old_sid);
+                    let old = &old_block.stmts[*p_index];
+                    let rec: &'a StmtRecord = old;
                     // Static pre-pruning: the plan proved this statement
                     // outside the impact slice, so its inputs cannot be
                     // dirty — skip without scanning the recorded read
@@ -484,7 +454,7 @@ impl<'a> Propagator<'a> {
                     if *static_skip {
                         self.skip_record(rec)?;
                         self.tally.stats.static_skips += 1;
-                        records.push(old_sid);
+                        records.push(Arc::clone(old));
                         continue;
                     }
                     // Skip when nothing changed and no dirty inputs (the
@@ -492,14 +462,13 @@ impl<'a> Propagator<'a> {
                     let clean = rec.summary().is_none_or(|s| !self.any_dirty(&s.reads));
                     if *unchanged && clean {
                         self.skip_record(rec)?;
-                        // O(1) subtree sharing: the old id is valid in
-                        // the extending store.
-                        records.push(old_sid);
+                        // O(1) subtree sharing.
+                        records.push(Arc::clone(old));
                         continue;
                     }
                     let record =
                         self.visit_stmt(stmts[*q_index], Some((detail, rec)), *pre_index)?;
-                    records.push(self.builder.push_stmt(record));
+                    records.push(Arc::new(record));
                 }
             }
         }
@@ -508,14 +477,18 @@ impl<'a> Propagator<'a> {
 
     /// Walks a block that has no old record, straight from its compiled
     /// statements; `start` is the pre-order index of its first statement.
-    fn fresh_block(&mut self, block: CBlockId, start: usize) -> Result<Vec<StmtId>, PplError> {
+    fn fresh_block(
+        &mut self,
+        block: CBlockId,
+        start: usize,
+    ) -> Result<Vec<Arc<StmtRecord>>, PplError> {
         let prog = self.prog;
         let stmts = &prog.block(block).stmts;
         let mut records = Vec::with_capacity(stmts.len());
         let mut pre_index = start;
         for &stmt in stmts {
             let record = self.visit_stmt(stmt, None, pre_index)?;
-            records.push(self.builder.push_stmt(record));
+            records.push(Arc::new(record));
             pre_index = self.pre_end(pre_index, 1);
         }
         Ok(records)
@@ -642,12 +615,11 @@ impl<'a> Propagator<'a> {
                         },
                     )) => {
                         if *old_took == took_then {
-                            Some((if took_then { then_plan } else { else_plan }, *body))
+                            Some((if took_then { then_plan } else { else_plan }, &**body))
                         } else {
                             // The branch flipped: the old branch is removed
                             // and the new branch runs fresh.
-                            let removed = &self.old_block(*body).summary;
-                            self.remove_record(removed);
+                            self.remove_record(&body.summary);
                             None
                         }
                     }
@@ -658,22 +630,16 @@ impl<'a> Propagator<'a> {
                 } else {
                     self.pre_end(pre_index + 1, prog.block(then_b).stmts.len())
                 };
-                let body_records = self.walk_block(branch, old_branch, start)?;
-                let body_block = BlockRecord::finalize(&self.builder, body_records);
-                summary
-                    .reads
-                    .extend(body_block.summary.reads.iter().cloned());
-                summary
-                    .effects
-                    .extend(body_block.summary.effects.iter().cloned());
-                summary.obs_score += body_block.summary.obs_score;
-                let body = self.builder.push_block(body_block);
+                let body = self.walk_block(branch, old_branch, start)?;
+                summary.reads.extend(body.summary.reads.iter());
+                summary.effects.extend(body.summary.effects.iter().cloned());
+                summary.obs_score += body.summary.obs_score;
                 if let Some(old_summary) = old_rec.and_then(StmtRecord::summary) {
                     self.reconcile_writes(old_summary);
                 }
                 Ok(StmtRecord::If {
                     took_then,
-                    body,
+                    body: Arc::new(body),
                     summary,
                 })
             }
@@ -695,7 +661,7 @@ impl<'a> Propagator<'a> {
                         },
                         rec,
                     )) => {
-                        let old_for: Option<(i64, i64, &'a [BlockId])> = match rec {
+                        let old_for: Option<(i64, i64, &'a [Arc<BlockRecord>])> = match rec {
                             StmtRecord::For { lo, hi, iters, .. } => Some((*lo, *hi, iters)),
                             _ => None,
                         };
@@ -707,73 +673,60 @@ impl<'a> Propagator<'a> {
                 let mut summary = Summary::default();
                 let lo = self.eval(lo_e, &mut summary)?.as_int()?;
                 let hi = self.eval(hi_e, &mut summary)?.as_int()?;
-                // A body that costs a tick per iteration runs out of fuel
-                // within `DEFAULT_FUEL` iterations, so reserving more would
-                // only let huge bounds allocate before the budget fails.
+                // Every visited iteration costs a tick, so a loop runs out
+                // of fuel within `DEFAULT_FUEL` iterations; reserving more
+                // would only let huge bounds allocate before the budget
+                // fails.
                 let trip = hi.saturating_sub(lo).clamp(0, DEFAULT_FUEL as i64);
                 let mut iters = Vec::with_capacity(trip as usize);
                 let mut written: BTreeSet<&'static str> = BTreeSet::new();
                 written.insert(var_name);
                 for i in lo..hi {
                     self.frame.bind(slot, Value::Int(i), false);
-                    let old_iter: Option<BlockId> =
+                    let old_iter: Option<&'a Arc<BlockRecord>> =
                         old_for.and_then(|(old_lo, old_hi, old_iters)| {
                             if old_lo <= i && i < old_hi {
-                                old_iters.get((i - old_lo) as usize).copied()
+                                old_iters.get((i - old_lo) as usize)
                             } else {
                                 None
                             }
                         });
-                    let skippable = body_unchanged
-                        && match old_iter {
-                            Some(oid) => {
-                                let reads = &self.old_block(oid).summary.reads;
-                                !self.any_dirty(reads)
-                            }
-                            None => false,
-                        };
-                    let iter_id = match old_iter {
-                        Some(oid) if skippable => {
-                            // Skip the whole iteration; share its record
-                            // by id.
-                            let old_sum = &self.old_block(oid).summary;
-                            apply_effects(self.prog, self.frame, &old_sum.effects, false)?;
+                    let iter = match old_iter {
+                        Some(old) if body_unchanged && !self.any_dirty(&old.summary.reads) => {
+                            // Skip the whole iteration and share its record.
+                            apply_effects(self.prog, self.frame, &old.summary.effects, false)?;
                             self.tally.stats.skipped += 1;
                             self.tally.stats.iter_skips += 1;
-                            oid
+                            Arc::clone(old)
                         }
                         _ => {
+                            self.tally.charge(1)?;
                             self.tally.stats.visited += 1;
                             self.frame.push_loop(i);
+                            let old_body = old_iter.map(|b| &**b);
                             let result =
-                                self.walk_block(body, body_plan.zip(old_iter), pre_index + 1);
+                                self.walk_block(body, body_plan.zip(old_body), pre_index + 1);
                             self.frame.pop_loop();
-                            let block = BlockRecord::finalize(&self.builder, result?);
-                            self.builder.push_block(block)
+                            Arc::new(result?)
                         }
                     };
                     // Def-before-use across iterations: a read satisfied
                     // by an earlier iteration's write is loop-internal.
-                    let iter_sum = &self.builder.block(iter_id).summary;
-                    summary.reads.extend(
-                        iter_sum
-                            .reads
-                            .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
-                    );
+                    let iter_sum = &iter.summary;
+                    summary
+                        .reads
+                        .extend(iter_sum.reads.iter().filter(|r| !written.contains(r)));
                     summary.obs_score += iter_sum.obs_score;
                     for effect in &iter_sum.effects {
                         written.insert(effect.var_name());
                     }
-                    iters.push(iter_id);
+                    iters.push(iter);
                 }
                 // Old iterations beyond the new bounds were removed.
                 if let Some((old_lo, old_hi, old_iters)) = old_for {
                     for i in old_lo..old_hi {
                         if i < lo || i >= hi {
-                            let removed = &self.old_block(old_iters[(i - old_lo) as usize]).summary;
-                            self.remove_record(removed);
+                            self.remove_record(&old_iters[(i - old_lo) as usize].summary);
                         }
                     }
                 }
@@ -829,24 +782,19 @@ impl<'a> Propagator<'a> {
                     // Skip the iteration wholesale when nothing can have
                     // changed (same code, clean inputs).
                     if let Some(old_iter) = old_iter {
-                        let clean = iter_skippable
-                            && !any_dirty(self.prog, self.frame, old_iter.reads(self.old));
+                        let clean =
+                            iter_skippable && !any_dirty(self.prog, self.frame, old_iter.reads());
                         if clean {
-                            if let Some(b) = old_iter.body {
-                                let body_sum = &self.old_block(b).summary;
-                                apply_effects(self.prog, self.frame, &body_sum.effects, false)?;
+                            if let Some(b) = &old_iter.body {
+                                apply_effects(self.prog, self.frame, &b.summary.effects, false)?;
                             }
                             self.tally.stats.skipped += 1;
                             self.tally.stats.iter_skips += 1;
                             summary
                                 .reads
-                                .extend(old_iter.reads(self.old).filter(|r| !written.contains(*r)));
-                            summary.obs_score += old_iter.obs_score(self.old);
-                            for effect in old_iter
-                                .body
-                                .iter()
-                                .flat_map(|b| self.old_block(*b).summary.effects.iter())
-                            {
+                                .extend(old_iter.reads().filter(|r| !written.contains(r)));
+                            summary.obs_score += old_iter.obs_score();
+                            for effect in old_iter.body.iter().flat_map(|b| &b.summary.effects) {
                                 written.insert(effect.var_name());
                             }
                             let continued = old_iter.continued;
@@ -872,13 +820,9 @@ impl<'a> Propagator<'a> {
                             return Err(e);
                         }
                     };
-                    summary.reads.extend(
-                        cond_sum
-                            .reads
-                            .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
-                    );
+                    summary
+                        .reads
+                        .extend(cond_sum.reads.iter().filter(|r| !written.contains(r)));
                     summary.obs_score += cond_sum.obs_score;
                     if !continued {
                         self.frame.pop_loop();
@@ -889,25 +833,21 @@ impl<'a> Propagator<'a> {
                         });
                         // The old iteration at this index may have had a
                         // body that no longer runs.
-                        if let Some(old_iter) = old_iter {
-                            if let Some(b) = old_iter.body {
-                                let removed = &self.old_block(b).summary;
-                                self.remove_record(removed);
-                            }
+                        if let Some(b) = old_iter.and_then(|it| it.body.as_ref()) {
+                            self.remove_record(&b.summary);
                         }
                         break;
                     }
-                    let old_body: Option<BlockId> = old_iter.and_then(|it| it.body);
+                    let old_body = old_iter.and_then(|it| it.body.as_deref());
                     let body_result = self.walk_block(body, body_plan.zip(old_body), pre_index + 1);
                     self.frame.pop_loop();
-                    let body_rec = BlockRecord::finalize(&self.builder, body_result?);
+                    let body_rec = body_result?;
                     summary.reads.extend(
                         body_rec
                             .summary
                             .reads
                             .iter()
-                            .filter(|r| !written.contains(*r))
-                            .copied(),
+                            .filter(|r| !written.contains(r)),
                     );
                     summary.obs_score += body_rec.summary.obs_score;
                     for effect in &body_rec.summary.effects {
@@ -916,7 +856,7 @@ impl<'a> Propagator<'a> {
                     iters.push(WhileIter {
                         cond: cond_sum,
                         continued: true,
-                        body: Some(self.builder.push_block(body_rec)),
+                        body: Some(Arc::new(body_rec)),
                     });
                     i += 1;
                 }
@@ -924,10 +864,9 @@ impl<'a> Propagator<'a> {
                 // removed entirely.
                 if let Some(old_iters) = old_iters {
                     for old_iter in old_iters.iter().skip(iters.len()) {
-                        self.tally.log_den += old_iter.obs_score(self.old);
-                        if let Some(b) = old_iter.body {
-                            let removed = &self.old_block(b).summary;
-                            self.reconcile_writes(removed);
+                        self.tally.log_den += old_iter.obs_score();
+                        if let Some(b) = &old_iter.body {
+                            self.reconcile_writes(&b.summary);
                         }
                     }
                 }
@@ -1013,9 +952,10 @@ mod tests {
 
     use crate::{run_edit_sequence_supervised, ExecGraph};
 
-    /// `n` iterations of a loop whose body costs 200 fuel ticks: one for
-    /// the statement, two for `i * (…)` and 197 for the constant sum,
-    /// which the compiler folds into one node charged in one step.
+    /// `n` iterations of a loop whose iterations cost 201 fuel ticks: one
+    /// for the iteration, one for the statement, two for `i * (…)` and
+    /// 197 for the constant sum, which the compiler folds into one node
+    /// charged in one step.
     fn heavy_loop(n: u64) -> String {
         let sum = vec!["1"; 99].join(" + ");
         format!("for i in [0..{n}) {{ y = i * ({sum}); }}")
@@ -1024,7 +964,7 @@ mod tests {
     /// The largest `n` for which `heavy_loop(n); return 0;` fits the
     /// default budget: the loop statement and its bounds cost 3 ticks,
     /// the return expression 1.
-    const HEAVY_LOOP_MAX: u64 = (ppl::interp::DEFAULT_FUEL - 4) / 200;
+    const HEAVY_LOOP_MAX: u64 = (ppl::interp::DEFAULT_FUEL - 4) / 201;
 
     /// A graph build charges what `Interp::run` charges, so the two accept
     /// and reject the same iteration counts.

@@ -8,21 +8,18 @@
 //! tracked through variable read/write *summaries* on each record rather
 //! than explicit edges (the summaries are what change propagation needs).
 //!
-//! Records live in an arena ([`NodeStore`]): append-only segments of
-//! contiguous `StmtRecord`/`BlockRecord` buffers, addressed by `u32` node
-//! ids ([`StmtId`], [`BlockId`]). A translated graph's store *extends*
-//! its input's store — the old segments are shared by `Arc` and only one
-//! new tail segment is appended per translation — so old node ids stay
-//! valid in the new graph and the incremental translator shares an
-//! unchanged subtree between `G_t` and `G_u` by copying a 4-byte id
-//! (O(1), the key to the `O(K)` hyperparameter edit of Figure 10).
-//! Duplicating a graph under resampling clones `Arc` handles to the
-//! segment buffers, never the nodes. Segment buffers whose last graph
-//! drops return their capacity to a pool for reuse by later stages.
+//! Records are linked by `Arc`: a block owns its statement records, and
+//! an `if`, `for` or `while` record owns its body blocks. The incremental
+//! translator shares an unchanged subtree between `G_t` and `G_u` by
+//! cloning the subtree's `Arc` (O(1), the key to the `O(K)`
+//! hyperparameter edit of Figure 10), and a record is freed when the
+//! last graph that refers to it drops, so graph memory follows the live
+//! graphs rather than the edit history. Duplicating a graph under
+//! resampling clones one `Arc<ExecGraph>`.
 
 use std::collections::BTreeSet;
 use std::hash::Hasher as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use ppl::address::Component;
 use ppl::ast::Program;
@@ -82,207 +79,48 @@ impl Effect {
     }
 }
 
-/// Arena id of a [`StmtRecord`] in a [`NodeStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StmtId(u32);
-
-/// Arena id of a [`BlockRecord`] in a [`NodeStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockId(u32);
-
-/// Record types whose segment buffers are capacity-pooled on drop.
-trait PooledRecord: Sized + 'static {
-    fn capacity_pool() -> &'static Mutex<Vec<Vec<Self>>>;
-}
-
-static STMT_POOL: Mutex<Vec<Vec<StmtRecord>>> = Mutex::new(Vec::new());
-static BLOCK_POOL: Mutex<Vec<Vec<BlockRecord>>> = Mutex::new(Vec::new());
-
-/// Retained pooled buffers per record type (beyond this, capacity is
-/// simply freed).
-const POOL_MAX: usize = 64;
-
-impl PooledRecord for StmtRecord {
-    fn capacity_pool() -> &'static Mutex<Vec<Vec<StmtRecord>>> {
-        &STMT_POOL
-    }
-}
-
-impl PooledRecord for BlockRecord {
-    fn capacity_pool() -> &'static Mutex<Vec<Vec<BlockRecord>>> {
-        &BLOCK_POOL
-    }
-}
-
-fn pooled_vec<T: PooledRecord>() -> Vec<T> {
-    match T::capacity_pool().lock().ok().and_then(|mut p| p.pop()) {
-        Some(v) => {
-            incremental::metrics::note_arena_recycle();
-            v
-        }
-        None => Vec::new(),
-    }
-}
-
-/// One contiguous arena segment. Dropping the last `Arc` to a segment
-/// drops its nodes and returns the buffer's capacity to the pool.
-#[derive(Debug)]
-struct Seg<T: PooledRecord> {
-    items: Vec<T>,
-}
-
-impl<T: PooledRecord> Drop for Seg<T> {
-    fn drop(&mut self) {
-        incremental::metrics::note_arena_free(self.items.len() as u64);
-        let mut buf = std::mem::take(&mut self.items);
-        buf.clear();
-        if buf.capacity() > 0 {
-            if let Ok(mut pool) = T::capacity_pool().lock() {
-                if pool.len() < POOL_MAX {
-                    pool.push(buf);
-                }
-            }
-        }
-    }
-}
-
-/// Arena-backed node storage of an [`ExecGraph`].
+/// A set of variable names kept in insertion order.
 ///
-/// Node ids are global offsets; segments partition the id space in
-/// order, so a lookup binary-searches the (short) segment base list and
-/// indexes one contiguous buffer. A store built by
-/// [`StoreBuilder::extending`] shares every existing segment and appends
-/// one tail, which keeps all prior ids valid (the prefix property the
-/// incremental translator's O(1) subtree sharing relies on).
+/// A record's read set holds a handful of names, so a linear scan beats a
+/// tree, and the first insert allocates one 4-name buffer instead of a
+/// B-tree leaf. Nothing observes the order: dirty checks ask whether
+/// *any* read is dirty, and aggregation is a set union.
 #[derive(Debug, Clone, Default)]
-pub struct NodeStore {
-    stmt_segs: Vec<Arc<Seg<StmtRecord>>>,
-    stmt_bases: Vec<u32>,
-    stmt_len: u32,
-    block_segs: Vec<Arc<Seg<BlockRecord>>>,
-    block_bases: Vec<u32>,
-    block_len: u32,
-}
+pub struct ReadSet(Vec<&'static str>);
 
-fn seg_index(bases: &[u32], id: u32) -> usize {
-    bases.partition_point(|&b| b <= id) - 1
-}
-
-impl NodeStore {
-    /// Resolves a statement record.
-    pub fn stmt(&self, id: StmtId) -> &StmtRecord {
-        let i = seg_index(&self.stmt_bases, id.0);
-        &self.stmt_segs[i].items[(id.0 - self.stmt_bases[i]) as usize]
+impl ReadSet {
+    /// Adds `name` unless it is already present.
+    pub(crate) fn insert(&mut self, name: &'static str) {
+        if !self.contains(name) {
+            self.0.push(name);
+        }
     }
 
-    /// Resolves a block record.
-    pub fn block(&self, id: BlockId) -> &BlockRecord {
-        let i = seg_index(&self.block_bases, id.0);
-        &self.block_segs[i].items[(id.0 - self.block_bases[i]) as usize]
+    /// Adds every name of `names` that is not already present.
+    pub(crate) fn extend(&mut self, names: impl IntoIterator<Item = &'static str>) {
+        for name in names {
+            self.insert(name);
+        }
     }
 
-    /// Total nodes (statement + block records) addressable in this
-    /// store, including segments shared with ancestor graphs.
-    pub fn len(&self) -> usize {
-        self.stmt_len as usize + self.block_len as usize
+    /// Removes `name` if present.
+    pub(crate) fn remove(&mut self, name: &str) {
+        self.0.retain(|r| *r != name);
     }
 
-    /// Whether the store holds no nodes.
+    /// Whether `name` is in the set.
+    pub fn contains(&self, name: &str) -> bool {
+        self.0.contains(&name)
+    }
+
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    /// Number of arena segments (grows by at most one per translation).
-    pub fn segments(&self) -> usize {
-        self.stmt_segs.len() + self.block_segs.len()
-    }
-}
-
-/// Append-side handle for building a [`NodeStore`]: either from scratch
-/// ([`StoreBuilder::new`]) or extending an existing graph's store with
-/// one tail segment ([`StoreBuilder::extending`]). Children must be
-/// pushed before the parents that reference them.
-#[derive(Debug)]
-pub struct StoreBuilder {
-    base: NodeStore,
-    stmt_tail: Vec<StmtRecord>,
-    block_tail: Vec<BlockRecord>,
-}
-
-impl Default for StoreBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StoreBuilder {
-    /// Starts an empty store (building a graph from scratch).
-    pub fn new() -> StoreBuilder {
-        Self::extending(&NodeStore::default())
-    }
-
-    /// Starts a store that shares every segment of `base` — all of
-    /// `base`'s node ids remain valid in the finished store.
-    pub fn extending(base: &NodeStore) -> StoreBuilder {
-        StoreBuilder {
-            base: base.clone(),
-            stmt_tail: pooled_vec(),
-            block_tail: pooled_vec(),
-        }
-    }
-
-    /// Appends a statement record, returning its id.
-    pub fn push_stmt(&mut self, record: StmtRecord) -> StmtId {
-        let id = StmtId(self.base.stmt_len + self.stmt_tail.len() as u32);
-        self.stmt_tail.push(record);
-        id
-    }
-
-    /// Appends a block record, returning its id.
-    pub fn push_block(&mut self, record: BlockRecord) -> BlockId {
-        let id = BlockId(self.base.block_len + self.block_tail.len() as u32);
-        self.block_tail.push(record);
-        id
-    }
-
-    /// Resolves a statement record (base prefix or pending tail).
-    pub fn stmt(&self, id: StmtId) -> &StmtRecord {
-        if id.0 >= self.base.stmt_len {
-            &self.stmt_tail[(id.0 - self.base.stmt_len) as usize]
-        } else {
-            self.base.stmt(id)
-        }
-    }
-
-    /// Resolves a block record (base prefix or pending tail).
-    pub fn block(&self, id: BlockId) -> &BlockRecord {
-        if id.0 >= self.base.block_len {
-            &self.block_tail[(id.0 - self.base.block_len) as usize]
-        } else {
-            self.base.block(id)
-        }
-    }
-
-    /// Seals the tail into a segment and returns the finished store.
-    pub fn finish(self) -> NodeStore {
-        let mut store = self.base;
-        let appended = (self.stmt_tail.len() + self.block_tail.len()) as u64;
-        if !self.stmt_tail.is_empty() {
-            store.stmt_bases.push(store.stmt_len);
-            store.stmt_len += self.stmt_tail.len() as u32;
-            store.stmt_segs.push(Arc::new(Seg {
-                items: self.stmt_tail,
-            }));
-        }
-        if !self.block_tail.is_empty() {
-            store.block_bases.push(store.block_len);
-            store.block_len += self.block_tail.len() as u32;
-            store.block_segs.push(Arc::new(Seg {
-                items: self.block_tail,
-            }));
-        }
-        incremental::metrics::note_arena_alloc(appended);
-        store
+    /// The names, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.0.iter().copied()
     }
 }
 
@@ -292,7 +130,7 @@ pub struct Summary {
     /// Variables read anywhere in the subtree (including loop variables
     /// and array index expressions), as [`intern_name`]-interned names so
     /// summary aggregation copies pointers, not strings.
-    pub reads: BTreeSet<&'static str>,
+    pub reads: ReadSet,
     /// Writes, in execution order. Loop records compress element writes
     /// into one final [`Effect::Var`] snapshot per variable (O(1) to
     /// apply thanks to `Arc`-backed arrays).
@@ -322,7 +160,7 @@ pub enum StmtRecord {
         /// Whether the then-branch was taken.
         took_then: bool,
         /// The executed branch's records.
-        body: BlockId,
+        body: Arc<BlockRecord>,
         /// Summary covering the condition and the executed branch.
         summary: Summary,
     },
@@ -333,7 +171,7 @@ pub enum StmtRecord {
         /// Evaluated upper bound (exclusive).
         hi: i64,
         /// Per-iteration records, indexed `0 ↦ lo`, `1 ↦ lo+1`, ….
-        iters: Vec<BlockId>,
+        iters: Vec<Arc<BlockRecord>>,
         /// Summary with compressed (snapshot) effects.
         summary: Summary,
     },
@@ -357,26 +195,25 @@ pub struct WhileIter {
     /// Whether the condition evaluated to true (and the body ran).
     pub continued: bool,
     /// The body records (present iff `continued`).
-    pub body: Option<BlockId>,
+    pub body: Option<Arc<BlockRecord>>,
 }
 
 impl WhileIter {
     /// Aggregate observation score of the iteration (condition + body).
-    pub fn obs_score(&self, store: &NodeStore) -> LogWeight {
+    pub fn obs_score(&self) -> LogWeight {
         let body = self
             .body
-            .map(|b| store.block(b).summary.obs_score)
-            .unwrap_or(LogWeight::ONE);
+            .as_ref()
+            .map_or(LogWeight::ONE, |b| b.summary.obs_score);
         self.cond.obs_score + body
     }
 
     /// Reads of the iteration (condition + body), for skip checks.
-    pub fn reads<'s>(&'s self, store: &'s NodeStore) -> impl Iterator<Item = &'static str> + 's {
-        self.cond.reads.iter().copied().chain(
-            self.body
-                .iter()
-                .flat_map(move |b| store.block(*b).summary.reads.iter().copied()),
-        )
+    pub fn reads(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.cond
+            .reads
+            .iter()
+            .chain(self.body.iter().flat_map(|b| b.summary.reads.iter()))
     }
 }
 
@@ -397,15 +234,13 @@ impl StmtRecord {
 #[derive(Debug, Clone, Default)]
 pub struct BlockRecord {
     /// One record per executed statement, in order.
-    pub stmts: Vec<StmtId>,
+    pub stmts: Vec<Arc<StmtRecord>>,
     /// Aggregate summary of the whole block.
     pub summary: Summary,
 }
 
 impl BlockRecord {
-    /// Builds the aggregate summary from the statement records (resolved
-    /// through `builder`, which holds both the shared prefix and the
-    /// records pushed during the current build/translation).
+    /// Builds the aggregate summary from the statement records.
     ///
     /// Reads are filtered def-before-use: a variable read by a statement
     /// does not become a *block* read if an earlier statement of the
@@ -416,14 +251,14 @@ impl BlockRecord {
     /// This is what lets change propagation skip an entire unchanged
     /// loop whose body wires its iterations together through variables
     /// defined inside the loop.
-    pub fn finalize(builder: &StoreBuilder, stmts: Vec<StmtId>) -> BlockRecord {
+    pub fn finalize(stmts: Vec<Arc<StmtRecord>>) -> BlockRecord {
         let mut summary = Summary::default();
         let mut written: BTreeSet<&str> = BTreeSet::new();
-        for &sid in &stmts {
-            if let Some(s) = builder.stmt(sid).summary() {
+        for stmt in &stmts {
+            if let Some(s) = stmt.summary() {
                 summary
                     .reads
-                    .extend(s.reads.iter().filter(|r| !written.contains(*r)).copied());
+                    .extend(s.reads.iter().filter(|r| !written.contains(r)));
                 summary.effects.extend(s.effects.iter().cloned());
                 summary.obs_score += s.obs_score;
                 written.extend(s.effects.iter().map(|e| e.var_name()));
@@ -438,8 +273,9 @@ impl BlockRecord {
 /// A graph holds no address index. A lookup resolves an address
 /// `site/i₁/…/iₖ` along the static paths of `site` in the compiled
 /// program's [`SiteTable`](ppl::compile::SiteTable). Records are
-/// index-aligned with the compiled blocks, so each step is one record-id
-/// hop and a lookup costs O(nesting depth) whatever the trace size.
+/// index-aligned with the compiled blocks, so each step is one pointer
+/// dereference and a lookup costs O(nesting depth) whatever the trace
+/// size.
 /// Producing a translated graph therefore stays proportional to the
 /// visited nodes (the Figure 10 `O(K)` property), and so does querying
 /// it.
@@ -452,11 +288,9 @@ pub struct ExecGraph {
     /// The compiled program the graph was walked with; its site table
     /// resolves addresses.
     compiled: Arc<CompiledProgram>,
-    /// Arena holding every record of this graph (plus the shared
-    /// segments of ancestor graphs along a translation chain).
-    store: NodeStore,
-    /// The root block record.
-    root: BlockId,
+    /// The root block record, which owns (or shares with other graphs)
+    /// every record of the run.
+    root: BlockRecord,
     /// The return value of the execution.
     pub return_value: Value,
     fingerprint: OnceLock<u64>,
@@ -479,28 +313,31 @@ impl ExecGraph {
     pub fn assemble(
         program: Arc<Program>,
         compiled: Arc<CompiledProgram>,
-        store: NodeStore,
-        root: BlockId,
+        root: BlockRecord,
         return_value: Value,
     ) -> ExecGraph {
         ExecGraph {
             program,
             compiled,
-            store,
             root,
             return_value,
             fingerprint: OnceLock::new(),
         }
     }
 
-    /// The arena the graph's records live in.
-    pub fn store(&self) -> &NodeStore {
-        &self.store
+    /// The graph's record counts in the shape the edit-session benchmark
+    /// (`bench_edits`) reads them: the records reachable from the root,
+    /// in one "segment". It exists only for that benchmark's
+    /// records-per-particle metrics.
+    pub fn store(&self) -> RecordCount {
+        RecordCount {
+            records: count_records(&self.root),
+        }
     }
 
-    /// The root block's arena id.
-    pub fn root(&self) -> BlockId {
-        self.root
+    /// The root block record.
+    pub fn root(&self) -> &BlockRecord {
+        &self.root
     }
 
     /// The fingerprint of this graph's program, computed once per graph.
@@ -557,28 +394,27 @@ impl ExecGraph {
         if path.loops() != indices.len() {
             return None;
         }
-        let store = &self.store;
         let mut indices = indices.iter();
-        let mut block = store.block(self.root);
+        let mut block = &self.root;
         let mut stmt = &StmtRecord::Skip;
         for step in path.steps() {
             match (*step, stmt) {
-                (SiteStep::Stmt(i), _) => stmt = store.stmt(*block.stmts.get(i as usize)?),
+                (SiteStep::Stmt(i), _) => stmt = block.stmts.get(i as usize)?,
                 (
                     SiteStep::Branch(then),
                     StmtRecord::If {
                         took_then, body, ..
                     },
                 ) if *took_then == then => {
-                    block = store.block(*body);
+                    block = body;
                 }
                 (SiteStep::ForIter, StmtRecord::For { lo, iters, .. }) => {
                     let k = next_index(&mut indices)?.checked_sub(*lo)?;
-                    block = store.block(*iters.get(usize::try_from(k).ok()?)?);
+                    block = iters.get(usize::try_from(k).ok()?)?;
                 }
                 (SiteStep::WhileBody, StmtRecord::While { iters, .. }) => {
                     let i = usize::try_from(next_index(&mut indices)?).ok()?;
-                    block = store.block(iters.get(i)?.body?);
+                    block = iters.get(i)?.body.as_ref()?;
                 }
                 (SiteStep::WhileCond, StmtRecord::While { iters, .. }) => {
                     let i = usize::try_from(next_index(&mut indices)?).ok()?;
@@ -645,9 +481,54 @@ impl ExecGraph {
     /// execution order.
     fn summaries(&self) -> Vec<&Summary> {
         let mut out = Vec::new();
-        collect_summaries(&self.store, self.store.block(self.root), &mut out);
+        collect_summaries(&self.root, &mut out);
         out
     }
+}
+
+/// The record count [`ExecGraph::store`] reports.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordCount {
+    records: usize,
+}
+
+impl RecordCount {
+    /// Statement and block records reachable from the graph's root,
+    /// including the root block.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether the graph holds no records (never: the root is one).
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Always 1: a graph's records form one tree.
+    pub fn segments(&self) -> usize {
+        1
+    }
+}
+
+/// The block record plus every statement and block record below it.
+fn count_records(block: &BlockRecord) -> usize {
+    let below: usize = block
+        .stmts
+        .iter()
+        .map(|stmt| {
+            1 + match &**stmt {
+                StmtRecord::If { body, .. } => count_records(body),
+                StmtRecord::For { iters, .. } => iters.iter().map(|b| count_records(b)).sum(),
+                StmtRecord::While { iters, .. } => iters
+                    .iter()
+                    .filter_map(|it| it.body.as_deref())
+                    .map(count_records)
+                    .sum(),
+                StmtRecord::Skip | StmtRecord::Leaf { .. } => 0,
+            }
+        })
+        .sum();
+    1 + below
 }
 
 /// Splits an address into its site label and its loop indices; `None`
@@ -667,22 +548,21 @@ fn next_index(indices: &mut std::slice::Iter<'_, Component>) -> Option<i64> {
     }
 }
 
-fn collect_summaries<'s>(store: &'s NodeStore, block: &'s BlockRecord, out: &mut Vec<&'s Summary>) {
-    for &sid in &block.stmts {
-        let stmt = store.stmt(sid);
+fn collect_summaries<'s>(block: &'s BlockRecord, out: &mut Vec<&'s Summary>) {
+    for stmt in &block.stmts {
         out.extend(stmt.summary());
-        match stmt {
-            StmtRecord::If { body, .. } => collect_summaries(store, store.block(*body), out),
+        match &**stmt {
+            StmtRecord::If { body, .. } => collect_summaries(body, out),
             StmtRecord::For { iters, .. } => {
                 for iter in iters {
-                    collect_summaries(store, store.block(*iter), out);
+                    collect_summaries(iter, out);
                 }
             }
             StmtRecord::While { iters, .. } => {
                 for iter in iters {
                     out.push(&iter.cond);
-                    if let Some(body) = iter.body {
-                        collect_summaries(store, store.block(body), out);
+                    if let Some(body) = &iter.body {
+                        collect_summaries(body, out);
                     }
                 }
             }
@@ -843,5 +723,46 @@ mod tests {
             }
         }
         assert!(bodies > 0, "some run should enter the body");
+    }
+
+    /// A record lives exactly as long as some graph refers to it: after a
+    /// translation re-executes the trailing observation and shares the
+    /// loop, dropping the old graph frees its observation record and
+    /// keeps its loop record alive in the new graph.
+    #[test]
+    fn a_record_is_freed_with_the_last_graph_that_refers_to_it() {
+        let chain = |s: &str| {
+            parse(&format!(
+                "prev = 1;
+                 for i in [0..8) {{ x = flip(prev ? 0.7 : 0.3) @ x; prev = x; }}
+                 observe(flip(prev ? {s} : 0.1) @ o == 1);
+                 return prev;"
+            ))
+            .unwrap()
+        };
+        let (p, q) = (chain("0.9"), chain("0.8"));
+        let translator = crate::IncrementalTranslator::from_edit(p.clone(), q);
+        let mut rng = StdRng::seed_from_u64(3);
+        let old = ExecGraph::simulate(&p, &mut rng).unwrap();
+        let loop_record = Arc::downgrade(&old.root().stmts[1]);
+        let obs_record = Arc::downgrade(&old.root().stmts[2]);
+        assert!(matches!(
+            loop_record.upgrade().as_deref(),
+            Some(StmtRecord::For { .. })
+        ));
+        let obs = obs_record.upgrade().unwrap();
+        assert_eq!(obs.summary().unwrap().observations.len(), 1);
+        drop(obs);
+
+        let new = translator.translate_graph(&old, &mut rng).unwrap().graph;
+        drop(old);
+        assert!(
+            obs_record.upgrade().is_none(),
+            "the replaced record is freed"
+        );
+        let shared = loop_record
+            .upgrade()
+            .expect("the new graph shares the loop");
+        assert!(Arc::ptr_eq(&shared, &new.root().stmts[1]));
     }
 }

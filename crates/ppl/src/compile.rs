@@ -1064,6 +1064,8 @@ impl Run<'_> {
                 let lo = self.eval(*lo)?.as_int()?;
                 let hi = self.eval(*hi)?.as_int()?;
                 for i in lo..hi {
+                    // One tick per iteration, as the tree-walk charges.
+                    self.hooks.charge(1)?;
                     self.frame.bind(*slot, Value::Int(i), false);
                     self.frame.push_loop(i);
                     let r = self.exec_block(*body);

@@ -46,8 +46,9 @@ impl Interp {
         Interp::default()
     }
 
-    /// Sets the step budget (number of statement/expression steps before
-    /// the run is aborted with [`PplError::FuelExhausted`]).
+    /// Sets the step budget (number of statement, `for`-iteration and
+    /// expression steps before the run is aborted with
+    /// [`PplError::FuelExhausted`]).
     pub fn with_fuel(fuel: u64) -> Interp {
         Interp { fuel }
     }
@@ -315,6 +316,9 @@ impl State {
                 let hi = self.eval(hi, handler)?.as_int()?;
                 let var = intern_name(var);
                 for i in lo..hi {
+                    // One tick per iteration, so an empty body cannot
+                    // spin past the budget.
+                    self.tick()?;
                     self.env.insert(var, Value::Int(i));
                     self.loops.push(i);
                     let r = self.exec_block(body, handler);
@@ -606,6 +610,20 @@ mod tests {
         let mut h = crate::handlers::PriorSampler::new(&mut rng);
         let err = Interp::with_fuel(1000).run(&program, &mut h).unwrap_err();
         assert!(matches!(err, PplError::FuelExhausted { .. }));
+    }
+
+    #[test]
+    fn empty_for_iterations_charge_fuel() {
+        let program = crate::parse("for i in [0..1000000) { } return 0;").unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut h = crate::handlers::PriorSampler::new(&mut rng);
+        let interp = Interp::with_fuel(1000);
+        for err in [
+            interp.run(&program, &mut h).unwrap_err(),
+            interp.run_tree_walk(&program, &mut h).unwrap_err(),
+        ] {
+            assert!(matches!(err, PplError::FuelExhausted { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Differential tests for chunked particle scheduling and arena-backed
-//! execution-graph storage.
+//! Differential tests for chunked particle scheduling and persistent
+//! execution graphs.
 //!
 //! Chunk size is pure dispatch granularity: every particle keeps its own
 //! seed derivation, output slot, and failure isolation, so the pooled
 //! translate paths must be *bit-identical* for any chunk size and any
 //! thread count — including under fault injection (retry, quarantine)
 //! and on the watchdog deadline path. The property test at the bottom
-//! pins the arena representation down: carrying a particle as a
-//! persistent execution graph (whose arena extends across translations,
-//! sharing unchanged subtrees by node id) must flatten to exactly the
+//! pins the graph representation down: carrying a particle as a
+//! persistent execution graph (each translation sharing the unchanged
+//! records of the previous graph by `Arc`) must flatten to exactly the
 //! trace the flat round-trip path produces.
 
 use std::sync::Arc;
@@ -260,11 +260,11 @@ fn deadline_supervised_path_is_chunk_invariant() {
 }
 
 proptest! {
-    /// Arena representation property: carrying a particle graph-natively
-    /// across a chain of edits (each translation *extends* the previous
-    /// graph's arena and shares unchanged subtrees by node id) flattens
-    /// to exactly the trace — and weight — that the flat round-trip path
-    /// (flatten → rebuild graph → translate) produces at every stage.
+    /// Graph representation property: carrying a particle graph-natively
+    /// across a chain of edits (each translation shares the previous
+    /// graph's unchanged records by `Arc`) flattens to exactly the trace
+    /// — and weight — that the flat round-trip path (flatten → rebuild
+    /// graph → translate) produces at every stage.
     #[test]
     fn graph_native_chain_flattens_like_flat_roundtrip(
         n in 1usize..5,

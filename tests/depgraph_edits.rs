@@ -2,6 +2,8 @@
 //! correspondences, dependency-graph propagation, and agreement with the
 //! baseline translator across crates.
 
+use std::sync::Arc;
+
 use depgraph::{diff_programs, ExecGraph, IncrementalTranslator};
 use incremental::{exact_weight_estimate, CorrespondenceTranslator, StateTranslator};
 use models::worked_examples::{fig7_edited, fig7_original};
@@ -184,6 +186,48 @@ fn chained_graph_translations() {
         assert!(total_log_weight.is_finite());
         assert!(direct_result.log_weight.log().is_finite());
     }
+}
+
+/// Graph memory follows the live graph, not the edit history: particles
+/// carried through 1000 edits of a trailing observation hold as many
+/// records after the last edit as after the second, and as many as a graph
+/// built from scratch.
+#[test]
+fn graphs_stay_the_size_of_the_live_graph() {
+    let chain = |s: &str| {
+        Arc::new(
+            parse(&format!(
+                "prev = 1;
+                 for i in [0..64) {{ x = flip(prev ? 0.7 : 0.3) @ x; prev = x; }}
+                 observe(flip(prev ? {s} : 0.1) @ o == 1);
+                 return prev;"
+            ))
+            .unwrap(),
+        )
+    };
+    let (p, q) = (chain("0.9"), chain("0.8"));
+    let forward = IncrementalTranslator::from_shared(Arc::clone(&p), Arc::clone(&q));
+    let back = IncrementalTranslator::from_shared(Arc::clone(&q), Arc::clone(&p));
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut particles: Vec<ExecGraph> = (0..4)
+        .map(|_| ExecGraph::simulate(&p, &mut rng).unwrap())
+        .collect();
+    let records =
+        |graphs: &[ExecGraph]| -> Vec<usize> { graphs.iter().map(|g| g.store().len()).collect() };
+    let mut after_two = Vec::new();
+    for edit in 1..=1000 {
+        let translator = if edit % 2 == 1 { &forward } else { &back };
+        particles = particles
+            .iter()
+            .map(|g| translator.translate_graph(g, &mut rng).unwrap().graph)
+            .collect();
+        if edit == 2 {
+            after_two = records(&particles);
+        }
+    }
+    assert_eq!(records(&particles), after_two);
+    let fresh = ExecGraph::simulate(&p, &mut rng).unwrap().store().len();
+    assert_eq!(after_two, vec![fresh; 4]);
 }
 
 /// Randomized cross-runtime agreement: for arbitrary small program pairs,
