@@ -41,7 +41,12 @@ use ppl::{Address, AddressId, PplError};
 #[derive(Debug, Default)]
 pub struct Correspondence {
     pairs: FxHashMap<AddressId, AddressId>,
+    /// `pairs` inverted, so the bijection check is one probe and
+    /// [`Correspondence::inverse`] a swap.
+    pair_sources: FxHashMap<AddressId, AddressId>,
     site_rules: HashMap<String, String>,
+    /// `site_rules` inverted, for the same reasons.
+    rule_sources: HashMap<String, String>,
     /// Memoized site-rule resolutions (`q id → f(q) id`, `None` for
     /// unmapped). Cleared on mutation; never observable in results.
     cache: RwLock<FxHashMap<AddressId, Option<AddressId>>>,
@@ -51,7 +56,9 @@ impl Clone for Correspondence {
     fn clone(&self) -> Correspondence {
         Correspondence {
             pairs: self.pairs.clone(),
+            pair_sources: self.pair_sources.clone(),
             site_rules: self.site_rules.clone(),
+            rule_sources: self.rule_sources.clone(),
             cache: RwLock::new(self.cache.read().expect("cache poisoned").clone()),
         }
     }
@@ -108,12 +115,13 @@ impl Correspondence {
                 "correspondence already maps Q address `{q}`"
             )));
         }
-        if self.pairs.values().any(|existing| *existing == p_id) {
+        if self.pair_sources.contains_key(&p_id) {
             return Err(PplError::Other(format!(
                 "correspondence already targets P address `{p}`"
             )));
         }
         self.pairs.insert(q_id, p_id);
+        self.pair_sources.insert(p_id, q_id);
         self.cache.write().expect("cache poisoned").clear();
         Ok(())
     }
@@ -131,13 +139,15 @@ impl Correspondence {
                 "correspondence already has a rule for Q site `{q_site}`"
             )));
         }
-        if self.site_rules.values().any(|existing| existing == p_site) {
+        if self.rule_sources.contains_key(p_site) {
             return Err(PplError::Other(format!(
                 "correspondence already targets P site `{p_site}`"
             )));
         }
         self.site_rules
             .insert(q_site.to_string(), p_site.to_string());
+        self.rule_sources
+            .insert(p_site.to_string(), q_site.to_string());
         self.cache.write().expect("cache poisoned").clear();
         Ok(())
     }
@@ -184,12 +194,10 @@ impl Correspondence {
     /// kernel `ℓ_{Q→P} = k_{Q→P}` of Eq. (7)).
     pub fn inverse(&self) -> Correspondence {
         Correspondence {
-            pairs: self.pairs.iter().map(|(&q, &p)| (p, q)).collect(),
-            site_rules: self
-                .site_rules
-                .iter()
-                .map(|(q, p)| (p.clone(), q.clone()))
-                .collect(),
+            pairs: self.pair_sources.clone(),
+            pair_sources: self.pairs.clone(),
+            site_rules: self.rule_sources.clone(),
+            rule_sources: self.site_rules.clone(),
             cache: RwLock::new(FxHashMap::default()),
         }
     }
@@ -311,15 +319,50 @@ mod tests {
         assert_eq!(inv.lookup(&addr!["eps"]), None);
     }
 
+    /// Asserts that `f`, which maps address `q` to `p` and site `qs` to
+    /// `ps`, refuses a second entry for either end of either, and still
+    /// accepts fresh ones.
+    fn assert_stays_a_bijection(
+        mut f: Correspondence,
+        (q, p): (&str, &str),
+        (qs, ps): (&str, &str),
+    ) {
+        let refusal =
+            |r: Result<(), PplError>| r.expect_err("a duplicate was accepted").to_string();
+        assert_eq!(
+            refusal(f.add_pair(addr![q], addr!["new_p"])),
+            format!("correspondence already maps Q address `{q}`")
+        );
+        assert_eq!(
+            refusal(f.add_pair(addr!["new_q"], addr![p])),
+            format!("correspondence already targets P address `{p}`")
+        );
+        assert_eq!(
+            refusal(f.add_site_rule(qs, "new_p")),
+            format!("correspondence already has a rule for Q site `{qs}`")
+        );
+        assert_eq!(
+            refusal(f.add_site_rule("new_q", ps)),
+            format!("correspondence already targets P site `{ps}`")
+        );
+        f.add_pair(addr!["new_q"], addr!["new_p"]).unwrap();
+        f.add_site_rule("new_q", "new_p").unwrap();
+    }
+
     #[test]
     fn bijectivity_enforced() {
         let mut f = Correspondence::new();
         f.add_pair(addr!["a"], addr!["x"]).unwrap();
-        assert!(f.add_pair(addr!["a"], addr!["y"]).is_err());
-        assert!(f.add_pair(addr!["b"], addr!["x"]).is_err());
         f.add_site_rule("s", "t").unwrap();
-        assert!(f.add_site_rule("s", "u").is_err());
-        assert!(f.add_site_rule("v", "t").is_err());
+        assert_stays_a_bijection(f.clone(), ("a", "x"), ("s", "t"));
+        assert_stays_a_bijection(f.inverse(), ("x", "a"), ("t", "s"));
+        assert_stays_a_bijection(f, ("a", "x"), ("s", "t"));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate site in identity correspondence")]
+    fn identity_on_a_duplicate_site_panics() {
+        let _ = Correspondence::identity_on(["trial", "hidden", "trial"]);
     }
 
     #[test]

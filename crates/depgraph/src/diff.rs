@@ -8,7 +8,10 @@
 //! statements are compared *modulo site labels* (two separately parsed
 //! programs number their auto-generated sites independently), and random
 //! expressions at matching structural positions yield site rules in the
-//! [`Correspondence`].
+//! [`Correspondence`]. The LCS table covers only the window between a
+//! block pair's common prefix and suffix, so a small edit costs one pass
+//! over the block, not its square; the alignment is the one the table
+//! over the whole block gives.
 
 use incremental::Correspondence;
 use ppl::ast::{Block, Expr, Program, RandExpr, RandKind, Stmt};
@@ -143,59 +146,136 @@ fn match_score(p: &Stmt, q: &Stmt) -> Option<u32> {
     }
 }
 
+/// One step of an alignment of two statement lists, as indices into them.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `ps[i]` is matched to `qs[j]`.
+    Match(usize, usize),
+    /// `ps[i]` has no counterpart.
+    Removed(usize),
+    /// `qs[j]` has no counterpart.
+    Inserted(usize),
+}
+
+/// Aligns two blocks and diffs their matched statements front to back
+/// (the order decides which of two rules for a duplicated site label
+/// lands in `corr`).
 fn diff_blocks(p: &Block, q: &Block, corr: &mut Correspondence) -> BlockDiff {
-    let ps = p.stmts();
-    let qs = q.stmts();
-    // Weighted LCS (Needleman–Wunsch with zero gap penalty).
-    let n = ps.len();
-    let m = qs.len();
-    let mut table = vec![vec![0u32; m + 1]; n + 1];
-    for i in (0..n).rev() {
-        for j in (0..m).rev() {
-            let skip = table[i + 1][j].max(table[i][j + 1]);
-            let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[i + 1][j + 1]);
-            table[i][j] = matched.map_or(skip, |mv| mv.max(skip));
-        }
-    }
-    // Trace back the alignment.
-    let mut ops = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < n && j < m {
-        let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[i + 1][j + 1]);
-        if matched == Some(table[i][j]) && matched.is_some() {
-            let diff = diff_stmt(&ps[i], &qs[j], corr);
-            ops.push(DiffOp::Stmt {
+    let (ps, qs) = (p.stmts(), q.stmts());
+    let ops = align_trimmed(ps, qs)
+        .into_iter()
+        .map(|step| match step {
+            Step::Match(i, j) => DiffOp::Stmt {
                 q_index: j,
                 p_index: Some(i),
-                diff,
-            });
-            i += 1;
-            j += 1;
-        } else if table[i + 1][j] >= table[i][j + 1] {
-            ops.push(DiffOp::RemovedP(i));
-            i += 1;
-        } else {
-            ops.push(DiffOp::Stmt {
+                diff: diff_stmt(&ps[i], &qs[j], corr),
+            },
+            Step::Removed(i) => DiffOp::RemovedP(i),
+            Step::Inserted(j) => DiffOp::Stmt {
                 q_index: j,
                 p_index: None,
                 diff: StmtDiff::Edited,
-            });
+            },
+        })
+        .collect();
+    BlockDiff { ops }
+}
+
+/// The alignment [`align`] gives `ps` and `qs`, with the table filled only
+/// over the window between their common prefix and common suffix (pairs
+/// equal modulo sites), so a small edit costs one linear pass.
+///
+/// It is exact because a pair equal modulo sites scores 3, the most any
+/// pair scores. So the whole table's trace-back matches every prefix pair,
+/// and inside the window the whole table is the window's table plus 3 per
+/// suffix pair, so the trace-back takes the same steps there. The two part
+/// only once one side of the window has run out: the whole trace-back then
+/// matches the other side's next leftover statement to the first suffix
+/// statement if the two are equal modulo sites. When any such leftover
+/// is, fewer suffix pairs are trimmed and the check repeats: every
+/// shorter suffix is common too, so the argument holds for it, and with
+/// none trimmed there is nothing to check. Each retry gives back twice as
+/// many suffix pairs as the one before, so the retries together cost a
+/// constant factor more than the last window's table.
+fn align_trimmed(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
+    let prefix = common_len(ps.iter(), qs.iter());
+    let (pr, qr) = (&ps[prefix..], &qs[prefix..]);
+    let mut suffix = common_len(pr.iter().rev(), qr.iter().rev());
+    let mut window = align(&pr[..pr.len() - suffix], &qr[..qr.len() - suffix]);
+    let mut untrim = 1;
+    while suffix > 0 && runs_into_suffix(&window, pr, qr, suffix) {
+        suffix -= untrim.min(suffix);
+        untrim *= 2;
+        window = align(&pr[..pr.len() - suffix], &qr[..qr.len() - suffix]);
+    }
+    let (n, m) = (ps.len(), qs.len());
+    let mut steps = Vec::with_capacity(prefix + window.len() + suffix);
+    steps.extend((0..prefix).map(|i| Step::Match(i, i)));
+    steps.extend(window.into_iter().map(|step| match step {
+        Step::Match(i, j) => Step::Match(prefix + i, prefix + j),
+        Step::Removed(i) => Step::Removed(prefix + i),
+        Step::Inserted(j) => Step::Inserted(prefix + j),
+    }));
+    steps.extend((1..=suffix).rev().map(|k| Step::Match(n - k, m - k)));
+    steps
+}
+
+/// Length of the longest run of leading pairs equal modulo sites.
+fn common_len<'a>(ps: impl Iterator<Item = &'a Stmt>, qs: impl Iterator<Item = &'a Stmt>) -> usize {
+    ps.zip(qs)
+        .take_while(|(p, q)| stmt_eq_mod_sites(p, q))
+        .count()
+}
+
+/// Whether a statement the window's alignment leaves unmatched after one
+/// side ran out equals, modulo sites, the other side's first suffix
+/// statement. `ps` and `qs` end with the `suffix` common statements; the
+/// window is the rest.
+fn runs_into_suffix(window: &[Step], ps: &[Stmt], qs: &[Stmt], suffix: usize) -> bool {
+    let (p_head, q_head) = (&ps[ps.len() - suffix], &qs[qs.len() - suffix]);
+    // The trailing run of one kind of step is exactly what the trace-back
+    // emits after the other side ran out.
+    let trailing = |step: &Step| match (window.last(), *step) {
+        (Some(Step::Inserted(_)), Step::Inserted(j)) => Some(stmt_eq_mod_sites(&qs[j], p_head)),
+        (Some(Step::Removed(_)), Step::Removed(i)) => Some(stmt_eq_mod_sites(&ps[i], q_head)),
+        _ => None,
+    };
+    window.iter().rev().map_while(trailing).any(|equal| equal)
+}
+
+/// Weighted LCS of two statement lists (Needleman–Wunsch with zero gap
+/// penalty), traced back front to back.
+fn align(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
+    let (n, m) = (ps.len(), qs.len());
+    let width = m + 1;
+    let at = |i: usize, j: usize| i * width + j;
+    let mut table = vec![0u32; (n + 1) * width];
+    for i in (0..n).rev() {
+        for j in (0..m).rev() {
+            let skip = table[at(i + 1, j)].max(table[at(i, j + 1)]);
+            let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[at(i + 1, j + 1)]);
+            table[at(i, j)] = matched.map_or(skip, |mv| mv.max(skip));
+        }
+    }
+    let mut steps = Vec::with_capacity(n + m);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < n && j < m {
+        let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[at(i + 1, j + 1)]);
+        if matched == Some(table[at(i, j)]) {
+            steps.push(Step::Match(i, j));
+            i += 1;
+            j += 1;
+        } else if table[at(i + 1, j)] >= table[at(i, j + 1)] {
+            steps.push(Step::Removed(i));
+            i += 1;
+        } else {
+            steps.push(Step::Inserted(j));
             j += 1;
         }
     }
-    while i < n {
-        ops.push(DiffOp::RemovedP(i));
-        i += 1;
-    }
-    while j < m {
-        ops.push(DiffOp::Stmt {
-            q_index: j,
-            p_index: None,
-            diff: StmtDiff::Edited,
-        });
-        j += 1;
-    }
-    BlockDiff { ops }
+    steps.extend((i..n).map(Step::Removed));
+    steps.extend((j..m).map(Step::Inserted));
+    steps
 }
 
 fn diff_stmt(p: &Stmt, q: &Stmt, corr: &mut Correspondence) -> StmtDiff {
@@ -419,6 +499,294 @@ fn pair_rand_sites(p: &RandExpr, q: &RandExpr, corr: &mut Correspondence) {
 mod tests {
     use super::*;
     use ppl::parse;
+    use proptest::prelude::*;
+
+    /// The diff as it was before trimming: the weighted-LCS table over
+    /// whole blocks. The reference the trimmed diff must reproduce.
+    mod reference {
+        use super::super::*;
+
+        pub fn diff_blocks(p: &Block, q: &Block, corr: &mut Correspondence) -> BlockDiff {
+            let ps = p.stmts();
+            let qs = q.stmts();
+            let n = ps.len();
+            let m = qs.len();
+            let mut table = vec![vec![0u32; m + 1]; n + 1];
+            for i in (0..n).rev() {
+                for j in (0..m).rev() {
+                    let skip = table[i + 1][j].max(table[i][j + 1]);
+                    let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[i + 1][j + 1]);
+                    table[i][j] = matched.map_or(skip, |mv| mv.max(skip));
+                }
+            }
+            let mut ops = Vec::new();
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < n && j < m {
+                let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[i + 1][j + 1]);
+                if matched == Some(table[i][j]) && matched.is_some() {
+                    let diff = diff_stmt(&ps[i], &qs[j], corr);
+                    ops.push(DiffOp::Stmt {
+                        q_index: j,
+                        p_index: Some(i),
+                        diff,
+                    });
+                    i += 1;
+                    j += 1;
+                } else if table[i + 1][j] >= table[i][j + 1] {
+                    ops.push(DiffOp::RemovedP(i));
+                    i += 1;
+                } else {
+                    ops.push(DiffOp::Stmt {
+                        q_index: j,
+                        p_index: None,
+                        diff: StmtDiff::Edited,
+                    });
+                    j += 1;
+                }
+            }
+            while i < n {
+                ops.push(DiffOp::RemovedP(i));
+                i += 1;
+            }
+            while j < m {
+                ops.push(DiffOp::Stmt {
+                    q_index: j,
+                    p_index: None,
+                    diff: StmtDiff::Edited,
+                });
+                j += 1;
+            }
+            BlockDiff { ops }
+        }
+
+        fn diff_stmt(p: &Stmt, q: &Stmt, corr: &mut Correspondence) -> StmtDiff {
+            match (p, q) {
+                (Stmt::If(pc, pt, pe), Stmt::If(qc, qt, qe)) => {
+                    pair_expr_sites(pc, qc, corr);
+                    StmtDiff::IfDiff {
+                        cond_changed: !expr_eq_mod_sites(pc, qc) || !exprs_sites_equal(pc, qc),
+                        then_diff: Box::new(diff_blocks(pt, qt, corr)),
+                        else_diff: Box::new(diff_blocks(pe, qe, corr)),
+                    }
+                }
+                (Stmt::While(pc, pb), Stmt::While(qc, qb)) => {
+                    pair_expr_sites(pc, qc, corr);
+                    StmtDiff::WhileDiff {
+                        cond_changed: !expr_eq_mod_sites(pc, qc) || !exprs_sites_equal(pc, qc),
+                        body_diff: Box::new(diff_blocks(pb, qb, corr)),
+                    }
+                }
+                (Stmt::For(_, plo, phi, pb), Stmt::For(_, qlo, qhi, qb)) => {
+                    pair_expr_sites(plo, qlo, corr);
+                    pair_expr_sites(phi, qhi, corr);
+                    StmtDiff::ForDiff {
+                        bounds_changed: !expr_eq_mod_sites(plo, qlo)
+                            || !expr_eq_mod_sites(phi, qhi)
+                            || !exprs_sites_equal(plo, qlo)
+                            || !exprs_sites_equal(phi, qhi),
+                        body_diff: Box::new(diff_blocks(pb, qb, corr)),
+                    }
+                }
+                _ => {
+                    pair_stmt_sites(p, q, corr);
+                    if stmt_eq_mod_sites(p, q) && stmt_sites_equal(p, q) {
+                        StmtDiff::Unchanged
+                    } else {
+                        StmtDiff::Edited
+                    }
+                }
+            }
+        }
+    }
+
+    /// A statement of a generated program: one line, or an `if`/`for`
+    /// around generated bodies.
+    #[derive(Debug, Clone)]
+    enum Item {
+        Line(String),
+        If(usize, Vec<Item>, Vec<Item>),
+        For(usize, i64, Vec<Item>),
+    }
+
+    /// The statement shapes of the root suite's `program_strategy`, over
+    /// few variables and constants, so lines often repeat (ties in the
+    /// alignment) and two explicit labels are often shared.
+    fn line() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0usize..3, 1u32..4).prop_map(|(v, p)| format!("v{v} = flip(0.{p});")),
+            (0usize..3, 0i64..2, 1i64..3)
+                .prop_map(|(v, lo, k)| format!("v{v} = uniform({lo}, {});", lo + k)),
+            (0usize..3, 0usize..3, 0usize..3)
+                .prop_map(|(v, a, b)| format!("v{v} = va{a} + va{b};")),
+            (1u32..4, 0usize..3).prop_map(|(p, v)| format!("observe(flip(0.{p}) == (va{v} > 0));")),
+            (0usize..3, 1u32..4, 0usize..2)
+                .prop_map(|(v, p, s)| format!("va{v} = flip(0.{p}) @ s{s};")),
+        ]
+    }
+
+    fn item() -> BoxedStrategy<Item> {
+        line()
+            .prop_map(Item::Line)
+            .prop_recursive(2, 0, 0, |inner| {
+                let body = || proptest::collection::vec(inner.clone(), 1..4);
+                prop_oneof![
+                    inner.clone(),
+                    inner.clone(),
+                    (0usize..3, body(), body()).prop_map(|(c, t, e)| Item::If(c, t, e)),
+                    (0usize..3, 1i64..4, body()).prop_map(|(v, n, b)| Item::For(v, n, b)),
+                ]
+            })
+    }
+
+    fn render(block: &[Item], out: &mut String) {
+        for item in block {
+            match item {
+                Item::Line(line) => out.push_str(line),
+                Item::If(c, then_b, else_b) => {
+                    out.push_str(&format!("if va{c} > 0 {{ "));
+                    render(then_b, out);
+                    out.push_str("} else { ");
+                    render(else_b, out);
+                    out.push('}');
+                }
+                Item::For(v, n, body) => {
+                    out.push_str(&format!("for i{v} in [0..{n}) {{ "));
+                    render(body, out);
+                    out.push('}');
+                }
+            }
+            out.push('\n');
+        }
+    }
+
+    fn source(block: &[Item]) -> String {
+        let mut src = String::from("va0 = 1; va1 = 0; va2 = 1; v0 = 0; v1 = 0; v2 = 0;\n");
+        render(block, &mut src);
+        src.push_str("return va0;");
+        src
+    }
+
+    /// Applies one edit to the block that `picks` leads to: the first pick
+    /// chooses a statement, and while picks remain and that statement is
+    /// an `if` or `for`, the edit goes into one of its bodies.
+    fn apply(block: &mut Vec<Item>, picks: &[usize], kind: u8, donor: &Item) {
+        let (&pick, rest) = picks.split_first().expect("at least one pick");
+        let len = block.len();
+        if let (Some(&next), Some(stmt)) = (rest.first(), block.get_mut(pick % len.max(1))) {
+            match stmt {
+                Item::If(_, then_b, else_b) => {
+                    let body = if next % 2 == 0 { then_b } else { else_b };
+                    return apply(body, rest, kind, donor);
+                }
+                Item::For(_, _, body) => return apply(body, rest, kind, donor),
+                Item::Line(_) => {}
+            }
+        }
+        let at = pick % (len + 1);
+        match kind {
+            // Delete a statement.
+            1 if len > 0 => {
+                block.remove(at % len);
+            }
+            // Replace a statement.
+            2 if len > 0 => block[at % len] = donor.clone(),
+            // Duplicate a statement next to itself.
+            3 if len > 0 => block.insert(at % len, block[at % len].clone()),
+            // Overwrite a statement with a copy of its successor.
+            4 if len > 1 => block[at % (len - 1)] = block[at % (len - 1) + 1].clone(),
+            // Insert a statement.
+            _ => block.insert(at, donor.clone()),
+        }
+    }
+
+    /// A program and the program one to three edits away from it.
+    fn edit_pair() -> impl Strategy<Value = (String, String)> {
+        let edit = (0u8..5, proptest::collection::vec(0usize..64, 1..4), item());
+        (
+            proptest::collection::vec(item(), 1..8),
+            proptest::collection::vec(edit, 1..4),
+        )
+            .prop_map(|(mut block, edits)| {
+                let before = source(&block);
+                for (kind, picks, donor) in &edits {
+                    apply(&mut block, picks, *kind, donor);
+                }
+                (before, source(&block))
+            })
+    }
+
+    fn sorted_rules(corr: &Correspondence) -> Vec<(String, String)> {
+        let mut rules: Vec<(String, String)> = corr
+            .site_rules()
+            .map(|(q, p)| (q.to_string(), p.to_string()))
+            .collect();
+        rules.sort();
+        rules
+    }
+
+    /// Asserts that the trimmed diff of `p` → `q` is the reference's.
+    fn assert_matches_reference(p: &Program, q: &Program) -> Result<(), String> {
+        let edit = diff_programs(p, q);
+        let mut corr = Correspondence::new();
+        let want = reference::diff_blocks(&p.body, &q.body, &mut corr);
+        prop_assert_eq!(format!("{:?}", edit.diff), format!("{want:?}"));
+        prop_assert_eq!(sorted_rules(&edit.correspondence), sorted_rules(&corr));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn trimmed_diff_matches_the_whole_table_diff(pair in edit_pair()) {
+            let (src_p, src_q) = pair;
+            let p = parse(&src_p).map_err(|e| format!("{e} in {src_p}"))?;
+            let q = parse(&src_q).map_err(|e| format!("{e} in {src_q}"))?;
+            assert_matches_reference(&p, &q)
+                .map_err(|e| format!("{e}\nP:\n{src_p}\nQ:\n{src_q}"))?;
+            assert_matches_reference(&q, &p)
+                .map_err(|e| format!("{e} (reversed)\nP:\n{src_q}\nQ:\n{src_p}"))?;
+        }
+    }
+
+    /// Diffs `p` → `q` and checks it against the reference and against
+    /// the expected `(q_index, p_index)` of every Q statement.
+    fn assert_pairs(p: &str, q: &str, expected: &[(usize, Option<usize>)]) {
+        let (p, q) = (parse(p).unwrap(), parse(q).unwrap());
+        let edit = diff_programs(&p, &q);
+        let pairs: Vec<(usize, Option<usize>)> = edit
+            .diff
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                DiffOp::Stmt {
+                    q_index, p_index, ..
+                } => Some((*q_index, *p_index)),
+                DiffOp::RemovedP(_) => None,
+            })
+            .collect();
+        assert_eq!(pairs, expected);
+        assert_matches_reference(&p, &q).unwrap();
+    }
+
+    #[test]
+    fn ties_at_the_suffix_keep_the_whole_table_alignment() {
+        // With the suffix `b` trimmed, the window's leftover `c; b` would
+        // be inserted and P's `b` paired with Q's second `b`; the whole
+        // table pairs it with the first.
+        assert_pairs(
+            "a = 1; b = flip(0.5) @ s; return b;",
+            "a = 1; c = 7; b = flip(0.5) @ s; b = flip(0.5) @ s; return b;",
+            &[(0, Some(0)), (1, None), (2, Some(1)), (3, None)],
+        );
+        // Giving one suffix pair back still leaves a `v` line equal to the
+        // next suffix statement, so the check must repeat.
+        assert_pairs(
+            "observe(flip(0.5) == 1); v = flip(0.5); v = flip(0.5); return v;",
+            "v = flip(0.5); v = flip(0.5); v = flip(0.5); return v;",
+            &[(0, Some(1)), (1, Some(2)), (2, None)],
+        );
+    }
 
     #[test]
     fn identical_programs_diff_as_unchanged() {

@@ -43,8 +43,9 @@ pub struct StagePlan {
     sites: Vec<Address>,
     /// The compiled form of `q` whose slot universe also covers `p`'s
     /// variables (old records replay `p`-named effects into the frame).
-    /// Compiled once per stage — through the global compile cache — and
-    /// shared by every particle task.
+    /// Compiled once per stage, outside the global compile cache, and
+    /// shared by every particle task: this `Arc` and those of the stage's
+    /// graphs keep it exactly as long as they live.
     compiled: Arc<CompiledProgram>,
     /// Static effect facts for `q`, in pre-order (the indexing used by
     /// [`PlanOp::Stmt::pre_index`]).
@@ -178,7 +179,8 @@ impl StagePlan {
         self.sites.len()
     }
 
-    /// The stage's compiled program (slot universe covers `p` and `q`).
+    /// The stage's compiled program (slot universe covers `p` and `q`),
+    /// compiled by this plan alone.
     pub fn compiled(&self) -> &Arc<CompiledProgram> {
         &self.compiled
     }

@@ -1,6 +1,6 @@
 //! The optimized incremental trace translator (Section 6).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::RngCore;
 
@@ -42,9 +42,11 @@ use crate::record::{program_fingerprint, ExecGraph};
 pub struct IncrementalTranslator {
     p: Arc<Program>,
     q: Arc<Program>,
-    /// Fingerprint of `p`, precomputed so per-particle graph validation
-    /// never re-hashes (let alone deep-compares) the program.
-    p_fingerprint: u64,
+    /// Fingerprint of `p`, computed on first use and kept so per-particle
+    /// graph validation never re-hashes (let alone deep-compares) the
+    /// program. Along an edit chain graphs share `p`'s `Arc`, and it is
+    /// never needed.
+    p_fingerprint: OnceLock<u64>,
     edit: ProgramEdit,
     /// Translation plan invariant across a stage, built once per edit and shared
     /// (immutably) by every particle task in a stage.
@@ -64,12 +66,11 @@ impl IncrementalTranslator {
     /// allocation per program instead of deep-cloning each window.
     pub fn from_shared(p: Arc<Program>, q: Arc<Program>) -> IncrementalTranslator {
         let edit = diff_programs(&p, &q);
-        let p_fingerprint = program_fingerprint(&p);
         let plan = Arc::new(StagePlan::new(&q, &p, &edit));
         IncrementalTranslator {
             p,
             q,
-            p_fingerprint,
+            p_fingerprint: OnceLock::new(),
             edit,
             plan,
         }
@@ -109,7 +110,12 @@ impl IncrementalTranslator {
     /// identity first (free along a shared edit chain), cached
     /// fingerprints otherwise — never a deep `Program` comparison.
     fn validate_source(&self, graph: &ExecGraph) -> Result<(), PplError> {
-        if Arc::ptr_eq(&graph.program, &self.p) || graph.fingerprint() == self.p_fingerprint {
+        let p_fingerprint = || {
+            *self
+                .p_fingerprint
+                .get_or_init(|| program_fingerprint(&self.p))
+        };
+        if Arc::ptr_eq(&graph.program, &self.p) || graph.fingerprint() == p_fingerprint() {
             Ok(())
         } else {
             Err(PplError::Other(

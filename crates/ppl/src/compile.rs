@@ -38,8 +38,10 @@
 //! task takes a warmed frame, evaluates an entire translation with zero
 //! per-eval allocation on the happy path, and returns the frame's storage
 //! to the pool on drop. Compiled programs are cached globally keyed by
-//! program fingerprint ([`compiled_for`]), so a stage compiles once and
-//! every particle shares the artifact by `Arc`.
+//! program fingerprint ([`compiled_for`]), so every graph build of a
+//! program shares one artifact by `Arc`. A stage's program pair is
+//! compiled once per stage, outside the cache ([`compiled_for_pair`]),
+//! and shared by its particles the same way.
 //!
 //! A compiled program also answers where each random site is evaluated:
 //! [`CompiledProgram::sites`] builds its [`SiteTable`] on first use.
@@ -1108,13 +1110,9 @@ fn cache() -> &'static RwLock<FxHashMap<u64, Arc<CompiledProgram>>> {
     CACHE.get_or_init(|| RwLock::new(FxHashMap::default()))
 }
 
-fn cache_key(tag: u8, program: &Program, extra: Option<&Program>) -> u64 {
+fn cache_key(program: &Program) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u8(tag);
     h.write(format!("{program:?}").as_bytes());
-    if let Some(p) = extra {
-        h.write(format!("{p:?}").as_bytes());
-    }
     h.finish()
 }
 
@@ -1141,7 +1139,7 @@ fn cached(key: u64, make: impl FnOnce() -> CompiledProgram) -> Arc<CompiledProgr
 /// cache (compiling on first use). One compile is shared by every caller
 /// — per-particle graph builds hit the cache.
 pub fn compiled_for(program: &Program) -> Arc<CompiledProgram> {
-    cached(cache_key(0, program, None), || compile(program))
+    cached(cache_key(program), || compile(program))
 }
 
 /// Per-thread bound on pointer-keyed memo entries (edit sequences cycle
@@ -1182,14 +1180,16 @@ pub fn compiled_for_shared(program: &Arc<Program>) -> Arc<CompiledProgram> {
 
 /// The compiled form of `q` whose slot universe also covers every
 /// variable of `p` — what change propagation from a `P`-graph needs (old
-/// records replay `P`-named effects into the frame). Cached under the
-/// pair of fingerprints.
+/// records replay `P`-named effects into the frame).
+///
+/// Compiled on every call, outside the global cache: each edit of a
+/// session is a new pair, so a pair key (two full AST formats, which cost
+/// more than the compile) would never hit, and the cache would keep old
+/// stages' programs alive. The caller's `Arc` decides the lifetime.
 pub fn compiled_for_pair(q: &Program, p: &Program) -> Arc<CompiledProgram> {
-    cached(cache_key(1, q, Some(p)), || {
-        let mut extra: Vec<&str> = Vec::new();
-        collect_var_names(p, &mut extra);
-        compile_with_extra_names(q, &extra)
-    })
+    let mut extra: Vec<&str> = Vec::new();
+    collect_var_names(p, &mut extra);
+    Arc::new(compile_with_extra_names(q, &extra))
 }
 
 // ---------------------------------------------------------------------------
