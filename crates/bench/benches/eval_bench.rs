@@ -4,7 +4,7 @@
 //! program driven by a prior handler.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ppl::compile::{compiled_for, run_compiled, EvalFrame};
+use ppl::compile::{run_compiled, EvalFrame};
 use ppl::handlers::PriorSampler;
 use ppl::interp::DEFAULT_FUEL;
 use ppl::{parse, Interp};
@@ -39,14 +39,14 @@ fn bench_eval(c: &mut Criterion) {
 
     // Precompiled + warm frame: the steady-state inner-loop shape used
     // by the particle executors.
-    let compiled = compiled_for(&kernel);
+    let compiled = kernel.compiled();
     let mut frame = EvalFrame::new();
     c.bench_function("eval_kernel_compiled_warm", |b| {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| {
             let mut handler = PriorSampler::new(&mut rng);
             black_box(
-                run_compiled(&compiled, &mut frame, DEFAULT_FUEL, &mut handler)
+                run_compiled(compiled, &mut frame, DEFAULT_FUEL, &mut handler)
                     .expect("kernel runs"),
             )
         });

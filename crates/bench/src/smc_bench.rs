@@ -116,9 +116,9 @@ pub struct WorkloadResult {
     pub name: String,
     /// Wall time of the untimed warm-up iteration run before the
     /// repetitions. The warm-up populates process-wide caches (address
-    /// interner, compile cache, eval-frame pools, worker-pool threads),
-    /// so the timed repetitions measure steady state rather than cold
-    /// start.
+    /// interner, eval-frame pools, worker-pool threads) and compiles the
+    /// workload's programs, so the timed repetitions measure steady state
+    /// rather than cold start.
     pub warmup_ms: f64,
     /// Per-repetition wall times in milliseconds (excludes the warm-up).
     pub runs_ms: Vec<f64>,

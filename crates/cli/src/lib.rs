@@ -920,7 +920,8 @@ pub fn usage() -> String {
                                             (--json: versioned ppl-analyze/v1 report)\n\
        fmt <file>                           canonical pretty-printed form\n\
        run <file> [--seed N] [--save F]     simulate one trace\n\
-       enumerate <file> [--limit N]         exact posterior (finite discrete)\n\
+       enumerate <file> [--limit N]         exact posterior (finite discrete; N caps\n\
+                                            the choices recorded over all traces)\n\
        sample <file> --steps N [--seed N] [--save F --keep K]\n\
                                             single-site MH\n\
        translate <p> <q> [--traces M] [--seed N] [--policy P] [--stats] [--load F]\n\

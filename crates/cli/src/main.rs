@@ -80,7 +80,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             let source = read(positional(0)?)?;
             render(ppl_cli::cmd_enumerate(
                 &source,
-                flag("--limit", 1_000_000)? as usize,
+                flag("--limit", ppl::enumerate::DEFAULT_CHOICE_LIMIT as u64)? as usize,
             ))
         }
         "sample" => {

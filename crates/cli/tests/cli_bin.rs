@@ -129,3 +129,37 @@ fn huge_arrays_make_run_exit_1_not_abort() {
         assert!(text.contains("exceeds the limit"), "{text}");
     }
 }
+
+fn shipped(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../programs")
+        .join(name)
+}
+
+/// The n-th trace of the geometric loop records n choices, so a budget on
+/// traces let enumeration grow without bound in memory; the budget on
+/// recorded choices stops it.
+#[test]
+fn enumerating_an_unbounded_program_stops_at_its_budget() {
+    let out = ppl()
+        .arg("enumerate")
+        .arg(shipped("geometric.ppl"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("budget of 2097152"), "{text}");
+
+    // `translate` samples P's posterior exactly when it can enumerate P,
+    // and falls back to MH when the budget runs out.
+    let out = ppl()
+        .arg("translate")
+        .arg(shipped("geometric.ppl"))
+        .arg(shipped("geometric_third.ppl"))
+        .args(["--traces", "20"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("P posterior: single-site MH"), "{text}");
+}

@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 
 use ppl::dist::Dist;
+use ppl::enumerate::{ChoiceBudget, DEFAULT_CHOICE_LIMIT};
 use ppl::Address;
 use ppl::{ChoiceMap, Enumeration, Handler, LogWeight, Model, PplError, Trace, Value};
 
@@ -298,19 +299,16 @@ fn partial_of_p(t: &Trace, inverse: &Correspondence) -> ChoiceMap {
 /// Enumerates the output distribution of a correspondence kernel: all
 /// traces of `model` obtainable by reusing corresponding choices from
 /// `source` and enumerating the rest, with their kernel probabilities.
+/// Bounded like [`Enumeration::run`], by the choices its traces record.
 fn enumerate_kernel(
     model: &dyn Model,
     source: &Trace,
     corr_into_source: &Correspondence,
 ) -> Result<Vec<(Trace, f64)>, PplError> {
+    let mut budget = ChoiceBudget::new(DEFAULT_CHOICE_LIMIT);
     let mut results = Vec::new();
     let mut work: Vec<Vec<Value>> = vec![Vec::new()];
     while let Some(prefix) = work.pop() {
-        if results.len() > ppl::enumerate::DEFAULT_TRACE_LIMIT {
-            return Err(PplError::FuelExhausted {
-                budget: ppl::enumerate::DEFAULT_TRACE_LIMIT as u64,
-            });
-        }
         let mut handler = KernelEnumHandler {
             source,
             corr: corr_into_source,
@@ -329,6 +327,7 @@ fn enumerate_kernel(
             ..
         } = handler;
         trace.set_return_value(value);
+        budget.charge(&trace)?;
         for (pos, support) in branch_supports {
             for alt in support.into_iter().skip(1) {
                 let mut new_prefix = taken[..pos].to_vec();

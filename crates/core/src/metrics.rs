@@ -170,17 +170,17 @@ impl Default for PoolTelemetry {
     }
 }
 
-/// Compiled-evaluation telemetry snapshot: compile-cache effectiveness,
-/// compiled-vs-tree-walk execution mix, and eval-frame reuse. Counts are
-/// process-wide and schedule-dependent (frame pools are per worker
-/// thread, the compile cache persists across runs), so this section is
-/// report-only and deliberately excluded from the deterministic subset
-/// ([`MetricsReport::counters_json`]).
+/// Compiled-evaluation telemetry snapshot: how often a program's compiled
+/// form was reused, compiled-vs-tree-walk execution mix, and eval-frame
+/// reuse. Counts are process-wide and schedule-dependent (frame pools are
+/// per worker thread, and a program keeps its compiled form across runs),
+/// so this section is report-only and deliberately excluded from the
+/// deterministic subset ([`MetricsReport::counters_json`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalTelemetry {
-    /// Compile-cache lookups served from the cache.
+    /// `Program::compiled` calls that found the program already compiled.
     pub compile_cache_hits: u64,
-    /// Compile-cache lookups that had to lower the program.
+    /// `Program::compiled` calls that had to lower the program.
     pub compile_cache_misses: u64,
     /// Program executions through the compiled register path.
     pub compiled_execs: u64,

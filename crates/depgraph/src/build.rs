@@ -3,16 +3,15 @@
 //!
 //! A build is a walk of the propagation runtime ([`crate::propagate`])
 //! with no old graph: every statement is walked fresh from the program's
-//! compiled form ([`ppl::compile`], lowered once, cached globally and
-//! shared by `Arc`), drawing each choice from the prior or from the trace
-//! being replayed.
+//! compiled form ([`Program::compiled`], lowered once and kept on the
+//! program), drawing each choice from the prior or from the trace being
+//! replayed.
 
 use std::sync::Arc;
 
 use rand::RngCore;
 
 use ppl::ast::Program;
-use ppl::compile::compiled_for_shared;
 use ppl::dist::Dist;
 use ppl::{Address, ChoiceMap, PplError, Trace, Value};
 
@@ -62,7 +61,7 @@ impl ExecGraph {
     ///
     /// Propagates evaluation errors.
     pub fn simulate(program: &Program, rng: &mut dyn RngCore) -> Result<ExecGraph, PplError> {
-        build(&Arc::new(program.clone()), &mut PriorSource { rng })
+        build(&shared(program), &mut PriorSource { rng })
     }
 
     /// Builds a graph from an existing trace of the program.
@@ -72,7 +71,7 @@ impl ExecGraph {
     /// Returns [`PplError::MissingChoice`] when the program needs a choice
     /// the trace lacks, plus any evaluation errors.
     pub fn from_trace(program: &Program, trace: &Trace) -> Result<ExecGraph, PplError> {
-        Self::from_trace_shared(&Arc::new(program.clone()), trace)
+        Self::from_trace_shared(&shared(program), trace)
     }
 
     /// [`ExecGraph::from_trace`] with a shared program handle: the graph
@@ -88,9 +87,16 @@ impl ExecGraph {
     }
 }
 
+/// A shared copy of `program` for a graph to own. The program is compiled
+/// first, so the copy shares its compiled form and repeated builds from
+/// one program compile it once.
+fn shared(program: &Program) -> Arc<Program> {
+    program.compiled();
+    Arc::new(program.clone())
+}
+
 fn build(program: &Arc<Program>, source: &mut dyn ChoiceSource) -> Result<ExecGraph, PplError> {
-    let compiled = compiled_for_shared(program);
-    Ok(walk(program, &compiled, None, source, None)?.graph)
+    Ok(walk(program, program.compiled(), None, source, None)?.graph)
 }
 
 #[cfg(test)]
@@ -168,6 +174,17 @@ mod tests {
         let program = parse("x = array(100000000000, 0); return 0;").unwrap();
         let err = ExecGraph::simulate(&program, &mut StdRng::seed_from_u64(6)).unwrap_err();
         assert!(matches!(err, PplError::ArrayTooLong { .. }), "{err}");
+    }
+
+    #[test]
+    fn graphs_share_their_programs_compiled_form() {
+        let program = parse("x = flip(0.4) @ x; return x;").unwrap();
+        let simulated = ExecGraph::simulate(&program, &mut StdRng::seed_from_u64(7)).unwrap();
+        let trace = simulated.to_trace().unwrap();
+        let replayed = ExecGraph::from_trace(&program, &trace).unwrap();
+        for graph in [&simulated, &replayed] {
+            assert!(Arc::ptr_eq(graph.program.compiled(), program.compiled()));
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct ProgramEdit {
 /// Diffs `p` against `q` and derives the correspondence.
 pub fn diff_programs(p: &Program, q: &Program) -> ProgramEdit {
     let mut corr = Correspondence::new();
-    let diff = diff_blocks(&p.body, &q.body, &mut corr);
+    let diff = diff_blocks(p.body(), q.body(), &mut corr);
     ProgramEdit {
         diff,
         correspondence: corr,
@@ -728,7 +728,7 @@ mod tests {
     fn assert_matches_reference(p: &Program, q: &Program) -> Result<(), String> {
         let edit = diff_programs(p, q);
         let mut corr = Correspondence::new();
-        let want = reference::diff_blocks(&p.body, &q.body, &mut corr);
+        let want = reference::diff_blocks(p.body(), q.body(), &mut corr);
         prop_assert_eq!(format!("{:?}", edit.diff), format!("{want:?}"));
         prop_assert_eq!(sorted_rules(&edit.correspondence), sorted_rules(&corr));
         Ok(())

@@ -30,7 +30,7 @@ pub fn change_seed(
     effects: &ProgramEffects,
 ) -> ChangeSeed {
     let mut seed = ChangeSeed::identity(effects.len());
-    walk_block(&q.body, 0, &p.body, &edit.diff, effects, &mut seed);
+    walk_block(q.body(), 0, p.body(), &edit.diff, effects, &mut seed);
     seed
 }
 

@@ -43,9 +43,9 @@ pub struct StagePlan {
     sites: Vec<Address>,
     /// The compiled form of `q` whose slot universe also covers `p`'s
     /// variables (old records replay `p`-named effects into the frame).
-    /// Compiled once per stage, outside the global compile cache, and
-    /// shared by every particle task: this `Arc` and those of the stage's
-    /// graphs keep it exactly as long as they live.
+    /// Compiled once per stage and shared by every particle task: this
+    /// `Arc` and those of the stage's graphs keep it exactly as long as
+    /// they live.
     compiled: Arc<CompiledProgram>,
     /// Static effect facts for `q`, in pre-order (the indexing used by
     /// [`PlanOp::Stmt::pre_index`]).
@@ -136,7 +136,7 @@ impl StagePlan {
             effects: &effects,
             impact: &impact,
         };
-        let root = plan_block(&q.body, &edit.diff, 0, &ctx);
+        let root = plan_block(q.body(), &edit.diff, 0, &ctx);
         let mut names: Vec<Arc<str>> = q.sites().into_iter().map(|site| site.0).collect();
         names.sort_unstable();
         names.dedup();

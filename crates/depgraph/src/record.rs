@@ -18,7 +18,6 @@
 //! resampling clones one `Arc<ExecGraph>`.
 
 use std::collections::BTreeSet;
-use std::hash::Hasher as _;
 use std::sync::{Arc, OnceLock};
 
 use ppl::address::Component;
@@ -293,16 +292,22 @@ pub struct ExecGraph {
     root: BlockRecord,
     /// The return value of the execution.
     pub return_value: Value,
+    /// The program's fingerprint, memoized per graph. `Program` memoizes
+    /// it as well, so this memo saves nothing; it stays because removing
+    /// its 16 bytes moves the graph's `Arc` out of glibc's 208-byte size
+    /// class. In that class the allocation reuses the chunk that the root
+    /// block's `finalize` has just freed; outside it, the edit-session
+    /// benchmark's repeated set-ups return their heap to the OS and fault
+    /// it back in (`tail_edit` `setup_s` +50%). ROADMAP item 2 tracks
+    /// making set-up independent of this placement.
     fingerprint: OnceLock<u64>,
 }
 
-/// A cheap structural fingerprint of a program (FxHash of its debug
-/// form). Used to validate graph/translator pairing without deep
-/// `Program` equality on every translation.
+/// The program's structural fingerprint ([`Program::fingerprint`]), which
+/// checkpoints store to check that they resume into the program they
+/// were written from.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut hasher = ppl::FxHasher::default();
-    hasher.write(format!("{program:?}").as_bytes());
-    hasher.finish()
+    program.fingerprint()
 }
 
 impl ExecGraph {
@@ -340,11 +345,9 @@ impl ExecGraph {
         &self.root
     }
 
-    /// The fingerprint of this graph's program, computed once per graph.
+    /// The fingerprint of this graph's program ([`Program::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| program_fingerprint(&self.program))
+        *self.fingerprint.get_or_init(|| self.program.fingerprint())
     }
 
     /// Looks up the choice at `addr` in `t`. When several records carry

@@ -1,6 +1,6 @@
 //! The optimized incremental trace translator (Section 6).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::RngCore;
 
@@ -11,7 +11,7 @@ use ppl::{LogWeight, PplError, Trace};
 use crate::diff::{diff_programs, ProgramEdit};
 use crate::plan::StagePlan;
 use crate::propagate::{translate_graph_with_plan, IncrementalResult};
-use crate::record::{program_fingerprint, ExecGraph};
+use crate::record::ExecGraph;
 
 /// A trace translator between two programs related by an edit, running on
 /// the dependency-tracking runtime: only the program slice affected by
@@ -42,11 +42,6 @@ use crate::record::{program_fingerprint, ExecGraph};
 pub struct IncrementalTranslator {
     p: Arc<Program>,
     q: Arc<Program>,
-    /// Fingerprint of `p`, computed on first use and kept so per-particle
-    /// graph validation never re-hashes (let alone deep-compares) the
-    /// program. Along an edit chain graphs share `p`'s `Arc`, and it is
-    /// never needed.
-    p_fingerprint: OnceLock<u64>,
     edit: ProgramEdit,
     /// Translation plan invariant across a stage, built once per edit and shared
     /// (immutably) by every particle task in a stage.
@@ -67,13 +62,7 @@ impl IncrementalTranslator {
     pub fn from_shared(p: Arc<Program>, q: Arc<Program>) -> IncrementalTranslator {
         let edit = diff_programs(&p, &q);
         let plan = Arc::new(StagePlan::new(&q, &p, &edit));
-        IncrementalTranslator {
-            p,
-            q,
-            p_fingerprint: OnceLock::new(),
-            edit,
-            plan,
-        }
+        IncrementalTranslator { p, q, edit, plan }
     }
 
     /// The derived edit (diff + correspondence).
@@ -107,15 +96,11 @@ impl IncrementalTranslator {
     }
 
     /// Checks that `graph` was built from this translator's `P`: `Arc`
-    /// identity first (free along a shared edit chain), cached
-    /// fingerprints otherwise — never a deep `Program` comparison.
+    /// identity first (free along a shared edit chain), the programs'
+    /// memoized fingerprints otherwise — never a deep `Program`
+    /// comparison.
     fn validate_source(&self, graph: &ExecGraph) -> Result<(), PplError> {
-        let p_fingerprint = || {
-            *self
-                .p_fingerprint
-                .get_or_init(|| program_fingerprint(&self.p))
-        };
-        if Arc::ptr_eq(&graph.program, &self.p) || graph.fingerprint() == p_fingerprint() {
+        if Arc::ptr_eq(&graph.program, &self.p) || graph.fingerprint() == self.p.fingerprint() {
             Ok(())
         } else {
             Err(PplError::Other(

@@ -79,7 +79,7 @@ fn planning_a_one_statement_edit_allocates_linearly() {
     let sites = 1600;
     let stmts = straight_line(sites);
     let p = program(&stmts);
-    assert_eq!(p.body.stmts().len(), 4800);
+    assert_eq!(p.body().stmts().len(), 4800);
     let obs = 3 * (sites / 2) + 2;
 
     let mut edited = stmts.clone();

@@ -144,9 +144,9 @@ impl ProgramEffects {
 /// ```
 pub fn infer_effects(program: &Program) -> ProgramEffects {
     let mut stmts = Vec::new();
-    walk_block(&program.body, 0, &mut stmts);
+    walk_block(program.body(), 0, &mut stmts);
     let mut ret_reads = BTreeSet::new();
-    if let Some(ret) = &program.ret {
+    if let Some(ret) = program.ret() {
         let mut sum = EffectSummary::default();
         expr_effects(ret, &mut sum);
         ret_reads = sum.reads;
@@ -662,7 +662,7 @@ mod tests {
         let p =
             parse("for i in [0..3) { xs = array(2, i); observe(flip(0.5) @ w == 1); } return 0;")
                 .unwrap();
-        let sum = stmt_effects(&p.body.stmts()[0]);
+        let sum = stmt_effects(&p.body().stmts()[0]);
         assert!(sum.writes.contains("xs") && sum.writes.contains("i"));
         assert!(sum.samples.contains("w"));
     }

@@ -17,8 +17,11 @@
 //! indices (Section 5.4).
 
 use std::fmt;
-use std::sync::Arc;
+use std::hash::Hasher as _;
+use std::sync::{Arc, OnceLock};
 
+use crate::compile::{compile, note_compile_lookup, CompiledProgram};
+use crate::fxhash::FxHasher;
 use crate::value::Value;
 
 /// A variable identifier.
@@ -461,18 +464,63 @@ impl Block {
 }
 
 /// A complete program: a body and an optional return expression.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// A program cannot change once built, so it keeps what is derived from
+/// it: its compiled form ([`Program::compiled`]) and its fingerprint
+/// ([`Program::fingerprint`]), each computed on first use. A clone shares
+/// the ones already computed; an equal but separately built program
+/// computes its own.
+#[derive(Clone, Default)]
 pub struct Program {
-    /// The statement body.
-    pub body: Block,
-    /// The `return e;` expression, if present.
-    pub ret: Option<Expr>,
+    body: Block,
+    ret: Option<Expr>,
+    compiled: OnceLock<Arc<CompiledProgram>>,
+    fingerprint: OnceLock<u64>,
 }
 
 impl Program {
     /// Creates a program.
     pub fn new(body: Block, ret: Option<Expr>) -> Program {
-        Program { body, ret }
+        Program {
+            body,
+            ret,
+            compiled: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The statement body.
+    pub fn body(&self) -> &Block {
+        &self.body
+    }
+
+    /// The `return e;` expression, if present.
+    pub fn ret(&self) -> Option<&Expr> {
+        self.ret.as_ref()
+    }
+
+    /// The compiled form of this program, lowered on the first call and
+    /// shared by `Arc` with every later call and with clones made after
+    /// it.
+    pub fn compiled(&self) -> &Arc<CompiledProgram> {
+        let mut lowered = false;
+        let compiled = self.compiled.get_or_init(|| {
+            lowered = true;
+            Arc::new(compile(self))
+        });
+        note_compile_lookup(lowered);
+        compiled
+    }
+
+    /// A structural fingerprint: the FxHash of the program's `Debug`
+    /// text, computed on the first call. Checkpoints store it, so the
+    /// `Debug` output must not change.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut hasher = FxHasher::default();
+            hasher.write(format!("{self:?}").as_bytes());
+            hasher.finish()
+        })
     }
 
     /// Collects the sites of all random expressions and observations,
@@ -487,6 +535,21 @@ impl Program {
             e.collect_sites(&mut out);
         }
         out
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("body", &self.body)
+            .field("ret", &self.ret)
+            .finish()
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.body == other.body && self.ret == other.ret
     }
 }
 

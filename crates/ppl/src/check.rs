@@ -173,9 +173,9 @@ pub fn check_with_spans(program: &Program, spans: Option<&SpanTable>) -> Vec<Dia
     };
     let mut env = Env::default();
     let mut path_sites = HashSet::new();
-    checker.check_block(&program.body, &mut env, &mut path_sites, 0);
+    checker.check_block(program.body(), &mut env, &mut path_sites, 0);
     checker.current = spans.and_then(|t| t.ret);
-    if let Some(ret) = &program.ret {
+    if let Some(ret) = program.ret() {
         checker.check_expr(ret, &env, &mut path_sites, 0);
     }
     checker.check_unused(program);

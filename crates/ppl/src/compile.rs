@@ -37,26 +37,26 @@
 //! Frames are pooled per worker thread ([`acquire_frame`]): a particle
 //! task takes a warmed frame, evaluates an entire translation with zero
 //! per-eval allocation on the happy path, and returns the frame's storage
-//! to the pool on drop. Compiled programs are cached globally keyed by
-//! program fingerprint ([`compiled_for`]), so every graph build of a
-//! program shares one artifact by `Arc`. A stage's program pair is
-//! compiled once per stage, outside the cache ([`compiled_for_pair`]),
+//! to the pool on drop. A program compiles once: [`Program::compiled`]
+//! lowers it on first use and keeps the result on the program, so every
+//! run and graph build of that program (or of a clone) shares one
+//! artifact by `Arc`, and the artifact is freed with the last of them. A
+//! stage's program pair is compiled once per stage ([`compiled_for_pair`])
 //! and shared by its particles the same way.
 //!
 //! A compiled program also answers where each random site is evaluated:
 //! [`CompiledProgram::sites`] builds its [`SiteTable`] on first use.
 
 use std::cell::RefCell;
-use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::address::Address;
 use crate::ast::{collect_var_names, BinOp, Block, Builtin, Expr, Program, RandKind, Stmt, UnOp};
 use crate::dist::Dist;
 use crate::effects::Handler;
 use crate::error::PplError;
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHashMap;
 use crate::intern::intern_name;
 use crate::interp::{apply_binary, apply_builtin, apply_unary, array_len};
 use crate::value::Value;
@@ -467,8 +467,8 @@ pub fn compile_with_extra_names(program: &Program, extra: &[&str]) -> CompiledPr
         arg_ids: Vec::new(),
         slot_ids: &slot_ids,
     };
-    let body = lw.lower_block(&program.body);
-    let ret = program.ret.as_ref().map(|e| lw.lower_expr(e));
+    let body = lw.lower_block(program.body());
+    let ret = program.ret().map(|e| lw.lower_expr(e));
     CompiledProgram {
         exprs: lw.exprs,
         stmts: lw.stmts,
@@ -1097,95 +1097,16 @@ pub fn bad_arity(builtin: Builtin, got: usize) -> PplError {
 }
 
 // ---------------------------------------------------------------------------
-// Compile cache.
+// Pair compiles.
 // ---------------------------------------------------------------------------
-
-/// Bound on cached compiled programs; the cache is cleared wholesale when
-/// it fills (edit sequences reuse a handful of programs, so eviction
-/// sophistication buys nothing).
-const CACHE_MAX: usize = 256;
-
-fn cache() -> &'static RwLock<FxHashMap<u64, Arc<CompiledProgram>>> {
-    static CACHE: OnceLock<RwLock<FxHashMap<u64, Arc<CompiledProgram>>>> = OnceLock::new();
-    CACHE.get_or_init(|| RwLock::new(FxHashMap::default()))
-}
-
-fn cache_key(program: &Program) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(format!("{program:?}").as_bytes());
-    h.finish()
-}
-
-fn cached(key: u64, make: impl FnOnce() -> CompiledProgram) -> Arc<CompiledProgram> {
-    let t = telemetry();
-    if let Some(hit) = cache().read().expect("compile cache poisoned").get(&key) {
-        t.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(hit);
-    }
-    t.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let compiled = Arc::new(make());
-    let mut w = cache().write().expect("compile cache poisoned");
-    if let Some(hit) = w.get(&key) {
-        return Arc::clone(hit);
-    }
-    if w.len() >= CACHE_MAX {
-        w.clear();
-    }
-    w.insert(key, Arc::clone(&compiled));
-    compiled
-}
-
-/// The compiled form of `program`, from the global fingerprint-keyed
-/// cache (compiling on first use). One compile is shared by every caller
-/// — per-particle graph builds hit the cache.
-pub fn compiled_for(program: &Program) -> Arc<CompiledProgram> {
-    cached(cache_key(program), || compile(program))
-}
-
-/// Per-thread bound on pointer-keyed memo entries (edit sequences cycle
-/// through a handful of live programs).
-const SHARED_MEMO_MAX: usize = 8;
-
-thread_local! {
-    static SHARED_MEMO: RefCell<Vec<(Arc<Program>, Arc<CompiledProgram>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// [`compiled_for`] for a shared program handle: a per-thread memo keyed
-/// by `Arc` pointer identity skips the fingerprint hash (a full AST
-/// format) when the same handle recurs — the per-particle graph builds
-/// along an edit sequence. The memo holds its key `Arc`s, so a memoized
-/// pointer can never be freed and recycled while the entry lives.
-pub fn compiled_for_shared(program: &Arc<Program>) -> Arc<CompiledProgram> {
-    let memo_hit = SHARED_MEMO.with(|m| {
-        m.borrow()
-            .iter()
-            .find(|(p, _)| Arc::ptr_eq(p, program))
-            .map(|(_, c)| Arc::clone(c))
-    });
-    if let Some(compiled) = memo_hit {
-        telemetry().cache_hits.fetch_add(1, Ordering::Relaxed);
-        return compiled;
-    }
-    let compiled = compiled_for(program);
-    SHARED_MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        if m.len() >= SHARED_MEMO_MAX {
-            m.clear();
-        }
-        m.push((Arc::clone(program), Arc::clone(&compiled)));
-    });
-    compiled
-}
 
 /// The compiled form of `q` whose slot universe also covers every
 /// variable of `p` — what change propagation from a `P`-graph needs (old
 /// records replay `P`-named effects into the frame).
 ///
-/// Compiled on every call, outside the global cache: each edit of a
-/// session is a new pair, so a pair key (two full AST formats, which cost
-/// more than the compile) would never hit, and the cache would keep old
-/// stages' programs alive. The caller's `Arc` decides the lifetime.
+/// Compiled on every call and kept nowhere: each edit of a session is a
+/// new pair, so a memo would never be asked again. The caller's `Arc`
+/// decides the lifetime.
 pub fn compiled_for_pair(q: &Program, p: &Program) -> Arc<CompiledProgram> {
     let mut extra: Vec<&str> = Vec::new();
     collect_var_names(p, &mut extra);
@@ -1285,9 +1206,10 @@ fn telemetry() -> &'static Telemetry {
 /// monotonically increasing between [`reset_eval_counters`] calls).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounters {
-    /// Compile-cache lookups served from the cache.
+    /// [`Program::compiled`] calls that found the program already
+    /// compiled.
     pub compile_cache_hits: u64,
-    /// Compile-cache lookups that compiled.
+    /// [`Program::compiled`] calls that compiled the program.
     pub compile_cache_misses: u64,
     /// Program executions through the compiled path.
     pub compiled_execs: u64,
@@ -1322,6 +1244,18 @@ pub fn reset_eval_counters() {
     t.tree_walk_execs.store(0, Ordering::Relaxed);
     t.frames_created.store(0, Ordering::Relaxed);
     t.frames_reused.store(0, Ordering::Relaxed);
+}
+
+/// Counts one [`Program::compiled`] call: a miss if it `lowered` the
+/// program, a hit otherwise.
+pub(crate) fn note_compile_lookup(lowered: bool) {
+    let t = telemetry();
+    let counter = if lowered {
+        &t.cache_misses
+    } else {
+        &t.cache_hits
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Counts one execution through the tree-walk reference interpreter.
@@ -1430,7 +1364,7 @@ mod tests {
         let p = parse("a = 1; skip; if a < 2 { b = 2; c = 3; } else { } return a;").unwrap();
         let c = compile(&p);
         let body = c.block(c.body());
-        assert_eq!(body.stmts.len(), p.body.stmts().len());
+        assert_eq!(body.stmts.len(), p.body().stmts().len());
         let CStmt::If { then_b, .. } = c.stmt(body.stmts[2]) else {
             panic!("third statement is the if");
         };
@@ -1439,15 +1373,55 @@ mod tests {
         assert!(matches!(c.stmt(then_stmts[0]), CStmt::Assign { name, .. } if *name == "b"));
     }
 
+    fn run_prior(p: &Program, seed: u64) -> Value {
+        use crate::handlers::PriorSampler;
+        use crate::interp::Interp;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        Interp::new()
+            .run(p, &mut PriorSampler::new(&mut rng))
+            .unwrap()
+    }
+
     #[test]
-    fn compile_cache_hits_on_equal_programs() {
-        let p = parse("unique_cache_probe_var = 41; return unique_cache_probe_var;").unwrap();
+    fn runs_and_clones_share_one_compiled_form() {
+        let p = parse("x = flip(0.5) @ x; y = x + 1; return y;").unwrap();
+        run_prior(&p, 1);
+        let compiled = Arc::clone(p.compiled());
+        run_prior(&p, 2);
+        run_prior(&p, 3);
+        let clone = p.clone();
+        run_prior(&clone, 4);
+        assert!(Arc::ptr_eq(p.compiled(), &compiled));
+        assert!(Arc::ptr_eq(clone.compiled(), &compiled));
+        // The program, its clone and this test hold the only references:
+        // nothing process-wide keeps a copy.
+        assert_eq!(Arc::strong_count(&compiled), 3);
+    }
+
+    #[test]
+    fn a_compiled_form_dies_with_its_program_and_clones() {
+        let p = parse("x = flip(0.5) @ x; return x;").unwrap();
+        run_prior(&p, 1);
+        let weak = Arc::downgrade(p.compiled());
+        let clone = p.clone();
+        drop(p);
+        assert!(weak.upgrade().is_some(), "the clone still holds it");
+        drop(clone);
+        assert!(weak.upgrade().is_none());
+    }
+
+    #[test]
+    fn equal_programs_compile_separately() {
+        let src = "x = uniform(0, 3) @ x; observe(flip(0.5) @ o == 1); return x;";
+        let (a, b) = (parse(src).unwrap(), parse(src).unwrap());
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
         let before = eval_counters();
-        let a = compiled_for(&p);
-        let b = compiled_for(&p);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(a.compiled(), b.compiled()));
         let after = eval_counters();
-        assert!(after.compile_cache_hits > before.compile_cache_hits);
+        assert!(after.compile_cache_misses >= before.compile_cache_misses + 2);
     }
 
     #[test]

@@ -14,9 +14,45 @@ use crate::logweight::log_sum_exp;
 use crate::trace::Trace;
 use crate::value::Value;
 
-/// Default cap on the number of complete traces enumerated before giving
-/// up.
-pub const DEFAULT_TRACE_LIMIT: usize = 1_000_000;
+/// Default cap on the choices recorded over all enumerated traces before
+/// giving up ([`ChoiceBudget`]): about ten times the largest enumeration
+/// the test suite runs (196,608 choices over 16,384 traces).
+pub const DEFAULT_CHOICE_LIMIT: usize = 1 << 21;
+
+/// A budget on the choices an enumeration records, summed over its traces.
+///
+/// Enumeration's memory and time grow with the total length of the traces
+/// it keeps, not with their number: the n-th trace of a geometric loop
+/// records n choices. Each trace is charged its recorded choices, and at
+/// least one, so choice-free traces count too.
+#[derive(Debug)]
+pub struct ChoiceBudget {
+    limit: usize,
+    spent: usize,
+}
+
+impl ChoiceBudget {
+    /// A budget of `limit` recorded choices.
+    pub fn new(limit: usize) -> ChoiceBudget {
+        ChoiceBudget { limit, spent: 0 }
+    }
+
+    /// Charges one enumerated trace.
+    ///
+    /// # Errors
+    ///
+    /// [`PplError::FuelExhausted`] once the charged choices exceed the
+    /// limit.
+    pub fn charge(&mut self, trace: &Trace) -> Result<(), PplError> {
+        self.spent = self.spent.saturating_add(trace.len().max(1));
+        if self.spent > self.limit {
+            return Err(PplError::FuelExhausted {
+                budget: self.limit as u64,
+            });
+        }
+        Ok(())
+    }
+}
 
 /// The result of exactly enumerating a program: all traces with their
 /// unnormalized probabilities.
@@ -27,33 +63,30 @@ pub struct Enumeration {
 }
 
 impl Enumeration {
-    /// Exhaustively enumerates `model` with the default trace limit.
+    /// Exhaustively enumerates `model` with the default choice limit.
     ///
     /// # Errors
     ///
     /// Returns [`PplError::NonEnumerable`] if the model makes a choice with
-    /// non-finite support, and [`PplError::FuelExhausted`] if the number of
-    /// traces exceeds the limit.
+    /// non-finite support, and [`PplError::FuelExhausted`] if the
+    /// enumerated traces record more choices than the limit.
     pub fn run(model: &dyn Model) -> Result<Enumeration, PplError> {
-        Self::run_with_limit(model, DEFAULT_TRACE_LIMIT)
+        Self::run_with_limit(model, DEFAULT_CHOICE_LIMIT)
     }
 
-    /// Exhaustively enumerates `model`, aborting beyond `limit` traces.
+    /// Exhaustively enumerates `model`, aborting once its traces record
+    /// more than `limit` choices in total ([`ChoiceBudget`]).
     ///
     /// # Errors
     ///
     /// See [`Enumeration::run`].
     pub fn run_with_limit(model: &dyn Model, limit: usize) -> Result<Enumeration, PplError> {
+        let mut budget = ChoiceBudget::new(limit);
         let mut traces = Vec::new();
         // Work items are prefixes of choice-value sequences (in evaluation
         // order) that still need their first full execution.
         let mut work: Vec<Vec<Value>> = vec![Vec::new()];
         while let Some(prefix) = work.pop() {
-            if traces.len() >= limit {
-                return Err(PplError::FuelExhausted {
-                    budget: limit as u64,
-                });
-            }
             let mut handler = EnumHandler {
                 prefix: &prefix,
                 taken: Vec::new(),
@@ -68,6 +101,7 @@ impl Enumeration {
                 ..
             } = handler;
             trace.set_return_value(value);
+            budget.charge(&trace)?;
             // Schedule the untried alternatives at every fresh branch point.
             for (pos, support) in branch_supports {
                 for alt in support.into_iter().skip(1) {
@@ -205,6 +239,8 @@ impl Handler for EnumHandler<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::addr;
     use crate::parser::parse;
@@ -274,7 +310,9 @@ mod tests {
 
     #[test]
     fn limit_aborts_unbounded_models() {
-        // A geometric loop enumerates forever; the limit must fire.
+        // A geometric loop enumerates forever, and its n-th trace records
+        // n choices, so a budget of 100 choices admits 13 traces (1 + 2 +
+        // … + 13 = 91), not 100.
         let model = |h: &mut dyn Handler| {
             let mut n = 0_i64;
             loop {
@@ -285,10 +323,47 @@ mod tests {
                 n += 1;
             }
         };
-        assert!(matches!(
-            Enumeration::run_with_limit(&model, 100),
-            Err(PplError::FuelExhausted { .. })
-        ));
+        let traces = Cell::new(0);
+        let counted = |h: &mut dyn Handler| {
+            traces.set(traces.get() + 1);
+            model(h)
+        };
+        assert_eq!(
+            Enumeration::run_with_limit(&counted, 100).unwrap_err(),
+            PplError::FuelExhausted { budget: 100 }
+        );
+        assert_eq!(traces.get(), 14);
+    }
+
+    #[test]
+    fn a_budget_of_the_exact_total_suffices() {
+        // One trace with `a` alone and three with `a` and `b`: 1 + 2 + 2 +
+        // 2 = 7 choices.
+        let model = |h: &mut dyn Handler| {
+            let a = h.sample(addr!["a"], Dist::flip(0.5))?;
+            if a.truthy()? {
+                h.sample(addr!["b"], Dist::uniform_int(0, 2))?;
+            }
+            Ok(a)
+        };
+        assert_eq!(
+            Enumeration::run_with_limit(&model, 7)
+                .unwrap()
+                .traces()
+                .len(),
+            4
+        );
+        assert_eq!(
+            Enumeration::run_with_limit(&model, 6).unwrap_err(),
+            PplError::FuelExhausted { budget: 6 }
+        );
+        // A trace without choices still costs one.
+        let choice_free = |h: &mut dyn Handler| {
+            h.observe(addr!["o"], Dist::flip(0.5), Value::Bool(true))?;
+            Ok(Value::Int(0))
+        };
+        assert!(Enumeration::run_with_limit(&choice_free, 1).is_ok());
+        assert!(Enumeration::run_with_limit(&choice_free, 0).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use crate::address::Address;
 use crate::ast::{BinOp, Block, Builtin, Expr, Program, RandExpr, RandKind, Stmt, UnOp};
-use crate::compile::{acquire_frame, compiled_for, note_tree_walk_exec, run_compiled};
+use crate::compile::{acquire_frame, note_tree_walk_exec, run_compiled};
 use crate::dist::Dist;
 use crate::effects::{Handler, Model};
 use crate::error::PplError;
@@ -57,8 +57,9 @@ impl Interp {
     /// `Value::Int(0)` if the program has no `return`).
     ///
     /// Execution goes through the compiled path ([`crate::compile`]): the
-    /// program is lowered once (cached globally by fingerprint) and
-    /// evaluated against a pooled register frame. Semantics are
+    /// program is lowered on its first run and keeps that compiled form
+    /// ([`Program::compiled`]), which is evaluated against a pooled
+    /// register frame. Semantics are
     /// bit-identical to [`Interp::run_tree_walk`], which the differential
     /// suite holds this path against.
     ///
@@ -68,9 +69,8 @@ impl Interp {
     /// invalid distribution parameters, fuel exhaustion) and handler
     /// errors.
     pub fn run(&self, program: &Program, handler: &mut dyn Handler) -> Result<Value, PplError> {
-        let compiled = compiled_for(program);
         let mut frame = acquire_frame();
-        run_compiled(&compiled, &mut frame, self.fuel, handler)
+        run_compiled(program.compiled(), &mut frame, self.fuel, handler)
     }
 
     /// Runs `program` by direct tree-walk over the AST — the reference
@@ -91,8 +91,8 @@ impl Interp {
             fuel: self.fuel,
             budget: self.fuel,
         };
-        state.exec_block(&program.body, handler)?;
-        match &program.ret {
+        state.exec_block(program.body(), handler)?;
+        match program.ret() {
             Some(e) => state.eval(e, handler),
             None => Ok(Value::Int(0)),
         }

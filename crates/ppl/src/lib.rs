@@ -64,10 +64,7 @@ pub mod trace_io;
 pub mod value;
 
 pub use address::{Address, AddressId, AddressInterner};
-pub use compile::{
-    compiled_for, compiled_for_pair, compiled_for_shared, CompiledProgram, EvalFrame, PooledFrame,
-    SlotId,
-};
+pub use compile::{compiled_for_pair, CompiledProgram, EvalFrame, PooledFrame, SlotId};
 pub use effects::{Handler, Model};
 pub use enumerate::Enumeration;
 pub use error::PplError;

@@ -115,10 +115,10 @@ fn write_stmt(f: &mut fmt::Formatter<'_>, stmt: &Stmt, indent: usize) -> fmt::Re
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for stmt in self.body.stmts() {
+        for stmt in self.body().stmts() {
             write_stmt(f, stmt, 0)?;
         }
-        if let Some(ret) = &self.ret {
+        if let Some(ret) = self.ret() {
             writeln!(f, "return {ret};")?;
         }
         Ok(())

@@ -43,7 +43,7 @@ pub struct Run {
 /// execution exceeds `max_steps`.
 pub fn enumerate_executions(program: &Program, max_steps: usize) -> Result<Vec<Run>, PplError> {
     let initial = Config {
-        stmts: flatten(&program.body),
+        stmts: flatten(program.body()),
         env: HashMap::new(),
         trace: Vec::new(),
         prob: 1.0,
@@ -60,7 +60,7 @@ pub fn enumerate_executions(program: &Program, max_steps: usize) -> Result<Vec<R
         if config.stmts.is_empty() {
             // `skip` marks the end of execution (the paper has no rule for
             // it); evaluate the return expression under the final state.
-            let return_value = match &program.ret {
+            let return_value = match program.ret() {
                 Some(e) => Some(eval_pure(e, &config.env)?),
                 None => None,
             };

@@ -170,8 +170,8 @@ fn fuel_exhaustion_agrees_on_unbounded_loop() {
     }
 }
 
-/// Repeated runs through the public path reuse pooled frames and hit the
-/// compile cache: the telemetry counters must move.
+/// Repeated runs through the public path reuse pooled frames and the
+/// program's compiled form: the telemetry counters must move.
 #[test]
 fn frame_pool_and_compile_cache_telemetry() {
     let program = parse("x = flip(0.5) @ x; y = gauss(0, 1) @ y; return y;").unwrap();

@@ -5,15 +5,15 @@
 //! heap allocations: values stay in registers/slots, loop state reuses
 //! the frame's scratch vectors, and builtin calls use a fixed argument
 //! buffer. This file installs a counting global allocator and holds the
-//! compiled path to that bar; it contains exactly one test so no
-//! concurrent test thread can pollute the counter.
+//! compiled path, and [`Interp::run`] over it, to that bar; it contains
+//! exactly one test so no concurrent test thread can pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ppl::compile::{compiled_for, run_compiled, EvalFrame};
+use ppl::compile::{run_compiled, EvalFrame};
 use ppl::handlers::PriorSampler;
-use ppl::parse;
+use ppl::{parse, Interp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,7 +59,7 @@ fn warm_compiled_eval_allocates_nothing() {
     )
     .expect("program parses");
 
-    let compiled = compiled_for(&program);
+    let compiled = program.compiled();
     let mut frame = EvalFrame::new();
     let mut rng = StdRng::seed_from_u64(1);
     let mut handler = PriorSampler::new(&mut rng);
@@ -67,11 +67,11 @@ fn warm_compiled_eval_allocates_nothing() {
     // Warm-up: grows the frame's slot and loop vectors to capacity and
     // initializes process-wide lazies (telemetry, interner).
     let warm =
-        run_compiled(&compiled, &mut frame, 1_000_000, &mut handler).expect("warm-up run succeeds");
+        run_compiled(compiled, &mut frame, 1_000_000, &mut handler).expect("warm-up run succeeds");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let hot =
-        run_compiled(&compiled, &mut frame, 1_000_000, &mut handler).expect("hot run succeeds");
+        run_compiled(compiled, &mut frame, 1_000_000, &mut handler).expect("hot run succeeds");
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
     assert_eq!(hot, warm, "deterministic program must repeat its result");
@@ -79,6 +79,26 @@ fn warm_compiled_eval_allocates_nothing() {
         after - before,
         0,
         "warm compiled eval must not allocate ({} allocations)",
+        after - before
+    );
+
+    // The public entry point adds only the program's compiled memo and
+    // this thread's pooled frame, both warm after one run.
+    let interp = Interp::new();
+    let warm = interp
+        .run(&program, &mut handler)
+        .expect("warm-up run succeeds");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let hot = interp
+        .run(&program, &mut handler)
+        .expect("hot run succeeds");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+    assert_eq!(hot, warm, "deterministic program must repeat its result");
+    assert_eq!(
+        after - before,
+        0,
+        "a warm Interp::run must not allocate ({} allocations)",
         after - before
     );
 }

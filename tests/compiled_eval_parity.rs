@@ -3,11 +3,11 @@
 //! Every executor now runs register-lowered programs against pooled eval
 //! frames (`ppl::compile`): forward execution, fresh graph builds, and
 //! propagation rescoring all share per-stage compiled plans. Frames are
-//! per-worker and the compile cache is process-global, so the worker
-//! schedule must never leak into the numbers: a fixed-seed edit sequence
-//! must produce bit-identical per-stage particle weights and choice maps
-//! at 1, 3, and 8 worker threads, and the summed log-weight checksum
-//! must match to the bit.
+//! per-worker and a program's compiled form is shared by every worker,
+//! so the worker schedule must never leak into the numbers: a fixed-seed
+//! edit sequence must produce bit-identical per-stage particle weights
+//! and choice maps at 1, 3, and 8 worker threads, and the summed
+//! log-weight checksum must match to the bit.
 
 use depgraph::{run_edit_sequence_supervised, ExecGraph};
 use incremental::{FailurePolicy, ParticleCollection, SequenceRun, SmcConfig, StagePolicy};
@@ -133,6 +133,6 @@ fn sweep_exercises_compiled_path() {
     assert!(
         after.compile_cache_hits + after.compile_cache_misses
             > before.compile_cache_hits + before.compile_cache_misses,
-        "expected compile-cache traffic: {before:?} -> {after:?}"
+        "expected compiled-form lookups: {before:?} -> {after:?}"
     );
 }

@@ -40,6 +40,28 @@ fn all_shipped_programs_parse_and_check_cleanly() {
     }
 }
 
+/// Checkpoints store `program_fingerprint` of their target program, and
+/// resume rejects a mismatch, so these values must not move: a change to
+/// `Program`'s `Debug` output would strand every checkpoint on disk.
+#[test]
+fn shipped_program_fingerprints_are_pinned() {
+    let pinned = [
+        ("burglary", 0x4320_6e93_4e22_764f_u64),
+        ("burglary_earthquake", 0xa41d_fb69_143f_19da),
+        ("example1", 0x81f0_fc36_57d6_8860),
+        ("geometric", 0xf8a2_f6f3_7ad3_ec14),
+        ("geometric_third", 0x59da_efea_8218_1ca1),
+        ("gmm", 0xaac2_6d51_45c2_c633),
+        ("gmm_wide", 0xf1a8_8b81_dbe1_92d1),
+        ("sprinkler", 0x359e_dbc6_dc94_f5ee),
+    ];
+    for (name, want) in pinned {
+        let program = parse(&read(&format!("{name}.ppl"))).unwrap();
+        let got = depgraph::program_fingerprint(&program);
+        assert_eq!(got, want, "{name}: {got:#018x}");
+    }
+}
+
 #[test]
 fn shipped_burglary_files_reproduce_figure1() {
     let p = parse(&read("burglary.ppl")).unwrap();

@@ -72,7 +72,7 @@ proptest! {
         depgraph::set_verify_slices(true);
         let p = parse(&src).unwrap();
         let q = parse(&src).unwrap();
-        let top_level = p.body.stmts().len();
+        let top_level = p.body().stmts().len();
         let translator = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
