@@ -21,6 +21,14 @@
 //! - the accumulated ESS and [`StepReport`] history, so a resumed run
 //!   reports the full sequence.
 //!
+//! Resampling leaves duplicate particles that share one state
+//! ([`ParticleState::share_key`]). [`Checkpoint::from_snapshot`] flattens
+//! each shared state once and shares the choice map by `Arc`, and
+//! [`Checkpoint::render`] writes each shared map's binding lines once and
+//! copies them for its duplicates. Every particle keeps its own block and
+//! `weight` line, so the file is the same v1 text that flattening and
+//! writing each particle separately gives, byte for byte.
+//!
 //! Durability: [`Checkpoint::save`] writes to a temp file in the target
 //! directory, syncs it, and renames it into place, so a crash mid-write
 //! can never produce a truncated checkpoint under the final name. An
@@ -40,8 +48,9 @@ use std::hash::Hasher;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use ppl::trace_io::{parse_weighted_collection, write_weighted_collection};
+use ppl::trace_io::{parse_weighted_collection, write_weighted_collection, write_weighted_entries};
 use ppl::{ChoiceMap, FxHasher, PplError};
 
 use crate::health::{FailureKind, ParticleFailure, StepReport};
@@ -158,28 +167,33 @@ pub struct Checkpoint {
     /// Health reports of every completed stage.
     pub reports: Vec<StepReport>,
     /// The particle collection, flattened to weighted choice maps
-    /// (`(choices, log_weight)`).
-    pub particles: Vec<(ChoiceMap, f64)>,
+    /// (`(choices, log_weight)`). Particles that shared one state when
+    /// the snapshot was taken share one map.
+    pub particles: Vec<(Arc<ChoiceMap>, f64)>,
 }
 
 impl Checkpoint {
     /// Builds a checkpoint from a supervised-runner stage snapshot,
-    /// flattening the collection to weighted choice maps.
+    /// flattening the collection to weighted choice maps: once per
+    /// distinct shared state, whose map the duplicates share.
     ///
     /// # Errors
     ///
-    /// Propagates [`ParticleState::to_trace`] failures from flattening
-    /// graph-native states.
+    /// Propagates [`ParticleState::to_choice_map`] failures from
+    /// flattening graph-native states.
     pub fn from_snapshot<S: ParticleState>(
         snapshot: &StageSnapshot<'_, S>,
         base_seed: u64,
         fingerprint: u64,
     ) -> Result<Checkpoint, PplError> {
-        let mut particles = Vec::with_capacity(snapshot.collection.len());
-        for p in snapshot.collection.iter() {
-            let trace = p.trace.to_trace()?;
-            particles.push((trace.to_choice_map(), p.log_weight.log()));
-        }
+        let maps = snapshot
+            .collection
+            .flatten_each(|state| state.to_choice_map().map(Arc::new))?;
+        let particles = maps
+            .into_iter()
+            .zip(snapshot.collection.iter())
+            .map(|(map, p)| (map, p.log_weight.log()))
+            .collect();
         Ok(Checkpoint {
             step: snapshot.step,
             base_seed,
@@ -235,7 +249,7 @@ impl Checkpoint {
             body.push_str(&render_report(report));
         }
         body.push_str("begin particles\n");
-        body.push_str(&write_weighted_collection(&self.particles));
+        self.write_particles(&mut body);
         body.push_str("end particles\n");
         let checksum = fxhash64(body.as_bytes());
         body.push_str(&format!("checksum {checksum:016x}\n"));
@@ -329,10 +343,13 @@ impl Checkpoint {
                 reason: "missing particle block".to_string(),
             });
         }
-        let particles =
-            parse_weighted_collection(&particle_text).map_err(|e| CheckpointError::Corrupt {
+        let particles = parse_weighted_collection(&particle_text)
+            .map_err(|e| CheckpointError::Corrupt {
                 reason: format!("particle block: {e}"),
-            })?;
+            })?
+            .into_iter()
+            .map(|(map, log_weight)| (Arc::new(map), log_weight))
+            .collect();
         Ok(Checkpoint {
             step: step.ok_or_else(|| missing("step"))?,
             base_seed: base_seed.ok_or_else(|| missing("base-seed"))?,
@@ -452,16 +469,27 @@ impl Checkpoint {
     }
 
     /// The checksum of this checkpoint's particle collection — the value
-    /// the kill-and-resume differential tests compare.
+    /// the kill-and-resume differential tests compare. It hashes the
+    /// particle block [`Checkpoint::render`] writes, which is the text
+    /// [`collection_checksum`] hashes for the same maps unshared.
     pub fn particle_checksum(&self) -> u64 {
-        collection_checksum(&self.particles)
+        let mut block = String::new();
+        self.write_particles(&mut block);
+        fxhash64(block.as_bytes())
+    }
+
+    /// Appends the particle block. A map shared by several particles is
+    /// rendered once and its binding lines copied for the others.
+    fn write_particles(&self, out: &mut String) {
+        write_weighted_entries(out, self.particles.iter().map(|(map, w)| (&**map, *w)));
     }
 }
 
 /// FxHash64 checksum of the checkpoint's particle collection in its
-/// serialized form. Two collections have equal checksums iff their
-/// serialized choice maps and log-weights are byte-identical — the
-/// "bit-identical resume" acceptance criterion in executable form.
+/// serialized form — the "bit-identical resume" acceptance criterion in
+/// executable form. Byte-identical serialized choice maps and log-weights
+/// give equal checksums; the converse is not guaranteed, since the
+/// checksum is a 64-bit hash.
 pub fn collection_checksum(entries: &[(ChoiceMap, f64)]) -> u64 {
     fxhash64(write_weighted_collection(entries).as_bytes())
 }
@@ -613,8 +641,11 @@ fn parse_failure(v: &str) -> Result<ParticleFailure, CheckpointError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+
     use super::*;
-    use ppl::{addr, Value};
+    use crate::particles::ParticleCollection;
+    use ppl::{addr, LogWeight, Value};
 
     fn sample_checkpoint() -> Checkpoint {
         let mut m1 = ChoiceMap::new();
@@ -672,7 +703,7 @@ mod tests {
                     collapse_recovered: true,
                 },
             ],
-            particles: vec![(m1, -0.5), (m2, 0.0)],
+            particles: vec![(m1.into(), -0.5), (m2.into(), 0.0)],
         }
     }
 
@@ -882,6 +913,131 @@ mod tests {
         assert_eq!(path, current);
         assert_eq!(latest.step, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A state that counts how often it is flattened.
+    struct Counted {
+        trace: ppl::Trace,
+        traces: AtomicUsize,
+        maps: AtomicUsize,
+    }
+
+    impl Counted {
+        fn new(x: bool) -> Counted {
+            let mut trace = ppl::Trace::new();
+            let dist = ppl::dist::Dist::flip(0.5);
+            let lp = dist.log_prob(&Value::Bool(x));
+            trace
+                .record_choice(addr!["x"], Value::Bool(x), dist, lp)
+                .unwrap();
+            Counted {
+                trace,
+                traces: AtomicUsize::new(0),
+                maps: AtomicUsize::new(0),
+            }
+        }
+
+        fn count_maps(&self) -> usize {
+            self.maps.load(Ordering::Relaxed)
+        }
+
+        fn count_traces(&self) -> usize {
+            self.traces.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ParticleState for Counted {
+        fn to_trace(&self) -> Result<ppl::Trace, PplError> {
+            self.traces.fetch_add(1, Ordering::Relaxed);
+            Ok(self.trace.clone())
+        }
+
+        fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
+            self.maps.fetch_add(1, Ordering::Relaxed);
+            Ok(self.trace.to_choice_map())
+        }
+    }
+
+    fn snapshot<S>(collection: &ParticleCollection<S>) -> StageSnapshot<'_, S> {
+        StageSnapshot {
+            step: 1,
+            collection,
+            ess_history: &[],
+            reports: &[],
+        }
+    }
+
+    #[test]
+    fn each_shared_state_flattens_once() {
+        // Five particles over two shared states, as resampling leaves
+        // them: a, a, b, a, b.
+        let (a, b) = (Arc::new(Counted::new(true)), Arc::new(Counted::new(false)));
+        let mut shared = ParticleCollection::new();
+        for (state, lw) in [(&a, 0.0), (&a, -1.0), (&b, -2.0), (&a, -3.0), (&b, -4.0)] {
+            shared.push(Arc::clone(state), LogWeight::from_log(lw));
+        }
+        let ck = Checkpoint::from_snapshot(&snapshot(&shared), 9, 9).unwrap();
+        assert_eq!((a.count_maps(), b.count_maps()), (1, 1));
+        assert_eq!((a.count_traces(), b.count_traces()), (0, 0));
+        assert!(Arc::ptr_eq(&ck.particles[0].0, &ck.particles[3].0));
+        assert!(Arc::ptr_eq(&ck.particles[2].0, &ck.particles[4].0));
+        let flat = shared.flatten().unwrap();
+        assert_eq!((a.count_traces(), b.count_traces()), (1, 1));
+        for (p, f) in shared.iter().zip(flat.iter()) {
+            assert_eq!(p.trace.trace, f.trace);
+            assert_eq!(p.log_weight.log().to_bits(), f.log_weight.log().to_bits());
+        }
+
+        // Equal states that share no allocation flatten once each.
+        let mut unshared = ParticleCollection::new();
+        for _ in 0..3 {
+            unshared.push(Counted::new(true), LogWeight::ONE);
+        }
+        Checkpoint::from_snapshot(&snapshot(&unshared), 9, 9).unwrap();
+        unshared.flatten().unwrap();
+        for p in unshared.iter() {
+            assert_eq!((p.trace.count_maps(), p.trace.count_traces()), (1, 1));
+        }
+        // A collection of equal traces is unshared too.
+        let traces = ParticleCollection::from_traces((0..3).map(|_| Counted::new(true).trace));
+        assert!(traces.iter().all(|p| p.trace.share_key().is_none()));
+        let ck = Checkpoint::from_snapshot(&snapshot(&traces), 9, 9).unwrap();
+        assert!(!Arc::ptr_eq(&ck.particles[0].0, &ck.particles[1].0));
+    }
+
+    #[test]
+    fn shared_maps_render_like_deep_clones() {
+        let mut ck = sample_checkpoint();
+        let (m1, m2) = (ck.particles[0].0.clone(), ck.particles[1].0.clone());
+        ck.particles = vec![
+            (m1.clone(), -0.5),
+            (m2.clone(), 0.0),
+            (m1.clone(), f64::NEG_INFINITY),
+            (m1, 1.25),
+            (m2, -0.0),
+        ];
+        let mut unshared = ck.clone();
+        for (map, _) in &mut unshared.particles {
+            *map = Arc::new(ChoiceMap::clone(map));
+        }
+        assert!(!Arc::ptr_eq(
+            &unshared.particles[0].0,
+            &unshared.particles[2].0
+        ));
+        let text = ck.render();
+        assert_eq!(text, unshared.render());
+        assert_eq!(ck.particle_checksum(), unshared.particle_checksum());
+        let entries: Vec<(ChoiceMap, f64)> = ck
+            .particles
+            .iter()
+            .map(|(map, w)| (ChoiceMap::clone(map), *w))
+            .collect();
+        assert_eq!(ck.particle_checksum(), collection_checksum(&entries));
+        let block = write_weighted_collection(&entries);
+        assert!(text.contains(&format!("begin particles\n{block}end particles\n")));
+        let parsed = Checkpoint::parse(&text).unwrap();
+        assert_eq!(parsed.particles.len(), 5);
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

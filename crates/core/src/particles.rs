@@ -10,8 +10,10 @@
 //! across a whole edit sequence and only flattens them to traces at API
 //! boundaries via [`ParticleState`].
 
+use std::collections::hash_map::Entry;
+
 use ppl::logweight::log_sum_exp;
-use ppl::{LogWeight, PplError, Trace};
+use ppl::{ChoiceMap, FxHashMap, LogWeight, PplError, Trace};
 
 /// A particle state that can be flattened to a plain [`Trace`] at an API
 /// boundary (estimation over trace predicates, reporting, hand-off to
@@ -21,6 +23,13 @@ use ppl::{LogWeight, PplError, Trace};
 /// Section 6 runtime implements this for shared execution graphs so
 /// graph-native collections can be inspected without leaving the graph
 /// representation during inference.
+///
+/// Resampling duplicates a particle by cloning its state, and for an
+/// `Arc` that clone shares one allocation. [`ParticleState::share_key`]
+/// exposes that sharing, so [`ParticleCollection::flatten`] and
+/// checkpoints flatten each shared state once and copy the result to its
+/// duplicates. The flattened output is the same as flattening every
+/// particle on its own.
 pub trait ParticleState {
     /// Flattens the state to the trace it represents.
     ///
@@ -29,6 +38,27 @@ pub trait ParticleState {
     /// Propagates representation-specific flattening failures (a
     /// [`Trace`] never fails).
     fn to_trace(&self) -> Result<Trace, PplError>;
+
+    /// The values of the state's choices by address: what
+    /// `to_trace()?.to_choice_map()` returns, which is the default.
+    /// Representations that can list their choices without building a
+    /// [`Trace`] override it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ParticleState::to_trace`].
+    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
+        Ok(self.to_trace()?.to_choice_map())
+    }
+
+    /// A key shared by states that are one allocation, or `None` (the
+    /// default) when the state shares nothing. Two states of one
+    /// collection with equal keys flatten to equal traces and choice
+    /// maps. Keys are compared only while the whole collection is
+    /// borrowed, so no key can be freed and reused meanwhile.
+    fn share_key(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl ParticleState for Trace {
@@ -39,10 +69,19 @@ impl ParticleState for Trace {
 
 /// Shared states flatten through the reference — this is what lets
 /// copy-on-write `Arc`-backed graph particles satisfy the boundary
-/// contract without a newtype.
+/// contract without a newtype. Clones of one `Arc` share its address as
+/// their [`ParticleState::share_key`].
 impl<S: ParticleState + ?Sized> ParticleState for std::sync::Arc<S> {
     fn to_trace(&self) -> Result<Trace, PplError> {
         (**self).to_trace()
+    }
+
+    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
+        (**self).to_choice_map()
+    }
+
+    fn share_key(&self) -> Option<usize> {
+        Some(std::sync::Arc::as_ptr(self).cast::<()>() as usize)
     }
 }
 
@@ -239,15 +278,48 @@ impl ParticleCollection {
 impl<S: ParticleState> ParticleCollection<S> {
     /// Flattens every particle state to its trace, preserving weights —
     /// the lazy boundary between a graph-native run and trace-level
-    /// consumers.
+    /// consumers. A shared state is flattened once and its trace cloned
+    /// for each duplicate.
     ///
     /// # Errors
     ///
     /// Propagates [`ParticleState::to_trace`] failures.
     pub fn flatten(&self) -> Result<ParticleCollection, PplError> {
-        let mut out = ParticleCollection::new();
-        for p in self.iter() {
-            out.push(p.trace.to_trace()?, p.log_weight);
+        let traces = self.flatten_each(ParticleState::to_trace)?;
+        Ok(traces
+            .into_iter()
+            .zip(&self.particles)
+            .map(|(trace, p)| Particle {
+                trace,
+                log_weight: p.log_weight,
+            })
+            .collect())
+    }
+
+    /// `flatten` applied to every particle state, in order, calling it
+    /// once per distinct [`ParticleState::share_key`] and cloning that
+    /// result for the other states with the key. Unshared states are
+    /// flattened one by one.
+    ///
+    /// # Errors
+    ///
+    /// The first error `flatten` returns.
+    pub(crate) fn flatten_each<T: Clone>(
+        &self,
+        mut flatten: impl FnMut(&S) -> Result<T, PplError>,
+    ) -> Result<Vec<T>, PplError> {
+        let mut out: Vec<T> = Vec::with_capacity(self.particles.len());
+        let mut first: FxHashMap<usize, usize> = FxHashMap::default();
+        for p in &self.particles {
+            let flat = match p.trace.share_key().map(|key| first.entry(key)) {
+                Some(Entry::Occupied(seen)) => out[*seen.get()].clone(),
+                Some(Entry::Vacant(slot)) => {
+                    slot.insert(out.len());
+                    flatten(&p.trace)?
+                }
+                None => flatten(&p.trace)?,
+            };
+            out.push(flat);
         }
         Ok(out)
     }

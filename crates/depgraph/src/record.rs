@@ -24,7 +24,7 @@ use ppl::address::Component;
 use ppl::ast::Program;
 use ppl::compile::{CompiledProgram, SitePath, SiteStep};
 use ppl::dist::Dist;
-use ppl::{Address, AddressId, LogWeight, PplError, Trace, Value};
+use ppl::{Address, AddressId, ChoiceMap, FxHashSet, LogWeight, PplError, Trace, Value};
 
 /// The global variable-name interner, shared with the compiled-program
 /// slot tables in [`ppl::compile`].
@@ -314,7 +314,8 @@ impl ExecGraph {
     /// Assembles a graph from the records a walk of `compiled` (the
     /// compiled form of `program`) produced. Duplicate addresses (which
     /// only well-formed programs avoid) surface as
-    /// [`PplError::AddressCollision`] from [`ExecGraph::to_trace`].
+    /// [`PplError::AddressCollision`] from [`ExecGraph::to_trace`] and
+    /// [`ExecGraph::choice_map`].
     pub fn assemble(
         program: Arc<Program>,
         compiled: Arc<CompiledProgram>,
@@ -480,6 +481,34 @@ impl ExecGraph {
         Ok(trace)
     }
 
+    /// The values of the graph's choices by address: what
+    /// `to_trace()?.to_choice_map()` returns, without building the trace
+    /// (no distribution is cloned and no log-probability kept). This is
+    /// how checkpoints flatten a graph.
+    ///
+    /// # Errors
+    ///
+    /// [`PplError::AddressCollision`] wherever [`ExecGraph::to_trace`]
+    /// returns it: on the first choice address or observation address
+    /// recorded twice, in execution order.
+    pub fn choice_map(&self) -> Result<ChoiceMap, PplError> {
+        let mut map = ChoiceMap::new();
+        let mut observed: FxHashSet<&Address> = FxHashSet::default();
+        for summary in self.summaries() {
+            for (addr, data) in &summary.choices {
+                if map.insert_id(addr.id(), data.value.clone()).is_some() {
+                    return Err(PplError::AddressCollision(addr.clone()));
+                }
+            }
+            for (addr, _) in &summary.observations {
+                if !observed.insert(addr) {
+                    return Err(PplError::AddressCollision(addr.clone()));
+                }
+            }
+        }
+        Ok(map)
+    }
+
     /// Every statement summary and `while` condition of the run, in
     /// execution order.
     fn summaries(&self) -> Vec<&Summary> {
@@ -615,6 +644,7 @@ mod tests {
         }
         assert_eq!(graph.num_choices(), trace.len());
         assert_eq!(graph.score().log().to_bits(), trace.score().log().to_bits());
+        assert_eq!(graph.choice_map().unwrap(), trace.to_choice_map());
     }
 
     #[test]
@@ -697,14 +727,39 @@ mod tests {
         assert_eq!(taken, [true, true], "both branches should be taken");
     }
 
-    #[test]
-    fn a_colliding_site_resolves_to_its_first_record_in_pre_order() {
-        let graph = simulate("x = flip(0.1) @ a; y = flip(0.9) @ a; return x;", 0);
-        assert_eq!(graph.choice(&addr!["a"]).unwrap().dist, Dist::flip(0.1));
+    /// Both flattenings refuse a graph that records an address twice.
+    fn assert_flattening_collides(graph: &ExecGraph) {
         assert!(matches!(
             graph.to_trace(),
             Err(PplError::AddressCollision(_))
         ));
+        assert!(matches!(
+            graph.choice_map(),
+            Err(PplError::AddressCollision(_))
+        ));
+    }
+
+    #[test]
+    fn a_colliding_site_resolves_to_its_first_record_in_pre_order() {
+        let graph = simulate("x = flip(0.1) @ a; y = flip(0.9) @ a; return x;", 0);
+        assert_eq!(graph.choice(&addr!["a"]).unwrap().dist, Dist::flip(0.1));
+        assert_flattening_collides(&graph);
+
+        // Two observations at one label collide as well.
+        let graph = simulate(
+            "x = flip(0.5) @ a; observe(flip(0.9) @ o == 1); observe(flip(0.2) @ o == 0);
+             return x;",
+            0,
+        );
+        assert_flattening_collides(&graph);
+        // A choice and an observation at one label do not: choices and
+        // observations are addressed separately.
+        let graph = simulate(
+            "x = flip(0.5) @ a; observe(flip(0.9) @ a == 1); return x;",
+            0,
+        );
+        let trace = graph.to_trace().unwrap();
+        assert_eq!(graph.choice_map().unwrap(), trace.to_choice_map());
 
         let graph = simulate(
             "for i in [0..2) { x = flip(0.1) @ a; } for j in [1..3) { y = flip(0.9) @ a; }

@@ -6,7 +6,7 @@ use rand::RngCore;
 
 use incremental::{ParticleState, StateTranslator, TranslateCtx};
 use ppl::ast::Program;
-use ppl::{LogWeight, PplError, Trace};
+use ppl::{ChoiceMap, LogWeight, PplError, Trace};
 
 use crate::diff::{diff_programs, ProgramEdit};
 use crate::plan::StagePlan;
@@ -187,11 +187,18 @@ impl StateTranslator<Trace> for IncrementalTranslator {
 
 /// Flattening an execution graph walks its records once —
 /// [`ExecGraph::to_trace`] — which the SMC runtime only does lazily at
-/// API boundaries (estimation, reporting). `Arc<ExecGraph>` particles
-/// flatten through `incremental`'s blanket `Arc` forwarding impl.
+/// API boundaries (estimation, reporting). A checkpoint needs only the
+/// choice values, which [`ExecGraph::choice_map`] lists without building
+/// a trace. `Arc<ExecGraph>` particles flatten through `incremental`'s
+/// blanket `Arc` forwarding impl, which also lets a collection flatten
+/// each shared graph once.
 impl ParticleState for ExecGraph {
     fn to_trace(&self) -> Result<Trace, PplError> {
         ExecGraph::to_trace(self)
+    }
+
+    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
+        self.choice_map()
     }
 }
 

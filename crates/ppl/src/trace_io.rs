@@ -21,9 +21,11 @@
 //! bare. Reals use Rust's shortest round-tripping representation.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use crate::address::{Address, Component};
 use crate::error::PplError;
+use crate::fxhash::FxHashMap;
 use crate::trace::ChoiceMap;
 use crate::value::Value;
 
@@ -75,41 +77,68 @@ fn write_component(out: &mut String, component: &Component) {
 /// Serializes an address.
 pub fn write_address(addr: &Address) -> String {
     let mut out = String::new();
+    push_address(&mut out, addr);
+    out
+}
+
+/// Appends the serialized address to `out`.
+fn push_address(out: &mut String, addr: &Address) {
     for (i, c) in addr.components().iter().enumerate() {
         if i > 0 {
             out.push('/');
         }
-        write_component(&mut out, c);
+        write_component(out, c);
     }
-    out
+}
+
+/// Appends one `addr = value` line per binding of `map`, in address
+/// order: the body of a choice-map block.
+pub fn write_bindings(out: &mut String, map: &ChoiceMap) {
+    for (addr, value) in map.iter() {
+        push_address(out, addr);
+        out.push_str(" = ");
+        write_value(out, value);
+        out.push('\n');
+    }
 }
 
 /// Serializes a choice map to the line format.
 pub fn write_choice_map(map: &ChoiceMap) -> String {
     let mut out = String::from("# incremental-ppl choices v1\n");
-    for (addr, value) in map.iter() {
-        out.push_str(&write_address(addr));
-        out.push_str(" = ");
-        write_value(&mut out, value);
-        out.push('\n');
-    }
+    write_bindings(&mut out, map);
     out
 }
 
 /// Serializes a weighted collection of choice maps: blocks separated by
 /// `weight <log-weight>` headers.
 pub fn write_weighted_collection(entries: &[(ChoiceMap, f64)]) -> String {
-    let mut out = String::from("# incremental-ppl collection v1\n");
+    let mut out = String::new();
+    write_weighted_entries(&mut out, entries.iter().map(|(map, w)| (map, *w)));
+    out
+}
+
+/// Appends the text [`write_weighted_collection`] gives for `entries` to
+/// `out`. An entry whose map is the same `&ChoiceMap` as an earlier
+/// entry's, as clones of one `Arc<ChoiceMap>` are, copies that entry's
+/// binding lines instead of rendering the map again.
+pub fn write_weighted_entries<'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'a ChoiceMap, f64)>,
+) {
+    out.push_str("# incremental-ppl collection v1\n");
+    let mut written: FxHashMap<*const ChoiceMap, Range<usize>> = FxHashMap::default();
     for (map, log_weight) in entries {
         let _ = writeln!(out, "weight {log_weight:?}");
-        for (addr, value) in map.iter() {
-            out.push_str(&write_address(addr));
-            out.push_str(" = ");
-            write_value(&mut out, value);
-            out.push('\n');
+        let key: *const ChoiceMap = map;
+        match written.get(&key) {
+            Some(bindings) => out.extend_from_within(bindings.clone()),
+            None => {
+                let start = out.len();
+                write_bindings(out, map);
+                written.insert(key, start..out.len());
+            }
         }
     }
-    out
 }
 
 struct Cursor<'a> {
@@ -379,6 +408,15 @@ mod tests {
             assert_eq!(m1, m2);
             assert!(w1 == w2 || (w1.is_infinite() && w2.is_infinite()));
         }
+    }
+
+    #[test]
+    fn a_repeated_map_is_written_like_a_copy() {
+        let (a, b) = (sample_map(), ChoiceMap::new());
+        let mut shared = String::new();
+        write_weighted_entries(&mut shared, [(&a, -1.0), (&b, 0.5), (&a, 2.0), (&a, -0.0)]);
+        let copies = [(a.clone(), -1.0), (b, 0.5), (a.clone(), 2.0), (a, -0.0)];
+        assert_eq!(shared, write_weighted_collection(&copies));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn reference_checkpoint() -> Checkpoint {
                 collapse_recovered: true,
             },
         ],
-        particles: vec![(m1, -0.5), (m2, -12.345_678_901_234_567)],
+        particles: vec![(m1.into(), -0.5), (m2.into(), -12.345_678_901_234_567)],
     }
 }
 

@@ -10,6 +10,7 @@
 //! [`collection_checksum`], which hashes the serialized choice maps and
 //! exact log-weight bits.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -85,6 +86,16 @@ fn checksum<S: ParticleState>(collection: &ParticleCollection<S>) -> u64 {
         .map(|p| (p.trace.to_choice_map(), p.log_weight.log()))
         .collect();
     collection_checksum(&entries)
+}
+
+/// The checkpoint text of a stage snapshot.
+fn rendered<S: ParticleState>(
+    ps: &[Program],
+    snap: &StageSnapshot<'_, S>,
+) -> Result<String, SmcError> {
+    let fp = depgraph::program_fingerprint(&ps[snap.step]);
+    let ck = Checkpoint::from_snapshot(snap, SEED, fp).map_err(SmcError::Eval)?;
+    Ok(ck.render())
 }
 
 /// An observer that saves every stage checkpoint into `dir` and then
@@ -254,6 +265,47 @@ fn flat_and_graph_supervised_runs_agree() {
     let flat = run_flat(&ps, &start, 0, &[], &[], 2, None).expect("flat run");
     assert_eq!(checksum(graph.last()), checksum(flat.last()));
     assert_eq!(graph.ess_history, flat.ess_history);
+}
+
+/// Graph-native checkpoints are the same bytes as flat ones at every
+/// step: a graph checkpoint flattens each graph that resampling left
+/// shared once and copies its rendered block to the duplicates, and the
+/// text equals what flattening every trace gives. At least one graph
+/// checkpoint holds fewer distinct states than particles, so the copy
+/// path runs.
+#[test]
+fn graph_checkpoints_are_byte_identical_to_flat_ones() {
+    let ps = programs();
+    let start = initial(&ps);
+    let mut graph_texts = Vec::new();
+    let mut shared_checkpoints = 0;
+    let mut graph_saver = |snap: &StageSnapshot<'_, Arc<ExecGraph>>| -> Result<(), SmcError> {
+        let distinct: HashSet<usize> = snap
+            .collection
+            .iter()
+            .map(|p| p.trace.share_key().expect("an `Arc` state has a key"))
+            .collect();
+        shared_checkpoints += usize::from(distinct.len() < snap.collection.len());
+        graph_texts.push(rendered(&ps, snap)?);
+        Ok(())
+    };
+    run_graph(&ps, &start, 0, &[], &[], 2, Some(&mut graph_saver)).expect("graph run");
+    let mut flat_texts = Vec::new();
+    let mut flat_saver = |snap: &StageSnapshot<'_, ppl::Trace>| -> Result<(), SmcError> {
+        flat_texts.push(rendered(&ps, snap)?);
+        Ok(())
+    };
+    run_flat(&ps, &start, 0, &[], &[], 2, Some(&mut flat_saver)).expect("flat run");
+
+    assert_eq!(graph_texts.len(), ps.len() - 1, "one checkpoint per stage");
+    assert_eq!(flat_texts.len(), graph_texts.len());
+    for (step, (graph, flat)) in graph_texts.iter().zip(&flat_texts).enumerate() {
+        assert!(graph == flat, "checkpoint after stage {step} differs");
+    }
+    assert!(
+        shared_checkpoints > 0,
+        "no graph checkpoint held shared states"
+    );
 }
 
 /// A checkpoint taken against one program chain must refuse to resume

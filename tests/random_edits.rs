@@ -75,6 +75,7 @@ proptest! {
         prop_assert_eq!(built.score().log().to_bits(), reference.score().log().to_bits());
         prop_assert_eq!(built.return_value(), reference.return_value());
         let lifted = depgraph::ExecGraph::from_trace(&p, &reference).unwrap();
+        prop_assert_eq!(lifted.choice_map().unwrap(), reference.to_choice_map(), "src:\n{}", src);
         prop_assert_eq!(lifted.to_trace().unwrap(), reference, "src:\n{}", src);
     }
 
@@ -141,9 +142,10 @@ proptest! {
 
 /// Checks one graph's lookups against its flattened trace: same value,
 /// dist and log-prob bits at every address, `None` at every perturbation
-/// of one.
+/// of one, and the same choice map flattened directly.
 fn lookups_agree(graph: &ExecGraph) -> Result<(), String> {
     let trace = graph.to_trace().unwrap();
+    prop_assert_eq!(graph.choice_map().unwrap(), trace.to_choice_map());
     for (addr, c) in trace.choices() {
         let found = graph.choice(addr);
         prop_assert!(found.is_some(), "no choice at {addr}");
