@@ -218,7 +218,7 @@ fn flat_edit_stages(programs: &[Program]) -> Vec<DynStage<Trace>> {
 }
 
 /// Runs `stages` through the one stage loop: translate-only, fail-fast,
-/// no watchdog or checkpoints.
+/// no deadline or checkpoints.
 fn run_stages<S>(
     stages: &[DynStage<S>],
     initial: &ParticleCollection<S>,

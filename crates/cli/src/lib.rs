@@ -638,7 +638,8 @@ pub struct SequenceOpts {
     pub threads: usize,
     /// Per-particle failure policy.
     pub policy: FailurePolicy,
-    /// Watchdog deadline per translation batch, in milliseconds.
+    /// Deadline per translation attempt, in milliseconds
+    /// ([`StagePolicy::deadline`]).
     pub deadline_ms: Option<u64>,
     /// Directory for durable checkpoints (`--checkpoint`).
     pub checkpoint_dir: Option<PathBuf>,
@@ -710,8 +711,8 @@ fn collection_entries(collection: &ParticleCollection) -> Vec<(ppl::ChoiceMap, f
 /// ([`depgraph::run_edit_sequence_supervised`]): samples the posterior of
 /// the first program, lifts the particles into execution graphs once,
 /// then propagates the *graphs* through every edit on the persistent
-/// worker pool, with optional durable checkpoints, watchdog deadlines,
-/// and resume-from-checkpoint. Per-particle randomness derives from the
+/// worker pool, with optional durable checkpoints, per-attempt
+/// deadlines, and resume-from-checkpoint. Per-particle randomness derives from the
 /// seed, so the output is bit-identical for any `threads` value;
 /// particles are flattened back to traces only at the output boundary.
 ///
@@ -936,7 +937,9 @@ pub fn usage() -> String {
                                             worker task; default: auto).\n\
                                             --checkpoint writes durable stage snapshots,\n\
                                             --resume restarts from the latest one,\n\
-                                            --deadline-ms supervises hung translations,\n\
+                                            --deadline-ms N stops each translation attempt\n\
+                                            after N ms (a timeout under --policy); parsed\n\
+                                            programs stop at their next step\n\
                                             --metrics-out writes a metrics/v1 JSON report\n\
                                             (propagation counters, stage timings, pool stats),\n\
                                             --verify-slices checks every dynamically visited\n\

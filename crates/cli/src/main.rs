@@ -179,7 +179,13 @@ fn run(args: &[String]) -> Result<String, CliError> {
             };
             let deadline_ms = match args.iter().position(|a| a == "--deadline-ms") {
                 None => None,
-                Some(_) => Some(flag("--deadline-ms", 0)?),
+                Some(_) => {
+                    let ms = flag("--deadline-ms", 0)?;
+                    if ms == 0 {
+                        return Err(CliError::usage("--deadline-ms must be at least 1"));
+                    }
+                    Some(ms)
+                }
             };
             let chunk_size = match args.iter().position(|a| a == "--chunk-size") {
                 None => None,

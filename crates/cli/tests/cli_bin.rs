@@ -163,3 +163,21 @@ fn enumerating_an_unbounded_program_stops_at_its_budget() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("P posterior: single-site MH"), "{text}");
 }
+
+/// A zero deadline would time every attempt out at once, so, like a zero
+/// chunk size, it is a usage error.
+#[test]
+fn a_zero_deadline_is_a_usage_error() {
+    let p = temp_file("deadline_p.ppl", COIN);
+    let q = temp_file("deadline_q.ppl", COIN_SHARP);
+    let out = ppl()
+        .arg("sequence")
+        .arg(&p)
+        .arg(&q)
+        .args(["--traces", "4", "--deadline-ms", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("--deadline-ms must be at least 1"), "{text}");
+}

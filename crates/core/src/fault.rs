@@ -7,6 +7,8 @@
 //! is reproducible across thread counts and retry schedules — which is
 //! what lets the integration tests assert exact recovery behavior.
 
+use std::time::Instant;
+
 use rand::RngCore;
 
 use ppl::{LogWeight, PplError};
@@ -24,9 +26,11 @@ pub enum FaultKind {
     /// Return a structured [`PplError`] (exercises error handling).
     Error,
     /// Sleep for the plan's hang duration before delegating to the inner
-    /// translator, simulating a wedged translation (exercises the
-    /// watchdog's deadline detection; see
-    /// [`FaultPlan::with_hang_duration`]).
+    /// translator, simulating a translation far slower than its deadline
+    /// (see [`FaultPlan::with_hang_duration`]). Like the built-in
+    /// translators, the hang is cooperative: if the attempt's
+    /// [`TranslateCtx::deadline`] comes first, it wakes there and returns
+    /// [`PplError::DeadlineExceeded`].
     Hang,
 }
 
@@ -172,8 +176,17 @@ impl<S, T: StateTranslator<S>> StateTranslator<S> for FaultyTranslator<T> {
                 Ok((next, LogWeight::from_log(f64::NAN)))
             }
             Some(FaultKind::Hang) => {
-                std::thread::sleep(self.plan.hang);
-                self.inner.translate_state(state, ctx, rng)
+                let wake = Instant::now() + self.plan.hang;
+                match ctx.deadline {
+                    Some(deadline) if deadline < wake => {
+                        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                        Err(PplError::DeadlineExceeded)
+                    }
+                    _ => {
+                        std::thread::sleep(self.plan.hang);
+                        self.inner.translate_state(state, ctx, rng)
+                    }
+                }
             }
             None => self.inner.translate_state(state, ctx, rng),
         }
@@ -276,6 +289,22 @@ mod tests {
             .unwrap();
         assert!(start.elapsed() >= std::time::Duration::from_millis(30));
         assert_eq!(w, LogWeight::ONE);
+        // A deadline before the hang ends wakes it there, with the
+        // deadline error.
+        let plan = FaultPlan::new()
+            .with(FaultSpec::once(0, 0, FaultKind::Hang))
+            .with_hang_duration(std::time::Duration::from_secs(600));
+        let faulty = FaultyTranslator::new(Identity, plan);
+        let start = Instant::now();
+        let ctx = TranslateCtx {
+            deadline: Some(start + std::time::Duration::from_millis(30)),
+            ..TranslateCtx::new(0, 0)
+        };
+        let err = faulty
+            .translate_state(&Trace::new(), ctx, &mut rng)
+            .unwrap_err();
+        assert_eq!(err, PplError::DeadlineExceeded);
+        assert!(start.elapsed() < std::time::Duration::from_secs(60));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! fresh-choice factors cancel and this reduces exactly to Eq. (8) — the
 //! ratio over corresponding choices and observations only.
 
+use std::time::Instant;
+
 use rand::RngCore;
 
 use ppl::dist::Dist;
@@ -172,12 +174,25 @@ impl<P: Model, Q: Model> CorrespondenceTranslator<P, Q> {
         t: &Trace,
         rng: &mut dyn RngCore,
     ) -> Result<(Trace, LogWeight, TranslationStats), PplError> {
+        self.translate_until(t, None, rng)
+    }
+
+    /// [`Self::translate_with_stats`], stopped with
+    /// [`PplError::DeadlineExceeded`] at the first choice or observation
+    /// `Q` makes after `deadline`.
+    fn translate_until(
+        &self,
+        t: &Trace,
+        deadline: Option<Instant>,
+        rng: &mut dyn RngCore,
+    ) -> Result<(Trace, LogWeight, TranslationStats), PplError> {
         // 1. Forward: run Q, reusing corresponding choices of t.
         let mut fwd = ForwardHandler {
             old: t,
             correspondence: &self.correspondence,
             proposal: self.proposal.as_deref(),
             rng,
+            deadline,
             trace: Trace::new(),
             log_kernel: LogWeight::ONE,
             stats: TranslationStats::default(),
@@ -209,10 +224,10 @@ impl<P: Model, Q: Model> StateTranslator<Trace> for CorrespondenceTranslator<P, 
     fn translate_state(
         &self,
         t: &Trace,
-        _ctx: TranslateCtx,
+        ctx: TranslateCtx,
         rng: &mut dyn RngCore,
     ) -> Result<(Trace, LogWeight), PplError> {
-        self.translate_with_stats(t, rng)
+        self.translate_until(t, ctx.deadline, rng)
             .map(|(u, log_weight, _)| (u, log_weight))
     }
 }
@@ -222,6 +237,7 @@ struct ForwardHandler<'a> {
     correspondence: &'a Correspondence,
     proposal: Option<&'a dyn FreshProposal>,
     rng: &'a mut dyn RngCore,
+    deadline: Option<Instant>,
     trace: Trace,
     /// `log k_{P→Q}(u; t)`: probability of the freshly sampled choices.
     log_kernel: LogWeight,
@@ -230,6 +246,7 @@ struct ForwardHandler<'a> {
 
 impl Handler for ForwardHandler<'_> {
     fn sample(&mut self, addr: Address, dist: Dist) -> Result<Value, PplError> {
+        PplError::check_deadline(self.deadline)?;
         // Intern once; every map touch below is a copyable-id probe.
         let id = addr.id();
         let mut fresh_reason = None;
@@ -290,6 +307,7 @@ impl Handler for ForwardHandler<'_> {
     }
 
     fn observe(&mut self, addr: Address, dist: Dist, value: Value) -> Result<(), PplError> {
+        PplError::check_deadline(self.deadline)?;
         let log_prob = dist.log_prob(&value);
         self.trace.record_observation(addr, value, dist, log_prob)
     }
@@ -697,6 +715,31 @@ mod tests {
             .estimate(|t| t.value(&addr!["y"]).unwrap().as_real().unwrap())
             .unwrap();
         assert!((ey - 2.995).abs() < 0.02, "E[y] = {ey}");
+    }
+
+    /// A passed deadline stops the target model at its first handler
+    /// call, even a model that would sample fresh choices for ever.
+    #[test]
+    fn a_passed_deadline_stops_the_model_at_its_first_call() {
+        let calls = std::cell::Cell::new(0_i64);
+        let endless = |h: &mut dyn Handler| -> Result<Value, PplError> {
+            loop {
+                calls.set(calls.get() + 1);
+                h.sample(addr!["x", calls.get()], Dist::flip(0.5))?;
+            }
+        };
+        let empty = |_: &mut dyn Handler| Ok(Value::Int(0));
+        let translator = CorrespondenceTranslator::new(empty, endless, Correspondence::new());
+        let ctx = TranslateCtx {
+            deadline: Some(Instant::now()),
+            ..TranslateCtx::new(0, 0)
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        let err = translator
+            .translate_state(&Trace::new(), ctx, &mut rng)
+            .unwrap_err();
+        assert_eq!(err, PplError::DeadlineExceeded);
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]

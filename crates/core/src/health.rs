@@ -37,11 +37,14 @@ pub enum FailureKind {
     /// offending log-weight is carried for diagnosis (`-∞` — a zero
     /// weight — is *not* a failure; it is a valid degenerate weight).
     NonFiniteWeight(f64),
-    /// The translation did not complete within the watchdog deadline
-    /// (see [`StagePolicy::deadline`]); the particle is presumed hung.
-    /// `waited_ms` is how long the supervisor waited before giving up.
+    /// The attempt did not finish within its deadline
+    /// ([`StagePolicy::deadline`]): it stopped itself there with
+    /// [`PplError::DeadlineExceeded`], or it came back after the deadline,
+    /// whatever it returned. A translation that never checks the deadline
+    /// is not stopped, so it becomes a timeout only once it returns.
     Timeout {
-        /// Milliseconds waited before declaring the translation hung.
+        /// The configured deadline in milliseconds (not the time
+        /// measured, so reports are reproducible).
         waited_ms: u64,
     },
 }
@@ -161,13 +164,13 @@ pub fn retry_seed(seed: u64, step: usize, particle: usize, attempt: usize) -> u6
     z ^ (z >> 31)
 }
 
-/// Exponential backoff schedule for retry rounds under deadline
-/// supervision: attempt `n` (1-based, counting retries only) waits
+/// Exponential backoff schedule for retries after a timeout: the retry
+/// after a particle's `n`-th timed-out attempt first waits
 /// `base * factor^(n-1)`, capped at `max`.
 ///
-/// Backoff applies between *rounds* of the watchdog loop, not between
-/// individual particles — all pending retries of a round share one
-/// delay, keeping wall-clock bounded.
+/// Backoff is per particle and applies only after timeouts: the wait
+/// happens in the particle's own worker, and a retry after any other
+/// failure starts at once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Delay before the first retry round.
@@ -189,14 +192,15 @@ impl Default for Backoff {
 }
 
 impl Backoff {
-    /// A schedule waiting `base * factor^(n-1)` before retry round `n`,
-    /// capped at `max`.
+    /// A schedule waiting `base * factor^(n-1)` before the retry after
+    /// the `n`-th timeout, capped at `max`.
     pub fn new(base: std::time::Duration, factor: f64, max: std::time::Duration) -> Backoff {
         Backoff { base, factor, max }
     }
 
-    /// The delay before retry round `attempt` (1 = first retry). Returns
-    /// zero for `attempt == 0` (the initial dispatch never waits).
+    /// The delay before the retry after the `attempt`-th timeout (1 =
+    /// first). Returns zero for `attempt == 0` (the first attempt never
+    /// waits).
     pub fn delay(&self, attempt: usize) -> std::time::Duration {
         if attempt == 0 {
             return std::time::Duration::ZERO;
@@ -211,8 +215,8 @@ impl Backoff {
 }
 
 /// Per-stage supervision policy for a sequence run: how often to
-/// checkpoint, how long a translation batch may run before the watchdog
-/// declares it hung, and how retries back off.
+/// checkpoint, how long one translation attempt may run, and how retries
+/// after a timeout back off.
 ///
 /// Orthogonal to [`FailurePolicy`], which decides what happens to a
 /// particle once it *has* failed (including by
@@ -222,15 +226,23 @@ pub struct StagePolicy {
     /// Checkpoint every `n` completed stages (`0` = never). The final
     /// stage is always checkpointed when checkpointing is enabled.
     pub checkpoint_every: usize,
-    /// Per-batch translation deadline. `None` disables the watchdog and
-    /// uses plain (blocking) pooled translation.
+    /// Per-attempt translation deadline, counted from the attempt's start
+    /// (queueing is never charged). The runtime hands each attempt its
+    /// end in [`crate::TranslateCtx::deadline`], and the translation
+    /// stops itself there: `depgraph`'s graph walker checks at every fuel
+    /// charge, [`crate::CorrespondenceTranslator`] at every choice and
+    /// observation. The contract is cooperative. A translation that never
+    /// checks, such as a closure model that spins without calling its
+    /// handler or a custom translator that ignores the field, runs until
+    /// it returns and holds its worker until then; its result then counts
+    /// as a [`FailureKind::Timeout`]. `None` sets no deadline.
     pub deadline: Option<std::time::Duration>,
-    /// Backoff schedule between watchdog retry rounds.
+    /// Backoff schedule for a retry after a timeout.
     pub backoff: Backoff,
 }
 
 impl StagePolicy {
-    /// A policy that checkpoints every `n` stages with no watchdog.
+    /// A policy that checkpoints every `n` stages with no deadline.
     pub fn checkpoint_every(n: usize) -> StagePolicy {
         StagePolicy {
             checkpoint_every: n,
@@ -238,7 +250,7 @@ impl StagePolicy {
         }
     }
 
-    /// Sets the watchdog deadline.
+    /// Sets the per-attempt deadline.
     #[must_use]
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> StagePolicy {
         self.deadline = Some(deadline);

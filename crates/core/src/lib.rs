@@ -18,7 +18,7 @@
 //! - [`run_state_sequence_supervised`] — the one stage loop: iterated SMC
 //!   across program sequences (Section 4.2), for flat traces or any
 //!   other particle state, with pooled or inline translation, failure
-//!   policies, a watchdog deadline, and checkpoint/resume.
+//!   policies, a per-attempt deadline, and checkpoint/resume.
 //! - [`health`] + [`fault`] — the fault-tolerant runtime:
 //!   [`infer_with_policy`] isolates per-particle panics, quarantines
 //!   NaN/`+∞` weights, and applies a [`FailurePolicy`] (fail fast, drop
@@ -114,7 +114,6 @@ pub use sequence::{
     StageSnapshot,
 };
 pub use smc::{
-    auto_chunk_size, infer, infer_with_policy, infer_without_weights, translate_collection,
-    ResamplePolicy, SmcConfig,
+    auto_chunk_size, infer, infer_with_policy, infer_without_weights, ResamplePolicy, SmcConfig,
 };
 pub use translator::{StateTranslator, TranslateCtx};

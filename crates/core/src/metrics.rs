@@ -10,8 +10,7 @@
 //! Alongside the counters it records per-stage wall time decomposed into
 //! translate / resample / checkpoint, health tallies pulled from
 //! [`StepReport`], and worker-pool telemetry (queue-depth high-water
-//! mark, a fixed-bucket task-latency histogram, respawn and retirement
-//! counts).
+//! mark, a fixed-bucket task-latency histogram, respawn counts).
 //!
 //! # Design
 //!
@@ -146,14 +145,12 @@ pub const LATENCY_BUCKETS: usize = 24;
 /// scheduling), so never part of the deterministic counter subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolTelemetry {
-    /// Tasks dispatched to the pool (scoped batches + owned spawns).
+    /// Tasks dispatched to the pool (scoped batches, inline ones too).
     pub tasks: u64,
     /// High-water mark of simultaneously pending scoped tasks.
     pub queue_depth_hwm: u64,
     /// Dead workers replaced by `respawn_dead`.
     pub respawns: u64,
-    /// Global pools retired (wedged-pool replacement events).
-    pub retirements: u64,
     /// Task-latency histogram, log2-spaced microsecond buckets.
     pub latency_buckets: [u64; LATENCY_BUCKETS],
 }
@@ -164,7 +161,6 @@ impl Default for PoolTelemetry {
             tasks: 0,
             queue_depth_hwm: 0,
             respawns: 0,
-            retirements: 0,
             latency_buckets: [0; LATENCY_BUCKETS],
         }
     }
@@ -293,10 +289,6 @@ impl MetricsReport {
             self.pool.queue_depth_hwm
         ));
         out.push_str(&format!("    \"respawns\": {},\n", self.pool.respawns));
-        out.push_str(&format!(
-            "    \"retirements\": {},\n",
-            self.pool.retirements
-        ));
         let buckets: Vec<String> = self
             .pool
             .latency_buckets
@@ -403,8 +395,8 @@ impl MetricsReport {
             total.static_skips, total.oracle_checks,
         ));
         out.push_str(&format!(
-            "  pool: {} tasks, queue depth high-water {}, {} respawns, {} retirements\n",
-            self.pool.tasks, self.pool.queue_depth_hwm, self.pool.respawns, self.pool.retirements,
+            "  pool: {} tasks, queue depth high-water {}, {} respawns\n",
+            self.pool.tasks, self.pool.queue_depth_hwm, self.pool.respawns,
         ));
         out.push_str(&format!(
             "  eval: {} compiled / {} tree-walk execs, cache {} hits / {} misses, \
@@ -513,7 +505,6 @@ static POOL_TASKS: AtomicU64 = AtomicU64::new(0);
 static POOL_DEPTH: AtomicU64 = AtomicU64::new(0);
 static POOL_DEPTH_HWM: AtomicU64 = AtomicU64::new(0);
 static POOL_RESPAWNS: AtomicU64 = AtomicU64::new(0);
-static POOL_RETIREMENTS: AtomicU64 = AtomicU64::new(0);
 static POOL_LATENCY: [AtomicU64; LATENCY_BUCKETS] = [const { AtomicU64::new(0) }; LATENCY_BUCKETS];
 
 /// Whether metrics collection is currently enabled. One relaxed atomic
@@ -563,7 +554,6 @@ pub fn install(sink: std::sync::Arc<dyn MetricsSink>) -> MetricsGuard {
         &POOL_DEPTH,
         &POOL_DEPTH_HWM,
         &POOL_RESPAWNS,
-        &POOL_RETIREMENTS,
     ] {
         c.store(0, Ordering::SeqCst);
     }
@@ -684,10 +674,12 @@ pub fn stage_complete(report: &StepReport) {
     }
 }
 
-/// Records one translate-phase dispatch of `tasks` worker tasks at
-/// `chunk` particles per task. Tasks accumulate across a stage's rounds
-/// (the deadline path re-dispatches stragglers); the chunk gauge keeps
-/// the round high-water value.
+/// Records a stage's translate-phase dispatch of `tasks` worker tasks at
+/// `chunk` particles per task. A stage dispatches at most once (never
+/// when it translates inline): a retry, including one after a timeout
+/// under a stage deadline, runs inside its particle's task and adds no
+/// dispatch, so a stage's task count does not depend on how many of its
+/// attempts time out.
 #[inline]
 pub fn note_stage_dispatch(tasks: u64, chunk: u64) {
     if !enabled() {
@@ -761,14 +753,6 @@ pub fn note_pool_respawn(n: u64) {
     }
 }
 
-/// Records a global-pool retirement (wedged-pool replacement).
-#[inline]
-pub fn note_pool_retirement() {
-    if enabled() {
-        POOL_RETIREMENTS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Snapshot of the pool telemetry accumulated since [`install`].
 pub fn pool_telemetry() -> PoolTelemetry {
     let mut latency_buckets = [0u64; LATENCY_BUCKETS];
@@ -779,7 +763,6 @@ pub fn pool_telemetry() -> PoolTelemetry {
         tasks: POOL_TASKS.load(Ordering::Relaxed),
         queue_depth_hwm: POOL_DEPTH_HWM.load(Ordering::Relaxed),
         respawns: POOL_RESPAWNS.load(Ordering::Relaxed),
-        retirements: POOL_RETIREMENTS.load(Ordering::Relaxed),
         latency_buckets,
     }
 }

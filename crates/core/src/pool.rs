@@ -14,29 +14,23 @@
 //! can influence results (see the determinism contract on
 //! [`crate::run_state_sequence_supervised`]).
 //!
-//! Two robustness mechanisms keep the pool healthy across a long
-//! sequence run:
+//! A worker thread that dies from an infrastructure panic (outside user
+//! translation code, which is caught per-task) would otherwise silently
+//! shrink effective parallelism for the life of the process, so every
+//! dispatch first calls [`WorkerPool::respawn_dead`] to bring the pool
+//! back to full strength.
 //!
-//! - **Dead-worker respawn.** A worker thread that dies from an
-//!   infrastructure panic (outside user translation code, which is
-//!   caught per-task) would otherwise silently shrink effective
-//!   parallelism for the life of the process. Every dispatch first calls
-//!   [`WorkerPool::respawn_dead`] to bring the pool back to full
-//!   strength.
-//! - **Pool retirement.** A worker *wedged* inside user code (an
-//!   infinite loop, a deadlocked translation) cannot be respawned — the
-//!   thread never exits. The watchdog (a sequence run with a
-//!   [`crate::StagePolicy::deadline`]) detects the hang
-//!   via a deadline, calls [`WorkerPool::retire_global`], and the next
-//!   [`WorkerPool::global`] call builds a fresh pool. The wedged pool is
-//!   dropped without joining (its healthy workers exit when the channel
-//!   closes; the hung thread leaks boundedly instead of blocking
-//!   forever).
+//! The pool never abandons a task: [`WorkerPool::run_scoped`] returns
+//! only once every task of its batch has. A translation under a
+//! [`crate::StagePolicy::deadline`] stops itself at the deadline
+//! ([`crate::TranslateCtx::deadline`]), so its task returns in time; a
+//! translation that never checks the deadline holds its worker, and the
+//! batch, until it returns.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::metrics;
@@ -52,9 +46,6 @@ enum Work {
     /// A scoped task from [`WorkerPool::run_scoped`]; completion is
     /// tracked by the batch latch.
     Scoped(Job),
-    /// A fire-and-forget owned task from [`WorkerPool::spawn_owned`];
-    /// the task reports results through its own channel (if any).
-    Owned(Task),
     /// Test hook: the receiving worker exits immediately, simulating a
     /// worker lost to an infrastructure failure.
     #[allow(dead_code)]
@@ -118,24 +109,16 @@ impl Latch {
     }
 }
 
-/// The process-wide pool shared by the SMC runtime. Behind a `Mutex`
-/// rather than a `OnceLock` so a wedged pool can be retired and replaced
-/// ([`WorkerPool::retire_global`]); callers hold an `Arc`, so in-flight
-/// batches on a retired pool drain safely before it drops.
-static GLOBAL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
+/// The process-wide pool shared by the SMC runtime.
+static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// A fixed-size pool of worker threads with scoped and owned execution
-/// APIs.
+/// A fixed-size pool of worker threads with a scoped execution API.
 ///
 /// [`WorkerPool::run_scoped`] accepts borrowing closures (like
 /// `std::thread::scope`) and does not return until every one of them has
 /// finished executing, so the borrows cannot outlive their referents.
 /// Panics inside a job are contained to that job and reported in the
 /// batch result.
-///
-/// [`WorkerPool::spawn_owned`] dispatches a `'static` task without
-/// waiting for it — the building block for deadline-supervised
-/// translation, where the caller must be able to give up on a hung task.
 ///
 /// Use [`WorkerPool::global`] for the shared process-wide pool that the
 /// SMC runtime reuses across steps; construct a private pool only in
@@ -148,17 +131,12 @@ pub struct WorkerPool {
     /// Total workers ever spawned; names continue across respawns so
     /// thread names stay unique (`smc-worker-0`, `smc-worker-1`, ...).
     spawned: AtomicUsize,
-    /// Set when the pool is known to contain a hung worker. A wedged
-    /// pool is never joined on drop (the hung thread would block
-    /// forever); its healthy workers exit once the channel closes.
-    wedged: AtomicBool,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("size", &self.size)
-            .field("wedged", &self.wedged.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -175,7 +153,6 @@ impl WorkerPool {
             workers: Mutex::new(Vec::with_capacity(size)),
             size,
             spawned: AtomicUsize::new(0),
-            wedged: AtomicBool::new(false),
         };
         {
             let mut workers = pool.lock_workers();
@@ -204,53 +181,14 @@ impl WorkerPool {
     /// The shared process-wide pool, created on first use with one worker
     /// per available hardware thread. This is the pool the SMC runtime
     /// uses, so successive steps of a sequence reuse the same threads.
-    ///
-    /// Returns an `Arc`: if the pool is retired mid-batch
-    /// ([`WorkerPool::retire_global`]), callers holding the old handle
-    /// finish their work on it safely while new callers get a fresh pool.
-    pub fn global() -> Arc<WorkerPool> {
-        let mut slot = GLOBAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(pool) = slot.as_ref() {
-            return Arc::clone(pool);
-        }
-        let pool = Arc::new(WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        ));
-        *slot = Some(Arc::clone(&pool));
-        pool
-    }
-
-    /// Retires `pool` from global service: marks it wedged (so its drop
-    /// never joins a hung thread) and, if it is still the installed
-    /// global pool, removes it so the next [`WorkerPool::global`] call
-    /// builds a replacement. In-flight batches holding an `Arc` to the
-    /// retired pool drain normally — the work channel stays open until
-    /// the last handle drops.
-    pub fn retire_global(pool: &Arc<WorkerPool>) {
-        metrics::note_pool_retirement();
-        pool.mark_wedged();
-        let mut slot = GLOBAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.as_ref().is_some_and(|g| Arc::ptr_eq(g, pool)) {
-            *slot = None;
-        }
-    }
-
-    /// Marks the pool as containing a hung worker. Its destructor will
-    /// close the work channel but skip joining, so teardown never blocks
-    /// on a thread that will not exit.
-    pub fn mark_wedged(&self) {
-        self.wedged.store(true, Ordering::Release);
-    }
-
-    /// Whether the pool has been marked wedged.
-    pub fn is_wedged(&self) -> bool {
-        self.wedged.load(Ordering::Acquire)
+    pub fn global() -> &'static WorkerPool {
+        GLOBAL.get_or_init(|| {
+            WorkerPool::new(
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1),
+            )
+        })
     }
 
     /// Number of worker threads.
@@ -261,10 +199,6 @@ impl WorkerPool {
     /// Replaces workers that have exited (an infrastructure panic kills
     /// its thread) so the pool runs at full strength again. Called on
     /// every dispatch; a no-op when all workers are alive.
-    ///
-    /// Workers *wedged in user code* are not dead — their threads never
-    /// finish — so they cannot be respawned here; that case is handled
-    /// by retiring the whole pool ([`WorkerPool::retire_global`]).
     pub fn respawn_dead(&self) {
         let mut workers = self.lock_workers();
         workers.retain(|h| !h.is_finished());
@@ -292,28 +226,6 @@ impl WorkerPool {
             .expect("pool sender present until drop")
             .send(Work::Die)
             .expect("pool channel open");
-    }
-
-    /// Dispatches an owned `'static` task to the pool without waiting
-    /// for it to complete. The task communicates results through its own
-    /// channel; if it hangs, the caller can simply stop listening — this
-    /// is what makes deadline supervision possible, unlike
-    /// [`WorkerPool::run_scoped`], which must always block until its
-    /// borrowing tasks finish.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pool has been shut down.
-    pub fn spawn_owned(&self, task: Task) -> Result<(), String> {
-        self.respawn_dead();
-        let sender = self
-            .sender
-            .as_ref()
-            .expect("pool sender present until drop");
-        metrics::note_pool_enqueue(1);
-        sender
-            .send(Work::Owned(task))
-            .map_err(|_| "worker pool is shut down".to_string())
     }
 
     /// Runs every task to completion on the pool, blocking until all have
@@ -398,12 +310,6 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel ends every worker's receive loop.
         drop(self.sender.take());
-        if self.is_wedged() {
-            // A hung worker never exits; joining would block forever.
-            // Healthy workers drain and exit on their own now that the
-            // channel is closed; the wedged thread leaks boundedly.
-            return;
-        }
         for handle in self.lock_workers().drain(..) {
             let _ = handle.join();
         }
@@ -424,13 +330,6 @@ fn worker_loop(rx: &Mutex<Receiver<Work>>) {
                 let panicked = catch_unwind(AssertUnwindSafe(task)).is_err();
                 metrics::note_pool_task(start);
                 latch.complete(panicked);
-            }
-            Ok(Work::Owned(task)) => {
-                // An owned task that panics simply never reports a
-                // result; its supervisor times the slot out.
-                let start = metrics::clock();
-                let _ = catch_unwind(AssertUnwindSafe(task));
-                metrics::note_pool_task(start);
             }
             Ok(Work::Die) => return,
             Err(_) => return, // channel closed: pool dropped
@@ -520,20 +419,12 @@ mod tests {
         pool.run_scoped(Vec::new()).unwrap();
     }
 
-    // Singleton and retirement semantics are covered by one test because
-    // both touch the process-wide GLOBAL slot; separate tests would race
-    // under the parallel test runner.
     #[test]
-    fn global_pool_singleton_and_retirement() {
+    fn global_pool_is_a_singleton() {
         let a = WorkerPool::global();
         let b = WorkerPool::global();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         assert!(a.size() >= 1);
-        WorkerPool::retire_global(&a);
-        assert!(a.is_wedged());
-        let c = WorkerPool::global();
-        assert!(!Arc::ptr_eq(&a, &c));
-        // Work still completes on the retired handle.
         let counter = AtomicUsize::new(0);
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
             .map(|_| {
@@ -571,46 +462,5 @@ mod tests {
         pool.run_scoped(tasks).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 9);
         assert_eq!(pool.lock_workers().len(), 3, "pool back to full strength");
-    }
-
-    #[test]
-    fn spawn_owned_runs_and_reports_via_channel() {
-        let pool = WorkerPool::new(2);
-        let (tx, rx) = channel::<usize>();
-        for i in 0..10usize {
-            let tx = tx.clone();
-            pool.spawn_owned(Box::new(move || {
-                let _ = tx.send(i * 2);
-            }))
-            .unwrap();
-        }
-        drop(tx);
-        let mut got: Vec<usize> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn wedged_pool_drop_does_not_block() {
-        let pool = WorkerPool::new(2);
-        let (started_tx, started_rx) = channel::<()>();
-        // Wedge one worker permanently.
-        pool.spawn_owned(Box::new(move || {
-            let _ = started_tx.send(());
-            loop {
-                std::thread::park();
-            }
-        }))
-        .unwrap();
-        started_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("wedged task should start");
-        pool.mark_wedged();
-        let start = std::time::Instant::now();
-        drop(pool);
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(2),
-            "dropping a wedged pool must not join the hung thread"
-        );
     }
 }

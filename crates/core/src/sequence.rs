@@ -8,8 +8,11 @@
 //!
 //! [`run_state_sequence_supervised`] is that loop, for any particle state:
 //! flat traces or execution graphs (depgraph's translators). Threads,
-//! chunk size, failure policy, watchdog deadline, backoff, checkpoint
-//! cadence, and resume are all arguments of the one loop.
+//! chunk size, failure policy, per-attempt deadline, backoff, checkpoint
+//! cadence, and resume are all arguments of the one loop. A deadline is
+//! cooperative ([`StagePolicy::deadline`]): the runtime hands it to each
+//! attempt in its [`crate::TranslateCtx`], and the translation stops
+//! itself there.
 
 use std::sync::Arc;
 
@@ -132,9 +135,9 @@ pub struct StageSnapshot<'a, S> {
 pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), SmcError> + 'a;
 
 /// Runs Algorithm 2 once per stage, threading the collection through the
-/// sequence: pooled (optionally deadline-watched) translation per stage,
-/// per-stage deterministic seeds, and an observer fired at checkpoint
-/// boundaries.
+/// sequence: pooled translation per stage (each attempt under an optional
+/// deadline), per-stage deterministic seeds, and an observer fired at
+/// checkpoint boundaries.
 ///
 /// - **Threads.** Translation runs on the persistent
 ///   [`crate::WorkerPool`], spawned once and reused across stages and
@@ -157,10 +160,14 @@ pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), S
 ///   checkpoint) are prepended to the returned run's histories, so
 ///   observers always see the full sequence history. `collections` only
 ///   contains post-resume collections.
-/// - **Watchdog.** When [`StagePolicy::deadline`] is set, translation is
-///   deadline-supervised: hung particles become
-///   [`crate::FailureKind::Timeout`] failures under `policy`, and a
-///   wedged worker pool is replaced instead of blocking the run forever.
+/// - **Deadlines.** When [`StagePolicy::deadline`] is set, every attempt
+///   gets that long from its own start, on the pool and inline alike. A
+///   translation stops itself at its deadline (the built-in ones check
+///   at every fuel charge and handler call), and an attempt that stops
+///   there or returns late becomes a [`crate::FailureKind::Timeout`]
+///   under `policy`; a retry after the particle's `k`-th timeout waits
+///   `backoff.delay(k)`. A translation that never checks is not stopped:
+///   it holds its worker until it returns.
 /// - **Observer.** After stage `i` completes, if its absolute completed
 ///   count hits a [`StagePolicy::checkpoint_every`] boundary (or it is
 ///   the final stage), `observer` is called with a [`StageSnapshot`].
@@ -168,7 +175,9 @@ pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), S
 /// # Errors
 ///
 /// Propagates typed errors from the supervised step and any error the
-/// observer returns.
+/// observer returns. Returns [`SmcError::Eval`] before any stage runs if
+/// [`SmcConfig::mcmc_steps`] is not 0: the stage loop does not rejuvenate
+/// yet, and would otherwise ignore the field.
 #[allow(clippy::too_many_arguments)]
 pub fn run_state_sequence_supervised<S>(
     stages: &[Arc<dyn StateTranslator<S> + Send + Sync>],
@@ -186,6 +195,12 @@ pub fn run_state_sequence_supervised<S>(
 where
     S: Clone + Send + Sync + 'static,
 {
+    if config.mcmc_steps > 0 {
+        return Err(SmcError::Eval(PplError::Other(format!(
+            "SmcConfig::mcmc_steps is {}, but the sequence loop does not rejuvenate; set it to 0",
+            config.mcmc_steps
+        ))));
+    }
     let mut collections = Vec::with_capacity(stages.len());
     let mut ess_history: Vec<f64> = prior_ess.to_vec();
     let mut reports: Vec<StepReport> = prior_reports.to_vec();
@@ -194,7 +209,7 @@ where
         let step = start_step + i;
         let mut resample_rng = StdRng::seed_from_u64(resample_seed(base_seed, step));
         let (next, report) = supervised_step(
-            translator,
+            &**translator,
             &current,
             config,
             policy,
@@ -365,5 +380,71 @@ mod tests {
     fn empty_sequence_is_empty_run() {
         let run = run(&[], &ParticleCollection::new(), 1);
         assert!(run.collections.is_empty());
+    }
+
+    /// The loop has no rejuvenation step, so it refuses a config that
+    /// asks for one instead of silently resampling without it.
+    #[test]
+    fn rejuvenation_is_refused_not_ignored() {
+        let err = run_state_sequence_supervised(
+            &stages(),
+            &initial(10, 3),
+            0,
+            &[],
+            &[],
+            &SmcConfig::with_rejuvenation(1),
+            &FailurePolicy::FailFast,
+            &StagePolicy::default(),
+            777,
+            1,
+            None,
+        )
+        .unwrap_err();
+        match err {
+            SmcError::Eval(e) => assert!(e.to_string().contains("mcmc_steps"), "{e}"),
+            other => panic!("expected an evaluation error, got {other:?}"),
+        }
+    }
+
+    /// A translator that returns `Ok` after its deadline without ever
+    /// checking it still times out: its late result is not used.
+    #[test]
+    fn a_late_result_is_a_timeout() {
+        struct Late;
+        impl StateTranslator<Trace> for Late {
+            fn translate_state(
+                &self,
+                t: &Trace,
+                ctx: crate::TranslateCtx,
+                _rng: &mut dyn rand::RngCore,
+            ) -> Result<(Trace, ppl::LogWeight), PplError> {
+                let deadline = ctx.deadline.expect("the run sets a deadline");
+                std::thread::sleep(deadline.saturating_duration_since(std::time::Instant::now()));
+                Ok((t.clone(), ppl::LogWeight::ONE))
+            }
+        }
+        let stage: TraceStage = Arc::new(Late);
+        let deadline = std::time::Duration::from_millis(1);
+        let err = run_state_sequence_supervised(
+            &[stage],
+            &initial(2, 3),
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            &FailurePolicy::FailFast,
+            &StagePolicy::default().with_deadline(deadline),
+            777,
+            1,
+            None,
+        )
+        .unwrap_err();
+        match err {
+            SmcError::Particle(f) => {
+                assert_eq!((f.particle, f.attempts), (0, 1));
+                assert_eq!(f.kind, crate::FailureKind::Timeout { waited_ms: 1 });
+            }
+            other => panic!("expected a particle failure, got {other:?}"),
+        }
     }
 }

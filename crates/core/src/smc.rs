@@ -18,22 +18,23 @@
 //! Steps" regime of Section 4.2, driven by the one stage loop
 //! [`crate::run_state_sequence_supervised`]. Its step translates on the
 //! persistent [`WorkerPool`] (inline for one thread) with per-particle
-//! seeds, or under a watchdog deadline when [`StagePolicy::deadline`] is
-//! set. Both steps share the per-particle attempt, the assembly of the
-//! translated collection, and the degeneracy tail defined here.
+//! seeds. With [`StagePolicy::deadline`] set, every attempt carries its
+//! own deadline in its [`TranslateCtx`], and the translation stops itself
+//! there. The deadline is cooperative: a translation that never checks it
+//! runs until it returns, and only then counts as a timeout. Both steps
+//! share the per-particle attempt, the assembly of the translated
+//! collection, and the degeneracy tail defined here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use ppl::{FxHashSet, LogWeight, PplError, Trace};
+use ppl::{LogWeight, PplError, Trace};
 
 use crate::health::{
-    retry_seed, Backoff, FailureKind, FailurePolicy, ParticleFailure, SmcError, StagePolicy,
-    StepReport,
+    retry_seed, FailureKind, FailurePolicy, ParticleFailure, SmcError, StagePolicy, StepReport,
 };
 use crate::mcmc::McmcKernel;
 use crate::metrics;
@@ -120,15 +121,31 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs one translation attempt with panic isolation and weight
 /// validation: a panic in the translator is caught, and a NaN or `+∞`
 /// combined log weight is rejected before it can enter a collection.
+///
+/// With a `deadline`, the attempt's context carries its start plus
+/// `deadline`. An attempt that stops there, or ends after it in any other
+/// way, is a [`FailureKind::Timeout`].
 fn attempt_translate<S>(
     translator: &dyn StateTranslator<S>,
     particle: &Particle<S>,
     ctx: TranslateCtx,
+    deadline: Option<Duration>,
     rng: &mut dyn RngCore,
 ) -> Result<(S, LogWeight), FailureKind> {
+    let ctx = TranslateCtx {
+        deadline: deadline.map(|d| Instant::now() + d),
+        ..ctx
+    };
     let result = catch_unwind(AssertUnwindSafe(|| {
         translator.translate_state(&particle.trace, ctx, rng)
     }));
+    if let (Some(waited), Err(_)) = (deadline, PplError::check_deadline(ctx.deadline)) {
+        // `waited_ms` is the configured deadline, not the time measured,
+        // so reports are reproducible.
+        return Err(FailureKind::Timeout {
+            waited_ms: waited.as_millis() as u64,
+        });
+    }
     match result {
         Err(payload) => Err(FailureKind::Panic(panic_message(payload))),
         Ok(Err(e)) => Err(FailureKind::Error(e)),
@@ -170,22 +187,29 @@ type Slot<S = Trace> = Result<(S, LogWeight, usize), ParticleFailure>;
 /// draws from `StdRng::seed_from_u64(retry_seed(policy seed, step, j,
 /// k))`, so its randomness is independent of call order and thread
 /// schedule.
+///
+/// Each attempt gets its own `stage.deadline`, counted from its start,
+/// so time spent queued or on earlier attempts is never charged. A retry
+/// after the particle's `k`-th timeout first waits
+/// `stage.backoff.delay(k)`.
 fn translate_particle<S>(
     translator: &dyn StateTranslator<S>,
     particle: &Particle<S>,
     step: usize,
     j: usize,
     policy: &FailurePolicy,
+    stage: &StagePolicy,
     first: &mut dyn RngCore,
 ) -> Slot<S> {
     let mut attempt = 0;
+    let mut timeouts = 0;
     loop {
         let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
         let result = if attempt == 0 {
-            attempt_translate(translator, particle, ctx, first)
+            attempt_translate(translator, particle, ctx, stage.deadline, first)
         } else {
             let mut rng = StdRng::seed_from_u64(retry_seed(policy_seed(policy), step, j, attempt));
-            attempt_translate(translator, particle, ctx, &mut rng)
+            attempt_translate(translator, particle, ctx, stage.deadline, &mut rng)
         };
         attempt += 1;
         match result {
@@ -197,6 +221,10 @@ fn translate_particle<S>(
                     attempts: attempt,
                     kind,
                 })
+            }
+            Err(FailureKind::Timeout { .. }) => {
+                timeouts += 1;
+                std::thread::sleep(stage.backoff.delay(timeouts));
             }
             Err(_) => {}
         }
@@ -246,7 +274,15 @@ pub fn infer_with_policy(
     let t_translate = metrics::clock();
     let mut slots = Vec::with_capacity(particles.len());
     for (j, particle) in particles.iter().enumerate() {
-        let slot = translate_particle(translator, particle, step, j, policy, rng);
+        let slot = translate_particle(
+            translator,
+            particle,
+            step,
+            j,
+            policy,
+            &StagePolicy::default(),
+            rng,
+        );
         // Only a drop policy survives a failed particle; stop at the
         // first fatal failure instead of drawing further from `rng`.
         let fatal = slot.is_err() && !matches!(policy, FailurePolicy::DropAndRenormalize { .. });
@@ -335,16 +371,16 @@ pub fn infer(
     Ok(collection)
 }
 
-/// One step of the sequence loop: deadline-watched translation when
-/// [`StagePolicy::deadline`] is set, plain pooled translation otherwise,
-/// then the degeneracy tail on `rng`.
+/// One step of the sequence loop: pooled translation, each attempt
+/// under [`StagePolicy::deadline`] when it is set, then the degeneracy
+/// tail on `rng`.
 ///
 /// Translation randomness comes from `base_seed` per particle (see
 /// [`translate_pooled`]), so the result is bit-identical for any
 /// `threads` value, chunk size, and pool size.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn supervised_step<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
+pub(crate) fn supervised_step<S: Clone + Send + Sync>(
+    translator: &(dyn StateTranslator<S> + Sync),
     particles: &ParticleCollection<S>,
     config: &SmcConfig,
     policy: &FailurePolicy,
@@ -353,32 +389,18 @@ pub(crate) fn supervised_step<S>(
     base_seed: u64,
     threads: usize,
     rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection<S>, StepReport), SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
+) -> Result<(ParticleCollection<S>, StepReport), SmcError> {
     let t_translate = metrics::clock();
-    let slots = match stage_policy.deadline {
-        Some(deadline) => translate_deadline(
-            translator,
-            particles,
-            base_seed,
-            policy,
-            step,
-            deadline,
-            &stage_policy.backoff,
-            config.chunk_size,
-        )?,
-        None => translate_pooled(
-            &**translator,
-            particles,
-            base_seed,
-            threads,
-            policy,
-            step,
-            config.chunk_size,
-        )?,
-    };
+    let slots = translate_pooled(
+        translator,
+        particles,
+        base_seed,
+        threads,
+        policy,
+        stage_policy,
+        step,
+        config.chunk_size,
+    )?;
     let translated = assemble(particles, slots, policy, step)?;
     metrics::note_translate(t_translate);
     let t_resample = metrics::clock();
@@ -401,19 +423,24 @@ where
 /// output slot. Results, reports, and (under fail-fast) *which* failure
 /// is reported are therefore identical for any thread count, chunk size,
 /// and pool size — [`assemble`] surfaces the failure of the smallest
-/// particle index, not whichever worker lost the race.
+/// particle index, not whichever worker lost the race. A timeout is the
+/// one exception: whether an attempt beats its deadline depends on how
+/// fast it runs. Time spent queued is never charged, since each
+/// attempt's deadline counts from its own start.
+#[allow(clippy::too_many_arguments)]
 fn translate_pooled<S: Send + Sync>(
     translator: &(dyn StateTranslator<S> + Sync),
     particles: &ParticleCollection<S>,
     base_seed: u64,
     threads: usize,
     policy: &FailurePolicy,
+    stage: &StagePolicy,
     step: usize,
     chunk_size: Option<usize>,
 ) -> Result<Vec<Option<Slot<S>>>, SmcError> {
     let translate = |j: usize, particle: &Particle<S>| {
         let mut rng = StdRng::seed_from_u64(particle_seed(base_seed, j));
-        translate_particle(translator, particle, step, j, policy, &mut rng)
+        translate_particle(translator, particle, step, j, policy, stage, &mut rng)
     };
     let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
     if threads <= 1 || particles.len() <= 1 {
@@ -444,219 +471,6 @@ fn translate_pooled<S: Send + Sync>(
     WorkerPool::global()
         .run_scoped(tasks)
         .map_err(SmcError::Internal)?;
-    Ok(slots)
-}
-
-/// A worker's progress messages for one supervised round: `Started`
-/// right before user translation code runs, `Done` with the result
-/// after. The gap between the two is what the watchdog can blame on the
-/// translation itself rather than on queueing.
-enum RoundMsg<S> {
-    Started,
-    Done(Result<(S, LogWeight), FailureKind>),
-}
-
-/// Deadline-supervised translation: the watchdog half of the
-/// crash-safety layer. Chunks of particles are dispatched to the global
-/// [`WorkerPool`] as *owned* tasks ([`WorkerPool::spawn_owned`]) that
-/// report through a per-round channel, so — unlike [`translate_pooled`],
-/// which must block until every borrowing task returns — the supervisor
-/// can give up on a slot that misses `deadline`:
-///
-/// - a particle that *started* but produced no result by the deadline is
-///   presumed hung: it becomes [`FailureKind::Timeout`] and flows
-///   through `policy` exactly like any other failure (retry with
-///   backoff, drop, or fail fast);
-/// - a particle still *queued* behind a hung one at the deadline (in
-///   another task or earlier in its own chunk) is rolled into the next
-///   round uncharged — on a small pool (even one worker) innocent
-///   particles are never blamed for a neighbor's hang, so supervision
-///   semantics are independent of pool size;
-/// - a round that expires with hung tasks retires the global pool
-///   ([`WorkerPool::retire_global`]): a worker wedged in user code can
-///   never be reclaimed, so the next round (and the next caller) gets a
-///   fresh pool while the wedged one drains and leaks only its hung
-///   thread;
-/// - after the `n`-th expired round, redispatch waits
-///   `backoff.delay(n)`.
-///
-/// Determinism: seeds are [`translate_pooled`]'s, so a run with no
-/// timeouts is bit-identical to it for any pool size and chunk size; and
-/// `waited_ms` in a timeout failure is the configured deadline, not the
-/// measured wall-clock, so reports are reproducible too.
-#[allow(clippy::too_many_arguments)]
-fn translate_deadline<S>(
-    translator: &Arc<dyn StateTranslator<S> + Send + Sync>,
-    particles: &ParticleCollection<S>,
-    base_seed: u64,
-    policy: &FailurePolicy,
-    step: usize,
-    deadline: Duration,
-    backoff: &Backoff,
-    chunk_size: Option<usize>,
-) -> Result<Vec<Option<Slot<S>>>, SmcError>
-where
-    S: Clone + Send + Sync + 'static,
-{
-    let max_attempts = policy.max_attempts();
-    let waited_ms = deadline.as_millis() as u64;
-    let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
-    // Attempts already charged to each particle (timeouts and failures;
-    // queue time is never charged).
-    let mut attempts: Vec<usize> = vec![0; particles.len()];
-    let mut pending: Vec<usize> = (0..particles.len()).collect();
-    let mut expired_rounds = 0_usize;
-    // Each round either drains `pending` or charges at least one hung
-    // particle an attempt, so this bound is unreachable in practice; it
-    // exists so pathological scheduling (a pool monopolized by another
-    // caller, say) degrades into timeouts rather than an infinite loop.
-    let max_rounds = max_attempts + particles.len();
-    for _round in 0..max_rounds {
-        if pending.is_empty() {
-            break;
-        }
-        if expired_rounds > 0 {
-            std::thread::sleep(backoff.delay(expired_rounds));
-        }
-        let pool = WorkerPool::global();
-        let chunk = chunk_size
-            .unwrap_or_else(|| auto_chunk_size(pending.len(), pool.size()))
-            .clamp(1, pending.len());
-        // A fresh channel per round: a hung task from an earlier round
-        // that eventually completes sends into a closed channel and is
-        // ignored, so stale results can never corrupt a later round.
-        let (tx, rx) = mpsc::channel::<(usize, RoundMsg<S>)>();
-        metrics::note_stage_dispatch(pending.len().div_ceil(chunk) as u64, chunk as u64);
-        for chunk_js in pending.chunks(chunk) {
-            let tx = tx.clone();
-            let translator = Arc::clone(translator);
-            // Each work item is fully precomputed so the worker does no
-            // bookkeeping between particles beyond the Started/Done sends.
-            let work: Vec<(usize, Particle<S>, usize, u64)> = chunk_js
-                .iter()
-                .map(|&j| {
-                    let particle = Particle {
-                        trace: particles.particles()[j].trace.clone(),
-                        log_weight: particles.particles()[j].log_weight,
-                    };
-                    let attempt = attempts[j];
-                    let seed = if attempt == 0 {
-                        particle_seed(base_seed, j)
-                    } else {
-                        retry_seed(policy_seed(policy), step, j, attempt)
-                    };
-                    (j, particle, attempt, seed)
-                })
-                .collect();
-            pool.spawn_owned(Box::new(move || {
-                for (j, particle, attempt, seed) in work {
-                    let _ = tx.send((j, RoundMsg::Started));
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
-                    let t: &dyn StateTranslator<S> = &*translator;
-                    let result = attempt_translate(t, &particle, ctx, &mut rng);
-                    let _ = tx.send((j, RoundMsg::Done(result)));
-                }
-            }))
-            .map_err(SmcError::Internal)?;
-        }
-        drop(tx);
-        let expiry = Instant::now() + deadline;
-        let mut outstanding: FxHashSet<usize> = pending.iter().copied().collect();
-        let mut started: FxHashSet<usize> = FxHashSet::default();
-        let mut next_pending: Vec<usize> = Vec::new();
-        let mut handle = |j: usize,
-                          msg: RoundMsg<S>,
-                          outstanding: &mut FxHashSet<usize>,
-                          started: &mut FxHashSet<usize>,
-                          next_pending: &mut Vec<usize>| {
-            match msg {
-                RoundMsg::Started => {
-                    started.insert(j);
-                }
-                RoundMsg::Done(Ok((state, weight))) => {
-                    outstanding.remove(&j);
-                    started.remove(&j);
-                    slots[j] = Some(Ok((state, weight, attempts[j] + 1)));
-                }
-                RoundMsg::Done(Err(kind)) => {
-                    outstanding.remove(&j);
-                    started.remove(&j);
-                    attempts[j] += 1;
-                    if attempts[j] >= max_attempts {
-                        slots[j] = Some(Err(ParticleFailure {
-                            step,
-                            particle: j,
-                            attempts: attempts[j],
-                            kind,
-                        }));
-                    } else {
-                        next_pending.push(j);
-                    }
-                }
-            }
-        };
-        while !outstanding.is_empty() {
-            let now = Instant::now();
-            if now >= expiry {
-                break;
-            }
-            match rx.recv_timeout(expiry - now) {
-                Ok((j, msg)) => handle(j, msg, &mut outstanding, &mut started, &mut next_pending),
-                // Timeout: the round expired. Disconnected: every task
-                // finished or died without reporting (an infrastructure
-                // panic); either way the stragglers are classified below.
-                Err(_) => break,
-            }
-        }
-        // Drain messages that were sent before the deadline but not yet
-        // read, so a translation that finished in time is never blamed.
-        while let Ok((j, msg)) = rx.try_recv() {
-            handle(j, msg, &mut outstanding, &mut started, &mut next_pending);
-        }
-        if !outstanding.is_empty() {
-            expired_rounds += 1;
-            let mut stragglers: Vec<usize> = outstanding.into_iter().collect();
-            stragglers.sort_unstable();
-            let any_hung = stragglers.iter().any(|j| started.contains(j));
-            if any_hung {
-                // A worker wedged in user code never comes back: replace
-                // the pool for the next round and all future callers.
-                WorkerPool::retire_global(&pool);
-            }
-            for j in stragglers {
-                if started.contains(&j) {
-                    // Started and missed the deadline: presumed hung.
-                    attempts[j] += 1;
-                    if attempts[j] >= max_attempts {
-                        slots[j] = Some(Err(ParticleFailure {
-                            step,
-                            particle: j,
-                            attempts: attempts[j],
-                            kind: FailureKind::Timeout { waited_ms },
-                        }));
-                    } else {
-                        next_pending.push(j);
-                    }
-                } else {
-                    // Never ran — stuck in the queue behind a hung
-                    // worker. Re-dispatch without charging an attempt.
-                    next_pending.push(j);
-                }
-            }
-        }
-        next_pending.sort_unstable();
-        pending = next_pending;
-    }
-    // Round-bound exhaustion (see `max_rounds`): time the leftovers out.
-    for j in pending {
-        slots[j] = Some(Err(ParticleFailure {
-            step,
-            particle: j,
-            attempts: attempts[j] + 1,
-            kind: FailureKind::Timeout { waited_ms },
-        }));
-    }
     Ok(slots)
 }
 
@@ -779,28 +593,6 @@ fn degeneracy_tail<S: Clone>(
     Ok((collection, report))
 }
 
-/// Translates a collection without resampling or rejuvenation and also
-/// returns the per-particle weight increments (useful for analysis of the
-/// "no weights" ablation in the paper's Figures 8–9).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn translate_collection(
-    translator: &dyn StateTranslator<Trace>,
-    particles: &ParticleCollection,
-    rng: &mut dyn RngCore,
-) -> Result<(ParticleCollection, Vec<f64>), PplError> {
-    let mut out = ParticleCollection::new();
-    let mut increments = Vec::with_capacity(particles.len());
-    for particle in particles.iter() {
-        let (u, log_weight) = translator.translate(&particle.trace, rng)?;
-        increments.push(log_weight.log());
-        out.push(u, particle.log_weight + log_weight);
-    }
-    Ok((out, increments))
-}
-
 /// The "no weights" ablation: translate but *discard* the weight
 /// estimates, keeping the input weights. Converges to the wrong
 /// distribution (the translator output distribution `η_{P→Q}`, not the
@@ -826,6 +618,8 @@ pub fn infer_without_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::correspondence::Correspondence;
     use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultyTranslator};
     use crate::forward::CorrespondenceTranslator;
@@ -1014,24 +808,6 @@ mod tests {
             .probability(|t| t.value(&addr!["x"]).unwrap().truthy().unwrap())
             .unwrap();
         assert!((estimate - exact).abs() < 0.05, "{estimate} vs {exact}");
-    }
-
-    #[test]
-    fn translate_collection_reports_increments() {
-        let mut rng = StdRng::seed_from_u64(103);
-        let particles = posterior_samples_of_p(10, &mut rng);
-        let translator = pq_translator();
-        let (out, increments) = translate_collection(&translator, &particles, &mut rng).unwrap();
-        assert_eq!(out.len(), 10);
-        assert_eq!(increments.len(), 10);
-        // Increments are the weight ratio 0.7/0.2 or 0.1/0.8 (obs only).
-        for inc in increments {
-            let w = inc.exp();
-            assert!(
-                (w - 0.7 / 0.2).abs() < 1e-9 || (w - 0.1 / 0.8).abs() < 1e-9,
-                "unexpected increment {w}"
-            );
-        }
     }
 
     #[test]

@@ -13,17 +13,30 @@
 //! which is an unbiased estimate of `(Z_Q / Z_P) · w_{P→Q}(u)` (Lemma 4 of
 //! the supplement).
 
+use std::time::Instant;
+
 use rand::RngCore;
 
 use ppl::{LogWeight, PplError};
 
 /// The position of one `translate` call inside a larger SMC run: which
 /// sequence step, which particle, and which attempt (0 for the first try,
-/// ≥ 1 for retries under [`crate::FailurePolicy::Retry`]).
+/// ≥ 1 for retries under [`crate::FailurePolicy::Retry`]), plus the
+/// attempt's deadline.
 ///
 /// The runtime threads this through [`StateTranslator::translate_state`]
 /// so that wrappers such as [`crate::FaultyTranslator`] can behave
 /// deterministically regardless of thread count or retry schedule.
+///
+/// The deadline is cooperative: the runtime sets it, and a translator
+/// stops itself by returning [`PplError::DeadlineExceeded`] once it has
+/// passed ([`PplError::check_deadline`]). The built-in translators check
+/// it where they make progress: `depgraph`'s graph walker at every fuel
+/// charge, and [`crate::CorrespondenceTranslator`] at every choice and
+/// observation its target model makes. A translator that never checks —
+/// a closure model that spins without calling its handler, or a custom
+/// translator that ignores the field — is not stopped; its result only
+/// counts as a timeout once it returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TranslateCtx {
     /// Index of the SMC step (stage in a program sequence).
@@ -33,15 +46,20 @@ pub struct TranslateCtx {
     /// Attempt number: 0 for the initial translation, `k` for the `k`-th
     /// retry.
     pub attempt: usize,
+    /// When this attempt times out: its start plus
+    /// [`crate::StagePolicy::deadline`], set by the sequence runtime for
+    /// each attempt. `None` when the run has no deadline.
+    pub deadline: Option<Instant>,
 }
 
 impl TranslateCtx {
-    /// A context for `particle` at `step`, attempt 0.
+    /// A context for `particle` at `step`, attempt 0, with no deadline.
     pub fn new(step: usize, particle: usize) -> TranslateCtx {
         TranslateCtx {
             step,
             particle,
             attempt: 0,
+            deadline: None,
         }
     }
 

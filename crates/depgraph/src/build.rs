@@ -96,7 +96,7 @@ fn shared(program: &Program) -> Arc<Program> {
 }
 
 fn build(program: &Arc<Program>, source: &mut dyn ChoiceSource) -> Result<ExecGraph, PplError> {
-    Ok(walk(program, program.compiled(), None, source, None)?.graph)
+    Ok(walk(program, program.compiled(), None, source, None, None)?.graph)
 }
 
 #[cfg(test)]

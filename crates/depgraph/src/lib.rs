@@ -17,7 +17,7 @@
 //! [`run_edit_sequence_supervised`] diffs consecutive programs into an
 //! [`edit_chain`], lifts the starting traces into graphs once
 //! ([`lift_collection`]), and carries graph-native particles through every
-//! edit, with failure policies, a watchdog deadline, and checkpoint/resume
+//! edit, with failure policies, a per-attempt deadline, and checkpoint/resume
 //! ([`resume_collection`]). Flat-trace runs hand the loop the same chain
 //! links, which also translate `Trace` particles.
 //!

@@ -36,6 +36,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::RngCore;
 
@@ -143,17 +144,20 @@ pub struct IncrementalResult {
 /// edit's precomputed [`StagePlan`] — the per-particle entry point used
 /// by [`IncrementalTranslator`](crate::IncrementalTranslator), which
 /// builds the plan once per stage and shares it across all particle
-/// tasks.
+/// tasks. With a `deadline`, the walk stops at the first fuel charge
+/// after it.
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors from re-executing the affected slice, or
+/// Propagates evaluation errors from re-executing the affected slice,
+/// returns [`PplError::DeadlineExceeded`] once `deadline` has passed, or
 /// reports a shape mismatch if `plan` was built for a different edit.
 pub fn translate_graph_with_plan(
     q: &Arc<Program>,
     edit: &ProgramEdit,
     plan: &StagePlan,
     old: &ExecGraph,
+    deadline: Option<Instant>,
     rng: &mut dyn RngCore,
 ) -> Result<IncrementalResult, PplError> {
     let mut source = ReuseSource {
@@ -168,6 +172,7 @@ pub fn translate_graph_with_plan(
         Some((old, plan.root())),
         &mut source,
         oracle,
+        deadline,
     )?;
     let mut stats = pass.tally.stats;
     if let Some(visited) = pass.visited {
@@ -181,7 +186,8 @@ pub fn translate_graph_with_plan(
     })
 }
 
-/// The running weight estimate, work counters and fuel of one walk.
+/// The running weight estimate, work counters, fuel and deadline of one
+/// walk.
 #[derive(Default)]
 pub(crate) struct Tally {
     log_num: LogWeight,
@@ -189,13 +195,17 @@ pub(crate) struct Tally {
     stats: VisitStats,
     /// Fuel ticks spent so far, out of [`DEFAULT_FUEL`].
     ticks: u64,
+    /// When the walk must stop, if ever.
+    deadline: Option<Instant>,
 }
 
 impl Tally {
     /// Charges `n` fuel ticks: one per visited statement and `for`
     /// iteration plus the expression ticks of [`CompiledProgram::eval`],
     /// exactly what forward execution charges for the same statements, so
-    /// a walk runs out of fuel where [`ppl::Interp::run`] would.
+    /// a walk runs out of fuel where [`ppl::Interp::run`] would. Fuel
+    /// bounds a walk's steps, not its time (one `array` call is one
+    /// tick), so a charge also stops a walk that has passed its deadline.
     pub(crate) fn charge(&mut self, n: u64) -> Result<(), PplError> {
         if DEFAULT_FUEL - self.ticks < n {
             return Err(PplError::FuelExhausted {
@@ -203,7 +213,7 @@ impl Tally {
             });
         }
         self.ticks += n;
-        Ok(())
+        PplError::check_deadline(self.deadline)
     }
 }
 
@@ -219,13 +229,15 @@ pub(crate) struct Pass {
 /// resulting graph. With `old`, the walk propagates from that graph along
 /// the plan; without it, every statement is walked fresh — a graph build.
 /// With `oracle`, the walk records the pre-order index (in those effect
-/// facts) of every statement it visits.
+/// facts) of every statement it visits. With `deadline`, the walk stops
+/// at the first fuel charge after it.
 pub(crate) fn walk(
     program: &Arc<Program>,
     prog: &Arc<CompiledProgram>,
     old: Option<(&ExecGraph, &PlanBlock)>,
     source: &mut dyn ChoiceSource,
     oracle: Option<&ProgramEffects>,
+    deadline: Option<Instant>,
 ) -> Result<Pass, PplError> {
     note_compiled_exec();
     let mut frame = acquire_frame();
@@ -234,7 +246,10 @@ pub(crate) fn walk(
         prog,
         source,
         frame: &mut frame,
-        tally: Tally::default(),
+        tally: Tally {
+            deadline,
+            ..Tally::default()
+        },
         oracle: oracle.map(|effects| Oracle {
             effects,
             visited: BTreeSet::new(),
@@ -942,15 +957,19 @@ fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Resul
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Instant;
+
     use incremental::{
         FailureKind, FailurePolicy, ParticleCollection, SmcConfig, SmcError, StagePolicy,
+        StateTranslator, TranslateCtx,
     };
     use ppl::handlers::simulate;
     use ppl::{parse, PplError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    use crate::{run_edit_sequence_supervised, ExecGraph};
+    use crate::{run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
 
     /// `n` iterations of a loop whose iterations cost 201 fuel ticks: one
     /// for the iteration, one for the statement, two for `i * (…)` and
@@ -1021,5 +1040,28 @@ mod tests {
             ),
             other => panic!("expected a particle failure, got {other}"),
         }
+    }
+
+    /// A walk past its deadline stops at its next fuel charge, long before
+    /// an inserted 10^9-iteration loop would run out of fuel.
+    #[test]
+    fn a_passed_deadline_stops_the_walk_before_its_fuel_runs_out() {
+        let obs = "observe(flip(x ? 0.6 : 0.4) @ o == 1); return x;";
+        let p = parse(&format!("x = flip(0.5) @ x; {obs}")).unwrap();
+        let q = parse(&format!(
+            "x = flip(0.5) @ x; {} {obs}",
+            heavy_loop(1_000_000_000)
+        ))
+        .unwrap();
+        let graph = Arc::new(ExecGraph::simulate(&p, &mut StdRng::seed_from_u64(1)).unwrap());
+        let translator = IncrementalTranslator::from_edit(p, q);
+        let ctx = TranslateCtx {
+            deadline: Some(Instant::now()),
+            ..TranslateCtx::new(0, 0)
+        };
+        let err = translator
+            .translate_state(&graph, ctx, &mut StdRng::seed_from_u64(2))
+            .unwrap_err();
+        assert_eq!(err, PplError::DeadlineExceeded);
     }
 }

@@ -1,6 +1,7 @@
 //! The optimized incremental trace translator (Section 6).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::RngCore;
 
@@ -124,8 +125,21 @@ impl IncrementalTranslator {
         graph: &ExecGraph,
         rng: &mut dyn RngCore,
     ) -> Result<IncrementalResult, PplError> {
+        self.translate_graph_until(graph, None, rng)
+    }
+
+    /// [`Self::translate_graph`], stopped with
+    /// [`PplError::DeadlineExceeded`] at the walk's first fuel charge
+    /// after `deadline`.
+    fn translate_graph_until(
+        &self,
+        graph: &ExecGraph,
+        deadline: Option<Instant>,
+        rng: &mut dyn RngCore,
+    ) -> Result<IncrementalResult, PplError> {
         self.validate_source(graph)?;
-        let result = translate_graph_with_plan(&self.q, &self.edit, &self.plan, graph, rng)?;
+        let result =
+            translate_graph_with_plan(&self.q, &self.edit, &self.plan, graph, deadline, rng)?;
         record_propagation(&result.stats);
         Ok(result)
     }
@@ -159,10 +173,10 @@ impl StateTranslator<Arc<ExecGraph>> for IncrementalTranslator {
     fn translate_state(
         &self,
         state: &Arc<ExecGraph>,
-        _ctx: TranslateCtx,
+        ctx: TranslateCtx,
         rng: &mut dyn RngCore,
     ) -> Result<(Arc<ExecGraph>, LogWeight), PplError> {
-        let result = self.translate_graph(state, rng)?;
+        let result = self.translate_graph_until(state, ctx.deadline, rng)?;
         Ok((Arc::new(result.graph), result.log_weight))
     }
 }
@@ -176,11 +190,11 @@ impl StateTranslator<Trace> for IncrementalTranslator {
     fn translate_state(
         &self,
         t: &Trace,
-        _ctx: TranslateCtx,
+        ctx: TranslateCtx,
         rng: &mut dyn RngCore,
     ) -> Result<(Trace, LogWeight), PplError> {
         let graph = ExecGraph::from_trace_shared(&self.p, t)?;
-        let result = self.translate_graph(&graph, rng)?;
+        let result = self.translate_graph_until(&graph, ctx.deadline, rng)?;
         Ok((result.graph.to_trace()?, result.log_weight))
     }
 }

@@ -1,6 +1,7 @@
 //! Error types shared across the workspace.
 
 use std::fmt;
+use std::time::Instant;
 
 use crate::address::Address;
 
@@ -66,6 +67,9 @@ pub enum PplError {
         /// The length limit.
         limit: i64,
     },
+    /// A translation passed the deadline its runtime set for the
+    /// attempt; see [`PplError::check_deadline`].
+    DeadlineExceeded,
     /// Any other error, carrying a message.
     Other(String),
 }
@@ -77,6 +81,22 @@ impl PplError {
             expected,
             found,
             context: context.to_string(),
+        }
+    }
+
+    /// [`PplError::DeadlineExceeded`] once `deadline` has passed, `Ok`
+    /// before it and without one. Executors call it where they make
+    /// progress (a fuel charge, a handler call), so a translation stops
+    /// at its deadline instead of running on.
+    ///
+    /// # Errors
+    ///
+    /// [`PplError::DeadlineExceeded`] when `deadline` is in the past.
+    #[inline]
+    pub fn check_deadline(deadline: Option<Instant>) -> Result<(), PplError> {
+        match deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(PplError::DeadlineExceeded),
+            _ => Ok(()),
         }
     }
 }
@@ -126,6 +146,7 @@ impl fmt::Display for PplError {
             PplError::ArrayTooLong { len, limit } => {
                 write!(f, "array length {len} exceeds the limit of {limit}")
             }
+            PplError::DeadlineExceeded => write!(f, "translation passed its deadline"),
             PplError::Other(msg) => write!(f, "{msg}"),
         }
     }
