@@ -26,6 +26,7 @@
 //! collection, and the degeneracy tail defined here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -427,6 +428,13 @@ pub(crate) fn supervised_step<S: Clone + Send + Sync>(
 /// one exception: whether an attempt beats its deadline depends on how
 /// fast it runs. Time spent queued is never charged, since each
 /// attempt's deadline counts from its own start.
+///
+/// A fatal failure (any under fail-fast, an exhausted budget under
+/// retry, never a drop) decides the step, so particles above the
+/// smallest fatal index seen so far are not translated and keep an empty
+/// slot: the inline loop stops at the failure, and each chunk stops at
+/// its first particle above it. Every particle below the smallest failed
+/// index of a full run still runs, so the reported failure is the same.
 #[allow(clippy::too_many_arguments)]
 fn translate_pooled<S: Send + Sync>(
     translator: &(dyn StateTranslator<S> + Sync),
@@ -438,34 +446,49 @@ fn translate_pooled<S: Send + Sync>(
     step: usize,
     chunk_size: Option<usize>,
 ) -> Result<Vec<Option<Slot<S>>>, SmcError> {
-    let translate = |j: usize, particle: &Particle<S>| {
+    let fatal = !matches!(policy, FailurePolicy::DropAndRenormalize { .. });
+    // The smallest fatal failure index so far. A particle past it cannot
+    // change the step's outcome and is not translated (`None`). The index
+    // publishes no other data, so `Relaxed` suffices: a stale read only
+    // translates a particle that could have been skipped.
+    let first_fatal = AtomicUsize::new(usize::MAX);
+    let translate = |j: usize, particle: &Particle<S>| -> Option<Slot<S>> {
+        if j > first_fatal.load(Ordering::Relaxed) {
+            return None;
+        }
         let mut rng = StdRng::seed_from_u64(particle_seed(base_seed, j));
-        translate_particle(translator, particle, step, j, policy, stage, &mut rng)
+        let slot = translate_particle(translator, particle, step, j, policy, stage, &mut rng);
+        if fatal && slot.is_err() {
+            first_fatal.fetch_min(j, Ordering::Relaxed);
+        }
+        Some(slot)
     };
+    // Translates `items` in order into their slots, up to the first one
+    // past a fatal failure.
+    let run = |items: &[(usize, &Particle<S>)], out: &mut [Option<Slot<S>>]| {
+        for ((j, particle), slot) in items.iter().zip(out) {
+            *slot = translate(*j, particle);
+            if slot.is_none() {
+                break;
+            }
+        }
+    };
+    let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
     let mut slots: Vec<Option<Slot<S>>> = (0..particles.len()).map(|_| None).collect();
     if threads <= 1 || particles.len() <= 1 {
-        for ((j, particle), slot) in particles.iter().enumerate().zip(slots.iter_mut()) {
-            *slot = Some(translate(j, particle));
-        }
+        run(&items, &mut slots);
         return Ok(slots);
     }
-    let items: Vec<(usize, &Particle<S>)> = particles.iter().enumerate().collect();
     let chunk = chunk_size
         .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
         .clamp(1, items.len());
     // Items are enumerated in order, so chunking items and slots with the
     // same stride pairs every particle with its own output slot.
-    let translate = &translate;
+    let run = &run;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
         .chunks(chunk)
         .zip(slots.chunks_mut(chunk))
-        .map(|(chunk, out)| {
-            Box::new(move || {
-                for ((j, particle), slot) in chunk.iter().zip(out.iter_mut()) {
-                    *slot = Some(translate(*j, particle));
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
+        .map(|(chunk, out)| Box::new(move || run(chunk, out)) as Box<dyn FnOnce() + Send + '_>)
         .collect();
     metrics::note_stage_dispatch(tasks.len() as u64, chunk as u64);
     WorkerPool::global()
@@ -859,6 +882,66 @@ mod tests {
                 other => panic!("expected particle failure, got {other:?}"),
             }
         }
+    }
+
+    /// A fatal failure at particle `k` decides the step: the inline loop
+    /// translates only particles `0..=k`, and threads 1 and 3 report the
+    /// same failure, under fail-fast and under an exhausted retry budget.
+    /// A drop is not fatal, so every particle still runs.
+    #[test]
+    fn a_fatal_failure_stops_the_step_translating() {
+        /// Records which particles it was asked to translate.
+        struct Recording {
+            inner: FaultyTranslator<CorrespondenceTranslator<ModelFn, ModelFn>>,
+            calls: Arc<std::sync::Mutex<Vec<usize>>>,
+        }
+        impl StateTranslator<Trace> for Recording {
+            fn translate_state(
+                &self,
+                t: &Trace,
+                ctx: TranslateCtx,
+                rng: &mut dyn RngCore,
+            ) -> Result<(Trace, LogWeight), PplError> {
+                self.calls.lock().unwrap().push(ctx.particle);
+                self.inner.translate_state(t, ctx, rng)
+            }
+        }
+        let particles = posterior_samples_of_p(40, &mut StdRng::seed_from_u64(109));
+        let k = 13;
+        let plan = FaultPlan::new()
+            .with(FaultSpec::always(0, 30, FaultKind::Error))
+            .with(FaultSpec::always(0, k, FaultKind::Error));
+        let run = |policy: &FailurePolicy, threads: usize| {
+            let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let translator = Recording {
+                inner: FaultyTranslator::new(pq_translator(), plan.clone()),
+                calls: Arc::clone(&calls),
+            };
+            let result = pooled_step(translator, &particles, 3, threads, policy, 0);
+            let mut called = calls.lock().unwrap().clone();
+            called.sort_unstable();
+            called.dedup();
+            (result, called)
+        };
+        let retry = FailurePolicy::Retry {
+            max_attempts: 2,
+            seed: 5,
+        };
+        for policy in [FailurePolicy::FailFast, retry] {
+            let (inline, called) = run(&policy, 1);
+            assert_eq!(called, (0..=k).collect::<Vec<_>>(), "{policy:?}");
+            let inline = inline.unwrap_err();
+            match &inline {
+                SmcError::Particle(failure) => assert_eq!(failure.particle, k),
+                other => panic!("expected a particle failure, got {other:?}"),
+            }
+            let (pooled, _) = run(&policy, 3);
+            assert_eq!(pooled.unwrap_err(), inline, "{policy:?}");
+        }
+        let drop = FailurePolicy::DropAndRenormalize { max_loss: 0.1 };
+        let (dropped, called) = run(&drop, 1);
+        assert_eq!(called, (0..40).collect::<Vec<_>>());
+        assert_eq!(dropped.unwrap().1.dropped, 2);
     }
 
     #[test]

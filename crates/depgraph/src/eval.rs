@@ -12,7 +12,7 @@
 //! the value plus the dirty bit change propagation tracks, which
 //! [`apply_effects`] writes and [`any_dirty`] reads.
 
-use ppl::compile::{CompiledProgram, EvalFrame, EvalHooks};
+use ppl::compile::{CompiledProgram, EvalFrame, EvalHooks, SlotId};
 use ppl::dist::Dist;
 use ppl::{Address, PplError, Value};
 
@@ -67,18 +67,27 @@ pub(crate) fn apply_effects(
     effects: &[Effect],
     dirty: bool,
 ) -> Result<(), PplError> {
+    apply_effects_where(prog, frame, effects, dirty, |_| true)
+}
+
+/// [`apply_effects`] restricted to the effects whose slot `keep` accepts.
+pub(crate) fn apply_effects_where(
+    prog: &CompiledProgram,
+    frame: &mut EvalFrame,
+    effects: &[Effect],
+    dirty: bool,
+    keep: impl Fn(SlotId) -> bool,
+) -> Result<(), PplError> {
     for effect in effects {
+        let slot = prog
+            .slot_of(effect.var_name())
+            .expect("pair-compiled slot table covers every old-program effect");
+        if !keep(slot) {
+            continue;
+        }
         match effect {
-            Effect::Var(name, value) => {
-                let slot = prog
-                    .slot_of(name)
-                    .expect("pair-compiled slot table covers every old-program effect");
-                frame.bind(slot, value.clone(), dirty);
-            }
+            Effect::Var(_, value) => frame.bind(slot, value.clone(), dirty),
             Effect::Elem(name, i, value) => {
-                let slot = prog
-                    .slot_of(name)
-                    .expect("pair-compiled slot table covers every old-program effect");
                 let s = frame
                     .get_mut(slot)
                     .ok_or_else(|| PplError::UnboundVariable((*name).to_string()))?;

@@ -10,8 +10,8 @@
 //! final values the propagation runtime re-derives as dirty).
 //!
 //! The derived [`ImpactSet`] is what [`crate::plan::StagePlan`] bakes
-//! into per-statement `static_skip` decisions and what the
-//! `--verify-slices` oracle checks dynamic visits against.
+//! into its static skip runs and what the `--verify-slices` oracle
+//! checks dynamic visits against.
 
 use ppl::analysis::{
     impact, infer_effects, stmt_effects, ChangeKind, ChangeSeed, ImpactSet, ProgramEffects,

@@ -8,7 +8,12 @@
 //! nodes throughout the dependency graph in topological order". The walk
 //! pushes a new record, `Arc::new(record)`, for each visited statement
 //! or loop iteration, and shares a skipped one between `G_t` and `G_u`
-//! by cloning its `Arc`: no store, no ids, no lookups.
+//! by cloning its `Arc`: no store, no ids, no lookups. A run of
+//! statements the plan statically skips is one step: it clones the run's
+//! `Arc`s and replays only the writes a later step can read
+//! ([`crate::plan`]'s `SkipRun`), so a one-statement edit costs the edit
+//! plus one pointer copy per statement. A translated graph's root block
+//! keeps no summary, since nothing reads it.
 //!
 //! A subtree with no old record — a new statement, a flipped branch, an
 //! unmatched loop iteration — is walked straight from its compiled block.
@@ -52,7 +57,7 @@ use ppl::interp::DEFAULT_FUEL;
 use ppl::{Address, LogWeight, PplError, Value};
 
 use crate::diff::ProgramEdit;
-use crate::eval::{any_dirty, apply_effects, ChoiceSource, Recorder};
+use crate::eval::{any_dirty, apply_effects, apply_effects_where, ChoiceSource, Recorder};
 use crate::plan::{PlanBlock, PlanOp, PlanStmt, StagePlan};
 use crate::record::{
     BlockRecord, Effect, ExecGraph, ObsData, ReadSet, StmtRecord, Summary, WhileIter,
@@ -160,16 +165,30 @@ pub fn translate_graph_with_plan(
     deadline: Option<Instant>,
     rng: &mut dyn RngCore,
 ) -> Result<IncrementalResult, PplError> {
+    translate(q, edit, plan, old, deadline, verify_slices_enabled(), rng)
+}
+
+/// [`translate_graph_with_plan`], with the slice-soundness oracle on when
+/// `verify` holds.
+fn translate(
+    q: &Arc<Program>,
+    edit: &ProgramEdit,
+    plan: &StagePlan,
+    old: &ExecGraph,
+    deadline: Option<Instant>,
+    verify: bool,
+    rng: &mut dyn RngCore,
+) -> Result<IncrementalResult, PplError> {
     let mut source = ReuseSource {
         old,
         correspondence: &edit.correspondence,
         rng,
     };
-    let oracle = verify_slices_enabled().then(|| plan.effects());
+    let oracle = verify.then(|| plan.effects());
     let pass = walk(
         q,
         plan.compiled(),
-        Some((old, plan.root())),
+        Some((old, plan)),
         &mut source,
         oracle,
         deadline,
@@ -234,7 +253,7 @@ pub(crate) struct Pass {
 pub(crate) fn walk(
     program: &Arc<Program>,
     prog: &Arc<CompiledProgram>,
-    old: Option<(&ExecGraph, &PlanBlock)>,
+    old: Option<(&ExecGraph, &StagePlan)>,
     source: &mut dyn ChoiceSource,
     oracle: Option<&ProgramEffects>,
     deadline: Option<Instant>,
@@ -246,6 +265,7 @@ pub(crate) fn walk(
         prog,
         source,
         frame: &mut frame,
+        live: old.map_or(&[], |(_, plan)| plan.live()),
         tally: Tally {
             deadline,
             ..Tally::default()
@@ -256,7 +276,7 @@ pub(crate) fn walk(
         }),
     };
     let mut stmts = match old {
-        Some((graph, plan)) => walker.exec_block(prog.body(), plan, graph.root())?,
+        Some((graph, plan)) => walker.exec_block(prog.body(), plan.root(), graph.root())?,
         None => walker.fresh_block(prog.body(), 0)?,
     };
     // The return expression is recorded as a trailing pseudo-leaf so that
@@ -275,13 +295,21 @@ pub(crate) fn walk(
         None => Value::Int(0),
     };
     let Propagator { tally, oracle, .. } = walker;
+    let root = match old {
+        // Only nested blocks' summaries have a reader, so a translation
+        // leaves the root's empty: sealing it would aggregate every
+        // top-level record, O(program) per particle.
+        Some(_) => BlockRecord {
+            stmts,
+            summary: Summary::default(),
+        },
+        // A build seals it still: dropping that too slowed the
+        // benchmark's repeated set-ups through heap placement (DESIGN
+        // §14, ROADMAP item 2).
+        None => BlockRecord::finalize(stmts),
+    };
     Ok(Pass {
-        graph: ExecGraph::assemble(
-            Arc::clone(program),
-            Arc::clone(prog),
-            BlockRecord::finalize(stmts),
-            return_value,
-        ),
+        graph: ExecGraph::assemble(Arc::clone(program), Arc::clone(prog), root, return_value),
         tally,
         visited: oracle.map(|o| o.visited),
     })
@@ -295,6 +323,9 @@ struct Propagator<'a> {
     prog: &'a CompiledProgram,
     source: &'a mut dyn ChoiceSource,
     frame: &'a mut EvalFrame,
+    /// The stage's live set, one flag per slot ([`StagePlan::live`]);
+    /// empty for a build, which has no skip runs.
+    live: &'a [bool],
     tally: Tally,
     /// Present only while the slice-soundness oracle runs.
     oracle: Option<Oracle<'a>>,
@@ -382,6 +413,18 @@ impl<'a> Propagator<'a> {
         Ok(())
     }
 
+    /// Replays the writes of a statically skipped record, with `live_only`
+    /// only those of a live variable (see [`crate::plan`]'s `SkipRun`).
+    fn replay(&mut self, record: &StmtRecord, live_only: bool) -> Result<(), PplError> {
+        let Some(summary) = record.summary() else {
+            return Ok(());
+        };
+        let live = self.live;
+        apply_effects_where(self.prog, self.frame, &summary.effects, false, |slot| {
+            !live_only || live[slot.index()]
+        })
+    }
+
     /// Accounts for a removed old subtree: its observations enter the
     /// denominator, and variables it wrote are re-checked for dirtiness.
     fn remove_record(&mut self, summary: &Summary) {
@@ -449,29 +492,35 @@ impl<'a> Propagator<'a> {
                     let record = self.visit_stmt(stmts[*q_index], None, *pre_index)?;
                     records.push(Arc::new(record));
                 }
+                PlanOp::SkipRun(run) => {
+                    // Static pre-pruning: the plan proved these statements
+                    // outside the impact slice, so their inputs cannot be
+                    // dirty — share them without scanning their read
+                    // sets, and replay only the writes a later step can
+                    // read. Bit-identical to skipping them one by one (the
+                    // dirty scan consumes no RNG, and no write left out is
+                    // ever read).
+                    let shared = &old_block.stmts[run.p_start..run.p_start + run.len];
+                    for &k in &run.replay {
+                        self.replay(&shared[k], run.live_only)?;
+                    }
+                    records.extend(shared.iter().cloned());
+                    let stats = &mut self.tally.stats;
+                    stats.skipped += run.len;
+                    stats.static_skips += run.len;
+                    stats.loop_skips += run.loops;
+                }
                 PlanOp::Stmt {
                     q_index,
                     p_index,
                     unchanged,
                     pre_index,
-                    static_skip,
                     detail,
                 } => {
                     // Compiled blocks are index-aligned with the AST
                     // blocks the plan was built from.
                     let old = &old_block.stmts[*p_index];
                     let rec: &'a StmtRecord = old;
-                    // Static pre-pruning: the plan proved this statement
-                    // outside the impact slice, so its inputs cannot be
-                    // dirty — skip without scanning the recorded read
-                    // set. Bit-identical to the dynamic path (the dirty
-                    // scan consumes no RNG).
-                    if *static_skip {
-                        self.skip_record(rec)?;
-                        self.tally.stats.static_skips += 1;
-                        records.push(Arc::clone(old));
-                        continue;
-                    }
                     // Skip when nothing changed and no dirty inputs (the
                     // diff half of the check is precomputed in the plan).
                     let clean = rec.summary().is_none_or(|s| !self.any_dirty(&s.reads));
@@ -961,14 +1010,18 @@ mod tests {
     use std::time::Instant;
 
     use incremental::{
-        FailureKind, FailurePolicy, ParticleCollection, SmcConfig, SmcError, StagePolicy,
-        StateTranslator, TranslateCtx,
+        exact_weight_estimate, FailureKind, FailurePolicy, ParticleCollection, SmcConfig, SmcError,
+        StagePolicy, StateTranslator, TranslateCtx,
     };
+    use ppl::ast::Program;
     use ppl::handlers::simulate;
     use ppl::{parse, PplError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use super::{translate, IncrementalResult};
+    use crate::diff::diff_programs;
+    use crate::plan::StagePlan;
     use crate::{run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
 
     /// `n` iterations of a loop whose iterations cost 201 fuel ticks: one
@@ -1063,5 +1116,147 @@ mod tests {
             .translate_state(&graph, ctx, &mut StdRng::seed_from_u64(2))
             .unwrap_err();
         assert_eq!(err, PplError::DeadlineExceeded);
+    }
+
+    /// One link `p → q` translated under the slice-soundness oracle, with
+    /// the stage's plan and with a plan whose skip runs replay every write
+    /// (what skipping statements one by one did): the two must agree bit
+    /// for bit, and the weight must match the exact Section 5 estimate.
+    fn assert_replay_rule_holds(p: &Arc<Program>, q: &Arc<Program>, old: &ExecGraph) -> ExecGraph {
+        let edit = diff_programs(p, q);
+        let run = |plan: &StagePlan| -> IncrementalResult {
+            let mut rng = StdRng::seed_from_u64(5);
+            translate(q, &edit, plan, old, None, true, &mut rng)
+                .unwrap_or_else(|e| panic!("translating to\n{q:?}\nfailed: {e}"))
+        };
+        let got = run(&StagePlan::new(q, p, &edit));
+        let want = run(&StagePlan::replaying_every_write(q, p, &edit));
+        assert!(got.stats.static_skips > 0, "the edit skips statically");
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(
+            got.log_weight.log().to_bits(),
+            want.log_weight.log().to_bits()
+        );
+        assert_eq!(got.graph.choice_map(), want.graph.choice_map());
+        assert_eq!(got.graph.return_value, want.graph.return_value);
+        let (t, u) = (old.to_trace().unwrap(), got.graph.to_trace().unwrap());
+        let exact = exact_weight_estimate(&**p, &**q, &edit.correspondence, &t, &u).unwrap();
+        assert!(
+            (got.log_weight.log() - exact.log()).abs() < 1e-9,
+            "incremental {} vs exact {}",
+            got.log_weight.log(),
+            exact.log()
+        );
+        got.graph
+    }
+
+    /// Translates a simulated graph of the first program along the chain.
+    fn assert_chain_replays(sources: &[String]) {
+        let programs: Vec<Arc<Program>> = sources
+            .iter()
+            .map(|src| Arc::new(parse(src).unwrap()))
+            .collect();
+        for seed in 0..8 {
+            let mut graph =
+                ExecGraph::simulate(&programs[0], &mut StdRng::seed_from_u64(seed)).unwrap();
+            for pair in programs.windows(2) {
+                graph = assert_replay_rule_holds(&pair[0], &pair[1], &graph);
+            }
+        }
+    }
+
+    /// The strength of the one edited observation in the replay cases.
+    fn obs(strength: &str) -> String {
+        format!("flip(x ? {strength}) @ o == 1")
+    }
+
+    /// A statically skipped write stays visible to a later visited
+    /// statement: `a` is written twice by skipped statements, so dropping
+    /// either write changes the visited observation's likelihood.
+    #[test]
+    fn skipped_writes_reach_a_later_visited_statement() {
+        let src = |s: &str| {
+            format!(
+                "a = 1; a = a + 2; x = flip(0.5) @ x; c = 7;
+                 observe(flip(a > 2 ? {s}) @ o == x); return c;"
+            )
+        };
+        assert_chain_replays(&[src("0.9 : 0.1"), src("0.8 : 0.2")]);
+    }
+
+    /// ... and to the return expression, which only `s` reaches.
+    #[test]
+    fn skipped_writes_reach_the_return_expression() {
+        let src = |s: &str| {
+            format!(
+                "r = flip(0.3) @ r; s = r + 1; x = flip(0.5) @ x;
+                 observe({}); return s * 2;",
+                obs(s)
+            )
+        };
+        assert_chain_replays(&[src("0.9 : 0.1"), src("0.8 : 0.2")]);
+    }
+
+    /// ... and to a visited `if` condition and the branch it flips to,
+    /// which runs fresh and reads `v`.
+    #[test]
+    fn skipped_writes_reach_a_flipped_branch() {
+        let src = |cond: &str| {
+            format!(
+                "c = 1; w = 5; v = 7; x = flip(0.5) @ x;
+                 if {cond} {{ y = w; }} else {{ y = v + flip(0.5) @ z; }}
+                 observe(flip(y > 6 ? 0.9 : 0.1) @ o == x); return y;"
+            )
+        };
+        assert_chain_replays(&[src("c > 0"), src("c < 1"), src("c > 0")]);
+    }
+
+    /// Inside a loop body every write is replayed: the next iteration's
+    /// visited observation reads `t`, and the loop's effect snapshot keeps
+    /// `z`, which nothing reads until a later edit inserts a reader.
+    #[test]
+    fn skipped_writes_reach_the_next_iteration_and_the_loop_snapshot() {
+        let src = |s: &str, tail: &str| {
+            format!(
+                "t = 0; x = 1;
+                 for i in [0..3) {{ observe(flip(t > 0 ? {s}) @ o == 1); t = t + 2; z = t * 3; }}
+                 {tail} return t;"
+            )
+        };
+        assert_chain_replays(&[
+            src("0.8 : 0.3", ""),
+            src("0.7 : 0.4", ""),
+            src("0.7 : 0.4", "observe(flip(z > 10 ? 0.9 : 0.2) @ q == 1);"),
+        ]);
+    }
+
+    /// ... and to a visited read of an array that skipped element writes
+    /// built.
+    #[test]
+    fn skipped_element_writes_reach_a_visited_array_read() {
+        let src = |s: &str| {
+            format!(
+                "b = array(3, 0); b[0] = 4; b[2] = flip(0.5) @ e; k = 1;
+                 observe(flip(b[0] + b[2] > 4 ? {s}) @ o == 1); return k;"
+            )
+        };
+        assert_chain_replays(&[src("0.9 : 0.1"), src("0.8 : 0.2")]);
+    }
+
+    /// A skipped `if` writes both `b[0]`, an array nothing later reads, and
+    /// `v`, which the visited observation reads. Its record is replayed for
+    /// `v`, but `b` was never defined in the frame (its definition is not
+    /// live), so replaying the whole record would fail with
+    /// `UnboundVariable("b")`: the filter must drop the element write.
+    #[test]
+    fn skip_runs_filter_writes_per_effect() {
+        let src = |s: &str| {
+            format!(
+                "b = array(2, 0); c = 1; v = 1;
+                 if c > 0 {{ b[0] = 1; v = 2; }} else {{ v = 3; }}
+                 observe(flip(v > 1 ? {s}) @ o == 1); return c;"
+            )
+        };
+        assert_chain_replays(&[src("0.8 : 0.2"), src("0.7 : 0.3")]);
     }
 }

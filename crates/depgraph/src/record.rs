@@ -234,7 +234,11 @@ impl StmtRecord {
 pub struct BlockRecord {
     /// One record per executed statement, in order.
     pub stmts: Vec<Arc<StmtRecord>>,
-    /// Aggregate summary of the whole block.
+    /// Aggregate summary of the whole block ([`BlockRecord::finalize`]).
+    /// Only nested blocks' summaries are read (by their parent record's
+    /// summary and by skip checks), so a translated graph's root keeps
+    /// an empty one; a built graph's root is still sealed (see
+    /// [`ExecGraph::root`]).
     pub summary: Summary,
 }
 
@@ -288,18 +292,23 @@ pub struct ExecGraph {
     /// resolves addresses.
     compiled: Arc<CompiledProgram>,
     /// The root block record, which owns (or shares with other graphs)
-    /// every record of the run.
+    /// every record of the run. Its summary is empty when a translation
+    /// produced the graph: nothing reads it, and sealing it cost
+    /// O(program) per particle. A build still seals it; see the
+    /// `fingerprint` memo for why.
     root: BlockRecord,
     /// The return value of the execution.
     pub return_value: Value,
     /// The program's fingerprint, memoized per graph. `Program` memoizes
     /// it as well, so this memo saves nothing; it stays because removing
     /// its 16 bytes moves the graph's `Arc` out of glibc's 208-byte size
-    /// class. In that class the allocation reuses the chunk that the root
-    /// block's `finalize` has just freed; outside it, the edit-session
-    /// benchmark's repeated set-ups return their heap to the OS and fault
-    /// it back in (`tail_edit` `setup_s` +50%). ROADMAP item 2 tracks
-    /// making set-up independent of this placement.
+    /// class. In that class the allocation reuses the chunk that a graph
+    /// build's root `finalize` has just freed; outside it, the
+    /// edit-session benchmark's repeated set-ups return their heap to the
+    /// OS and fault it back in (`tail_edit` `setup_s` +50%). Dropping the
+    /// root summary from builds also slows those set-ups, which is why
+    /// builds still seal their root. ROADMAP item 2 tracks making set-up
+    /// independent of this placement.
     fingerprint: OnceLock<u64>,
 }
 
@@ -341,7 +350,9 @@ impl ExecGraph {
         }
     }
 
-    /// The root block record.
+    /// The root block record. A translated graph's root has an empty
+    /// summary; a built graph's root is sealed by
+    /// [`BlockRecord::finalize`].
     pub fn root(&self) -> &BlockRecord {
         &self.root
     }

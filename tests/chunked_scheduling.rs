@@ -5,7 +5,7 @@
 //! seed derivation, output slot, and failure isolation, so the pooled
 //! translate paths must be *bit-identical* for any chunk size and any
 //! thread count — including under fault injection (retry, quarantine)
-//! and on the watchdog deadline path. The property test at the bottom
+//! and with a per-attempt deadline. The property test at the bottom
 //! pins the graph representation down: carrying a particle as a
 //! persistent execution graph (each translation sharing the unchanged
 //! records of the previous graph by `Arc`) must flatten to exactly the
@@ -206,9 +206,9 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
     }
 }
 
-/// The watchdog (deadline-supervised) translate path chunks its rounds
-/// too; with a deadline generous enough that nothing times out, every
-/// chunk size must reproduce the unsupervised result bit-for-bit.
+/// A per-attempt deadline generous enough that nothing times out leaves
+/// the pooled translate path chunk-invariant: every chunk size and
+/// thread count must reproduce the inline run bit-for-bit.
 #[test]
 fn deadline_supervised_path_is_chunk_invariant() {
     let ps = programs();
