@@ -68,9 +68,9 @@ pub struct Fig10Point {
     /// Median translation time of the Section 6 optimized translator.
     pub optimized: Duration,
     /// Statement instances the optimized translator re-executed.
-    pub visited: usize,
+    pub visited: u64,
     /// Statement instances (or loop regions) it skipped.
-    pub skipped: usize,
+    pub skipped: u64,
 }
 
 /// Runs the experiment.
@@ -102,8 +102,8 @@ pub fn run(config: &Fig10Config) -> Vec<Fig10Point> {
                     .expect("translates")
             });
             opt_times.push(d);
-            visited = result.stats.visited;
-            skipped = result.stats.skipped;
+            visited = result.stats.nodes_visited;
+            skipped = result.stats.nodes_skipped;
         }
         points.push(Fig10Point {
             n,

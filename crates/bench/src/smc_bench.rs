@@ -496,7 +496,7 @@ pub fn run_scaling(config: &SmcBenchConfig) -> Vec<ScalingPoint> {
             // integers, not just as noisy wall times.
             let recorder = Arc::new(MetricsRecorder::new());
             let counters = {
-                let _guard = incremental::metrics::install(Arc::clone(&recorder) as _);
+                let _guard = incremental::metrics::install(Arc::clone(&recorder));
                 run_stages(&graph_stages, &lifted, config.seed, 1);
                 recorder.report("scaling").total_propagation()
             };

@@ -649,9 +649,6 @@ pub struct SequenceOpts {
     pub resume: bool,
     /// Write a `metrics/v1` JSON report here (`--metrics-out`).
     pub metrics_out: Option<PathBuf>,
-    /// Particles per worker task (`--chunk-size`; `None` = automatic).
-    /// Output is identical for every value.
-    pub chunk_size: Option<usize>,
 }
 
 impl Default for SequenceOpts {
@@ -666,7 +663,6 @@ impl Default for SequenceOpts {
             checkpoint_every: 1,
             resume: false,
             metrics_out: None,
-            chunk_size: None,
         }
     }
 }
@@ -749,7 +745,7 @@ pub fn cmd_sequence_supervised(
     // this command returns.
     let metrics = opts.metrics_out.as_ref().map(|path| {
         let recorder = Arc::new(MetricsRecorder::new());
-        let guard = incremental::metrics::install(Arc::clone(&recorder) as _);
+        let guard = incremental::metrics::install(Arc::clone(&recorder));
         (path, recorder, guard)
     });
     let mut out = String::new();
@@ -851,7 +847,7 @@ pub fn cmd_sequence_supervised(
             start_step,
             &prior_ess,
             &prior_reports,
-            &SmcConfig::translate_only().with_chunk_size(opts.chunk_size),
+            &SmcConfig::translate_only(),
             &opts.policy,
             &stage_policy,
             base_seed,
@@ -904,7 +900,7 @@ pub fn cmd_translate_stats(p_source: &str, q_source: &str, seed: u64) -> Result<
     let _ = writeln!(
         out,
         "visited {} statement instances, skipped {}",
-        result.stats.visited, result.stats.skipped
+        result.stats.nodes_visited, result.stats.nodes_skipped
     );
     let _ = writeln!(out, "log weight: {:.6}", result.log_weight.log());
     Ok(out)
@@ -930,11 +926,9 @@ pub fn usage() -> String {
                                             (P: fail-fast | drop:<max_loss> | retry:<n>[:<seed>])\n\
        sequence <p0> <p1> [<p2> ...] [--traces M] [--seed N] [--threads T] [--policy P]\n\
                 [--checkpoint DIR] [--checkpoint-every N] [--deadline-ms N] [--resume]\n\
-                [--metrics-out FILE] [--chunk-size K] [--verify-slices]\n\
+                [--metrics-out FILE] [--verify-slices]\n\
                                             graph-native SMC across an edit history;\n\
-                                            output is identical for any --threads\n\
-                                            and any --chunk-size (particles per\n\
-                                            worker task; default: auto).\n\
+                                            output is identical for any --threads.\n\
                                             --checkpoint writes durable stage snapshots,\n\
                                             --resume restarts from the latest one,\n\
                                             --deadline-ms N stops each translation attempt\n\

@@ -19,8 +19,83 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `command` takes, each with whether it takes a value, or
+/// `None` for an unknown command.
+fn command_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
+    Some(match command {
+        "help" | "--help" | "-h" | "fmt" => &[],
+        "check" => &[("--deny-warnings", false)],
+        "analyze" => &[("--json", false)],
+        "run" => &[("--seed", true), ("--save", true)],
+        "enumerate" => &[("--limit", true)],
+        "sample" => &[
+            ("--steps", true),
+            ("--seed", true),
+            ("--save", true),
+            ("--keep", true),
+        ],
+        "translate" => &[
+            ("--traces", true),
+            ("--seed", true),
+            ("--policy", true),
+            ("--stats", false),
+            ("--load", true),
+        ],
+        "sequence" => &[
+            ("--traces", true),
+            ("--seed", true),
+            ("--threads", true),
+            ("--policy", true),
+            ("--checkpoint", true),
+            ("--checkpoint-every", true),
+            ("--deadline-ms", true),
+            ("--resume", false),
+            ("--metrics-out", true),
+            ("--verify-slices", false),
+        ],
+        _ => return None,
+    })
+}
+
+/// The positional arguments of `command`'s arguments `args`: everything
+/// but its flags and their values. A flag the command does not take is a
+/// usage error, so a typo or a removed flag never runs with defaults.
+fn positionals<'a>(
+    command: &str,
+    flags: &[(&str, bool)],
+    args: &'a [String],
+) -> Result<Vec<&'a String>, CliError> {
+    let mut out = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            out.push(arg);
+            continue;
+        }
+        match flags.iter().find(|(name, _)| name == arg) {
+            Some((_, true)) => {
+                args.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                return Err(CliError::usage(format!(
+                    "`{command}` does not take `{arg}`; see `ppl help`"
+                )))
+            }
+        }
+    }
+    Ok(out)
+}
+
 fn run(args: &[String]) -> Result<String, CliError> {
     let command = args.first().map(String::as_str).unwrap_or("help");
+    let Some(flags) = command_flags(command) else {
+        return Err(CliError::usage(format!(
+            "unknown command `{command}`\n{}",
+            ppl_cli::usage()
+        )));
+    };
+    let positional_args = positionals(command, flags, args.get(1..).unwrap_or_default())?;
     let read = |path: &str| -> Result<String, CliError> {
         std::fs::read_to_string(path)
             .map_err(|e| CliError::io(format!("cannot read `{path}`: {e}")))
@@ -36,17 +111,12 @@ fn run(args: &[String]) -> Result<String, CliError> {
         }
     };
     let positional = |n: usize| -> Result<&String, String> {
-        args.iter()
-            .skip(1)
-            .filter(|a| !a.starts_with("--"))
-            .nth(n)
+        positional_args
+            .get(n)
+            .copied()
             .ok_or_else(|| format!("missing argument; see `ppl help`\n{}", ppl_cli::usage()))
     };
     let render = |r: Result<String, ppl::PplError>| r.map_err(CliError::from);
-
-    if args.iter().any(|a| a == "--verify-slices") {
-        depgraph::set_verify_slices(true);
-    }
 
     match command {
         "help" | "--help" | "-h" => Ok(ppl_cli::usage()),
@@ -137,24 +207,13 @@ fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "sequence" => {
-            let mut sources = Vec::new();
-            let mut skip_next = false;
-            for arg in args.iter().skip(1) {
-                if skip_next {
-                    skip_next = false;
-                    continue;
-                }
-                if arg == "--resume" || arg == "--verify-slices" {
-                    // Boolean sequence flags: take no value.
-                    continue;
-                }
-                if arg.starts_with("--") {
-                    // Every other sequence flag takes a value.
-                    skip_next = true;
-                    continue;
-                }
-                sources.push(read(arg)?);
+            if args.iter().any(|a| a == "--verify-slices") {
+                depgraph::set_verify_slices(true);
             }
+            let sources = positional_args
+                .iter()
+                .map(|path| read(path))
+                .collect::<Result<Vec<_>, _>>()?;
             if sources.len() < 2 {
                 return Err(CliError::usage(format!(
                     "sequence needs at least two program files\n{}",
@@ -187,16 +246,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     Some(ms)
                 }
             };
-            let chunk_size = match args.iter().position(|a| a == "--chunk-size") {
-                None => None,
-                Some(_) => {
-                    let k = flag("--chunk-size", 0)? as usize;
-                    if k == 0 {
-                        return Err(CliError::usage("--chunk-size must be at least 1"));
-                    }
-                    Some(k)
-                }
-            };
             let metrics_out = match args.iter().position(|a| a == "--metrics-out") {
                 None => None,
                 Some(i) => Some(PathBuf::from(
@@ -214,13 +263,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 checkpoint_every: flag("--checkpoint-every", 1)? as usize,
                 resume: args.iter().any(|a| a == "--resume"),
                 metrics_out,
-                chunk_size,
             };
             ppl_cli::cmd_sequence_supervised(&sources, &opts)
         }
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n{}",
-            ppl_cli::usage()
-        ))),
+        _ => unreachable!("`command_flags` knows every command"),
     }
 }

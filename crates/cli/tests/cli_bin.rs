@@ -164,8 +164,8 @@ fn enumerating_an_unbounded_program_stops_at_its_budget() {
     assert!(text.contains("P posterior: single-site MH"), "{text}");
 }
 
-/// A zero deadline would time every attempt out at once, so, like a zero
-/// chunk size, it is a usage error.
+/// A zero deadline would time every attempt out at once, so it is a
+/// usage error.
 #[test]
 fn a_zero_deadline_is_a_usage_error() {
     let p = temp_file("deadline_p.ppl", COIN);
@@ -180,4 +180,32 @@ fn a_zero_deadline_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("--deadline-ms must be at least 1"), "{text}");
+}
+
+/// A flag the command does not take is a usage error that names it, not
+/// a run with defaults: `sequence` has no `--chunk-size`, and `--trace`
+/// is a typo of `translate`'s `--traces`.
+#[test]
+fn a_flag_the_command_does_not_take_is_a_usage_error() {
+    let p = temp_file("flags_p.ppl", COIN);
+    let q = temp_file("flags_q.ppl", COIN_SHARP);
+    for (command, flag, value) in [
+        ("sequence", "--chunk-size", "4"),
+        ("translate", "--trace", "5"),
+    ] {
+        let out = ppl()
+            .arg(command)
+            .arg(&p)
+            .arg(&q)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} {flag}");
+        assert!(out.stdout.is_empty(), "{command} {flag}: nothing ran");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            text.contains(&format!("`{flag}`")),
+            "{command} {flag}: {text}"
+        );
+    }
 }

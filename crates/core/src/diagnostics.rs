@@ -14,9 +14,10 @@ use ppl::logweight::log_sum_exp;
 /// dominates all finite mass, so the ESS is the count of `+∞` entries
 /// (they share the mass equally in the limit); a NaN weight makes the
 /// ESS 0, since a collection containing an invalid weight carries no
-/// usable information. The SMC runtime quarantines both cases at the
-/// collection boundary ([`crate::ParticleCollection::push_checked`]), so
-/// these branches only fire on hand-built weight vectors.
+/// usable information. The SMC runtime quarantines both cases before a
+/// translated particle enters its collection (a
+/// [`crate::FailureKind::NonFiniteWeight`] failure), so these branches
+/// only fire on hand-built weight vectors.
 pub fn effective_sample_size(log_weights: &[f64]) -> f64 {
     if log_weights.iter().any(|w| w.is_nan()) {
         return 0.0;

@@ -164,59 +164,8 @@ pub fn retry_seed(seed: u64, step: usize, particle: usize, attempt: usize) -> u6
     z ^ (z >> 31)
 }
 
-/// Exponential backoff schedule for retries after a timeout: the retry
-/// after a particle's `n`-th timed-out attempt first waits
-/// `base * factor^(n-1)`, capped at `max`.
-///
-/// Backoff is per particle and applies only after timeouts: the wait
-/// happens in the particle's own worker, and a retry after any other
-/// failure starts at once.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    /// Delay before the first retry round.
-    pub base: std::time::Duration,
-    /// Multiplier applied per additional retry round (≥ 1 in practice).
-    pub factor: f64,
-    /// Upper bound on any single delay.
-    pub max: std::time::Duration,
-}
-
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff {
-            base: std::time::Duration::from_millis(50),
-            factor: 2.0,
-            max: std::time::Duration::from_secs(2),
-        }
-    }
-}
-
-impl Backoff {
-    /// A schedule waiting `base * factor^(n-1)` before the retry after
-    /// the `n`-th timeout, capped at `max`.
-    pub fn new(base: std::time::Duration, factor: f64, max: std::time::Duration) -> Backoff {
-        Backoff { base, factor, max }
-    }
-
-    /// The delay before the retry after the `attempt`-th timeout (1 =
-    /// first). Returns zero for `attempt == 0` (the first attempt never
-    /// waits).
-    pub fn delay(&self, attempt: usize) -> std::time::Duration {
-        if attempt == 0 {
-            return std::time::Duration::ZERO;
-        }
-        let scale = self.factor.powi(attempt as i32 - 1);
-        let ms = self.base.as_secs_f64() * 1000.0 * scale;
-        if !ms.is_finite() || ms >= self.max.as_secs_f64() * 1000.0 {
-            return self.max;
-        }
-        std::time::Duration::from_secs_f64(ms / 1000.0).min(self.max)
-    }
-}
-
 /// Per-stage supervision policy for a sequence run: how often to
-/// checkpoint, how long one translation attempt may run, and how retries
-/// after a timeout back off.
+/// checkpoint, and how long one translation attempt may run.
 ///
 /// Orthogonal to [`FailurePolicy`], which decides what happens to a
 /// particle once it *has* failed (including by
@@ -237,8 +186,6 @@ pub struct StagePolicy {
     /// it returns and holds its worker until then; its result then counts
     /// as a [`FailureKind::Timeout`]. `None` sets no deadline.
     pub deadline: Option<std::time::Duration>,
-    /// Backoff schedule for a retry after a timeout.
-    pub backoff: Backoff,
 }
 
 impl StagePolicy {
@@ -254,13 +201,6 @@ impl StagePolicy {
     #[must_use]
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> StagePolicy {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the retry backoff schedule.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Backoff) -> StagePolicy {
-        self.backoff = backoff;
         self
     }
 }
@@ -447,26 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_delays_grow_and_cap() {
-        let b = Backoff {
-            base: std::time::Duration::from_millis(10),
-            factor: 2.0,
-            max: std::time::Duration::from_millis(35),
-        };
-        assert_eq!(b.delay(0), std::time::Duration::ZERO);
-        assert_eq!(b.delay(1), std::time::Duration::from_millis(10));
-        assert_eq!(b.delay(2), std::time::Duration::from_millis(20));
-        assert_eq!(b.delay(3), std::time::Duration::from_millis(35));
-        assert_eq!(b.delay(50), std::time::Duration::from_millis(35));
-    }
-
-    #[test]
     fn stage_policy_builders() {
         let p =
             StagePolicy::checkpoint_every(4).with_deadline(std::time::Duration::from_millis(200));
         assert_eq!(p.checkpoint_every, 4);
         assert_eq!(p.deadline, Some(std::time::Duration::from_millis(200)));
-        assert_eq!(p.backoff, Backoff::default());
         let q = StagePolicy::default();
         assert_eq!(q.checkpoint_every, 0);
         assert!(q.deadline.is_none());

@@ -98,13 +98,12 @@ pub use forward::{
     exact_weight_estimate, CorrespondenceTranslator, FreshProposal, FreshReason, TranslationStats,
 };
 pub use health::{
-    retry_seed, Backoff, FailureKind, FailurePolicy, ParticleFailure, SmcError, StagePolicy,
-    StepReport,
+    retry_seed, FailureKind, FailurePolicy, ParticleFailure, SmcError, StagePolicy, StepReport,
 };
 pub use mcmc::{IdentityKernel, McmcKernel};
 pub use metrics::{
-    EvalTelemetry, MetricsGuard, MetricsRecorder, MetricsReport, MetricsSink, NoopSink,
-    PoolTelemetry, PropagationCounters, StageMetrics,
+    EvalTelemetry, MetricsGuard, MetricsRecorder, MetricsReport, PoolTelemetry,
+    PropagationCounters, StageMetrics,
 };
 pub use particles::{Particle, ParticleCollection, ParticleState};
 pub use pool::WorkerPool;
@@ -113,7 +112,5 @@ pub use sequence::{
     resample_seed, run_state_sequence_supervised, stage_seed, SequenceRun, StageObserver,
     StageSnapshot,
 };
-pub use smc::{
-    auto_chunk_size, infer, infer_with_policy, infer_without_weights, ResamplePolicy, SmcConfig,
-};
+pub use smc::{infer, infer_with_policy, infer_without_weights, ResamplePolicy, SmcConfig};
 pub use translator::{StateTranslator, TranslateCtx};

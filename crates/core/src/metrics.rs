@@ -10,7 +10,7 @@
 //! Alongside the counters it records per-stage wall time decomposed into
 //! translate / resample / checkpoint, health tallies pulled from
 //! [`StepReport`], and worker-pool telemetry (queue-depth high-water
-//! mark, a fixed-bucket task-latency histogram, respawn counts).
+//! mark and a fixed-bucket task-latency histogram).
 //!
 //! # Design
 //!
@@ -29,13 +29,14 @@
 //!   deterministic subset ([`MetricsReport::counters_json`]).
 //! - **One run at a time.** [`install`] serializes metrics-enabled runs
 //!   behind a process-wide lock so concurrent tests cannot contaminate
-//!   each other's counters; the returned [`MetricsGuard`] re-disables
-//!   collection on drop.
+//!   each other's counters; the [`MetricsRecorder`] it is given receives
+//!   every stage, and the returned [`MetricsGuard`] re-disables collection
+//!   on drop.
 //!
 //! The JSON schema (`metrics/v1`) is documented in DESIGN.md §13.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::health::{FailureKind, StepReport};
@@ -43,9 +44,9 @@ use crate::health::{FailureKind, StepReport};
 /// Change-propagation work counters for one unit of translation work
 /// (one particle, one stage, or a whole run — they add).
 ///
-/// `depgraph` fills one of these per `translate_graph` call from its
-/// `VisitStats`; the flat (non-graph) translator records nothing, so a
-/// flat run reports all-zero propagation counters.
+/// `depgraph`'s graph walker counts in one of these, reported with each
+/// `translate_graph` call; the flat (non-graph) translator records
+/// nothing, so a flat run reports all-zero propagation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PropagationCounters {
     /// Statement instances re-executed (the affected slice).
@@ -124,8 +125,8 @@ pub struct StageMetrics {
     /// Wall time spent in the checkpoint observer, milliseconds.
     pub checkpoint_ms: f64,
     /// Worker tasks dispatched for this stage's translate phase (0 on
-    /// the serial fast path). Schedule-shaped (depends on thread count
-    /// and chunk size), so not part of the deterministic subset.
+    /// the serial fast path). Schedule-shaped (depends on the thread
+    /// count), so not part of the deterministic subset.
     pub pool_tasks: u64,
     /// Particles per task used by this stage's translate dispatch (the
     /// high-water value across the stage's rounds; 0 when serial).
@@ -149,8 +150,6 @@ pub struct PoolTelemetry {
     pub tasks: u64,
     /// High-water mark of simultaneously pending scoped tasks.
     pub queue_depth_hwm: u64,
-    /// Dead workers replaced by `respawn_dead`.
-    pub respawns: u64,
     /// Task-latency histogram, log2-spaced microsecond buckets.
     pub latency_buckets: [u64; LATENCY_BUCKETS],
 }
@@ -160,7 +159,6 @@ impl Default for PoolTelemetry {
         PoolTelemetry {
             tasks: 0,
             queue_depth_hwm: 0,
-            respawns: 0,
             latency_buckets: [0; LATENCY_BUCKETS],
         }
     }
@@ -188,24 +186,8 @@ pub struct EvalTelemetry {
     pub frames_reused: u64,
 }
 
-/// Consumer of per-stage metrics. Implementations must be cheap and
-/// non-blocking-ish: `record_stage` is called once per stage from the
-/// sequence-runner thread, never from workers.
-pub trait MetricsSink: Send + Sync {
-    /// Called once after each completed stage.
-    fn record_stage(&self, stage: &StageMetrics);
-}
-
-/// A sink that discards everything (the default when none is installed).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl MetricsSink for NoopSink {
-    fn record_stage(&self, _stage: &StageMetrics) {}
-}
-
-/// The standard sink: accumulates stages in memory and snapshots them
-/// into a [`MetricsReport`].
+/// The sink of a metrics-enabled run: accumulates stages in memory and
+/// snapshots them into a [`MetricsReport`].
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
     stages: Mutex<Vec<StageMetrics>>,
@@ -227,11 +209,11 @@ impl MetricsRecorder {
             eval: eval_telemetry(),
         }
     }
-}
 
-impl MetricsSink for MetricsRecorder {
-    fn record_stage(&self, stage: &StageMetrics) {
-        lock(&self.stages).push(stage.clone());
+    /// Appends one completed stage. Called once per stage from the
+    /// sequence-runner thread, never from workers.
+    fn record_stage(&self, stage: StageMetrics) {
+        lock(&self.stages).push(stage);
     }
 }
 
@@ -288,7 +270,6 @@ impl MetricsReport {
             "    \"queue_depth_hwm\": {},\n",
             self.pool.queue_depth_hwm
         ));
-        out.push_str(&format!("    \"respawns\": {},\n", self.pool.respawns));
         let buckets: Vec<String> = self
             .pool
             .latency_buckets
@@ -395,8 +376,8 @@ impl MetricsReport {
             total.static_skips, total.oracle_checks,
         ));
         out.push_str(&format!(
-            "  pool: {} tasks, queue depth high-water {}, {} respawns\n",
-            self.pool.tasks, self.pool.queue_depth_hwm, self.pool.respawns,
+            "  pool: {} tasks, queue depth high-water {}\n",
+            self.pool.tasks, self.pool.queue_depth_hwm,
         ));
         out.push_str(&format!(
             "  eval: {} compiled / {} tree-walk execs, cache {} hits / {} misses, \
@@ -478,7 +459,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
-static SINK: Mutex<Option<std::sync::Arc<dyn MetricsSink>>> = Mutex::new(None);
+static SINK: Mutex<Option<Arc<MetricsRecorder>>> = Mutex::new(None);
 
 // Propagation accumulators (drained per stage).
 static P_VISITED: AtomicU64 = AtomicU64::new(0);
@@ -504,7 +485,6 @@ static D_CHUNK: AtomicU64 = AtomicU64::new(0);
 static POOL_TASKS: AtomicU64 = AtomicU64::new(0);
 static POOL_DEPTH: AtomicU64 = AtomicU64::new(0);
 static POOL_DEPTH_HWM: AtomicU64 = AtomicU64::new(0);
-static POOL_RESPAWNS: AtomicU64 = AtomicU64::new(0);
 static POOL_LATENCY: [AtomicU64; LATENCY_BUCKETS] = [const { AtomicU64::new(0) }; LATENCY_BUCKETS];
 
 /// Whether metrics collection is currently enabled. One relaxed atomic
@@ -528,12 +508,13 @@ impl Drop for MetricsGuard {
 }
 
 /// Enables metrics collection with `sink` receiving per-stage metrics,
-/// returning a guard that disables collection when dropped.
+/// returning a guard that disables collection when dropped. Callers keep
+/// their own `Arc` of `sink` to read its [`MetricsRecorder::report`].
 ///
 /// Blocks until any other metrics-enabled run finishes (collection state
 /// is process-global), then resets all accumulators so the new run
 /// starts from zero.
-pub fn install(sink: std::sync::Arc<dyn MetricsSink>) -> MetricsGuard {
+pub fn install(sink: Arc<MetricsRecorder>) -> MetricsGuard {
     let exclusive = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
     for c in [
         &P_VISITED,
@@ -553,7 +534,6 @@ pub fn install(sink: std::sync::Arc<dyn MetricsSink>) -> MetricsGuard {
         &POOL_TASKS,
         &POOL_DEPTH,
         &POOL_DEPTH_HWM,
-        &POOL_RESPAWNS,
     ] {
         c.store(0, Ordering::SeqCst);
     }
@@ -670,7 +650,7 @@ pub fn stage_complete(report: &StepReport) {
         propagation,
     };
     if let Some(sink) = lock(&SINK).clone() {
-        sink.record_stage(&stage);
+        sink.record_stage(stage);
     }
 }
 
@@ -745,14 +725,6 @@ pub fn note_pool_task_done(elapsed_ns: u64) {
     POOL_LATENCY[idx.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records `n` dead workers replaced by the pool's respawn sweep.
-#[inline]
-pub fn note_pool_respawn(n: u64) {
-    if enabled() && n > 0 {
-        POOL_RESPAWNS.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 /// Snapshot of the pool telemetry accumulated since [`install`].
 pub fn pool_telemetry() -> PoolTelemetry {
     let mut latency_buckets = [0u64; LATENCY_BUCKETS];
@@ -762,7 +734,6 @@ pub fn pool_telemetry() -> PoolTelemetry {
     PoolTelemetry {
         tasks: POOL_TASKS.load(Ordering::Relaxed),
         queue_depth_hwm: POOL_DEPTH_HWM.load(Ordering::Relaxed),
-        respawns: POOL_RESPAWNS.load(Ordering::Relaxed),
         latency_buckets,
     }
 }
@@ -770,7 +741,6 @@ pub fn pool_telemetry() -> PoolTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn report(step: usize) -> StepReport {
         StepReport {

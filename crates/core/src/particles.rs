@@ -144,29 +144,6 @@ impl<S> ParticleCollection<S> {
         self.particles.push(Particle { trace, log_weight });
     }
 
-    /// Adds a particle only if its weight is admissible, rejecting NaN
-    /// and `+∞` log weights that would poison `log_sum_exp`-based
-    /// quantities ([`Self::normalized_weights`], [`Self::ess`]) for the
-    /// whole collection. `-∞` (a zero weight) is admissible: it is a
-    /// valid degenerate weight that the estimators handle.
-    ///
-    /// This is the quarantine boundary the fault-tolerant SMC runtime
-    /// uses: a rejected weight becomes a recorded
-    /// [`crate::ParticleFailure`] instead of a silent NaN estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending log weight (and gives back the state, boxed
-    /// to keep the `Err` path cheap) if the weight is NaN or `+∞`.
-    pub fn push_checked(&mut self, trace: S, log_weight: LogWeight) -> Result<(), Box<(S, f64)>> {
-        let lw = log_weight.log();
-        if lw.is_nan() || lw == f64::INFINITY {
-            return Err(Box::new((trace, lw)));
-        }
-        self.push(trace, log_weight);
-        Ok(())
-    }
-
     /// Number of particles `M`.
     pub fn len(&self) -> usize {
         self.particles.len()
@@ -198,8 +175,9 @@ impl<S> ParticleCollection<S> {
     ///
     /// Errors if the collection is empty or all weights are zero (total
     /// particle degeneracy), or if the weight total is non-finite — a NaN
-    /// or `+∞` weight slipped past the [`Self::push_checked`] quarantine,
-    /// so no proper normalization exists.
+    /// or `+∞` weight entered the collection, so no proper normalization
+    /// exists. The SMC runtime never lets one in: it turns such a
+    /// translation into a [`crate::FailureKind::NonFiniteWeight`] failure.
     pub fn normalized_weights(&self) -> Result<Vec<f64>, PplError> {
         let lw = self.log_weights();
         let lse = log_sum_exp(&lw);
@@ -382,28 +360,6 @@ mod tests {
         assert!(ParticleCollection::<Trace>::new()
             .estimate(|_| 1.0)
             .is_err());
-    }
-
-    #[test]
-    fn push_checked_quarantines_non_finite_weights() {
-        let mut c = ParticleCollection::new();
-        c.push_checked(trace_with("x", true), LogWeight::ONE)
-            .unwrap();
-        c.push_checked(trace_with("x", false), LogWeight::ZERO)
-            .unwrap();
-        let nan = c.push_checked(trace_with("x", true), LogWeight::from_log(f64::NAN));
-        assert!(matches!(nan, Err(b) if b.1.is_nan()));
-        let inf = c.push_checked(trace_with("x", true), LogWeight::from_log(f64::INFINITY));
-        assert!(matches!(inf, Err(b) if b.1 == f64::INFINITY));
-        // Only the admissible particles made it in, so the collection's
-        // diagnostics stay finite.
-        assert_eq!(c.len(), 2);
-        assert!(c.ess().is_finite());
-        assert!(c
-            .normalized_weights()
-            .unwrap()
-            .iter()
-            .all(|w| w.is_finite()));
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! can influence results (see the determinism contract on
 //! [`crate::run_state_sequence_supervised`]).
 //!
-//! A worker thread that dies from an infrastructure panic (outside user
-//! translation code, which is caught per-task) would otherwise silently
-//! shrink effective parallelism for the life of the process, so every
-//! dispatch first calls [`WorkerPool::respawn_dead`] to bring the pool
-//! back to full strength.
+//! Every task runs under `catch_unwind`, so a panicking task is reported
+//! in its batch's result ([`POOL_PANIC`]) and its worker lives on: the
+//! pool keeps its full size for the life of the process.
 //!
 //! The pool never abandons a task: [`WorkerPool::run_scoped`] returns
 //! only once every task of its batch has. A translation under a
@@ -28,7 +26,6 @@
 //! batch, until it returns.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -41,17 +38,8 @@ pub(crate) const POOL_PANIC: &str = "translation worker panicked outside user co
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// A unit of work a worker thread pulls off the shared channel.
-enum Work {
-    /// A scoped task from [`WorkerPool::run_scoped`]; completion is
-    /// tracked by the batch latch.
-    Scoped(Job),
-    /// Test hook: the receiving worker exits immediately, simulating a
-    /// worker lost to an infrastructure failure.
-    #[allow(dead_code)]
-    Die,
-}
-
+/// A scoped task from [`WorkerPool::run_scoped`], pulled off the shared
+/// channel by a worker thread; completion is tracked by the batch latch.
 struct Job {
     task: Task,
     latch: Arc<Latch>,
@@ -124,19 +112,14 @@ static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 /// SMC runtime reuses across steps; construct a private pool only in
 /// tests that need a specific worker count.
 pub struct WorkerPool {
-    sender: Option<Sender<Work>>,
-    rx: Arc<Mutex<Receiver<Work>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    size: usize,
-    /// Total workers ever spawned; names continue across respawns so
-    /// thread names stay unique (`smc-worker-0`, `smc-worker-1`, ...).
-    spawned: AtomicUsize,
+    sender: Option<Sender<Job>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("size", &self.size)
+            .field("size", &self.size())
             .finish()
     }
 }
@@ -144,38 +127,21 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns a pool with `size` worker threads (at least one).
     pub fn new(size: usize) -> WorkerPool {
-        let size = size.max(1);
-        let (tx, rx) = channel::<Work>();
+        let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let pool = WorkerPool {
+        let workers = (0..size.max(1))
+            .map(|i| {
+                let rx = Arc::clone(&rx);
+                std::thread::Builder::new()
+                    .name(format!("smc-worker-{i}"))
+                    .spawn(move || worker_loop(&rx))
+                    .expect("failed to spawn SMC worker thread")
+            })
+            .collect();
+        WorkerPool {
             sender: Some(tx),
-            rx,
-            workers: Mutex::new(Vec::with_capacity(size)),
-            size,
-            spawned: AtomicUsize::new(0),
-        };
-        {
-            let mut workers = pool.lock_workers();
-            for _ in 0..size {
-                workers.push(pool.spawn_worker());
-            }
+            workers,
         }
-        pool
-    }
-
-    fn spawn_worker(&self) -> JoinHandle<()> {
-        let i = self.spawned.fetch_add(1, Ordering::Relaxed);
-        let rx = Arc::clone(&self.rx);
-        std::thread::Builder::new()
-            .name(format!("smc-worker-{i}"))
-            .spawn(move || worker_loop(&rx))
-            .expect("failed to spawn SMC worker thread")
-    }
-
-    fn lock_workers(&self) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-        self.workers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The shared process-wide pool, created on first use with one worker
@@ -193,39 +159,7 @@ impl WorkerPool {
 
     /// Number of worker threads.
     pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Replaces workers that have exited (an infrastructure panic kills
-    /// its thread) so the pool runs at full strength again. Called on
-    /// every dispatch; a no-op when all workers are alive.
-    pub fn respawn_dead(&self) {
-        let mut workers = self.lock_workers();
-        workers.retain(|h| !h.is_finished());
-        metrics::note_pool_respawn((self.size - workers.len()) as u64);
-        while workers.len() < self.size {
-            workers.push(self.spawn_worker());
-        }
-    }
-
-    /// Number of worker threads currently alive (not exited).
-    #[cfg(test)]
-    fn alive(&self) -> usize {
-        self.lock_workers()
-            .iter()
-            .filter(|h| !h.is_finished())
-            .count()
-    }
-
-    /// Test hook: tell one worker to exit, simulating a thread lost to
-    /// an infrastructure failure.
-    #[cfg(test)]
-    fn kill_one_worker(&self) {
-        self.sender
-            .as_ref()
-            .expect("pool sender present until drop")
-            .send(Work::Die)
-            .expect("pool channel open");
+        self.workers.len()
     }
 
     /// Runs every task to completion on the pool, blocking until all have
@@ -257,7 +191,6 @@ impl WorkerPool {
             }
             return Ok(());
         }
-        self.respawn_dead();
         metrics::note_pool_enqueue(tasks.len() as u64);
         let latch = Arc::new(Latch::new());
         // Block until the batch drains before returning — on the normal
@@ -284,10 +217,10 @@ impl WorkerPool {
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
             latch.add_one();
             if sender
-                .send(Work::Scoped(Job {
+                .send(Job {
                     task,
                     latch: Arc::clone(&latch),
-                }))
+                })
                 .is_err()
             {
                 // All workers exited — only possible while the pool is
@@ -310,13 +243,13 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel ends every worker's receive loop.
         drop(self.sender.take());
-        for handle in self.lock_workers().drain(..) {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<Work>>) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     loop {
         let work = match rx.lock() {
             Ok(guard) => guard.recv(),
@@ -324,16 +257,13 @@ fn worker_loop(rx: &Mutex<Receiver<Work>>) {
             // the lock (impossible — recv doesn't panic — but be safe).
             Err(_) => return,
         };
-        match work {
-            Ok(Work::Scoped(Job { task, latch })) => {
-                let start = metrics::clock();
-                let panicked = catch_unwind(AssertUnwindSafe(task)).is_err();
-                metrics::note_pool_task(start);
-                latch.complete(panicked);
-            }
-            Ok(Work::Die) => return,
-            Err(_) => return, // channel closed: pool dropped
-        }
+        let Ok(Job { task, latch }) = work else {
+            return; // channel closed: pool dropped
+        };
+        let start = metrics::clock();
+        let panicked = catch_unwind(AssertUnwindSafe(task)).is_err();
+        metrics::note_pool_task(start);
+        latch.complete(panicked);
     }
 }
 
@@ -438,29 +368,44 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 4);
     }
 
+    /// Each task waits until every task of its batch has started, so a
+    /// batch of `size` tasks completes in time only when `size` workers
+    /// run it at once. The first batch thus puts one panicking task on
+    /// every worker, and the second shows every worker still runs.
     #[test]
-    fn dead_workers_are_respawned_on_next_dispatch() {
+    fn every_worker_survives_a_batch_of_panics() {
         let pool = WorkerPool::new(3);
-        pool.kill_one_worker();
-        pool.kill_one_worker();
-        // Wait for the doomed workers to actually exit.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pool.alive() > 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(pool.alive(), 1, "two workers should have exited");
-        // The next batch restores full parallelism and still completes.
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..9)
-            .map(|_| {
-                let counter = &counter;
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(tasks).unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 9);
-        assert_eq!(pool.lock_workers().len(), 3, "pool back to full strength");
+        let size = pool.size();
+        // Returns the batch's result and how many of its tasks saw all
+        // `size` start within the time limit.
+        let rendezvous = |panics: bool| -> (Result<(), String>, usize) {
+            let started = (Mutex::new(0usize), Condvar::new());
+            let met = AtomicUsize::new(0);
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..size)
+                .map(|_| {
+                    let (started, met) = (&started, &met);
+                    Box::new(move || {
+                        let (count, all_started) = started;
+                        let mut n = count.lock().unwrap();
+                        *n += 1;
+                        all_started.notify_all();
+                        let (n, wait) = all_started
+                            .wait_timeout_while(n, std::time::Duration::from_secs(10), |n| {
+                                *n < size
+                            })
+                            .unwrap();
+                        drop(n);
+                        if !wait.timed_out() {
+                            met.fetch_add(1, Ordering::SeqCst);
+                        }
+                        assert!(!panics, "every task of this batch panics");
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            let result = pool.run_scoped(tasks);
+            (result, met.load(Ordering::SeqCst))
+        };
+        assert_eq!(rendezvous(true), (Err(POOL_PANIC.to_string()), size));
+        assert_eq!(rendezvous(false), (Ok(()), size), "a worker was lost");
     }
 }

@@ -8,11 +8,10 @@
 //!
 //! [`run_state_sequence_supervised`] is that loop, for any particle state:
 //! flat traces or execution graphs (depgraph's translators). Threads,
-//! chunk size, failure policy, per-attempt deadline, backoff, checkpoint
-//! cadence, and resume are all arguments of the one loop. A deadline is
-//! cooperative ([`StagePolicy::deadline`]): the runtime hands it to each
-//! attempt in its [`crate::TranslateCtx`], and the translation stops
-//! itself there.
+//! failure policy, per-attempt deadline, checkpoint cadence, and resume
+//! are all arguments of the one loop. A deadline is cooperative
+//! ([`StagePolicy::deadline`]): the runtime hands it to each attempt in
+//! its [`crate::TranslateCtx`], and the translation stops itself there.
 
 use std::sync::Arc;
 
@@ -141,10 +140,11 @@ pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), S
 ///
 /// - **Threads.** Translation runs on the persistent
 ///   [`crate::WorkerPool`], spawned once and reused across stages and
-///   runs; `threads = 1` translates inline. Particle `j` of stage `s`
-///   draws from a seed derived from [`stage_seed`]`(base_seed, s)` and
-///   `j`, so results are bit-identical for any `threads` value and any
-///   [`SmcConfig::chunk_size`].
+///   runs; `threads = 1` translates inline, and otherwise each of up to
+///   `threads` tasks translates one contiguous chunk of particles.
+///   Particle `j` of stage `s` draws from a seed derived from
+///   [`stage_seed`]`(base_seed, s)` and `j`, so results are bit-identical
+///   for any `threads` value.
 /// - **Failures.** `policy` applies per particle (abort, drop, or retry
 ///   with reseeded RNGs); total weight collapse under a tolerant policy
 ///   keeps the pre-stage collection and flags it in that stage's report.
@@ -165,9 +165,8 @@ pub type StageObserver<'a, S> = dyn FnMut(&StageSnapshot<'_, S>) -> Result<(), S
 ///   translation stops itself at its deadline (the built-in ones check
 ///   at every fuel charge and handler call), and an attempt that stops
 ///   there or returns late becomes a [`crate::FailureKind::Timeout`]
-///   under `policy`; a retry after the particle's `k`-th timeout waits
-///   `backoff.delay(k)`. A translation that never checks is not stopped:
-///   it holds its worker until it returns.
+///   under `policy`, and a retry starts at once. A translation that never
+///   checks is not stopped: it holds its worker until it returns.
 /// - **Observer.** After stage `i` completes, if its absolute completed
 ///   count hits a [`StagePolicy::checkpoint_every`] boundary (or it is
 ///   the final stage), `observer` is called with a [`StageSnapshot`].

@@ -16,14 +16,16 @@
 //!
 //! Iterating the step over a sequence of programs is the "Multiple
 //! Steps" regime of Section 4.2, driven by the one stage loop
-//! [`crate::run_state_sequence_supervised`]. Its step translates on the
-//! persistent [`WorkerPool`] (inline for one thread) with per-particle
-//! seeds. With [`StagePolicy::deadline`] set, every attempt carries its
-//! own deadline in its [`TranslateCtx`], and the translation stops itself
-//! there. The deadline is cooperative: a translation that never checks it
-//! runs until it returns, and only then counts as a timeout. Both steps
-//! share the per-particle attempt, the assembly of the translated
-//! collection, and the degeneracy tail defined here.
+//! [`crate::run_state_sequence_supervised`]. Its step translates with
+//! per-particle seeds, one contiguous chunk of particles per thread on
+//! the persistent [`WorkerPool`] (inline for one thread). With
+//! [`StagePolicy::deadline`] set, every attempt carries its own deadline
+//! in its [`TranslateCtx`], and the translation stops itself there, so a
+//! retry after a timeout starts at once. The deadline is cooperative: a
+//! translation that never checks it runs until it returns, and only then
+//! counts as a timeout. Both steps share the per-particle attempt, the
+//! assembly of the translated collection, and the degeneracy tail defined
+//! here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,10 +69,6 @@ pub struct SmcConfig {
     /// Number of MCMC transitions applied per particle (0 disables
     /// rejuvenation even if a kernel is supplied).
     pub mcmc_steps: usize,
-    /// Particles per worker task in the parallel translate phase; `None`
-    /// picks [`auto_chunk_size`]. Results are bit-identical for every
-    /// value — this only tunes dispatch granularity.
-    pub chunk_size: Option<usize>,
 }
 
 impl SmcConfig {
@@ -86,26 +84,8 @@ impl SmcConfig {
             resample: ResamplePolicy::Always,
             scheme: ResampleScheme::default(),
             mcmc_steps: n,
-            chunk_size: None,
         }
     }
-
-    /// Sets an explicit particles-per-task chunk size for parallel
-    /// translation (`None` restores the automatic choice).
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: Option<usize>) -> SmcConfig {
-        self.chunk_size = chunk_size;
-        self
-    }
-}
-
-/// The automatic particles-per-task chunk size: one contiguous chunk per
-/// worker, so a stage of `n` particles costs `threads` dispatches rather
-/// than `n`. Chunk size never changes results (per-particle seeds depend
-/// only on `(base_seed, step, particle, attempt)`); it only trades
-/// dispatch overhead against load-balancing granularity.
-pub fn auto_chunk_size(particles: usize, threads: usize) -> usize {
-    particles.div_ceil(threads.max(1)).max(1)
 }
 
 /// Renders a panic payload as a message for [`FailureKind::Panic`].
@@ -191,8 +171,8 @@ type Slot<S = Trace> = Result<(S, LogWeight, usize), ParticleFailure>;
 ///
 /// Each attempt gets its own `stage.deadline`, counted from its start,
 /// so time spent queued or on earlier attempts is never charged. A retry
-/// after the particle's `k`-th timeout first waits
-/// `stage.backoff.delay(k)`.
+/// starts at once, after a timeout too: the timed-out attempt has
+/// already stopped.
 fn translate_particle<S>(
     translator: &dyn StateTranslator<S>,
     particle: &Particle<S>,
@@ -203,7 +183,6 @@ fn translate_particle<S>(
     first: &mut dyn RngCore,
 ) -> Slot<S> {
     let mut attempt = 0;
-    let mut timeouts = 0;
     loop {
         let ctx = TranslateCtx::new(step, j).with_attempt(attempt);
         let result = if attempt == 0 {
@@ -222,10 +201,6 @@ fn translate_particle<S>(
                     attempts: attempt,
                     kind,
                 })
-            }
-            Err(FailureKind::Timeout { .. }) => {
-                timeouts += 1;
-                std::thread::sleep(stage.backoff.delay(timeouts));
             }
             Err(_) => {}
         }
@@ -378,7 +353,7 @@ pub fn infer(
 ///
 /// Translation randomness comes from `base_seed` per particle (see
 /// [`translate_pooled`]), so the result is bit-identical for any
-/// `threads` value, chunk size, and pool size.
+/// `threads` value and pool size.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn supervised_step<S: Clone + Send + Sync>(
     translator: &(dyn StateTranslator<S> + Sync),
@@ -400,7 +375,6 @@ pub(crate) fn supervised_step<S: Clone + Send + Sync>(
         policy,
         stage_policy,
         step,
-        config.chunk_size,
     )?;
     let translated = assemble(particles, slots, policy, step)?;
     metrics::note_translate(t_translate);
@@ -412,18 +386,19 @@ pub(crate) fn supervised_step<S: Clone + Send + Sync>(
 
 /// Pooled translation under a [`FailurePolicy`]: each particle's
 /// `translate` is independent (Algorithm 2's first loop is
-/// embarrassingly parallel), so the collection is cut into chunks of
-/// `chunk_size` particles (`None` = [`auto_chunk_size`]) executed on the
-/// persistent [`WorkerPool`], with per-particle panic isolation and
-/// weight quarantine. With one thread (or one particle) the loop runs
+/// embarrassingly parallel), so the collection is cut into contiguous
+/// chunks of `ceil(M / threads)` particles, executed on the persistent
+/// [`WorkerPool`] with per-particle panic isolation and weight
+/// quarantine: a stage of `M` particles costs at most `threads`
+/// dispatches, not `M`. With one thread (or one particle) the loop runs
 /// inline with no dispatch at all.
 ///
 /// Determinism: particle `j`'s first attempt uses an RNG seeded from
 /// `base_seed` and `j`, and retry attempt `k` uses
 /// `retry_seed(policy_seed, step, j, k)`; every particle keeps its own
 /// output slot. Results, reports, and (under fail-fast) *which* failure
-/// is reported are therefore identical for any thread count, chunk size,
-/// and pool size — [`assemble`] surfaces the failure of the smallest
+/// is reported are therefore identical for any thread count and pool
+/// size — [`assemble`] surfaces the failure of the smallest
 /// particle index, not whichever worker lost the race. A timeout is the
 /// one exception: whether an attempt beats its deadline depends on how
 /// fast it runs. Time spent queued is never charged, since each
@@ -444,7 +419,6 @@ fn translate_pooled<S: Send + Sync>(
     policy: &FailurePolicy,
     stage: &StagePolicy,
     step: usize,
-    chunk_size: Option<usize>,
 ) -> Result<Vec<Option<Slot<S>>>, SmcError> {
     let fatal = !matches!(policy, FailurePolicy::DropAndRenormalize { .. });
     // The smallest fatal failure index so far. A particle past it cannot
@@ -479,9 +453,7 @@ fn translate_pooled<S: Send + Sync>(
         run(&items, &mut slots);
         return Ok(slots);
     }
-    let chunk = chunk_size
-        .unwrap_or_else(|| auto_chunk_size(items.len(), threads))
-        .clamp(1, items.len());
+    let chunk = items.len().div_ceil(threads);
     // Items are enumerated in order, so chunking items and slots with the
     // same stride pairs every particle with its own output slot.
     let run = &run;
@@ -984,6 +956,56 @@ mod tests {
         assert_eq!(first.len(), 197);
         let kinds: Vec<_> = first_report.failures.iter().map(|f| f.particle).collect();
         assert_eq!(kinds, vec![3, 77, 150]);
+    }
+
+    /// The runtime's weight check rejects a `+∞` log weight, not only the
+    /// NaN that [`FaultKind::NanWeight`] injects, inline and pooled alike.
+    #[test]
+    fn an_infinite_weight_is_a_particle_failure() {
+        /// Translates like [`pq_translator`], but hands particle 5 a `+∞`
+        /// log weight.
+        struct Infinite;
+        impl StateTranslator<Trace> for Infinite {
+            fn translate_state(
+                &self,
+                t: &Trace,
+                ctx: TranslateCtx,
+                rng: &mut dyn RngCore,
+            ) -> Result<(Trace, LogWeight), PplError> {
+                let (u, w) = pq_translator().translate_state(t, ctx, rng)?;
+                if ctx.particle == 5 {
+                    Ok((u, LogWeight::from_log(f64::INFINITY)))
+                } else {
+                    Ok((u, w))
+                }
+            }
+        }
+        let particles = posterior_samples_of_p(20, &mut StdRng::seed_from_u64(110));
+        let infinite = FailureKind::NonFiniteWeight(f64::INFINITY);
+        for threads in [1, 3] {
+            let drop = FailurePolicy::DropAndRenormalize { max_loss: 0.1 };
+            let (out, report) = pooled_step(Infinite, &particles, 9, threads, &drop, 0).unwrap();
+            assert_eq!(out.len(), 19, "threads = {threads}");
+            let dropped: Vec<_> = report
+                .failures
+                .iter()
+                .map(|f| (f.particle, f.kind.clone()))
+                .collect();
+            assert_eq!(dropped, vec![(5, infinite.clone())], "threads = {threads}");
+            match pooled_step(
+                Infinite,
+                &particles,
+                9,
+                threads,
+                &FailurePolicy::FailFast,
+                0,
+            ) {
+                Err(SmcError::Particle(failure)) => {
+                    assert_eq!((failure.particle, failure.kind), (5, infinite.clone()));
+                }
+                other => panic!("expected a particle failure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

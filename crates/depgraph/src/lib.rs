@@ -42,7 +42,7 @@ pub mod translator;
 pub use diff::{diff_programs, BlockDiff, DiffOp, ProgramEdit, StmtDiff};
 pub use impact::{change_seed, impact_of_edit};
 pub use plan::StagePlan;
-pub use propagate::{set_verify_slices, verify_slices_enabled, IncrementalResult, VisitStats};
+pub use propagate::{set_verify_slices, verify_slices_enabled, IncrementalResult};
 pub use record::{program_fingerprint, ExecGraph};
 pub use sequence::{
     edit_chain, edit_chain_shared, lift_collection, resume_collection, run_edit_sequence_supervised,

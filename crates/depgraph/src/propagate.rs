@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use rand::RngCore;
 
-use incremental::Correspondence;
+use incremental::{Correspondence, PropagationCounters};
 use ppl::analysis::ProgramEffects;
 use ppl::ast::Program;
 use ppl::compile::{
@@ -62,43 +62,6 @@ use crate::plan::{PlanBlock, PlanOp, PlanStmt, StagePlan};
 use crate::record::{
     BlockRecord, Effect, ExecGraph, ObsData, ReadSet, StmtRecord, Summary, WhileIter,
 };
-
-/// How much work a translation did — the quantity Figure 10 plots.
-///
-/// `visited`/`skipped` keep their original meaning (the Figure 10
-/// series); the remaining fields break the same work down for the
-/// observability layer (`incremental::metrics`). Whole-loop skips are the
-/// counter form of the O(1) fixed-size-edit claim: a `for`/`while` whose
-/// diff is unchanged and whose inputs are clean skips as *one* record,
-/// regardless of how many iterations it recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VisitStats {
-    /// Statement instances re-executed.
-    pub visited: usize,
-    /// Statement instances (or whole loop iterations / loops) skipped by
-    /// reusing their records.
-    pub skipped: usize,
-    /// Whole `for`/`while` records skipped without entering the body
-    /// (subset of `skipped`).
-    pub loop_skips: usize,
-    /// Individual iterations skipped inside loops that *were* entered
-    /// (subset of `skipped`).
-    pub iter_skips: usize,
-    /// Random choices reused from the old graph through the
-    /// correspondence (with their Eq. (8) factors accumulated).
-    pub choices_reused: usize,
-    /// Random choices sampled fresh during visited statements.
-    pub choices_fresh: usize,
-    /// Observation statements re-scored during visited statements.
-    pub observes_rescored: usize,
-    /// Statement records skipped purely from static facts — the plan
-    /// proved them outside the edit's impact slice, so no runtime dirty
-    /// check ran (subset of `skipped`).
-    pub static_skips: usize,
-    /// Slice-soundness oracle membership checks performed (non-zero only
-    /// under `--verify-slices` / `PPL_VERIFY_SLICES`).
-    pub oracle_checks: usize,
-}
 
 /// Whether the slice-soundness oracle is enabled: every dynamically
 /// visited statement is checked for membership in the static
@@ -140,8 +103,13 @@ pub struct IncrementalResult {
     pub graph: ExecGraph,
     /// `log ŵ_{P→Q}(u; t)`.
     pub log_weight: LogWeight,
-    /// Work counters.
-    pub stats: VisitStats,
+    /// Work counters. `nodes_visited`/`nodes_skipped` are the Figure 10
+    /// series; the other fields break the same work down for
+    /// `incremental::metrics`, whose `metrics/v1` keys are these field
+    /// names. Loop records whose diff is unchanged and whose inputs are
+    /// clean skip as one record (`loop_skips`), however many iterations
+    /// they recorded: the O(1) fixed-size-edit claim in counter form.
+    pub stats: PropagationCounters,
 }
 
 /// Translates the execution graph `old` of `P` into a graph of `q`,
@@ -195,7 +163,7 @@ fn translate(
     )?;
     let mut stats = pass.tally.stats;
     if let Some(visited) = pass.visited {
-        stats.oracle_checks += visited.len();
+        stats.oracle_checks += visited.len() as u64;
         verify_visited_in_slice(&visited, plan)?;
     }
     Ok(IncrementalResult {
@@ -211,7 +179,7 @@ fn translate(
 pub(crate) struct Tally {
     log_num: LogWeight,
     log_den: LogWeight,
-    stats: VisitStats,
+    stats: PropagationCounters,
     /// Fuel ticks spent so far, out of [`DEFAULT_FUEL`].
     ticks: u64,
     /// When the walk must stop, if ever.
@@ -405,7 +373,7 @@ impl<'a> Propagator<'a> {
         if let Some(summary) = record.summary() {
             apply_effects(self.prog, self.frame, &summary.effects, false)?;
         }
-        self.tally.stats.skipped += 1;
+        self.tally.stats.nodes_skipped += 1;
         if matches!(record, StmtRecord::For { .. } | StmtRecord::While { .. }) {
             // An entire loop skipped as one record — the O(1) claim.
             self.tally.stats.loop_skips += 1;
@@ -506,9 +474,9 @@ impl<'a> Propagator<'a> {
                     }
                     records.extend(shared.iter().cloned());
                     let stats = &mut self.tally.stats;
-                    stats.skipped += run.len;
-                    stats.static_skips += run.len;
-                    stats.loop_skips += run.loops;
+                    stats.nodes_skipped += run.len as u64;
+                    stats.static_skips += run.len as u64;
+                    stats.loop_skips += run.loops as u64;
                 }
                 PlanOp::Stmt {
                     q_index,
@@ -567,7 +535,7 @@ impl<'a> Propagator<'a> {
         pre_index: usize,
     ) -> Result<StmtRecord, PplError> {
         self.tally.charge(1)?;
-        self.tally.stats.visited += 1;
+        self.tally.stats.nodes_visited += 1;
         if let Some(oracle) = &mut self.oracle {
             oracle.visited.insert(pre_index);
         }
@@ -759,13 +727,13 @@ impl<'a> Propagator<'a> {
                         Some(old) if body_unchanged && !self.any_dirty(&old.summary.reads) => {
                             // Skip the whole iteration and share its record.
                             apply_effects(self.prog, self.frame, &old.summary.effects, false)?;
-                            self.tally.stats.skipped += 1;
+                            self.tally.stats.nodes_skipped += 1;
                             self.tally.stats.iter_skips += 1;
                             Arc::clone(old)
                         }
                         _ => {
                             self.tally.charge(1)?;
-                            self.tally.stats.visited += 1;
+                            self.tally.stats.nodes_visited += 1;
                             self.frame.push_loop(i);
                             let old_body = old_iter.map(|b| &**b);
                             let result =
@@ -852,7 +820,7 @@ impl<'a> Propagator<'a> {
                             if let Some(b) = &old_iter.body {
                                 apply_effects(self.prog, self.frame, &b.summary.effects, false)?;
                             }
-                            self.tally.stats.skipped += 1;
+                            self.tally.stats.nodes_skipped += 1;
                             self.tally.stats.iter_skips += 1;
                             summary
                                 .reads
@@ -873,7 +841,7 @@ impl<'a> Propagator<'a> {
                     // Visit: re-evaluate the condition (reusing choices
                     // through the correspondence) and, when it holds, the
                     // body against the matched old records.
-                    self.tally.stats.visited += 1;
+                    self.tally.stats.nodes_visited += 1;
                     self.frame.push_loop(i);
                     let mut cond_sum = Summary::default();
                     let continued = self.eval(cond_e, &mut cond_sum).and_then(|v| v.truthy());

@@ -140,25 +140,9 @@ impl IncrementalTranslator {
         self.validate_source(graph)?;
         let result =
             translate_graph_with_plan(&self.q, &self.edit, &self.plan, graph, deadline, rng)?;
-        record_propagation(&result.stats);
+        incremental::metrics::record_propagation(&result.stats);
         Ok(result)
     }
-}
-
-/// Feeds a propagation pass's [`VisitStats`] into the metrics layer.
-/// Single atomic-flag check when metrics are disabled.
-fn record_propagation(stats: &crate::VisitStats) {
-    incremental::metrics::record_propagation(&incremental::PropagationCounters {
-        nodes_visited: stats.visited as u64,
-        nodes_skipped: stats.skipped as u64,
-        loop_skips: stats.loop_skips as u64,
-        iter_skips: stats.iter_skips as u64,
-        choices_reused: stats.choices_reused as u64,
-        choices_fresh: stats.choices_fresh as u64,
-        observes_rescored: stats.observes_rescored as u64,
-        static_skips: stats.static_skips as u64,
-        oracle_checks: stats.oracle_checks as u64,
-    });
 }
 
 /// The graph-native runtime interface: SMC particles *are* execution
@@ -262,7 +246,7 @@ mod tests {
             let translator = IncrementalTranslator::from_edit(p.clone(), q);
             let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
             let result = translator.translate_graph(&graph, &mut rng).unwrap();
-            visit_counts.push(result.stats.visited);
+            visit_counts.push(result.stats.nodes_visited);
         }
         assert_eq!(
             visit_counts[0], visit_counts[1],
@@ -386,7 +370,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
         let result = translator.translate_graph(&graph, &mut rng).unwrap();
-        assert_eq!(result.stats.visited, 0);
+        assert_eq!(result.stats.nodes_visited, 0);
         assert!(result.log_weight.log().abs() < 1e-12);
         assert_eq!(
             result.graph.to_trace().unwrap().to_choice_map(),
@@ -605,7 +589,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
         let result = translator.translate_graph(&graph, &mut rng).unwrap();
-        assert_eq!(result.stats.visited, 0);
+        assert_eq!(result.stats.nodes_visited, 0);
         assert!(result.log_weight.log().abs() < 1e-12);
         assert_eq!(
             result.graph.to_trace().unwrap().to_choice_map(),

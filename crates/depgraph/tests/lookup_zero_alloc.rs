@@ -68,7 +68,10 @@ fn lookups_on_a_fresh_translation_allocate_nothing() {
     assert!(first.graph.choice(&latent).is_some());
 
     let fresh = translator.translate_graph(&graph, &mut rng).unwrap();
-    assert_eq!(fresh.stats.visited, 1, "the edit touches one statement");
+    assert_eq!(
+        fresh.stats.nodes_visited, 1,
+        "the edit touches one statement"
+    );
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let by_addr = fresh.graph.choice(&latent).is_some();
     let by_id = fresh.graph.choice_by_id(latent_id).is_some();

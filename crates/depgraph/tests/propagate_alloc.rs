@@ -83,8 +83,11 @@ fn translation_allocations(statements: usize) -> (u64, u64) {
     let graph = ExecGraph::simulate(&p, &mut StdRng::seed_from_u64(1)).unwrap();
     let mut rng = StdRng::seed_from_u64(2);
     let warm = translator.translate_graph(&graph, &mut rng).unwrap();
-    assert_eq!(warm.stats.visited, 1, "the edit visits its observation");
-    assert_eq!(warm.stats.static_skips, statements - 1);
+    assert_eq!(
+        warm.stats.nodes_visited, 1,
+        "the edit visits its observation"
+    );
+    assert_eq!(warm.stats.static_skips, statements as u64 - 1);
     drop(warm);
 
     let (allocs, bytes) = (
@@ -96,7 +99,7 @@ fn translation_allocations(statements: usize) -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed) - allocs,
         BYTES.load(Ordering::Relaxed) - bytes,
     );
-    assert_eq!(result.unwrap().stats.visited, 1);
+    assert_eq!(result.unwrap().stats.nodes_visited, 1);
     counted
 }
 

@@ -32,8 +32,8 @@ fn main() -> Result<(), PplError> {
     let optimized_time = start.elapsed();
     println!(
         "optimized translation: visited {} statements, skipped {}, log-weight {:.4}, {:?}",
-        result.stats.visited,
-        result.stats.skipped,
+        result.stats.nodes_visited,
+        result.stats.nodes_skipped,
         result.log_weight.log(),
         optimized_time
     );

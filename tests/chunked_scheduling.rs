@@ -1,11 +1,13 @@
 //! Differential tests for chunked particle scheduling and persistent
 //! execution graphs.
 //!
-//! Chunk size is pure dispatch granularity: every particle keeps its own
-//! seed derivation, output slot, and failure isolation, so the pooled
-//! translate paths must be *bit-identical* for any chunk size and any
-//! thread count — including under fault injection (retry, quarantine)
-//! and with a per-attempt deadline. The property test at the bottom
+//! A pooled stage cuts its particles into one contiguous chunk per
+//! thread, so the thread count sets the chunk size. Chunking is pure
+//! dispatch granularity: every particle keeps its own seed derivation,
+//! output slot, and failure isolation, so the pooled translate path must
+//! be *bit-identical* to the inline one for any thread count — including
+//! under fault injection (retry, quarantine) and with a per-attempt
+//! deadline. The property test at the bottom
 //! pins the graph representation down: carrying a particle as a
 //! persistent execution graph (each translation sharing the unchanged
 //! records of the previous graph by `Arc`) must flatten to exactly the
@@ -16,7 +18,7 @@ use std::time::Duration;
 
 use depgraph::{edit_chain_shared, lift_collection, run_edit_sequence_supervised, ExecGraph};
 use incremental::{
-    run_state_sequence_supervised, Backoff, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
+    run_state_sequence_supervised, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
     FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, StagePolicy, StateTranslator,
 };
 use ppl::ast::Program;
@@ -94,26 +96,21 @@ fn assert_bit_identical(reference: &SequenceRun, candidate: &SequenceRun, contex
     }
 }
 
-/// The chunk sizes the suite sweeps: single-particle tasks, an uneven
-/// divisor, a chunk larger than `particles / threads`, and one chunk for
-/// the whole stage.
-fn chunk_sizes() -> [Option<usize>; 4] {
-    [Some(1), Some(7), Some(64), Some(PARTICLES)]
-}
-
+/// The chunk size and thread count of a pooled stage are one setting:
+/// 3 threads cut the stage into chunks of 40 particles, 8 threads into
+/// chunks of 15.
 #[test]
 fn chunk_size_and_thread_count_do_not_change_results() {
     let ps = programs();
     let init = initial(&ps);
-    let run_with = |chunk: Option<usize>, threads: usize| {
-        let config = SmcConfig::translate_only().with_chunk_size(chunk);
+    let run_with = |threads: usize| {
         run_edit_sequence_supervised(
             &ps,
             &init,
             0,
             &[],
             &[],
-            &config,
+            &SmcConfig::translate_only(),
             &FailurePolicy::FailFast,
             &StagePolicy::default(),
             707,
@@ -124,16 +121,10 @@ fn chunk_size_and_thread_count_do_not_change_results() {
         .flatten()
         .unwrap()
     };
-    let reference = run_with(None, 1);
-    for chunk in chunk_sizes() {
-        for threads in [1, 3, 8] {
-            let candidate = run_with(chunk, threads);
-            assert_bit_identical(
-                &reference,
-                &candidate,
-                &format!("chunk={chunk:?} threads={threads}"),
-            );
-        }
+    let reference = run_with(1);
+    for threads in [1, 3, 8] {
+        let candidate = run_with(threads);
+        assert_bit_identical(&reference, &candidate, &format!("threads={threads}"));
     }
 }
 
@@ -165,7 +156,7 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
             drop_plan,
         ),
     ] {
-        let run_with = |chunk: Option<usize>, threads: usize| {
+        let run_with = |threads: usize| {
             let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
                 edit_chain_shared(&shared)
                     .into_iter()
@@ -174,14 +165,13 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
                             as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>
                     })
                     .collect();
-            let config = SmcConfig::translate_only().with_chunk_size(chunk);
             run_state_sequence_supervised(
                 &stages,
                 &lifted,
                 0,
                 &[],
                 &[],
-                &config,
+                &SmcConfig::translate_only(),
                 &policy,
                 &StagePolicy::default(),
                 808,
@@ -192,50 +182,41 @@ fn chunking_is_invariant_under_fault_retry_and_drop() {
             .flatten()
             .unwrap()
         };
-        let reference = run_with(None, 1);
-        for chunk in chunk_sizes() {
-            for threads in [3, 8] {
-                let candidate = run_with(chunk, threads);
-                assert_bit_identical(
-                    &reference,
-                    &candidate,
-                    &format!("{policy:?} chunk={chunk:?} threads={threads}"),
-                );
-            }
+        let reference = run_with(1);
+        for threads in [3, 8] {
+            let candidate = run_with(threads);
+            assert_bit_identical(
+                &reference,
+                &candidate,
+                &format!("{policy:?} threads={threads}"),
+            );
         }
     }
 }
 
 /// A per-attempt deadline generous enough that nothing times out leaves
-/// the pooled translate path chunk-invariant: every chunk size and
-/// thread count must reproduce the inline run bit-for-bit.
+/// the pooled translate path chunk-invariant: every thread count must
+/// reproduce the inline run bit-for-bit.
 #[test]
 fn deadline_supervised_path_is_chunk_invariant() {
     let ps = programs();
     let init = initial(&ps);
     let shared: Vec<Arc<Program>> = ps.iter().cloned().map(Arc::new).collect();
     let lifted = lift_collection(&shared[0], &init).unwrap();
-    let stage_policy = StagePolicy::default()
-        .with_deadline(Duration::from_secs(20))
-        .with_backoff(Backoff::new(
-            Duration::from_millis(5),
-            2.0,
-            Duration::from_millis(50),
-        ));
-    let run_with = |chunk: Option<usize>, threads: usize| {
+    let stage_policy = StagePolicy::default().with_deadline(Duration::from_secs(20));
+    let run_with = |threads: usize| {
         let stages: Vec<Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>> =
             edit_chain_shared(&shared)
                 .into_iter()
                 .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Arc<ExecGraph>> + Send + Sync>)
                 .collect();
-        let config = SmcConfig::translate_only().with_chunk_size(chunk);
         run_state_sequence_supervised(
             &stages,
             &lifted,
             0,
             &[],
             &[],
-            &config,
+            &SmcConfig::translate_only(),
             &FailurePolicy::FailFast,
             &stage_policy,
             909,
@@ -246,16 +227,14 @@ fn deadline_supervised_path_is_chunk_invariant() {
         .flatten()
         .unwrap()
     };
-    let reference = run_with(None, 1);
-    for chunk in chunk_sizes() {
-        for threads in [1, 3] {
-            let candidate = run_with(chunk, threads);
-            assert_bit_identical(
-                &reference,
-                &candidate,
-                &format!("deadline chunk={chunk:?} threads={threads}"),
-            );
-        }
+    let reference = run_with(1);
+    for threads in [1, 3] {
+        let candidate = run_with(threads);
+        assert_bit_identical(
+            &reference,
+            &candidate,
+            &format!("deadline threads={threads}"),
+        );
     }
 }
 

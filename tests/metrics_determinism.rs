@@ -80,7 +80,7 @@ fn graph_counters(threads: usize) -> String {
     let programs = programs();
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
-    let _guard = metrics::install(Arc::clone(&recorder) as _);
+    let _guard = metrics::install(Arc::clone(&recorder));
     run_graph(&programs, &initial, threads);
     recorder.report("graph").counters_json()
 }
@@ -95,7 +95,7 @@ fn flat_counters(threads: usize) -> String {
         .map(|t| Arc::new(t) as Arc<dyn StateTranslator<Trace> + Send + Sync>)
         .collect();
     let recorder = Arc::new(MetricsRecorder::new());
-    let _guard = metrics::install(Arc::clone(&recorder) as _);
+    let _guard = metrics::install(Arc::clone(&recorder));
     run_state_sequence_supervised(
         &stages,
         &initial,
@@ -145,7 +145,7 @@ fn propagation_totals_reflect_the_chain_workload() {
     let programs = programs();
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
-    let _guard = metrics::install(Arc::clone(&recorder) as _);
+    let _guard = metrics::install(Arc::clone(&recorder));
     run_graph(&programs, &initial, 2);
     let report = recorder.report("totals");
     assert_eq!(report.stages.len(), programs.len() - 1);
@@ -181,7 +181,7 @@ fn prior_edit_counts_reused_choices() {
         .collect();
     let initial = initial(&programs);
     let recorder = Arc::new(MetricsRecorder::new());
-    let _guard = metrics::install(Arc::clone(&recorder) as _);
+    let _guard = metrics::install(Arc::clone(&recorder));
     run_graph(&programs, &initial, 2);
     let totals = recorder.report("prior-edit").total_propagation();
     assert_eq!(totals.choices_reused, PARTICLES as u64);

@@ -97,9 +97,9 @@ fn shipped_gmm_edit_is_the_figure10_workload() {
     // K = 10 centers reused with a weight ratio; everything else skipped.
     assert!(result.log_weight.log().is_finite());
     assert!(
-        result.stats.visited <= 25,
+        result.stats.nodes_visited <= 25,
         "visited {}",
-        result.stats.visited
+        result.stats.nodes_visited
     );
     assert!(graph.to_trace().unwrap().has_choice(&addr!["center", 9]));
 }

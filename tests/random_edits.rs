@@ -54,7 +54,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = depgraph::ExecGraph::simulate(&p, &mut rng).unwrap();
         let result = translator.translate_graph(&graph, &mut rng).unwrap();
-        prop_assert_eq!(result.stats.visited, 0, "src:\n{}", src);
+        prop_assert_eq!(result.stats.nodes_visited, 0, "src:\n{}", src);
         prop_assert!(result.log_weight.log().abs() < 1e-12);
         prop_assert_eq!(
             result.graph.to_trace().unwrap().to_choice_map(),

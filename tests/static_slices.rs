@@ -60,8 +60,8 @@ proptest! {
         let result = result.unwrap();
         // The oracle checks each *distinct* visited statement once;
         // `visited` counts instances (loop iterations included).
-        prop_assert!(result.stats.oracle_checks <= result.stats.visited);
-        prop_assert!(result.stats.visited == 0 || result.stats.oracle_checks > 0);
+        prop_assert!(result.stats.oracle_checks <= result.stats.nodes_visited);
+        prop_assert!(result.stats.nodes_visited == 0 || result.stats.oracle_checks > 0);
     }
 
     /// The identity edit is statically fully pruned: every top-level
@@ -72,12 +72,12 @@ proptest! {
         depgraph::set_verify_slices(true);
         let p = parse(&src).unwrap();
         let q = parse(&src).unwrap();
-        let top_level = p.body().stmts().len();
+        let top_level = p.body().stmts().len() as u64;
         let translator = IncrementalTranslator::from_edit(p.clone(), q);
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
         let result = translator.translate_graph(&graph, &mut rng).unwrap();
-        prop_assert_eq!(result.stats.visited, 0, "src:\n{}", src);
+        prop_assert_eq!(result.stats.nodes_visited, 0, "src:\n{}", src);
         prop_assert_eq!(result.stats.static_skips, top_level, "src:\n{}", src);
     }
 
@@ -210,7 +210,7 @@ fn static_pruning_skips_the_unaffected_suffix() {
     let mut rng = StdRng::seed_from_u64(3);
     let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
     let result = translator.translate_graph(&graph, &mut rng).unwrap();
-    assert_eq!(result.stats.visited, 1);
+    assert_eq!(result.stats.nodes_visited, 1);
     assert_eq!(result.stats.static_skips, 2);
     // Every choice is reused (the edit only rescales a flip parameter),
     // so pruning leaves the translated choices bit-identical.
@@ -232,7 +232,7 @@ fn slice_oracle_holds_on_shared_edit_chains() {
     let mut rng = StdRng::seed_from_u64(9);
     let graph = ExecGraph::simulate(&a, &mut rng).unwrap();
     let result = translator.translate_graph(&graph, &mut rng).unwrap();
-    assert!(result.stats.visited > 0);
+    assert!(result.stats.nodes_visited > 0);
     assert!(result.stats.oracle_checks > 0);
-    assert!(result.stats.oracle_checks <= result.stats.visited);
+    assert!(result.stats.oracle_checks <= result.stats.nodes_visited);
 }

@@ -3,9 +3,10 @@
 //! runtime.
 //!
 //! Contracts pinned here, one per [`FailurePolicy`]:
-//! - **Retry**: a transiently hung particle times out, is retried with
-//!   backoff, recovers, and the run's output is bit-identical to a
-//!   fault-free run (the hung attempt's result is never used).
+//! - **Retry**: a transiently hung particle times out, is retried at
+//!   once (its hung attempt has already stopped), recovers, and the run's
+//!   output is bit-identical to a fault-free run (the hung attempt's
+//!   result is never used).
 //! - **Drop**: permanently hung particles are quarantined as
 //!   [`FailureKind::Timeout`] within the loss budget.
 //! - **Fail-fast**: a hung particle surfaces as a typed
@@ -20,10 +21,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use incremental::{
-    collection_checksum, run_state_sequence_supervised, Backoff, Correspondence,
-    CorrespondenceTranslator, FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec,
-    FaultyTranslator, ParticleCollection, SequenceRun, SmcConfig, SmcError, StagePolicy,
-    StateTranslator,
+    collection_checksum, run_state_sequence_supervised, Correspondence, CorrespondenceTranslator,
+    FailureKind, FailurePolicy, FaultKind, FaultPlan, FaultSpec, FaultyTranslator,
+    ParticleCollection, SequenceRun, SmcConfig, SmcError, StagePolicy, StateTranslator,
 };
 use ppl::dist::Dist;
 use ppl::handlers::simulate;
@@ -101,13 +101,7 @@ fn run_supervised(
 }
 
 fn watched() -> StagePolicy {
-    StagePolicy::default()
-        .with_deadline(DEADLINE)
-        .with_backoff(Backoff::new(
-            Duration::from_millis(10),
-            2.0,
-            Duration::from_millis(100),
-        ))
+    StagePolicy::default().with_deadline(DEADLINE)
 }
 
 fn checksum(run: &SequenceRun) -> u64 {
@@ -120,7 +114,7 @@ fn checksum(run: &SequenceRun) -> u64 {
 }
 
 #[test]
-fn transient_hang_retries_with_backoff_and_matches_fault_free_run() {
+fn transient_hang_retries_and_matches_fault_free_run() {
     for threads in THREADS {
         let start = Instant::now();
         let clean = run_supervised(
