@@ -605,11 +605,12 @@ impl SmcBenchReport {
         for r in &self.results {
             let _ = writeln!(
                 out,
-                "  {:>38}  median {:>9.3} ms  min {:>9.3} ms  warmup {:>9.3} ms",
+                "  {:>38}  median {:>9.3} ms  min {:>9.3} ms  warmup {:>9.3} ms  checksum {:.6}",
                 r.name,
                 r.median_ms(),
                 r.min_ms(),
-                r.warmup_ms
+                r.warmup_ms,
+                r.checksum
             );
         }
         if !self.scaling.is_empty() {
@@ -664,6 +665,35 @@ mod tests {
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn render_prints_each_workload_checksum() {
+        let result = |name: &str, checksum| WorkloadResult {
+            name: name.to_string(),
+            warmup_ms: 4.0,
+            runs_ms: vec![2.0, 1.0, 3.0],
+            checksum,
+        };
+        let report = SmcBenchReport {
+            label: "render".to_string(),
+            config: SmcBenchConfig::quick(),
+            cores: 2,
+            results: vec![
+                result("serial_edit_sequence", -7254.628781),
+                result("incremental_graph_edit_sequence", -1.7685884),
+            ],
+            scaling: Vec::new(),
+        };
+        let text = report.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(
+            lines[1].contains("serial_edit_sequence  median     2.000 ms"),
+            "{text}"
+        );
+        assert!(lines[1].ends_with("  checksum -7254.628781"), "{text}");
+        assert!(lines[2].ends_with("  checksum -1.768588"), "{text}");
     }
 
     #[test]

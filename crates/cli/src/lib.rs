@@ -1,27 +1,22 @@
 //! # ppl-cli — command-line front end
 //!
-//! Drives the workspace from program *source text*:
-//!
-//! ```text
-//! ppl check <file> [--deny-warnings]    # parse + static diagnostics
-//! ppl analyze <old> <new> [--json]      # static diff-impact slice of an edit
-//! ppl fmt <file>                        # canonical pretty-printed form
-//! ppl run <file> [--seed N]             # simulate one trace
-//! ppl enumerate <file> [--limit N]      # exact posterior (finite discrete)
-//! ppl sample <file> --steps N [--seed]  # single-site MH over the posterior
-//! ppl translate <p> <q> [--traces M]    # incremental inference across an edit
-//! ppl sequence <p0> <p1> [<p2> ...]     # graph-native SMC across an edit history
-//! ```
+//! Drives the workspace from program *source text*: static checks and
+//! edit analysis, simulation, exact enumeration, single-site MH, and
+//! incremental inference across one edit (`translate`, a one-stage
+//! `sequence`) or a whole edit history (`sequence`).
 //!
 //! All command logic lives here as functions from source text to rendered
-//! output, so it is directly unit-testable; `main.rs` only handles files
-//! and argument plumbing.
+//! output, so it is directly unit-testable. [`COMMANDS`] describes every
+//! command once: [`Args::parse`] parses a command line from it and
+//! [`usage`] renders `ppl help` from it. `main.rs` only reads files and
+//! dispatches.
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,7 +32,8 @@ use inference::{ExactPosterior, SingleSiteMh};
 use ppl::ast::Program;
 use ppl::check::{check_with_spans, Severity};
 use ppl::handlers::simulate;
-use ppl::{parse, parse_with_spans, Enumeration, PplError, Trace, Value};
+use ppl::logweight::log_sum_exp;
+use ppl::{parse, parse_with_spans, Enumeration, LogWeight, PplError, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -251,74 +247,44 @@ pub fn cmd_sample_save(
     seed: u64,
 ) -> Result<String, PplError> {
     let program = parse(source)?;
-    let kernel = SingleSiteMh::new(program.clone());
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = simulate(&program, &mut rng)?;
     let thin = (steps / keep.max(1)).max(1);
     let mut entries = Vec::with_capacity(keep);
-    for i in 0..steps {
-        trace = kernel.step(&trace, &mut rng)?;
-        if (i + 1) % thin == 0 && entries.len() < keep {
-            entries.push((trace.to_choice_map(), 0.0));
-        }
-    }
+    mh_chain(
+        &program,
+        &mut rng,
+        0,
+        thin,
+        keep.min(steps / thin),
+        |trace| entries.push((trace.to_choice_map(), 0.0)),
+    )?;
     Ok(ppl::trace_io::write_weighted_collection(&entries))
 }
 
-/// Translates *saved* traces (the `trace_io` collection format) of `P`
-/// into weighted traces of `Q`, rendering estimates (for
-/// `ppl translate --load`).
-///
-/// # Errors
-///
-/// Returns parse, deserialization, replay, and translation errors.
-pub fn cmd_translate_saved(
-    p_source: &str,
-    q_source: &str,
-    saved: &str,
-    seed: u64,
-) -> Result<String, PplError> {
-    let p = parse(p_source)?;
-    let q = parse(q_source)?;
-    let translator = IncrementalTranslator::from_edit(p.clone(), q);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let entries = ppl::trace_io::parse_weighted_collection(saved)?;
-    let mut particles = ParticleCollection::new();
-    for (map, log_weight) in &entries {
-        // Replay against P to rebuild full traces (re-validating them).
-        let trace = ppl::handlers::score(&p, map)?;
-        particles.push(trace, ppl::LogWeight::from_log(*log_weight));
+/// Runs single-site MH on `program` from a simulated state: `burn_in`
+/// steps, then `count` states `thin` steps apart, each handed to `keep`.
+/// `sample`, `sample --save` and the MH fallback of [`initial_particles`]
+/// are this one chain with their own spacing.
+fn mh_chain(
+    program: &Program,
+    rng: &mut StdRng,
+    burn_in: usize,
+    thin: usize,
+    count: usize,
+    mut keep: impl FnMut(&Trace),
+) -> Result<(), PplError> {
+    let kernel = SingleSiteMh::new(program.clone());
+    let mut state = simulate(program, rng)?;
+    for _ in 0..burn_in {
+        state = kernel.step(&state, rng)?;
     }
-    let adapted = incremental::infer(
-        &translator,
-        None,
-        &particles,
-        &SmcConfig::translate_only(),
-        &mut rng,
-    )?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "loaded {} traces; translated; ESS = {:.1}",
-        entries.len(),
-        adapted.ess()
-    );
-    let mut rows: Vec<(Value, f64)> = Vec::new();
-    let weights = adapted.normalized_weights()?;
-    for (particle, w) in adapted.iter().zip(weights) {
-        if let Some(v) = particle.trace.return_value() {
-            match rows.iter_mut().find(|(u, _)| u.num_eq(v)) {
-                Some(slot) => slot.1 += w,
-                None => rows.push((v.clone(), w)),
-            }
+    for _ in 0..count {
+        for _ in 0..thin {
+            state = kernel.step(&state, rng)?;
         }
+        keep(&state);
     }
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let _ = writeln!(out, "weighted posterior over Q's return values:");
-    for (value, prob) in rows.into_iter().take(20) {
-        let _ = writeln!(out, "  {value} : {prob:.4}");
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Exactly enumerates a finite discrete program: normalizing constant and
@@ -350,22 +316,17 @@ pub fn cmd_enumerate(source: &str, limit: usize) -> Result<String, PplError> {
 /// Returns parse and evaluation errors.
 pub fn cmd_sample(source: &str, steps: usize, seed: u64) -> Result<String, PplError> {
     let program = parse(source)?;
-    let kernel = SingleSiteMh::new(program.clone());
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = simulate(&program, &mut rng)?;
     let burn_in = steps / 5;
     let mut counts: Vec<(Value, usize)> = Vec::new();
-    for i in 0..steps {
-        trace = kernel.step(&trace, &mut rng)?;
-        if i >= burn_in {
-            if let Some(v) = trace.return_value() {
-                match counts.iter_mut().find(|(u, _)| u.num_eq(v)) {
-                    Some(slot) => slot.1 += 1,
-                    None => counts.push((v.clone(), 1)),
-                }
+    mh_chain(&program, &mut rng, burn_in, 1, steps - burn_in, |trace| {
+        if let Some(v) = trace.return_value() {
+            match counts.iter_mut().find(|(u, _)| u.num_eq(v)) {
+                Some(slot) => slot.1 += 1,
+                None => counts.push((v.clone(), 1)),
             }
         }
-    }
+    })?;
     let kept = (steps - burn_in).max(1);
     counts.sort_by_key(|(_, count)| std::cmp::Reverse(*count));
     let mut out = String::new();
@@ -432,104 +393,42 @@ pub fn parse_policy(spec: &str) -> Result<FailurePolicy, PplError> {
     }
 }
 
-/// Incremental inference across a program edit: derives the
-/// correspondence by diffing, obtains posterior traces of `P` (exactly
-/// when enumerable, otherwise by thinned MH), translates them under the
-/// given [`FailurePolicy`], and renders the weighted return-value
-/// estimate for `Q` plus diagnostics — including the step's health
-/// report (ESS, quarantined/retried particles, collapse events).
-///
-/// # Errors
-///
-/// Returns parse, inference, and translation errors (typed SMC errors
-/// flattened to [`PplError`]).
-pub fn cmd_translate(
-    p_source: &str,
-    q_source: &str,
-    traces: usize,
-    seed: u64,
-    policy: &FailurePolicy,
-) -> Result<String, PplError> {
-    let p = parse(p_source)?;
-    let q = parse(q_source)?;
-    let translator = IncrementalTranslator::from_edit(p.clone(), q.clone());
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut out = String::new();
-    let _ = writeln!(out, "derived correspondence (Q site -> P site):");
-    let mut rules: Vec<_> = translator
-        .edit()
-        .correspondence
-        .site_rules()
-        .map(|(a, b)| format!("  {a} -> {b}"))
-        .collect();
-    rules.sort();
-    for r in &rules {
-        let _ = writeln!(out, "{r}");
-    }
-    if rules.is_empty() {
-        let _ = writeln!(out, "  (none)");
-    }
-
-    let input = posterior_traces(&p, traces, &mut rng, &mut out)?;
-
-    let particles = ParticleCollection::from_traces(input);
-    let (adapted, report) = incremental::infer_with_policy(
-        &translator,
-        None,
-        &particles,
-        &SmcConfig::translate_only(),
-        policy,
-        0,
-        &mut rng,
-    )
-    .map_err(PplError::from)?;
-    let _ = writeln!(
-        out,
-        "translated {} traces; ESS = {:.1}",
-        adapted.len(),
-        adapted.ess()
-    );
-    let _ = writeln!(out, "health: {report}");
-    for failure in &report.failures {
-        let _ = writeln!(out, "  quarantined: {failure}");
-    }
-    render_return_posterior(&mut out, &adapted)?;
-    Ok(out)
-}
-
-/// Draws `traces` posterior samples of `p` — exact when the program is
-/// finite discrete, otherwise a thinned single-site MH chain — noting
-/// which sampler was used in `out`.
-fn posterior_traces(
+/// The particles a fresh run starts from, noting their source in `out`:
+/// the saved collection `opts.load`, each choice map scored under `p`, or
+/// else `opts.traces` posterior samples of `p` — exact when the program is
+/// finite discrete, otherwise a thinned single-site MH chain.
+fn initial_particles(
     p: &Program,
-    traces: usize,
-    rng: &mut StdRng,
+    opts: &SequenceOpts,
     out: &mut String,
-) -> Result<Vec<Trace>, PplError> {
-    match ExactPosterior::new(p) {
-        Ok(sampler) => {
-            let _ = writeln!(out, "P posterior: exact (by enumeration)");
-            Ok(sampler.samples(traces, rng))
-        }
-        Err(_) => {
-            let _ = writeln!(out, "P posterior: single-site MH (thinned chain)");
-            let kernel = SingleSiteMh::new(p.clone());
-            let mut chain = simulate(p, rng)?;
-            let thin = 10;
-            for _ in 0..50 * thin {
-                chain = kernel.step(&chain, rng)?; // burn-in
+) -> Result<ParticleCollection, PplError> {
+    let Some(saved) = &opts.load else {
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let traces = match ExactPosterior::new(p) {
+            Ok(sampler) => {
+                let _ = writeln!(out, "P posterior: exact (by enumeration)");
+                sampler.samples(opts.traces, &mut rng)
             }
-            let mut collected = Vec::with_capacity(traces);
-            while collected.len() < traces {
-                for _ in 0..thin {
-                    chain = kernel.step(&chain, rng)?;
-                }
-                collected.push(chain.clone());
+            Err(_) => {
+                let _ = writeln!(out, "P posterior: single-site MH (thinned chain)");
+                let mut collected = Vec::with_capacity(opts.traces);
+                mh_chain(p, &mut rng, 500, 10, opts.traces, |trace| {
+                    collected.push(trace.clone())
+                })?;
+                collected
             }
-            Ok(collected)
-        }
+        };
+        return Ok(ParticleCollection::from_traces(traces));
+    };
+    let entries = ppl::trace_io::parse_weighted_collection(saved)?;
+    let mut particles = ParticleCollection::new();
+    for (map, log_weight) in &entries {
+        // Replay against P to rebuild full traces (re-validating them).
+        let trace = ppl::handlers::score(p, map)?;
+        particles.push(trace, LogWeight::from_log(*log_weight));
     }
+    let _ = writeln!(out, "P posterior: loaded {} traces", entries.len());
+    Ok(particles)
 }
 
 /// Appends the weighted posterior over return values (top 20 rows).
@@ -649,6 +548,10 @@ pub struct SequenceOpts {
     pub resume: bool,
     /// Write a `metrics/v1` JSON report here (`--metrics-out`).
     pub metrics_out: Option<PathBuf>,
+    /// A saved weighted collection of the first program's traces, in the
+    /// [`ppl::trace_io`] format (`translate --load`): a fresh run starts
+    /// from it instead of sampling `traces` posterior traces.
+    pub load: Option<String>,
 }
 
 impl Default for SequenceOpts {
@@ -663,6 +566,7 @@ impl Default for SequenceOpts {
             checkpoint_every: 1,
             resume: false,
             metrics_out: None,
+            load: None,
         }
     }
 }
@@ -685,32 +589,23 @@ fn emit_metrics(
     out: &mut String,
 ) -> Result<(), CliError> {
     let report = recorder.report("sequence");
-    std::fs::write(path, report.to_json()).map_err(|e| CliError {
-        message: format!("cannot write metrics to {}: {e}", path.display()),
-        code: 3,
-    })?;
+    std::fs::write(path, report.to_json())
+        .map_err(|e| CliError::io(format!("cannot write metrics to {}: {e}", path.display())))?;
     out.push_str(&report.render());
     let _ = writeln!(out, "metrics written to {}", path.display());
     Ok(())
 }
 
-/// Flattens a trace collection to the weighted choice-map entries used by
-/// both the checkpoint format and [`collection_checksum`].
-fn collection_entries(collection: &ParticleCollection) -> Vec<(ppl::ChoiceMap, f64)> {
-    collection
-        .iter()
-        .map(|p| (p.trace.to_choice_map(), p.log_weight.log()))
-        .collect()
-}
-
 /// Graph-native SMC across a whole edit history
 /// ([`depgraph::run_edit_sequence_supervised`]): samples the posterior of
-/// the first program, lifts the particles into execution graphs once,
-/// then propagates the *graphs* through every edit on the persistent
-/// worker pool, with optional durable checkpoints, per-attempt
-/// deadlines, and resume-from-checkpoint. Per-particle randomness derives from the
-/// seed, so the output is bit-identical for any `threads` value;
-/// particles are flattened back to traces only at the output boundary.
+/// the first program (or loads [`SequenceOpts::load`]), lifts the
+/// particles into execution graphs once, then propagates the *graphs*
+/// through every edit on the persistent worker pool, with optional
+/// durable checkpoints, per-attempt deadlines, and resume-from-checkpoint.
+/// Per-particle randomness derives from the seed, so the output is
+/// bit-identical for any `threads` value; particles are flattened back to
+/// traces only at the output boundary. `ppl translate` is this command
+/// over one edit.
 ///
 /// With `--checkpoint <dir>`, every `checkpoint_every`-th stage boundary
 /// (and the final one) is written atomically to `dir`; with `resume`,
@@ -780,48 +675,27 @@ pub fn cmd_sequence_supervised(
             if opts.resume {
                 let _ = writeln!(out, "no checkpoint found; starting from stage 0");
             }
-            let mut rng = StdRng::seed_from_u64(opts.seed);
-            let input = posterior_traces(&programs[0], opts.traces, &mut rng, &mut out)
-                .map_err(CliError::from)?;
-            (
-                ParticleCollection::from_traces(input),
-                opts.seed,
-                0,
-                Vec::new(),
-                Vec::new(),
-            )
+            let initial = initial_particles(&programs[0], opts, &mut out)?;
+            (initial, opts.seed, 0, Vec::new(), Vec::new())
         }
     };
 
-    if start_step >= n_stages {
+    let flat = if start_step >= n_stages {
         // The checkpoint already covers the whole sequence.
         render_stage_reports(&mut out, &prior_ess, &prior_reports);
         let _ = writeln!(out, "all {n_stages} stages already complete");
-        render_return_posterior(&mut out, &collection).map_err(CliError::from)?;
-        let entries = collection_entries(&collection);
-        let _ = writeln!(
-            out,
-            "final collection checksum: {:016x}",
-            collection_checksum(&entries)
-        );
-        if let Some((path, recorder, _guard)) = &metrics {
-            emit_metrics(path, recorder, &mut out)?;
-        }
-        return Ok(out);
-    }
-
-    let mut stage_policy = StagePolicy::checkpoint_every(if opts.checkpoint_dir.is_some() {
-        opts.checkpoint_every.max(1)
+        collection
     } else {
-        0
-    });
-    if let Some(ms) = opts.deadline_ms {
-        stage_policy = stage_policy.with_deadline(Duration::from_millis(ms));
-    }
-
-    let fingerprints: Vec<u64> = programs.iter().map(program_fingerprint).collect();
-    let mut ck_err: Option<CheckpointError> = None;
-    let run_result = {
+        let mut stage_policy = StagePolicy::checkpoint_every(if opts.checkpoint_dir.is_some() {
+            opts.checkpoint_every.max(1)
+        } else {
+            0
+        });
+        if let Some(ms) = opts.deadline_ms {
+            stage_policy = stage_policy.with_deadline(Duration::from_millis(ms));
+        }
+        let fingerprints: Vec<u64> = programs.iter().map(program_fingerprint).collect();
+        let mut ck_err: Option<CheckpointError> = None;
         let mut saver;
         let observer: Option<&mut StageObserver<'_, Arc<ExecGraph>>> = match &opts.checkpoint_dir {
             Some(dir) => {
@@ -841,7 +715,7 @@ pub fn cmd_sequence_supervised(
             }
             None => None,
         };
-        run_edit_sequence_supervised(
+        let run_result = run_edit_sequence_supervised(
             &programs,
             &collection,
             start_step,
@@ -853,24 +727,22 @@ pub fn cmd_sequence_supervised(
             base_seed,
             opts.threads.max(1),
             observer,
-        )
+        );
+        // A checkpoint-write failure surfaces as an I/O error (exit 3), not
+        // as the Internal error it rode through the runner on.
+        let run = match (run_result, ck_err) {
+            (Ok(run), _) => run,
+            (Err(_), Some(ck)) => return Err(CliError::from(ck)),
+            (Err(e), None) => return Err(CliError::from(e)),
+        };
+        render_stage_reports(&mut out, &run.ess_history, &run.reports);
+        run.last().flatten()?
     };
-    let run = match run_result {
-        Ok(run) => run,
-        Err(e) => {
-            // A checkpoint-write failure surfaces as an I/O error (exit 3),
-            // not as the Internal error it rode through the runner on.
-            if let Some(ck) = ck_err {
-                return Err(CliError::from(ck));
-            }
-            return Err(CliError::from(e));
-        }
-    };
-
-    render_stage_reports(&mut out, &run.ess_history, &run.reports);
-    let flat = run.last().flatten().map_err(CliError::from)?;
-    render_return_posterior(&mut out, &flat).map_err(CliError::from)?;
-    let entries = collection_entries(&flat);
+    render_return_posterior(&mut out, &flat)?;
+    let entries: Vec<_> = flat
+        .iter()
+        .map(|p| (p.trace.to_choice_map(), p.log_weight.log()))
+        .collect();
     let _ = writeln!(
         out,
         "final collection checksum: {:016x}",
@@ -882,64 +754,292 @@ pub fn cmd_sequence_supervised(
     Ok(out)
 }
 
-/// Builds and translates through the dependency graph, reporting the
-/// visit statistics — the `--stats` mode of `translate`.
+/// Simulates `graphs` prior graphs of `P` from one seeded RNG and
+/// translates each through the dependency graph in turn — the `--stats`
+/// mode of `translate`. Reports the summed trace sizes and visit counts,
+/// and the log of the mean weight; one graph gives that graph's own.
 ///
 /// # Errors
 ///
-/// Returns parse, evaluation, and translation errors.
-pub fn cmd_translate_stats(p_source: &str, q_source: &str, seed: u64) -> Result<String, PplError> {
+/// Returns parse, evaluation, and translation errors, and an error for
+/// zero graphs.
+pub fn cmd_translate_stats(
+    p_source: &str,
+    q_source: &str,
+    graphs: usize,
+    seed: u64,
+) -> Result<String, PplError> {
+    if graphs == 0 {
+        return Err(PplError::Other("--traces must be at least 1".into()));
+    }
     let p = parse(p_source)?;
     let q = parse(q_source)?;
     let translator = IncrementalTranslator::from_edit(p.clone(), q);
     let mut rng = StdRng::seed_from_u64(seed);
-    let graph = ExecGraph::simulate(&p, &mut rng)?;
-    let result = translator.translate_graph(&graph, &mut rng)?;
+    let (mut choices, mut visited, mut skipped) = (0, 0, 0);
+    let mut log_weights = Vec::with_capacity(graphs);
+    for _ in 0..graphs {
+        let graph = ExecGraph::simulate(&p, &mut rng)?;
+        let result = translator.translate_graph(&graph, &mut rng)?;
+        choices += graph.num_choices();
+        visited += result.stats.nodes_visited;
+        skipped += result.stats.nodes_skipped;
+        log_weights.push(result.log_weight.log());
+    }
+    let log_mean_weight = log_sum_exp(&log_weights) - (graphs as f64).ln();
     let mut out = String::new();
-    let _ = writeln!(out, "trace size: {} choices", graph.num_choices());
+    let _ = writeln!(out, "trace size: {choices} choices");
     let _ = writeln!(
         out,
-        "visited {} statement instances, skipped {}",
-        result.stats.nodes_visited, result.stats.nodes_skipped
+        "visited {visited} statement instances, skipped {skipped}"
     );
-    let _ = writeln!(out, "log weight: {:.6}", result.log_weight.log());
+    let _ = writeln!(out, "log weight: {log_mean_weight:.6}");
     Ok(out)
 }
 
-/// Renders usage help.
+/// One command of `ppl`: [`Args::parse`] parses its command lines and
+/// [`usage`] renders its help from this entry alone.
+#[derive(Debug)]
+pub struct Command {
+    /// The command's name, its first argument.
+    pub name: &'static str,
+    /// Its positional arguments as `ppl help` prints them; one in
+    /// brackets is optional and may repeat.
+    pub args: &'static [&'static str],
+    /// Its flags as `ppl help` prints them: a flag that takes a value is
+    /// followed by a name for it (`--seed N`).
+    pub flags: &'static [&'static str],
+    /// Its description, wrapped by [`usage`].
+    pub help: &'static str,
+}
+
+/// Every command of `ppl`, in the order `ppl help` lists them.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "help",
+        args: &[],
+        flags: &[],
+        help: "print this help",
+    },
+    Command {
+        name: "check",
+        args: &["<file>"],
+        flags: &["--deny-warnings"],
+        help: "parse and statically check (spans + stable codes; exit 1 on errors, or on \
+               warnings under --deny-warnings)",
+    },
+    Command {
+        name: "analyze",
+        args: &["<old>", "<new>"],
+        flags: &["--json"],
+        help: "static diff-impact slice of an edit (--json: versioned ppl-analyze/v1 report)",
+    },
+    Command {
+        name: "fmt",
+        args: &["<file>"],
+        flags: &[],
+        help: "canonical pretty-printed form",
+    },
+    Command {
+        name: "run",
+        args: &["<file>"],
+        flags: &["--seed N", "--save F"],
+        help: "simulate one trace (--save: write its choices to F)",
+    },
+    Command {
+        name: "enumerate",
+        args: &["<file>"],
+        flags: &["--limit N"],
+        help: "exact posterior (finite discrete; N caps the choices recorded over all traces)",
+    },
+    Command {
+        name: "sample",
+        args: &["<file>"],
+        flags: &["--steps N", "--seed N", "--save F", "--keep K"],
+        help: "single-site MH, N steps (default 10000); --save writes K thinned states \
+               (default 100) to F instead of the return values' frequencies",
+    },
+    Command {
+        name: "translate",
+        args: &["<p>", "<q>"],
+        flags: &[
+            "--traces M",
+            "--seed N",
+            "--policy P",
+            "--load F",
+            "--stats",
+        ],
+        help: "incremental inference across one edit: a one-stage `sequence` at --threads 1, \
+               from M posterior traces of <p>, or with --load from the weighted traces saved \
+               in F (--policy: fail-fast, drop:<max_loss> or retry:<n>[:<seed>]). --stats \
+               translates M prior graphs of <p> (default 1) and prints their visit counts",
+    },
+    Command {
+        name: "sequence",
+        args: &["<p0>", "<p1>", "[<p2> ...]"],
+        flags: &[
+            "--traces M",
+            "--seed N",
+            "--threads T",
+            "--policy P",
+            "--checkpoint DIR",
+            "--checkpoint-every N",
+            "--deadline-ms N",
+            "--resume",
+            "--metrics-out FILE",
+            "--verify-slices",
+        ],
+        help: "graph-native SMC across an edit history; output is identical for any \
+               --threads. --checkpoint writes durable stage snapshots, --resume restarts from \
+               the latest one, --deadline-ms N stops each translation attempt after N ms (a \
+               timeout under --policy); parsed programs stop at their next step. --metrics-out \
+               writes a metrics/v1 JSON report (propagation counters, stage timings, pool \
+               stats), --verify-slices checks every dynamically visited statement against the \
+               static impact slice",
+    },
+];
+
+/// A command line parsed once against [`COMMANDS`]: the command, its
+/// positional arguments and the flags given, each with its value.
+#[derive(Debug)]
+pub struct Args {
+    /// The command's entry in [`COMMANDS`].
+    pub command: &'static Command,
+    /// The positional arguments, as many as the command takes.
+    pub positionals: Vec<String>,
+    /// The flags given, each with its value (empty for a switch).
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Parses `argv`, the arguments after the program name. An empty
+    /// command line, `--help` and `-h` all mean `help`.
+    ///
+    /// # Errors
+    ///
+    /// A usage error (exit 1) for an unknown command, a flag the command
+    /// does not take or that is given twice, a flag without its value, or
+    /// too few or too many positional arguments.
+    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
+        let name = match argv.first().map(String::as_str) {
+            None | Some("--help" | "-h") => "help",
+            Some(name) => name,
+        };
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| CliError::usage(format!("unknown command `{name}`\n{}", usage())))?;
+        let mut args = Args {
+            command,
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut rest = argv.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                args.positionals.push(arg.clone());
+                continue;
+            }
+            let Some((flag, value)) = command
+                .flags
+                .iter()
+                .map(|spec| spec.split_once(' ').unwrap_or((spec, "")))
+                .find(|(flag, _)| flag == arg)
+            else {
+                return Err(format!("`{name}` does not take `{arg}`; see `ppl help`").into());
+            };
+            if args.has(flag) {
+                return Err(format!("`{flag}` is given twice").into());
+            }
+            let value = match value {
+                "" => String::new(),
+                _ => rest.next().ok_or(format!("{flag} needs a value"))?.clone(),
+            };
+            args.flags.push((flag, value));
+        }
+        let needed = command.args.iter().filter(|a| !a.starts_with('[')).count();
+        let (given, repeats) = (args.positionals.len(), needed < command.args.len());
+        if given < needed {
+            return Err(format!("missing {}; see `ppl help`", command.args[given]).into());
+        }
+        if given > needed && !repeats {
+            let extra = &args.positionals[needed];
+            return Err(format!("unexpected argument `{extra}`; see `ppl help`").into());
+        }
+        Ok(args)
+    }
+
+    /// Whether flag `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The value of flag `name` (empty for a switch), if it was given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        let given = self.flags.iter().find(|(flag, _)| *flag == name);
+        given.map(|(_, value)| value.as_str())
+    }
+
+    /// The value of flag `name` as a `T`, if it was given.
+    ///
+    /// # Errors
+    ///
+    /// A usage error naming the flag if its value does not parse.
+    pub fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parse = |value: &str| value.parse().map_err(|e| format!("{name}: {e}").into());
+        self.value(name).map(parse).transpose()
+    }
+
+    /// Refuses `flags`, which `mode` of the command would ignore.
+    ///
+    /// # Errors
+    ///
+    /// A usage error naming the first of `flags` that was given.
+    pub fn refuse(&self, mode: &str, flags: &[&str]) -> Result<(), CliError> {
+        match flags.iter().find(|flag| self.has(flag)) {
+            Some(flag) => Err(format!("`{mode}` does not take `{flag}`; see `ppl help`").into()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Renders `ppl help` from [`COMMANDS`]: each command's synopsis and, in
+/// a column of its own, its description, both wrapped at 80 columns.
 pub fn usage() -> String {
-    "usage: ppl <command> [args]\n\
-     commands:\n\
-       check <file> [--deny-warnings]       parse and statically check (spans +\n\
-                                            stable codes; exit 1 on errors, or on\n\
-                                            warnings under --deny-warnings)\n\
-       analyze <old> <new> [--json]         static diff-impact slice of an edit\n\
-                                            (--json: versioned ppl-analyze/v1 report)\n\
-       fmt <file>                           canonical pretty-printed form\n\
-       run <file> [--seed N] [--save F]     simulate one trace\n\
-       enumerate <file> [--limit N]         exact posterior (finite discrete; N caps\n\
-                                            the choices recorded over all traces)\n\
-       sample <file> --steps N [--seed N] [--save F --keep K]\n\
-                                            single-site MH\n\
-       translate <p> <q> [--traces M] [--seed N] [--policy P] [--stats] [--load F]\n\
-                                            incremental inference across an edit\n\
-                                            (P: fail-fast | drop:<max_loss> | retry:<n>[:<seed>])\n\
-       sequence <p0> <p1> [<p2> ...] [--traces M] [--seed N] [--threads T] [--policy P]\n\
-                [--checkpoint DIR] [--checkpoint-every N] [--deadline-ms N] [--resume]\n\
-                [--metrics-out FILE] [--verify-slices]\n\
-                                            graph-native SMC across an edit history;\n\
-                                            output is identical for any --threads.\n\
-                                            --checkpoint writes durable stage snapshots,\n\
-                                            --resume restarts from the latest one,\n\
-                                            --deadline-ms N stops each translation attempt\n\
-                                            after N ms (a timeout under --policy); parsed\n\
-                                            programs stop at their next step\n\
-                                            --metrics-out writes a metrics/v1 JSON report\n\
-                                            (propagation counters, stage timings, pool stats),\n\
-                                            --verify-slices checks every dynamically visited\n\
-                                            statement against the static impact slice\n\
-     exit codes: 0 ok, 1 usage/parse/eval error, 2 inference failure, 3 I/O error\n"
-        .to_string()
+    const COLUMN: usize = 39;
+    let mut out = String::from("usage: ppl <command> [args]\ncommands:\n");
+    for command in COMMANDS {
+        let flags = command.flags.iter().map(|flag| format!("[{flag}]"));
+        let synopsis = command.args.iter().map(|arg| arg.to_string()).chain(flags);
+        let mut line = format!("  {}", command.name);
+        for word in synopsis {
+            if line.len() + 1 + word.len() > 80 {
+                let _ = writeln!(out, "{line}");
+                line = " ".repeat(command.name.len() + 2);
+            }
+            line = format!("{line} {word}");
+        }
+        if line.len() >= COLUMN {
+            let _ = writeln!(out, "{line}");
+            line.clear();
+        }
+        for word in command.help.split(' ') {
+            if line.len() > COLUMN && line.len() + 1 + word.len() > 80 {
+                let _ = writeln!(out, "{line}");
+                line.clear();
+            }
+            line = match line.len() > COLUMN {
+                true => format!("{line} {word}"),
+                false => format!("{line:COLUMN$}{word}"),
+            };
+        }
+        let _ = writeln!(out, "{line}");
+    }
+    out.push_str("exit codes: 0 ok, 1 usage/parse/eval error, 2 inference failure, 3 I/O error\n");
+    out
 }
 
 #[cfg(test)]
@@ -1039,37 +1139,64 @@ mod tests {
     }
 
     #[test]
-    fn translate_reports_correspondence_and_estimate() {
-        let q = "x = flip(0.3) @ x; observe(flip(x ? 0.99 : 0.01) @ o == 1); return x;";
-        let out = cmd_translate(COIN, q, 20_000, 4, &FailurePolicy::FailFast).unwrap();
-        assert!(out.contains("health:"), "{out}");
-        assert!(out.contains("x -> x"), "{out}");
-        assert!(out.contains("exact (by enumeration)"), "{out}");
-        let line = out
-            .lines()
-            .find(|l| l.trim_start().starts_with("true"))
-            .expect("true row");
-        let freq: f64 = line.split(':').nth(1).unwrap().trim().parse().unwrap();
-        // exact for Q: 0.3*0.99 / (0.3*0.99 + 0.7*0.01) ≈ 0.977
-        assert!((freq - 0.977).abs() < 0.02, "{out}");
-    }
-
-    #[test]
-    fn translate_falls_back_to_mh_for_continuous_p() {
+    fn sequence_falls_back_to_mh_for_continuous_p() {
         let p = "m = gauss(0.0, 2.0) @ m; observe(gauss(m, 1.0) @ o == 1.5); return m;";
         let q = "m = gauss(0.0, 2.0) @ m; observe(gauss(m, 0.5) @ o == 1.5); return m;";
-        let out = cmd_translate(p, q, 50, 5, &FailurePolicy::FailFast).unwrap();
+        let opts = SequenceOpts {
+            traces: 50,
+            seed: 5,
+            ..SequenceOpts::default()
+        };
+        let out = cmd_sequence_supervised(&[p.to_string(), q.to_string()], &opts).unwrap();
         assert!(out.contains("single-site MH"), "{out}");
-        assert!(out.contains("ESS"), "{out}");
+        assert!(out.contains("stage 0: ESS"), "{out}");
     }
 
     #[test]
-    fn translate_stats_shows_visits() {
+    fn translate_stats_sums_over_prior_graphs() {
         let p = "a = 1; b = flip(a / 3) @ b; c = flip(0.5) @ c; return b;";
         let q = "a = 2; b = flip(a / 3) @ b; c = flip(0.5) @ c; return b;";
-        let out = cmd_translate_stats(p, q, 6).unwrap();
-        assert!(out.contains("visited"), "{out}");
-        assert!(out.contains("log weight"), "{out}");
+        let one = cmd_translate_stats(p, q, 1, 6).unwrap();
+        assert!(one.contains("trace size: 2 choices"), "{one}");
+        assert!(one.contains("visited"), "{one}");
+        assert!(one.contains("log weight"), "{one}");
+        // Every graph of P makes both choices and every edit visits the
+        // same statements, so the counts scale with the graphs.
+        let counts = |out: &str| -> Vec<usize> {
+            out.split(|c: char| !c.is_ascii_digit())
+                .filter_map(|n| n.parse().ok())
+                .take(3)
+                .collect()
+        };
+        let three = cmd_translate_stats(p, q, 3, 6).unwrap();
+        let tripled: Vec<usize> = counts(&one).iter().map(|n| 3 * n).collect();
+        assert_eq!(counts(&three), tripled, "{one}{three}");
+        assert!(cmd_translate_stats(p, q, 0, 6).is_err());
+    }
+
+    #[test]
+    fn mh_chain_spaces_its_states() {
+        // A chain of `burn_in + count * thin` steps, read every `thin`
+        // steps after the burn-in: the states of one long chain.
+        let program = parse(COIN).unwrap();
+        let states = |burn_in, thin, count| {
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut states = Vec::new();
+            mh_chain(&program, &mut rng, burn_in, thin, count, |t| {
+                states.push(t.to_choice_map())
+            })
+            .unwrap();
+            states
+        };
+        let every = states(0, 1, 30);
+        assert_eq!(
+            states(6, 4, 6),
+            every.iter().skip(9).step_by(4).cloned().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            states(0, 3, 10),
+            every.iter().skip(2).step_by(3).cloned().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1084,6 +1211,7 @@ mod tests {
         };
         let out = cmd_sequence_supervised(&sources, &opts).unwrap();
         assert!(out.contains("3 programs, 2 stages"), "{out}");
+        assert!(out.contains("P posterior: exact (by enumeration)"), "{out}");
         assert!(out.contains("stage 0: ESS"), "{out}");
         assert!(out.contains("stage 1: ESS"), "{out}");
         let line = out
@@ -1148,8 +1276,14 @@ mod tests {
         let q = "x = flip(0.3) @ x; observe(flip(x ? 0.99 : 0.01) @ o == 1); return x;";
         let saved = cmd_sample_save(COIN, 30_000, 2_000, 9).unwrap();
         assert!(saved.starts_with("# incremental-ppl collection v1"));
-        let out = cmd_translate_saved(COIN, q, &saved, 10).unwrap();
-        assert!(out.contains("loaded 2000 traces"), "{out}");
+        let opts = SequenceOpts {
+            seed: 10,
+            load: Some(saved),
+            ..SequenceOpts::default()
+        };
+        let out = cmd_sequence_supervised(&[COIN.to_string(), q.to_string()], &opts).unwrap();
+        assert!(out.contains("P posterior: loaded 2000 traces"), "{out}");
+        assert!(out.contains("stage 0: ESS"), "{out}");
         let line = out
             .lines()
             .find(|l| l.trim_start().starts_with("true"))
@@ -1212,8 +1346,58 @@ mod tests {
     #[test]
     fn usage_lists_commands() {
         let u = usage();
-        for cmd in ["check", "fmt", "run", "enumerate", "sample", "translate"] {
-            assert!(u.contains(cmd));
+        for command in COMMANDS {
+            assert!(u.contains(&format!("\n  {} ", command.name)), "{u}");
+            for flag in command.flags {
+                assert!(u.contains(&format!("[{flag}]")), "{flag}\n{u}");
+            }
         }
+        assert!(u.lines().all(|line| line.len() <= 80), "{u}");
+    }
+
+    fn argv(words: &str) -> Vec<String> {
+        words.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn args_parse_positionals_and_typed_flags() {
+        let args = Args::parse(&argv("sequence a b c --seed 7 --resume --checkpoint d")).unwrap();
+        assert_eq!(args.command.name, "sequence");
+        assert_eq!(args.positionals, ["a", "b", "c"]);
+        assert_eq!(args.get::<u64>("--seed").unwrap(), Some(7));
+        assert_eq!(args.get::<usize>("--threads").unwrap(), None);
+        assert_eq!(
+            args.get::<PathBuf>("--checkpoint").unwrap(),
+            Some("d".into())
+        );
+        assert!(args.has("--resume") && !args.has("--verify-slices"));
+        for words in ["", "--help", "-h"] {
+            assert_eq!(Args::parse(&argv(words)).unwrap().command.name, "help");
+        }
+    }
+
+    #[test]
+    fn args_refuse_what_the_table_does_not_allow() {
+        for (words, message) in [
+            ("frobnicate", "unknown command `frobnicate`"),
+            ("run f --limit 3", "`run` does not take `--limit`"),
+            ("run f --seed 1 --seed 2", "`--seed` is given twice"),
+            ("run f --seed", "--seed needs a value"),
+            ("translate p", "missing <q>"),
+            ("sequence p0", "missing <p1>"),
+            ("fmt f g", "unexpected argument `g`"),
+        ] {
+            let err = Args::parse(&argv(words)).unwrap_err();
+            assert_eq!(err.code, 1, "{words}");
+            assert!(err.message.contains(message), "{words}: {}", err.message);
+        }
+        let args = Args::parse(&argv("run f --seed x")).unwrap();
+        let err = args.get::<u64>("--seed").unwrap_err();
+        assert!(err.message.starts_with("--seed: "), "{}", err.message);
+        let args = Args::parse(&argv("translate p q --stats --policy drop:0.1")).unwrap();
+        let err = args
+            .refuse("translate --stats", &["--load", "--policy"])
+            .unwrap_err();
+        assert!(err.message.contains("`--policy`"), "{}", err.message);
     }
 }

@@ -209,3 +209,149 @@ fn a_flag_the_command_does_not_take_is_a_usage_error() {
         );
     }
 }
+
+/// `ppl help` lays its commands out as a table: each command indented
+/// two spaces, each further description line at the description column.
+#[test]
+fn help_indents_the_commands_and_their_descriptions() {
+    let out = ppl().arg("help").output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    for command in ["check", "analyze", "translate", "sequence"] {
+        assert!(
+            text.lines()
+                .any(|l| l.starts_with(&format!("  {command} <"))),
+            "{command}: {text}"
+        );
+    }
+    let continued = format!("{:39}stable codes", "");
+    assert!(text.lines().any(|l| l.starts_with(&continued)), "{text}");
+}
+
+/// `translate` is a one-stage `sequence`: the same programs, seed and
+/// trace count give the same final collection.
+#[test]
+fn translate_is_a_one_stage_sequence() {
+    let p = temp_file("one_stage_p.ppl", COIN);
+    let q = temp_file("one_stage_q.ppl", COIN_SHARP);
+    let checksum = |command: &str| {
+        let out = ppl()
+            .arg(command)
+            .arg(&p)
+            .arg(&q)
+            .args(["--traces", "300", "--seed", "7"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{command}");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        text.lines()
+            .find(|l| l.starts_with("final collection checksum: "))
+            .unwrap_or_else(|| panic!("{command}: {text}"))
+            .to_string()
+    };
+    assert_eq!(checksum("translate"), checksum("sequence"));
+}
+
+/// Loaded traces go through the same stage as sampled ones, so `--policy`
+/// applies and the stage's health is reported.
+#[test]
+fn translate_load_honours_the_policy_and_reports_health() {
+    let p = temp_file("load_policy_p.ppl", COIN);
+    let q = temp_file("load_policy_q.ppl", COIN_SHARP);
+    let saved = temp_file("load_policy_samples.txt", "");
+    let out = ppl()
+        .arg("sample")
+        .arg(&p)
+        .args(["--steps", "2000", "--keep", "50", "--save"])
+        .arg(&saved)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = ppl()
+        .arg("translate")
+        .arg(&p)
+        .arg(&q)
+        .arg("--load")
+        .arg(&saved)
+        .args(["--policy", "drop:0.1"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("loaded 50 traces"), "{text}");
+    assert!(text.contains("health: "), "{text}");
+}
+
+/// A flag that the chosen mode would ignore is a usage error that names
+/// it, and nothing runs.
+#[test]
+fn a_flag_a_mode_would_ignore_is_a_usage_error() {
+    let p = temp_file("mode_p.ppl", COIN);
+    let q = temp_file("mode_q.ppl", COIN_SHARP);
+    let saved = temp_file("mode_samples.txt", "# incremental-ppl collection v1\n");
+    let saved = saved.to_str().unwrap();
+    for (command, args, flag) in [
+        ("translate", vec!["--stats", "--load", saved], "--load"),
+        (
+            "translate",
+            vec!["--stats", "--policy", "drop:0.1"],
+            "--policy",
+        ),
+        (
+            "translate",
+            vec!["--load", saved, "--traces", "5"],
+            "--traces",
+        ),
+        ("sample", vec!["--keep", "5"], "--keep"),
+        (
+            "sequence",
+            vec!["--checkpoint-every", "2"],
+            "--checkpoint-every",
+        ),
+    ] {
+        let mut cmd = ppl();
+        cmd.arg(command).arg(&p);
+        if command != "sample" {
+            cmd.arg(&q);
+        }
+        let out = cmd.args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} {args:?}");
+        assert!(out.stdout.is_empty(), "{command} {args:?}: nothing ran");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains(&format!("`{flag}`")), "{command}: {text}");
+    }
+    // `--stats` takes `--traces`: the number of prior graphs it sums over.
+    let out = ppl()
+        .arg("translate")
+        .arg(&p)
+        .arg(&q)
+        .args(["--stats", "--traces", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("trace size: 3 choices"));
+}
+
+/// An edit whose every translated weight is zero collapses the stage: an
+/// inference failure, exit 2, as under `sequence`.
+#[test]
+fn a_zero_likelihood_translate_exits_2() {
+    let p = temp_file("zero_p.ppl", COIN);
+    let q = temp_file(
+        "zero_q.ppl",
+        "x = flip(0.3) @ x; observe(flip(0.0) @ o == 1); return x;",
+    );
+    let out = ppl()
+        .arg("translate")
+        .arg(&p)
+        .arg(&q)
+        .args(["--traces", "20"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("collapsed"), "{text}");
+}

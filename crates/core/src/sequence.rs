@@ -200,16 +200,15 @@ where
             config.mcmc_steps
         ))));
     }
-    let mut collections = Vec::with_capacity(stages.len());
+    let mut collections: Vec<ParticleCollection<S>> = Vec::with_capacity(stages.len());
     let mut ess_history: Vec<f64> = prior_ess.to_vec();
     let mut reports: Vec<StepReport> = prior_reports.to_vec();
-    let mut current = initial.clone();
     for (i, translator) in stages.iter().enumerate() {
         let step = start_step + i;
         let mut resample_rng = StdRng::seed_from_u64(resample_seed(base_seed, step));
         let (next, report) = supervised_step(
             &**translator,
-            &current,
+            collections.last().unwrap_or(initial),
             config,
             policy,
             stage_policy,
@@ -220,8 +219,7 @@ where
         )?;
         ess_history.push(next.ess());
         reports.push(report);
-        collections.push(next.clone());
-        current = next;
+        collections.push(next);
         if let Some(observer) = observer.as_deref_mut() {
             let completed = step + 1;
             let is_last = i + 1 == stages.len();
@@ -230,7 +228,7 @@ where
                 let ck_start = metrics::clock();
                 observer(&StageSnapshot {
                     step: completed,
-                    collection: &current,
+                    collection: collections.last().expect("stage just pushed"),
                     ess_history: &ess_history,
                     reports: &reports,
                 })?;

@@ -10,10 +10,7 @@
 //!   propagator may skip without consulting dirty bits; each maximal run
 //!   of them in a block becomes one [`PlanOp::SkipRun`], which shares the
 //!   run's old records and replays only the writes a later step can read
-//!   (see [`SkipRun`]);
-//! - the interned base addresses of every random site in `q`, with the
-//!   [`Correspondence`](incremental::Correspondence) memo cache pre-warmed
-//!   so the per-particle `lookup_id` calls take the shared read path.
+//!   (see [`SkipRun`]).
 //!
 //! The plan is built once per stage by
 //! [`IncrementalTranslator::from_shared`](crate::IncrementalTranslator::from_shared)
@@ -33,7 +30,6 @@ use std::sync::Arc;
 use ppl::analysis::{ImpactSet, ProgramEffects};
 use ppl::ast::{Block, Program, Stmt};
 use ppl::compile::{compiled_for_pair, CompiledProgram};
-use ppl::Address;
 
 use crate::diff::{BlockDiff, DiffOp, ProgramEdit, StmtDiff};
 use crate::impact::impact_of_edit;
@@ -42,9 +38,6 @@ use crate::impact::impact_of_edit;
 #[derive(Debug)]
 pub struct StagePlan {
     root: PlanBlock,
-    /// Interned depth-0 addresses of `q`'s random sites (loop-indexed
-    /// instances extend these and are memoized on first use).
-    sites: Vec<Address>,
     /// The compiled form of `q` whose slot universe also covers `p`'s
     /// variables (old records replay `p`-named effects into the frame).
     /// Compiled once per stage and shared by every particle task: this
@@ -171,10 +164,8 @@ pub(crate) enum PlanStmt {
 
 impl StagePlan {
     /// Builds the plan for the edit underlying `edit` from source program
-    /// `p` to target program `q`: precomputes the skip decisions, compiles
-    /// `q` (with `p`'s variables in the slot universe), and pre-warms the
-    /// correspondence memo cache with the interned base address of every
-    /// random site in `q`.
+    /// `p` to target program `q`: precomputes the skip decisions and
+    /// compiles `q` (with `p`'s variables in the slot universe).
     pub fn new(q: &Program, p: &Program, edit: &ProgramEdit) -> StagePlan {
         Self::build(q, p, edit, false)
     }
@@ -197,22 +188,8 @@ impl StagePlan {
             replay_all,
         };
         let root = plan_block(q.body(), &edit.diff, 0, false, &ctx);
-        let mut names: Vec<Arc<str>> = q.sites().into_iter().map(|site| site.0).collect();
-        names.sort_unstable();
-        names.dedup();
-        let sites: Vec<Address> = names
-            .into_iter()
-            .map(|name| Address::from_components([name.into()]))
-            .collect();
-        for addr in &sites {
-            // Interns the address and memoizes the (possibly negative)
-            // correspondence lookup; per-particle lookups then take the
-            // shared read path.
-            let _ = edit.correspondence.lookup_id(addr.id());
-        }
         StagePlan {
             root,
-            sites,
             compiled,
             effects,
             impact,
@@ -239,11 +216,6 @@ impl StagePlan {
     /// The static impact slice of the edit.
     pub fn impact(&self) -> &ImpactSet {
         &self.impact
-    }
-
-    /// Number of distinct random sites in `q` (interned at plan build).
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
     }
 
     /// The stage's compiled program (slot universe covers `p` and `q`),
@@ -450,8 +422,6 @@ mod tests {
         let edit = diff_programs(&p, &q);
         let plan = StagePlan::new(&q, &p, &edit);
         assert_eq!(plan.root().ops.len(), edit.diff.ops.len());
-        // Both random sites of q are interned and pre-warmed.
-        assert_eq!(plan.site_count(), 2);
         for (op, diff_op) in plan.root().ops.iter().zip(&edit.diff.ops) {
             if let (PlanOp::Stmt { unchanged, .. }, DiffOp::Stmt { diff, .. }) = (op, diff_op) {
                 assert_eq!(*unchanged, diff.is_unchanged());

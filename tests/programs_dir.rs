@@ -81,8 +81,9 @@ fn shipped_example1_has_z_0_7() {
 
 #[test]
 fn shipped_geometric_edit_translates_through_the_cli_path() {
-    let out = ppl_cli::cmd_translate_stats(&read("geometric.ppl"), &read("geometric_third.ppl"), 3)
-        .unwrap();
+    let out =
+        ppl_cli::cmd_translate_stats(&read("geometric.ppl"), &read("geometric_third.ppl"), 1, 3)
+            .unwrap();
     assert!(out.contains("log weight"), "{out}");
 }
 
