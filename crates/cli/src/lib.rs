@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -22,18 +23,19 @@ use std::time::Duration;
 
 use depgraph::{
     diff_programs, impact_of_edit, program_fingerprint, resume_collection,
-    run_edit_sequence_supervised, ExecGraph, IncrementalTranslator,
+    run_edit_sequence_supervised, EditImpact, ExecGraph, IncrementalTranslator,
 };
 use incremental::{
     collection_checksum, Checkpoint, CheckpointError, FailurePolicy, McmcKernel, MetricsRecorder,
     ParticleCollection, SmcConfig, SmcError, StageObserver, StagePolicy, StageSnapshot,
 };
 use inference::{ExactPosterior, SingleSiteMh};
+use ppl::analysis::{preorder, slot_names, stmt_label};
 use ppl::ast::Program;
 use ppl::check::{check_with_spans, Severity};
 use ppl::handlers::simulate;
 use ppl::logweight::log_sum_exp;
-use ppl::{parse, parse_with_spans, Enumeration, LogWeight, PplError, Trace, Value};
+use ppl::{parse, parse_with_spans, Enumeration, LogWeight, PplError, SlotId, Trace, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,38 +121,48 @@ pub fn cmd_analyze(old_source: &str, new_source: &str, json: bool) -> Result<Str
     let p = parse(old_source)?;
     let q = parse(new_source)?;
     let edit = diff_programs(&p, &q);
-    let (effects, impact) = impact_of_edit(&q, &p, &edit);
+    let EditImpact {
+        compiled,
+        effects,
+        impact,
+    } = impact_of_edit(&q, &p, &edit);
+    let stmts = preorder(&q);
+    let names = |slots: &[SlotId]| slot_names(&compiled, slots.iter().copied());
+    let dirty = slot_names(&compiled, impact.may_dirty());
+    let sites = impact.sites(&stmts);
     let mut out = String::new();
     if json {
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"schema\": \"ppl-analyze/v1\",");
-        let _ = writeln!(out, "  \"statements\": {},", impact.total);
-        let _ = writeln!(out, "  \"impacted\": {},", impact.impacted.len());
+        let _ = writeln!(out, "  \"statements\": {},", impact.total());
+        let _ = writeln!(out, "  \"impacted\": {},", impact.impacted_count());
         let _ = writeln!(out, "  \"skippable\": {},", impact.skippable_count());
         let _ = writeln!(
             out,
             "  \"may_dirty\": {},",
-            json_string_array(impact.may_dirty.iter().map(String::as_str))
+            json_string_array(dirty.iter().copied())
         );
         let _ = writeln!(
             out,
             "  \"sites\": {},",
-            json_string_array(impact.sites.iter().map(String::as_str))
+            json_string_array(sites.iter().map(String::as_str))
         );
         let _ = writeln!(out, "  \"stmts\": [");
-        for (i, facts) in effects.stmts.iter().enumerate() {
+        for (i, stmt) in stmts.iter().enumerate() {
+            let mut samples = Vec::new();
+            stmt.collect_sites(&mut samples);
+            let samples: BTreeSet<&str> = samples.iter().map(|s| s.as_str()).collect();
             let _ = writeln!(
                 out,
-                "    {{\"index\": {}, \"depth\": {}, \"label\": {}, \
+                "    {{\"index\": {i}, \"depth\": {}, \"label\": {}, \
                  \"impacted\": {}, \"reads\": {}, \"writes\": {}, \"samples\": {}}}{}",
-                facts.index,
-                facts.depth,
-                json_string(&facts.label),
-                impact.contains(facts.index),
-                json_string_array(facts.subtree.reads.iter().map(String::as_str)),
-                json_string_array(facts.subtree.writes.iter().map(String::as_str)),
-                json_string_array(facts.subtree.samples.iter().map(String::as_str)),
-                if i + 1 < effects.stmts.len() { "," } else { "" }
+                effects.stmt(i).depth,
+                json_string(&stmt_label(stmt)),
+                impact.contains(i),
+                json_string_array(names(effects.subtree_reads(i)).into_iter()),
+                json_string_array(names(effects.subtree_writes(i)).into_iter()),
+                json_string_array(samples.into_iter()),
+                if i + 1 < stmts.len() { "," } else { "" }
             );
         }
         let _ = writeln!(out, "  ]");
@@ -160,12 +172,13 @@ pub fn cmd_analyze(old_source: &str, new_source: &str, json: bool) -> Result<Str
     let _ = writeln!(
         out,
         "impact slice: {} of {} statement(s) impacted, {} proven skippable",
-        impact.impacted.len(),
-        impact.total,
+        impact.impacted_count(),
+        impact.total(),
         impact.skippable_count()
     );
-    for facts in &effects.stmts {
-        let verdict = if impact.contains(facts.index) {
+    let joined = |names: BTreeSet<&str>| names.into_iter().collect::<Vec<_>>().join(", ");
+    for (i, stmt) in stmts.iter().enumerate() {
+        let verdict = if impact.contains(i) {
             "impacted "
         } else {
             "skippable"
@@ -173,30 +186,17 @@ pub fn cmd_analyze(old_source: &str, new_source: &str, json: bool) -> Result<Str
         let _ = writeln!(
             out,
             "  #{:<3} {}{:<24} {}  reads={{{}}} writes={{{}}}",
-            facts.index,
-            "  ".repeat(facts.depth),
-            facts.label,
+            i,
+            "  ".repeat(effects.stmt(i).depth),
+            stmt_label(stmt),
             verdict,
-            facts
-                .subtree
-                .reads
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(", "),
-            facts
-                .subtree
-                .writes
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(", "),
+            joined(names(effects.subtree_reads(i))),
+            joined(names(effects.subtree_writes(i))),
         );
     }
-    let dirty: Vec<&str> = impact.may_dirty.iter().map(String::as_str).collect();
-    let sites: Vec<&str> = impact.sites.iter().map(String::as_str).collect();
-    let _ = writeln!(out, "may-dirty variables: {{{}}}", dirty.join(", "));
-    let _ = writeln!(out, "revisited sites: {{{}}}", sites.join(", "));
+    let sites: BTreeSet<&str> = sites.iter().map(String::as_str).collect();
+    let _ = writeln!(out, "may-dirty variables: {{{}}}", joined(dirty));
+    let _ = writeln!(out, "revisited sites: {{{}}}", joined(sites));
     Ok(out)
 }
 

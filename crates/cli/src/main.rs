@@ -29,15 +29,34 @@ fn write(path: &str, text: &str) -> Result<(), CliError> {
 }
 
 /// The options `translate` and `sequence` share; a flag the command does
-/// not take is never given, so it keeps its default.
+/// not take is never given, so it keeps its default. A run must start
+/// from at least one particle, so an empty starting collection is refused
+/// here, before any work.
 fn sequence_opts(args: &Args) -> Result<SequenceOpts, CliError> {
     let defaults = SequenceOpts::default();
     let deadline_ms = args.get("--deadline-ms")?;
     if deadline_ms == Some(0) {
         return Err(CliError::usage("--deadline-ms must be at least 1"));
     }
+    let traces = args.get("--traces")?.unwrap_or(defaults.traces);
+    if traces == 0 {
+        return Err(CliError::usage("--traces must be at least 1"));
+    }
+    let load = match args.value("--load") {
+        Some(path) => {
+            let saved = read(path)?;
+            let parsed = ppl::trace_io::parse_weighted_collection(&saved);
+            if parsed.is_ok_and(|entries| entries.is_empty()) {
+                return Err(CliError::usage(format!(
+                    "`{path}` holds no traces: a run needs at least one to start from"
+                )));
+            }
+            Some(saved)
+        }
+        None => None,
+    };
     Ok(SequenceOpts {
-        traces: args.get("--traces")?.unwrap_or(defaults.traces),
+        traces,
         seed: args.get("--seed")?.unwrap_or(defaults.seed),
         threads: args.get("--threads")?.unwrap_or(defaults.threads),
         policy: match args.value("--policy") {
@@ -51,7 +70,7 @@ fn sequence_opts(args: &Args) -> Result<SequenceOpts, CliError> {
             .unwrap_or(defaults.checkpoint_every),
         resume: args.has("--resume"),
         metrics_out: args.get("--metrics-out")?,
-        load: args.value("--load").map(read).transpose()?,
+        load,
     })
 }
 

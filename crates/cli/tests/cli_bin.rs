@@ -355,3 +355,45 @@ fn a_zero_likelihood_translate_exits_2() {
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("collapsed"), "{text}");
 }
+
+/// A run needs at least one particle to start from: an empty starting
+/// collection, asked for or loaded, is a usage error before any work,
+/// not a collapse reported after it.
+#[test]
+fn an_empty_starting_collection_is_a_usage_error() {
+    let p = temp_file("empty_p.ppl", COIN);
+    let q = temp_file("empty_q.ppl", COIN_SHARP);
+    let refused = |cmd: &mut Command, naming: &str| {
+        let out = cmd.output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(naming), "{err}");
+        assert!(!err.contains("collapsed"), "{err}");
+        assert!(out.stdout.is_empty(), "no work is done");
+    };
+    for command in ["sequence", "translate"] {
+        refused(
+            ppl().arg(command).arg(&p).arg(&q).args(["--traces", "0"]),
+            "--traces must be at least 1",
+        );
+    }
+    let saved = temp_file("empty_samples.txt", "");
+    let out = ppl()
+        .arg("sample")
+        .arg(&p)
+        .args(["--steps", "100", "--keep", "0", "--save"])
+        .arg(&saved)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let named = format!("`{}` holds no traces", saved.display());
+    refused(
+        ppl()
+            .arg("translate")
+            .arg(&p)
+            .arg(&q)
+            .arg("--load")
+            .arg(&saved),
+        &named,
+    );
+}

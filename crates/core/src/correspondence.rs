@@ -14,10 +14,11 @@
 //! forward and backward), so pairs are keyed on interned [`AddressId`]s
 //! and site-rule resolutions are memoized per address: after the first
 //! translation of a trace shape, every `lookup_id` is a single fast-hash
-//! probe.
+//! probe. Site rules share their labels by `Arc`, so a derived
+//! correspondence holds the parsed programs' own labels rather than
+//! copies.
 
-use std::collections::HashMap;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use ppl::address::Component;
 use ppl::fxhash::{FxHashMap, FxHashSet};
@@ -44,11 +45,12 @@ pub struct Correspondence {
     /// `pairs` inverted, so the bijection check is one probe and
     /// [`Correspondence::inverse`] a swap.
     pair_sources: FxHashMap<AddressId, AddressId>,
-    site_rules: HashMap<String, String>,
+    site_rules: FxHashMap<Arc<str>, Arc<str>>,
     /// `site_rules` inverted, for the same reasons.
-    rule_sources: HashMap<String, String>,
+    rule_sources: FxHashMap<Arc<str>, Arc<str>>,
     /// Memoized site-rule resolutions (`q id → f(q) id`, `None` for
-    /// unmapped). Cleared on mutation; never observable in results.
+    /// unmapped). Cleared on mutation, through `&mut self` and so without
+    /// taking the lock; never observable in results.
     cache: RwLock<FxHashMap<AddressId, Option<AddressId>>>,
 }
 
@@ -122,8 +124,13 @@ impl Correspondence {
         }
         self.pairs.insert(q_id, p_id);
         self.pair_sources.insert(p_id, q_id);
-        self.cache.write().expect("cache poisoned").clear();
+        self.clear_cache();
         Ok(())
+    }
+
+    /// Drops every memoized resolution after a mutation.
+    fn clear_cache(&mut self) {
+        self.cache.get_mut().expect("cache poisoned").clear();
     }
 
     /// Adds a site rule: every Q address with head symbol `q_site` maps to
@@ -134,6 +141,21 @@ impl Correspondence {
     /// Returns an error if `q_site` already has a rule or `p_site` is
     /// already a rule target.
     pub fn add_site_rule(&mut self, q_site: &str, p_site: &str) -> Result<(), PplError> {
+        self.add_shared_site_rule(&Arc::from(q_site), &Arc::from(p_site))
+    }
+
+    /// [`Correspondence::add_site_rule`] for labels already shared by
+    /// `Arc`, such as a parsed program's site labels: the rule holds the
+    /// labels themselves, not copies.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Correspondence::add_site_rule`].
+    pub fn add_shared_site_rule(
+        &mut self,
+        q_site: &Arc<str>,
+        p_site: &Arc<str>,
+    ) -> Result<(), PplError> {
         if self.site_rules.contains_key(q_site) {
             return Err(PplError::Other(format!(
                 "correspondence already has a rule for Q site `{q_site}`"
@@ -145,10 +167,10 @@ impl Correspondence {
             )));
         }
         self.site_rules
-            .insert(q_site.to_string(), p_site.to_string());
+            .insert(Arc::clone(q_site), Arc::clone(p_site));
         self.rule_sources
-            .insert(p_site.to_string(), q_site.to_string());
-        self.cache.write().expect("cache poisoned").clear();
+            .insert(Arc::clone(p_site), Arc::clone(q_site));
+        self.clear_cache();
         Ok(())
     }
 
@@ -220,9 +242,7 @@ impl Correspondence {
 
     /// Iterates over the site rules as `(Q site, P site)`.
     pub fn site_rules(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.site_rules
-            .iter()
-            .map(|(q, p)| (q.as_str(), p.as_str()))
+        self.site_rules.iter().map(|(q, p)| (&**q, &**p))
     }
 }
 

@@ -121,7 +121,7 @@ pub struct ProgramEdit {
 /// Diffs `p` against `q` and derives the correspondence.
 pub fn diff_programs(p: &Program, q: &Program) -> ProgramEdit {
     let mut corr = Correspondence::new();
-    let diff = diff_blocks(p.body(), q.body(), &mut corr);
+    let diff = diff_blocks(p.body(), q.body(), false, &mut corr);
     ProgramEdit {
         diff,
         correspondence: corr,
@@ -149,8 +149,9 @@ fn match_score(p: &Stmt, q: &Stmt) -> Option<u32> {
 /// One step of an alignment of two statement lists, as indices into them.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// `ps[i]` is matched to `qs[j]`.
-    Match(usize, usize),
+    /// `ps[i]` is matched to `qs[j]`; with `true`, the two are known to be
+    /// equal modulo sites.
+    Match(usize, usize, bool),
     /// `ps[i]` has no counterpart.
     Removed(usize),
     /// `qs[j]` has no counterpart.
@@ -159,16 +160,23 @@ enum Step {
 
 /// Aligns two blocks and diffs their matched statements front to back
 /// (the order decides which of two rules for a duplicated site label
-/// lands in `corr`).
-fn diff_blocks(p: &Block, q: &Block, corr: &mut Correspondence) -> BlockDiff {
+/// lands in `corr`). With `equal`, the blocks are known to be equal
+/// modulo sites, so every statement matches its counterpart without
+/// another comparison.
+fn diff_blocks(p: &Block, q: &Block, equal: bool, corr: &mut Correspondence) -> BlockDiff {
     let (ps, qs) = (p.stmts(), q.stmts());
-    let ops = align_trimmed(ps, qs)
+    let steps = if equal {
+        (0..qs.len()).map(|i| Step::Match(i, i, true)).collect()
+    } else {
+        align_trimmed(ps, qs)
+    };
+    let ops = steps
         .into_iter()
         .map(|step| match step {
-            Step::Match(i, j) => DiffOp::Stmt {
+            Step::Match(i, j, equal) => DiffOp::Stmt {
                 q_index: j,
                 p_index: Some(i),
-                diff: diff_stmt(&ps[i], &qs[j], corr),
+                diff: diff_stmt(&ps[i], &qs[j], equal, corr),
             },
             Step::Removed(i) => DiffOp::RemovedP(i),
             Step::Inserted(j) => DiffOp::Stmt {
@@ -210,13 +218,13 @@ fn align_trimmed(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
     }
     let (n, m) = (ps.len(), qs.len());
     let mut steps = Vec::with_capacity(prefix + window.len() + suffix);
-    steps.extend((0..prefix).map(|i| Step::Match(i, i)));
+    steps.extend((0..prefix).map(|i| Step::Match(i, i, true)));
     steps.extend(window.into_iter().map(|step| match step {
-        Step::Match(i, j) => Step::Match(prefix + i, prefix + j),
+        Step::Match(i, j, equal) => Step::Match(prefix + i, prefix + j, equal),
         Step::Removed(i) => Step::Removed(prefix + i),
         Step::Inserted(j) => Step::Inserted(prefix + j),
     }));
-    steps.extend((1..=suffix).rev().map(|k| Step::Match(n - k, m - k)));
+    steps.extend((1..=suffix).rev().map(|k| Step::Match(n - k, m - k, true)));
     steps
 }
 
@@ -244,7 +252,8 @@ fn runs_into_suffix(window: &[Step], ps: &[Stmt], qs: &[Stmt], suffix: usize) ->
 }
 
 /// Weighted LCS of two statement lists (Needleman–Wunsch with zero gap
-/// penalty), traced back front to back.
+/// penalty), traced back front to back. A match scores 3 exactly when the
+/// pair is equal modulo sites, which its step records.
 fn align(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
     let (n, m) = (ps.len(), qs.len());
     let width = m + 1;
@@ -260,9 +269,9 @@ fn align(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
     let mut steps = Vec::with_capacity(n + m);
     let (mut i, mut j) = (0usize, 0usize);
     while i < n && j < m {
-        let matched = match_score(&ps[i], &qs[j]).map(|s| s + table[at(i + 1, j + 1)]);
-        if matched == Some(table[at(i, j)]) {
-            steps.push(Step::Match(i, j));
+        let score = match_score(&ps[i], &qs[j]);
+        if score.map(|s| s + table[at(i + 1, j + 1)]) == Some(table[at(i, j)]) {
+            steps.push(Step::Match(i, j, score == Some(3)));
             i += 1;
             j += 1;
         } else if table[at(i + 1, j)] >= table[at(i, j + 1)] {
@@ -278,32 +287,36 @@ fn align(ps: &[Stmt], qs: &[Stmt]) -> Vec<Step> {
     steps
 }
 
-fn diff_stmt(p: &Stmt, q: &Stmt, corr: &mut Correspondence) -> StmtDiff {
+/// Diffs a matched statement pair; `equal` says whether the two are
+/// already known to be equal modulo sites.
+fn diff_stmt(p: &Stmt, q: &Stmt, equal: bool, corr: &mut Correspondence) -> StmtDiff {
+    // Parts of a pair equal modulo sites are equal modulo sites too.
+    let expr_eq = |a: &Expr, b: &Expr| equal || expr_eq_mod_sites(a, b);
     match (p, q) {
         (Stmt::If(pc, pt, pe), Stmt::If(qc, qt, qe)) => {
             pair_expr_sites(pc, qc, corr);
             StmtDiff::IfDiff {
-                cond_changed: !expr_eq_mod_sites(pc, qc) || !exprs_sites_equal(pc, qc),
-                then_diff: Box::new(diff_blocks(pt, qt, corr)),
-                else_diff: Box::new(diff_blocks(pe, qe, corr)),
+                cond_changed: !expr_eq(pc, qc) || !exprs_sites_equal(pc, qc),
+                then_diff: Box::new(diff_blocks(pt, qt, equal, corr)),
+                else_diff: Box::new(diff_blocks(pe, qe, equal, corr)),
             }
         }
         (Stmt::While(pc, pb), Stmt::While(qc, qb)) => {
             pair_expr_sites(pc, qc, corr);
             StmtDiff::WhileDiff {
-                cond_changed: !expr_eq_mod_sites(pc, qc) || !exprs_sites_equal(pc, qc),
-                body_diff: Box::new(diff_blocks(pb, qb, corr)),
+                cond_changed: !expr_eq(pc, qc) || !exprs_sites_equal(pc, qc),
+                body_diff: Box::new(diff_blocks(pb, qb, equal, corr)),
             }
         }
         (Stmt::For(_, plo, phi, pb), Stmt::For(_, qlo, qhi, qb)) => {
             pair_expr_sites(plo, qlo, corr);
             pair_expr_sites(phi, qhi, corr);
             StmtDiff::ForDiff {
-                bounds_changed: !expr_eq_mod_sites(plo, qlo)
-                    || !expr_eq_mod_sites(phi, qhi)
+                bounds_changed: !expr_eq(plo, qlo)
+                    || !expr_eq(phi, qhi)
                     || !exprs_sites_equal(plo, qlo)
                     || !exprs_sites_equal(phi, qhi),
-                body_diff: Box::new(diff_blocks(pb, qb, corr)),
+                body_diff: Box::new(diff_blocks(pb, qb, equal, corr)),
             }
         }
         _ => {
@@ -315,7 +328,7 @@ fn diff_stmt(p: &Stmt, q: &Stmt, corr: &mut Correspondence) -> StmtDiff {
             // such statements are re-executed instead — the
             // correspondence still reuses their values, so the weight is
             // unaffected.)
-            if stmt_eq_mod_sites(p, q) && stmt_sites_equal(p, q) {
+            if (equal || stmt_eq_mod_sites(p, q)) && stmt_sites_equal(p, q) {
                 StmtDiff::Unchanged
             } else {
                 StmtDiff::Edited
@@ -324,24 +337,63 @@ fn diff_stmt(p: &Stmt, q: &Stmt, corr: &mut Correspondence) -> StmtDiff {
     }
 }
 
-/// Whether two expressions carry identical site labels (in identical
-/// syntactic order).
+/// Whether two expressions equal modulo sites carry identical site
+/// labels: a walk of both in lockstep, comparing each random expression's
+/// label.
 fn exprs_sites_equal(a: &Expr, b: &Expr) -> bool {
-    let mut sa = Vec::new();
-    let mut sb = Vec::new();
-    a.collect_sites(&mut sa);
-    b.collect_sites(&mut sb);
-    sa == sb
+    match (a, b) {
+        (Expr::Const(_), Expr::Const(_)) | (Expr::Var(_), Expr::Var(_)) => true,
+        (Expr::Unary(_, x), Expr::Unary(_, y)) => exprs_sites_equal(x, y),
+        (Expr::Binary(_, a1, b1), Expr::Binary(_, a2, b2))
+        | (Expr::Index(a1, b1), Expr::Index(a2, b2))
+        | (Expr::ArrayInit(a1, b1), Expr::ArrayInit(a2, b2)) => {
+            exprs_sites_equal(a1, a2) && exprs_sites_equal(b1, b2)
+        }
+        (Expr::Call(_, xs), Expr::Call(_, ys)) => all_sites_equal(xs, ys),
+        (Expr::Ternary(c1, t1, e1), Expr::Ternary(c2, t2, e2)) => {
+            exprs_sites_equal(c1, c2) && exprs_sites_equal(t1, t2) && exprs_sites_equal(e1, e2)
+        }
+        (Expr::Random(r1), Expr::Random(r2)) => rand_sites_equal(r1, r2),
+        _ => false,
+    }
 }
 
-/// Whether two statements that are equal modulo sites carry identical
-/// site labels.
+fn all_sites_equal(xs: &[Expr], ys: &[Expr]) -> bool {
+    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| exprs_sites_equal(x, y))
+}
+
+fn rand_sites_equal(a: &RandExpr, b: &RandExpr) -> bool {
+    a.site == b.site
+        && match (&a.kind, &b.kind) {
+            (RandKind::Flip(p1), RandKind::Flip(p2))
+            | (RandKind::Poisson(p1), RandKind::Poisson(p2))
+            | (RandKind::GeometricDist(p1), RandKind::GeometricDist(p2))
+            | (RandKind::Exponential(p1), RandKind::Exponential(p2)) => exprs_sites_equal(p1, p2),
+            (RandKind::UniformInt(a1, b1), RandKind::UniformInt(a2, b2))
+            | (RandKind::UniformReal(a1, b1), RandKind::UniformReal(a2, b2))
+            | (RandKind::Gauss(a1, b1), RandKind::Gauss(a2, b2))
+            | (RandKind::Beta(a1, b1), RandKind::Beta(a2, b2)) => {
+                exprs_sites_equal(a1, a2) && exprs_sites_equal(b1, b2)
+            }
+            (RandKind::Categorical(w1), RandKind::Categorical(w2)) => all_sites_equal(w1, w2),
+            _ => false,
+        }
+}
+
+/// Whether two leaf statements equal modulo sites carry identical site
+/// labels.
 fn stmt_sites_equal(p: &Stmt, q: &Stmt) -> bool {
-    let mut sp = Vec::new();
-    let mut sq = Vec::new();
-    p.collect_sites(&mut sp);
-    q.collect_sites(&mut sq);
-    sp == sq
+    match (p, q) {
+        (Stmt::Skip, Stmt::Skip) => true,
+        (Stmt::Assign(_, e1), Stmt::Assign(_, e2)) => exprs_sites_equal(e1, e2),
+        (Stmt::AssignIndex(_, i1, e1), Stmt::AssignIndex(_, i2, e2)) => {
+            exprs_sites_equal(i1, i2) && exprs_sites_equal(e1, e2)
+        }
+        (Stmt::Observe(r1, e1), Stmt::Observe(r2, e2)) => {
+            rand_sites_equal(r1, r2) && exprs_sites_equal(e1, e2)
+        }
+        _ => false,
+    }
 }
 
 /// Deep statement equality ignoring site labels.
@@ -492,7 +544,7 @@ fn pair_rand_sites(p: &RandExpr, q: &RandExpr, corr: &mut Correspondence) {
     }
     // Best effort: duplicate labels (same site reused) are skipped rather
     // than erroring — the translator then treats the choice as fresh.
-    let _ = corr.add_site_rule(q.site.as_str(), p.site.as_str());
+    let _ = corr.add_shared_site_rule(&q.site.0, &p.site.0);
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub mod sequence;
 pub mod translator;
 
 pub use diff::{diff_programs, BlockDiff, DiffOp, ProgramEdit, StmtDiff};
-pub use impact::{change_seed, impact_of_edit};
+pub use impact::{change_seed, impact_of_edit, EditImpact};
 pub use plan::StagePlan;
 pub use propagate::{set_verify_slices, verify_slices_enabled, IncrementalResult};
 pub use record::{program_fingerprint, ExecGraph};

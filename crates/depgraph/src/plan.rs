@@ -24,15 +24,14 @@
 //! straight from the compiled program, as it walks a flipped branch or an
 //! unmatched loop iteration.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ppl::analysis::{ImpactSet, ProgramEffects};
 use ppl::ast::{Block, Program, Stmt};
-use ppl::compile::{compiled_for_pair, CompiledProgram};
+use ppl::compile::{CompiledProgram, SlotId};
 
 use crate::diff::{BlockDiff, DiffOp, ProgramEdit, StmtDiff};
-use crate::impact::impact_of_edit;
+use crate::impact::{impact_of_edit, EditImpact};
 
 /// Per-stage immutable translation plan; see the module docs.
 #[derive(Debug)]
@@ -44,8 +43,8 @@ pub struct StagePlan {
     /// `Arc` and those of the stage's graphs keep it exactly as long as
     /// they live.
     compiled: Arc<CompiledProgram>,
-    /// Static effect facts for `q`, in pre-order (the indexing used by
-    /// [`PlanOp::Stmt::pre_index`]).
+    /// Static effect facts for `q` on the slots of `compiled`, in
+    /// pre-order (the indexing used by [`PlanOp::Stmt::pre_index`]).
     effects: ProgramEffects,
     /// The static impact slice of the edit: unchanged statements outside
     /// it are proven skippable and pre-pruned into [`PlanOp::SkipRun`]s;
@@ -174,17 +173,16 @@ impl StagePlan {
     /// write, as skipping the statements one by one does (the reference
     /// the replay-rule tests compare against).
     fn build(q: &Program, p: &Program, edit: &ProgramEdit, replay_all: bool) -> StagePlan {
-        let compiled = compiled_for_pair(q, p);
-        let (effects, impact) = impact_of_edit(q, p, edit);
-        let live_names = live_set(q, &edit.diff, &effects, &impact);
-        let mut live = vec![false; compiled.slot_count()];
-        for slot in live_names.iter().filter_map(|name| compiled.slot_of(name)) {
-            live[slot.index()] = true;
-        }
+        let EditImpact {
+            compiled,
+            effects,
+            impact,
+        } = impact_of_edit(q, p, edit);
+        let live = live_set(&edit.diff, &effects, &impact, compiled.slot_count());
         let ctx = PlanCtx {
             effects: &effects,
             impact: &impact,
-            live: &live_names,
+            live: &live,
             replay_all,
         };
         let root = plan_block(q.body(), &edit.diff, 0, false, &ctx);
@@ -235,7 +233,7 @@ impl StagePlan {
 struct PlanCtx<'a> {
     effects: &'a ProgramEffects,
     impact: &'a ImpactSet,
-    live: &'a BTreeSet<&'a str>,
+    live: &'a [bool],
     /// Make every skip run replay every write (see [`StagePlan::build`]).
     replay_all: bool,
 }
@@ -246,35 +244,30 @@ fn statically_skipped(unchanged: bool, pre_index: usize, impact: &ImpactSet) -> 
     unchanged && impact.skippable(pre_index)
 }
 
-/// The stage's live set: the static subtree may-reads of every top-level
-/// statement the plan does not statically skip, plus the return
-/// expression's reads. A subtree's reads cover every step the walk takes
-/// inside it, so these are all the variables the walk may read from the
-/// frame outside a loop body.
-fn live_set<'a>(
-    q: &Program,
+/// The stage's live set, one flag per slot: the static subtree may-reads
+/// of every top-level statement the plan does not statically skip, plus
+/// the return expression's reads. A subtree's reads cover every step the
+/// walk takes inside it, so these are all the variables the walk may read
+/// from the frame outside a loop body.
+fn live_set(
     diff: &BlockDiff,
-    effects: &'a ProgramEffects,
+    effects: &ProgramEffects,
     impact: &ImpactSet,
-) -> BTreeSet<&'a str> {
-    let indices = effects.block_child_indices(0, q.body().stmts().len());
-    let mut live: BTreeSet<&str> = effects.ret_reads.iter().map(String::as_str).collect();
+    slots: usize,
+) -> Vec<bool> {
+    let mut live = vec![false; slots];
+    let mut flag = |reads: &[SlotId]| {
+        for slot in reads {
+            live[slot.index()] = true;
+        }
+    };
+    flag(effects.ret_reads());
+    let mut pre_indices = effects.siblings(0);
     for op in &diff.ops {
-        if let DiffOp::Stmt {
-            q_index,
-            p_index,
-            diff,
-        } = op
-        {
-            let pre_index = indices[*q_index];
+        if let DiffOp::Stmt { p_index, diff, .. } = op {
+            let pre_index = pre_indices.next().expect("a pre-order index per statement");
             if p_index.is_none() || !statically_skipped(diff.is_unchanged(), pre_index, impact) {
-                live.extend(
-                    effects.stmts[pre_index]
-                        .subtree
-                        .reads
-                        .iter()
-                        .map(String::as_str),
-                );
+                flag(effects.subtree_reads(pre_index));
             }
         }
     }
@@ -292,9 +285,11 @@ fn plan_block(
     in_loop: bool,
     ctx: &PlanCtx<'_>,
 ) -> PlanBlock {
-    let indices = ctx.effects.block_child_indices(start, block.stmts().len());
     let mut ops = Vec::new();
     let mut run: Option<SkipRun> = None;
+    // The ops list the block's statements in order.
+    let mut pre_indices = ctx.effects.siblings(start);
+    let mut pre_index_of_next = || pre_indices.next().expect("a pre-order index per statement");
     for op in &diff.ops {
         let planned = match op {
             DiffOp::RemovedP(p_index) => PlanOp::RemovedP(*p_index),
@@ -304,7 +299,7 @@ fn plan_block(
                 ..
             } => PlanOp::Fresh {
                 q_index: *q_index,
-                pre_index: indices[*q_index],
+                pre_index: pre_index_of_next(),
             },
             DiffOp::Stmt {
                 q_index,
@@ -312,7 +307,7 @@ fn plan_block(
                 diff,
             } => {
                 let (q_index, p_index) = (*q_index, *p_index);
-                let pre_index = indices[q_index];
+                let pre_index = pre_index_of_next();
                 let stmt = &block.stmts()[q_index];
                 let unchanged = diff.is_unchanged();
                 if statically_skipped(unchanged, pre_index, ctx.impact) {
@@ -357,9 +352,9 @@ impl PlanCtx<'_> {
     /// `pre_index`: when the statement may write anything at all, or with
     /// `live_only`, anything live.
     fn replays(&self, pre_index: usize, live_only: bool) -> bool {
-        let writes = &self.effects.stmts[pre_index].subtree.writes;
+        let writes = self.effects.subtree_writes(pre_index);
         if live_only {
-            writes.iter().any(|w| self.live.contains(w.as_str()))
+            writes.iter().any(|w| self.live[w.index()])
         } else {
             !writes.is_empty()
         }
@@ -480,6 +475,12 @@ mod tests {
         assert_eq!(runs, vec![(2, 2)]);
         assert_eq!(plan.impact().skippable_count(), 2);
         assert_eq!(plan.effects().len(), 4);
+        // The live set is what the walked statements and the return read.
+        let live: Vec<&str> = ["a", "b", "c"]
+            .into_iter()
+            .filter(|name| plan.live()[plan.compiled().slot_of(name).unwrap().index()])
+            .collect();
+        assert_eq!(live, ["a", "b"]);
     }
 
     /// Outside loops a run replays only records that may write a live

@@ -46,7 +46,7 @@ use std::time::Instant;
 use rand::RngCore;
 
 use incremental::{Correspondence, PropagationCounters};
-use ppl::analysis::ProgramEffects;
+use ppl::analysis::{preorder, stmt_label, ProgramEffects};
 use ppl::ast::Program;
 use ppl::compile::{
     acquire_frame, note_compiled_exec, CBlockId, CRandKind, CStmt, CStmtId, CompiledProgram,
@@ -164,7 +164,7 @@ fn translate(
     let mut stats = pass.tally.stats;
     if let Some(visited) = pass.visited {
         stats.oracle_checks += visited.len() as u64;
-        verify_visited_in_slice(&visited, plan)?;
+        verify_visited_in_slice(&visited, plan, q)?;
     }
     Ok(IncrementalResult {
         graph: pass.graph,
@@ -942,8 +942,12 @@ fn plan_shape_mismatch(at: &str) -> PplError {
 /// The slice-soundness check: every dynamically visited statement must
 /// lie inside the static impact slice. A violation is a bug in the
 /// static analysis (or an unsound skip rule) and produces a structured
-/// report naming each escaping statement.
-fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Result<(), PplError> {
+/// report naming each escaping statement of `q`.
+fn verify_visited_in_slice(
+    visited: &BTreeSet<usize>,
+    plan: &StagePlan,
+    q: &Program,
+) -> Result<(), PplError> {
     let impact = plan.impact();
     let violations: Vec<usize> = visited
         .iter()
@@ -953,19 +957,21 @@ fn verify_visited_in_slice(visited: &BTreeSet<usize>, plan: &StagePlan) -> Resul
     if violations.is_empty() {
         return Ok(());
     }
-    let effects = plan.effects();
+    let stmts = preorder(q);
     let mut report = format!(
         "slice-soundness violation: {} dynamically visited statement(s) \
          outside the static impact slice ({} impacted of {} total)",
         violations.len(),
-        impact.impacted.len(),
-        impact.total,
+        impact.impacted_count(),
+        impact.total(),
     );
     for i in violations {
-        let detail = effects
-            .stmts
+        let detail = stmts
             .get(i)
-            .map(|f| format!("`{}` (depth {})", f.label, f.depth))
+            .map(|stmt| {
+                let depth = plan.effects().stmt(i).depth;
+                format!("`{}` (depth {depth})", stmt_label(stmt))
+            })
             .unwrap_or_else(|| "<unknown statement>".to_string());
         report.push_str(&format!("\n  - statement #{i}: {detail}"));
     }

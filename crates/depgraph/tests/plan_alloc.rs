@@ -3,11 +3,15 @@
 //! Diffing and planning an edit must cost what the edit affects, not the
 //! square of the program: the diff aligns only the window between the
 //! blocks' common prefix and suffix. This file installs a global
-//! allocator that counts requested bytes and holds one-statement edits of
-//! a 4,800-statement straight-line program to a bound that a table over
-//! the whole program (about 90 MiB for the diff alone) would break. It
-//! contains exactly one test so no concurrent test thread can pollute the
-//! counter.
+//! allocator that counts requested bytes and allocation calls, and holds
+//! one-statement edits of a 4,800-statement straight-line program to a
+//! byte bound that a table over the whole program (about 90 MiB for the
+//! diff alone) would break. Planning must not allocate per statement
+//! either: effect facts live in flat arenas on frame slots, names are
+//! interned once, and site rules share the parsed labels, so a warm plan
+//! makes a number of allocations that grows only with the arenas'
+//! doublings. It contains exactly one test so no concurrent test thread
+//! can pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +24,7 @@ use ppl::parse;
 struct CountingAllocator;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to the system allocator,
 // which upholds the `GlobalAlloc` contract; counting touches only an
@@ -27,6 +32,7 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -36,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -74,6 +81,13 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, BYTES.load(Ordering::Relaxed) - before)
 }
 
+/// Allocation calls (`alloc` and `realloc`) made while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (out, CALLS.load(Ordering::Relaxed) - before)
+}
+
 #[test]
 fn planning_a_one_statement_edit_allocates_linearly() {
     let sites = 1600;
@@ -103,14 +117,20 @@ fn planning_a_one_statement_edit_allocates_linearly() {
         );
 
         let (translator, plan_bytes) =
-            allocated(|| IncrementalTranslator::from_shared(Arc::clone(&p), q));
+            allocated(|| IncrementalTranslator::from_shared(Arc::clone(&p), Arc::clone(&q)));
         if let Some(n) = impacted {
-            assert_eq!(translator.plan().impact().impacted.len(), n, "{what}");
+            assert_eq!(translator.plan().impact().impacted_count(), n, "{what}");
         }
         assert!(
             plan_bytes < 48 * MIB,
             "{what}: from_shared allocated {:.1} MiB",
             plan_bytes as f64 / MIB as f64
+        );
+        // Warm: every name is interned by now.
+        let (_, calls) = allocations(|| IncrementalTranslator::from_shared(Arc::clone(&p), q));
+        assert!(
+            calls <= 1_000,
+            "{what}: a warm from_shared made {calls} allocations"
         );
     }
 }

@@ -1,58 +1,44 @@
-//! Static dependence analysis over the surface AST.
+//! Static dependence analysis over frame slots.
 //!
 //! Three layers, mirroring what the dynamic dependency-graph runtime
 //! tracks per execution:
 //!
-//! 1. **Effect inference** ([`infer_effects`]): for every statement, in
-//!    pre-order, the may-read, may-write and may-sample (site label)
-//!    sets — both for the statement head alone (a leaf expression, a
-//!    branch condition, loop bounds) and for its whole subtree. The
-//!    subtree summary is the static mirror of the dynamic block
-//!    summaries recorded by the propagation runtime: every variable a
-//!    dynamic record could report as read is contained in the static
-//!    `subtree.reads` of its statement.
+//! 1. **Effect facts** ([`ProgramEffects`]): for every statement, in
+//!    pre-order, the frame slots it may read and write — both for the
+//!    statement head alone (a leaf's expressions, a branch condition, loop
+//!    bounds plus the loop variable as a write) and for its whole subtree.
+//!    The lowering pass that resolves names to slots gathers them
+//!    ([`compile_with_effects`](crate::compile::compile_with_effects)),
+//!    so a stage's pair compile
+//!    ([`compiled_for_pair`](crate::compile::compiled_for_pair)) derives
+//!    them in the same walk. The subtree facts are the static mirror of
+//!    the dynamic block summaries recorded by the propagation runtime:
+//!    every variable a dynamic record could report as read is among its
+//!    statement's subtree reads.
 //! 2. **Change seeds** ([`ChangeSeed`]): a per-statement classification
 //!    of a program edit (unchanged / inner edits only / own computation
-//!    changed) plus the set of old-program writes whose values go stale.
-//!    Derived from a structural diff by the dependency-graph crate.
+//!    changed) plus the slots whose old values go stale. Derived from a
+//!    structural diff by the dependency-graph crate.
 //! 3. **Impact slicing** ([`impact`]): a fixpoint over the effect facts
 //!    computing an over-approximate [`ImpactSet`] — every statement any
 //!    execution of the new program could *revisit* (fail to skip) under
-//!    the edit, and every variable whose value may differ from the old
+//!    the edit, and every slot whose value may differ from the old
 //!    execution. The set is deliberately flow-insensitive and
 //!    conservative: statements outside it are *proven* skippable, so a
 //!    stage plan may pre-prune them without consulting runtime dirty
 //!    bits, and a dynamic run that visits a statement outside the set
 //!    indicates a soundness bug (see the `--verify-slices` oracle).
+//!
+//! Facts, seeds and slices hold slot ids and flags, never names. Names,
+//! statement labels and sample sites are rendered only where a report
+//! prints them — `ppl analyze`, `ppl check` and the `--verify-slices`
+//! report — through [`slot_names`], [`stmt_label`], [`preorder`] and
+//! [`ImpactSet::sites`].
 
 use std::collections::BTreeSet;
 
-use crate::ast::{Block, Expr, Program, RandExpr, RandKind, Stmt};
-
-/// May-read / may-write / may-sample sets of a statement or block.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EffectSummary {
-    /// Variables the code may read.
-    pub reads: BTreeSet<String>,
-    /// Variables the code may write.
-    pub writes: BTreeSet<String>,
-    /// Site labels the code may sample or observe at.
-    pub samples: BTreeSet<String>,
-}
-
-impl EffectSummary {
-    /// Unions `other` into `self`.
-    pub fn absorb(&mut self, other: &EffectSummary) {
-        self.reads.extend(other.reads.iter().cloned());
-        self.writes.extend(other.writes.iter().cloned());
-        self.samples.extend(other.samples.iter().cloned());
-    }
-
-    /// Whether any read intersects `vars`.
-    pub fn reads_any(&self, vars: &BTreeSet<String>) -> bool {
-        self.reads.iter().any(|r| vars.contains(r))
-    }
-}
+use crate::ast::{Block, Program, SiteId, Stmt};
+use crate::compile::{CompiledProgram, SlotId};
 
 /// Control shape of a statement, for the impact fixpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,36 +54,54 @@ pub enum StmtShape {
     While,
 }
 
-/// Static facts about one statement, at its pre-order index.
-#[derive(Debug, Clone)]
+impl StmtShape {
+    /// The shape of `stmt`.
+    pub fn of(stmt: &Stmt) -> StmtShape {
+        match stmt {
+            Stmt::If(..) => StmtShape::If,
+            Stmt::For(..) => StmtShape::For,
+            Stmt::While(..) => StmtShape::While,
+            Stmt::Skip | Stmt::Assign(..) | Stmt::AssignIndex(..) | Stmt::Observe(..) => {
+                StmtShape::Leaf
+            }
+        }
+    }
+}
+
+/// Static facts about one statement, at its pre-order index. Its reads
+/// and writes live in [`ProgramEffects`]' arenas.
+#[derive(Debug, Clone, Copy)]
 pub struct StmtFacts {
-    /// Pre-order index of this statement.
-    pub index: usize,
     /// One past the last pre-order index of this statement's subtree.
     pub end: usize,
     /// Nesting depth (0 = top level).
     pub depth: usize,
     /// Control shape.
     pub shape: StmtShape,
-    /// Effects of the statement head alone: a leaf's expressions, a
-    /// branch condition, loop bounds (plus the loop variable as a
-    /// write).
-    pub head: EffectSummary,
-    /// Aggregate effects of the whole subtree, head included.
-    pub subtree: EffectSummary,
     /// The loop variable of a `for` statement.
-    pub loop_var: Option<String>,
-    /// A short human-readable rendering for reports.
-    pub label: String,
+    pub loop_var: Option<SlotId>,
+    /// Where the head's reads start in the read arena.
+    reads: u32,
+    /// Where the head's writes start in the write arena.
+    writes: u32,
 }
 
-/// Effect facts for every statement of a program, in pre-order.
-#[derive(Debug, Clone)]
+/// Effect facts for every statement of a program, in pre-order, keyed by
+/// the frame slots of the compile that gathered them.
+///
+/// The head reads of every statement sit back to back in one arena, in
+/// pre-order, followed by the return expression's; the head writes in a
+/// second. A statement's subtree facts are therefore the arena run from
+/// its own head to the head after its subtree: a leaf's subtree facts are
+/// its head facts, stored once. A head lists each slot once; a subtree
+/// run may list a slot once per statement that reads it.
+#[derive(Debug, Clone, Default)]
 pub struct ProgramEffects {
-    /// Per-statement facts; `stmts[i].index == i`.
-    pub stmts: Vec<StmtFacts>,
-    /// Variables read by the `return` expression.
-    pub ret_reads: BTreeSet<String>,
+    stmts: Vec<StmtFacts>,
+    reads: Vec<SlotId>,
+    writes: Vec<SlotId>,
+    /// Where the return expression's reads start in `reads`.
+    ret_reads: usize,
 }
 
 impl ProgramEffects {
@@ -111,17 +115,47 @@ impl ProgramEffects {
         self.stmts.is_empty()
     }
 
-    /// The pre-order indices of the `count` statements of a block whose
-    /// first statement sits at pre-order index `start`: consecutive
-    /// siblings are separated by their subtree sizes.
-    pub fn block_child_indices(&self, start: usize, count: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(count);
-        let mut i = start;
-        for _ in 0..count {
-            out.push(i);
-            i = self.stmts[i].end;
-        }
-        out
+    /// The facts of the statement at pre-order index `i`.
+    pub fn stmt(&self, i: usize) -> &StmtFacts {
+        &self.stmts[i]
+    }
+
+    fn read_start(&self, i: usize) -> usize {
+        self.stmts
+            .get(i)
+            .map_or(self.ret_reads, |f| f.reads as usize)
+    }
+
+    fn write_start(&self, i: usize) -> usize {
+        self.stmts
+            .get(i)
+            .map_or(self.writes.len(), |f| f.writes as usize)
+    }
+
+    /// Slots the head of statement `i` may read.
+    pub fn head_reads(&self, i: usize) -> &[SlotId] {
+        &self.reads[self.read_start(i)..self.read_start(i + 1)]
+    }
+
+    /// Slots the head of statement `i` may write: an assignment's target
+    /// or a `for` loop's variable.
+    pub fn head_writes(&self, i: usize) -> &[SlotId] {
+        &self.writes[self.write_start(i)..self.write_start(i + 1)]
+    }
+
+    /// Slots the subtree of statement `i` may read, head included.
+    pub fn subtree_reads(&self, i: usize) -> &[SlotId] {
+        &self.reads[self.read_start(i)..self.read_start(self.stmts[i].end)]
+    }
+
+    /// Slots the subtree of statement `i` may write, head included.
+    pub fn subtree_writes(&self, i: usize) -> &[SlotId] {
+        &self.writes[self.write_start(i)..self.write_start(self.stmts[i].end)]
+    }
+
+    /// Slots the `return` expression reads.
+    pub fn ret_reads(&self) -> &[SlotId] {
+        &self.reads[self.ret_reads..]
     }
 
     /// One past the last pre-order index of the `count` sibling subtrees
@@ -129,185 +163,92 @@ impl ProgramEffects {
     pub fn block_end(&self, start: usize, count: usize) -> usize {
         (0..count).fold(start, |i, _| self.stmts[i].end)
     }
-}
 
-/// Computes per-statement effect facts for `program`.
-///
-/// # Examples
-///
-/// ```
-/// let p = ppl::parse("x = flip(0.5) @ s; y = x + 1; return y;").unwrap();
-/// let fx = ppl::analysis::infer_effects(&p);
-/// assert_eq!(fx.len(), 2);
-/// assert!(fx.stmts[0].head.samples.contains("s"));
-/// assert!(fx.stmts[1].head.reads.contains("x"));
-/// ```
-pub fn infer_effects(program: &Program) -> ProgramEffects {
-    let mut stmts = Vec::new();
-    walk_block(program.body(), 0, &mut stmts);
-    let mut ret_reads = BTreeSet::new();
-    if let Some(ret) = program.ret() {
-        let mut sum = EffectSummary::default();
-        expr_effects(ret, &mut sum);
-        ret_reads = sum.reads;
-    }
-    ProgramEffects { stmts, ret_reads }
-}
-
-/// Transitive effect summary of a single statement (subtree included).
-pub fn stmt_effects(stmt: &Stmt) -> EffectSummary {
-    let mut scratch = Vec::new();
-    walk_stmt(stmt, 0, &mut scratch)
-}
-
-fn walk_block(block: &Block, depth: usize, out: &mut Vec<StmtFacts>) -> EffectSummary {
-    let mut sum = EffectSummary::default();
-    for stmt in block.stmts() {
-        sum.absorb(&walk_stmt(stmt, depth, out));
-    }
-    sum
-}
-
-fn walk_stmt(stmt: &Stmt, depth: usize, out: &mut Vec<StmtFacts>) -> EffectSummary {
-    let index = out.len();
-    // Reserve the slot so children land after their parent in pre-order.
-    out.push(StmtFacts {
-        index,
-        end: index + 1,
-        depth,
-        shape: StmtShape::Leaf,
-        head: EffectSummary::default(),
-        subtree: EffectSummary::default(),
-        loop_var: None,
-        label: stmt_label(stmt),
-    });
-    let mut head = EffectSummary::default();
-    let mut loop_var = None;
-    let shape;
-    let mut subtree;
-    match stmt {
-        Stmt::Skip => {
-            shape = StmtShape::Leaf;
-            subtree = head.clone();
-        }
-        Stmt::Assign(name, expr) => {
-            shape = StmtShape::Leaf;
-            expr_effects(expr, &mut head);
-            head.writes.insert(name.clone());
-            subtree = head.clone();
-        }
-        Stmt::AssignIndex(name, idx, expr) => {
-            shape = StmtShape::Leaf;
-            expr_effects(idx, &mut head);
-            expr_effects(expr, &mut head);
-            // An element write reads the array it updates.
-            head.reads.insert(name.clone());
-            head.writes.insert(name.clone());
-            subtree = head.clone();
-        }
-        Stmt::Observe(rand, expr) => {
-            shape = StmtShape::Leaf;
-            rand_effects(rand, &mut head);
-            expr_effects(expr, &mut head);
-            subtree = head.clone();
-        }
-        Stmt::If(cond, then_b, else_b) => {
-            shape = StmtShape::If;
-            expr_effects(cond, &mut head);
-            subtree = head.clone();
-            subtree.absorb(&walk_block(then_b, depth + 1, out));
-            subtree.absorb(&walk_block(else_b, depth + 1, out));
-        }
-        Stmt::While(cond, body) => {
-            shape = StmtShape::While;
-            expr_effects(cond, &mut head);
-            subtree = head.clone();
-            subtree.absorb(&walk_block(body, depth + 1, out));
-        }
-        Stmt::For(var, lo, hi, body) => {
-            shape = StmtShape::For;
-            expr_effects(lo, &mut head);
-            expr_effects(hi, &mut head);
-            head.writes.insert(var.clone());
-            loop_var = Some(var.clone());
-            subtree = head.clone();
-            subtree.absorb(&walk_block(body, depth + 1, out));
-        }
-    }
-    let end = out.len();
-    let facts = &mut out[index];
-    facts.end = end;
-    facts.shape = shape;
-    facts.head = head;
-    facts.subtree = subtree.clone();
-    facts.loop_var = loop_var;
-    subtree
-}
-
-fn stmt_label(stmt: &Stmt) -> String {
-    match stmt {
-        Stmt::Skip => "skip".to_string(),
-        Stmt::Assign(name, _) => format!("{name} = …"),
-        Stmt::AssignIndex(name, _, _) => format!("{name}[…] = …"),
-        Stmt::Observe(rand, _) => format!("observe(… @ {})", rand.site),
-        Stmt::If(..) => "if …".to_string(),
-        Stmt::While(..) => "while …".to_string(),
-        Stmt::For(var, ..) => format!("for {var} in …"),
+    /// The pre-order indices of sibling statements, the first at `start`:
+    /// each one follows the subtree of the one before. Take no more than
+    /// the block has.
+    pub fn siblings(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(start), |&i| Some(self.stmts[i].end))
     }
 }
 
-fn expr_effects(expr: &Expr, out: &mut EffectSummary) {
-    match expr {
-        Expr::Const(_) => {}
-        Expr::Var(name) => {
-            out.reads.insert(name.clone());
-        }
-        Expr::Unary(_, e) => expr_effects(e, out),
-        Expr::Binary(_, a, b) => {
-            expr_effects(a, out);
-            expr_effects(b, out);
-        }
-        Expr::Index(arr, idx) => {
-            expr_effects(arr, out);
-            expr_effects(idx, out);
-        }
-        Expr::ArrayInit(n, init) => {
-            expr_effects(n, out);
-            expr_effects(init, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_effects(a, out);
-            }
-        }
-        Expr::Ternary(c, t, e) => {
-            expr_effects(c, out);
-            expr_effects(t, out);
-            expr_effects(e, out);
-        }
-        Expr::Random(rand) => rand_effects(rand, out),
-    }
+/// Gathers [`ProgramEffects`] while the lowering pass walks a program:
+/// statements are entered in pre-order, and every head's reads and writes
+/// are noted before its children are entered.
+#[derive(Debug, Default)]
+pub(crate) struct EffectsBuilder {
+    effects: ProgramEffects,
+    /// Nesting depth of the statements entered next.
+    depth: usize,
+    /// The head being gathered, numbered from 1.
+    head: u32,
+    /// Per slot, the last head that read it, so a head lists it once.
+    last_read: Vec<u32>,
 }
 
-fn rand_effects(rand: &RandExpr, out: &mut EffectSummary) {
-    out.samples.insert(rand.site.as_str().to_string());
-    match &rand.kind {
-        RandKind::Flip(p)
-        | RandKind::Poisson(p)
-        | RandKind::GeometricDist(p)
-        | RandKind::Exponential(p) => expr_effects(p, out),
-        RandKind::UniformInt(a, b)
-        | RandKind::UniformReal(a, b)
-        | RandKind::Gauss(a, b)
-        | RandKind::Beta(a, b) => {
-            expr_effects(a, out);
-            expr_effects(b, out);
+impl EffectsBuilder {
+    /// Starts the facts of the next statement in pre-order and returns its
+    /// index.
+    pub(crate) fn enter(&mut self, shape: StmtShape) -> usize {
+        let index = self.effects.stmts.len();
+        self.head += 1;
+        self.effects.stmts.push(StmtFacts {
+            end: index + 1,
+            depth: self.depth,
+            shape,
+            loop_var: None,
+            reads: self.effects.reads.len() as u32,
+            writes: self.effects.writes.len() as u32,
+        });
+        index
+    }
+
+    /// Closes statement `index`: its subtree ends with the statements
+    /// entered so far.
+    pub(crate) fn exit(&mut self, index: usize) {
+        self.effects.stmts[index].end = self.effects.stmts.len();
+    }
+
+    /// Enters (`true`) or leaves (`false`) a nested block.
+    pub(crate) fn nest(&mut self, inside: bool) {
+        if inside {
+            self.depth += 1;
+        } else {
+            self.depth -= 1;
         }
-        RandKind::Categorical(ws) => {
-            for w in ws {
-                expr_effects(w, out);
-            }
+    }
+
+    /// Notes a read of `slot` by the current head.
+    pub(crate) fn read(&mut self, slot: SlotId) {
+        let i = slot.index();
+        if i >= self.last_read.len() {
+            self.last_read.resize(i + 1, 0);
         }
+        if self.last_read[i] != self.head {
+            self.last_read[i] = self.head;
+            self.effects.reads.push(slot);
+        }
+    }
+
+    /// Notes a write of `slot` by the current head.
+    pub(crate) fn write(&mut self, slot: SlotId) {
+        self.effects.writes.push(slot);
+    }
+
+    /// Marks `slot` as the loop variable of `for` statement `index`.
+    pub(crate) fn loop_var(&mut self, index: usize, slot: SlotId) {
+        self.effects.stmts[index].loop_var = Some(slot);
+    }
+
+    /// Ends the body: the reads noted from here on are the return
+    /// expression's.
+    pub(crate) fn end_body(&mut self) {
+        self.head += 1;
+        self.effects.ret_reads = self.effects.reads.len();
+    }
+
+    pub(crate) fn finish(self) -> ProgramEffects {
+        self.effects
     }
 }
 
@@ -331,19 +272,20 @@ pub enum ChangeKind {
 #[derive(Debug, Clone)]
 pub struct ChangeSeed {
     /// Per-statement change kinds, indexed by pre-order index in the new
-    /// program (same indexing as [`ProgramEffects::stmts`]).
+    /// program (same indexing as [`ProgramEffects`]).
     pub kinds: Vec<ChangeKind>,
-    /// Variables whose old values go stale under the edit: writes of
-    /// removed or edited old-program statements.
-    pub stale_writes: BTreeSet<String>,
+    /// One flag per frame slot: whether the slot's old value goes stale,
+    /// as a write of a removed or edited old-program statement.
+    pub stale_writes: Vec<bool>,
 }
 
 impl ChangeSeed {
-    /// The identity seed: nothing changed.
-    pub fn identity(len: usize) -> ChangeSeed {
+    /// The identity seed over `len` statements and `slots` frame slots:
+    /// nothing changed.
+    pub fn identity(len: usize, slots: usize) -> ChangeSeed {
         ChangeSeed {
             kinds: vec![ChangeKind::Unchanged; len],
-            stale_writes: BTreeSet::new(),
+            stale_writes: vec![false; slots],
         }
     }
 }
@@ -351,21 +293,23 @@ impl ChangeSeed {
 /// The over-approximate impact slice of an edit.
 #[derive(Debug, Clone)]
 pub struct ImpactSet {
-    /// Pre-order indices of new-program statements some execution could
-    /// revisit under the edit.
-    pub impacted: BTreeSet<usize>,
-    /// Variables whose values may differ from the old execution.
-    pub may_dirty: BTreeSet<String>,
-    /// Site labels whose choices or observations may be revisited.
-    pub sites: BTreeSet<String>,
-    /// Total number of statements in the new program.
-    pub total: usize,
+    /// Per statement of the new program: whether some execution could
+    /// revisit it under the edit.
+    impacted: Vec<bool>,
+    /// Per statement: whether its whole subtree was spread into the slice
+    /// (so every site in it may be revisited, not just its head's).
+    spread: Vec<bool>,
+    /// Per frame slot: whether its value may differ from the old
+    /// execution.
+    may_dirty: Vec<bool>,
+    /// Number of set `impacted` flags.
+    count: usize,
 }
 
 impl ImpactSet {
     /// Whether statement `index` may be revisited.
     pub fn contains(&self, index: usize) -> bool {
-        self.impacted.contains(&index)
+        self.impacted.get(index).copied().unwrap_or(false)
     }
 
     /// Whether statement `index` is statically proven skippable.
@@ -373,9 +317,65 @@ impl ImpactSet {
         !self.contains(index)
     }
 
+    /// Total number of statements in the new program.
+    pub fn total(&self) -> usize {
+        self.impacted.len()
+    }
+
+    /// Number of statements that may be revisited.
+    pub fn impacted_count(&self) -> usize {
+        self.count
+    }
+
     /// Number of statements statically proven skippable.
     pub fn skippable_count(&self) -> usize {
-        self.total - self.impacted.len()
+        self.total() - self.count
+    }
+
+    /// Pre-order indices of the statements that may be revisited, in
+    /// order.
+    pub fn impacted(&self) -> impl Iterator<Item = usize> + '_ {
+        self.impacted
+            .iter()
+            .enumerate()
+            .filter_map(|(i, hit)| hit.then_some(i))
+    }
+
+    /// The slots whose values may differ from the old execution.
+    pub fn may_dirty(&self) -> impl Iterator<Item = SlotId> + '_ {
+        self.may_dirty
+            .iter()
+            .enumerate()
+            .filter_map(|(i, dirty)| dirty.then_some(SlotId::from_index(i)))
+    }
+
+    /// The site labels whose choices or observations may be revisited,
+    /// rendered for reports. `stmts` are the new program's statements in
+    /// pre-order ([`preorder`]).
+    pub fn sites(&self, stmts: &[&Stmt]) -> BTreeSet<String> {
+        let mut sites = Vec::new();
+        for i in self.impacted() {
+            if self.spread[i] || StmtShape::of(stmts[i]) == StmtShape::Leaf {
+                stmts[i].collect_sites(&mut sites);
+            } else {
+                // Visited control statement whose children are judged
+                // individually: only its own head re-evaluates.
+                head_sites(stmts[i], &mut sites);
+            }
+        }
+        sites.iter().map(|s| s.as_str().to_string()).collect()
+    }
+}
+
+/// Whether any of `slots` is flagged in `flags`.
+fn any_flagged(flags: &[bool], slots: &[SlotId]) -> bool {
+    slots.iter().any(|s| flags[s.index()])
+}
+
+/// Flags every slot of `slots` in `flags`.
+fn flag_all(flags: &mut [bool], slots: &[SlotId]) {
+    for s in slots {
+        flags[s.index()] = true;
     }
 }
 
@@ -386,54 +386,59 @@ impl ImpactSet {
 /// propagation runtime, which skips a statement iff it is syntactically
 /// unchanged *and* none of its recorded reads is dirty:
 ///
-/// - every dynamically dirty variable is in `may_dirty` (dirty values
-///   originate from re-executed or removed writes, and every statement
-///   that can re-execute contributes its writes here);
-/// - every dynamically visited statement is in `impacted` (a statement
-///   is visited only when it is changed or reads a dirty variable, and
+/// - every dynamically dirty variable's slot is flagged may-dirty (dirty
+///   values originate from re-executed or removed writes, and every
+///   statement that can re-execute contributes its writes here);
+/// - every dynamically visited statement is impacted (a statement is
+///   visited only when it is changed or reads a dirty variable, and
 ///   static subtree reads over-approximate recorded reads).
 pub fn impact(effects: &ProgramEffects, seed: &ChangeSeed) -> ImpactSet {
-    let n = effects.stmts.len();
+    let n = effects.len();
     debug_assert_eq!(seed.kinds.len(), n, "seed must cover every statement");
     let mut impacted = vec![false; n];
     let mut spread = vec![false; n];
     let mut dirty = seed.stale_writes.clone();
+    let spread_subtree =
+        |i: usize, impacted: &mut [bool], spread: &mut [bool], dirty: &mut [bool]| {
+            spread[i] = true;
+            impacted[i..effects.stmt(i).end].fill(true);
+            flag_all(dirty, effects.subtree_writes(i));
+        };
 
     // A `while` loop whose subtree carries any edit may change its
     // iteration count, which can re-execute anything inside: treat the
     // whole loop as changed.
-    let while_touched: Vec<bool> = (0..n)
-        .map(|i| {
-            effects.stmts[i].shape == StmtShape::While
-                && (i..effects.stmts[i].end)
-                    .any(|j| seed.kinds.get(j) != Some(&ChangeKind::Unchanged))
-        })
-        .collect();
+    let while_touched = |i: usize| {
+        effects.stmt(i).shape == StmtShape::While
+            && seed.kinds[i..effects.stmt(i).end]
+                .iter()
+                .any(|k| *k != ChangeKind::Unchanged)
+    };
 
     // Seed pass.
     for i in 0..n {
-        let facts = &effects.stmts[i];
-        match seed.kinds.get(i).copied().unwrap_or(ChangeKind::Changed) {
+        let facts = effects.stmt(i);
+        match seed.kinds[i] {
             ChangeKind::Unchanged => {}
             ChangeKind::Inner => {
                 impacted[i] = true;
                 // Re-visited loop iterations rebind the loop variable.
-                if let Some(var) = &facts.loop_var {
-                    dirty.insert(var.clone());
+                if let Some(var) = facts.loop_var {
+                    dirty[var.index()] = true;
                 }
             }
             ChangeKind::Changed => match facts.shape {
                 StmtShape::Leaf => {
                     impacted[i] = true;
-                    dirty.extend(facts.head.writes.iter().cloned());
+                    flag_all(&mut dirty, effects.head_writes(i));
                 }
                 StmtShape::If | StmtShape::For | StmtShape::While => {
-                    spread_subtree(effects, i, &mut impacted, &mut spread, &mut dirty);
+                    spread_subtree(i, &mut impacted, &mut spread, &mut dirty);
                 }
             },
         }
-        if while_touched[i] && !spread[i] {
-            spread_subtree(effects, i, &mut impacted, &mut spread, &mut dirty);
+        if !spread[i] && while_touched(i) {
+            spread_subtree(i, &mut impacted, &mut spread, &mut dirty);
         }
     }
 
@@ -442,22 +447,22 @@ pub fn impact(effects: &ProgramEffects, seed: &ChangeSeed) -> ImpactSet {
     loop {
         let mut changed = false;
         for i in 0..n {
-            let facts = &effects.stmts[i];
+            let facts = effects.stmt(i);
             match facts.shape {
                 StmtShape::Leaf => {
-                    if !impacted[i] && facts.head.reads_any(&dirty) {
+                    if !impacted[i] && any_flagged(&dirty, effects.head_reads(i)) {
                         impacted[i] = true;
-                        dirty.extend(facts.head.writes.iter().cloned());
+                        flag_all(&mut dirty, effects.head_writes(i));
                         changed = true;
                     }
                 }
                 StmtShape::If => {
                     // A possibly different condition can flip the branch:
                     // either branch could then run fresh.
-                    if facts.head.reads_any(&dirty) && !spread[i] {
-                        spread_subtree(effects, i, &mut impacted, &mut spread, &mut dirty);
+                    if !spread[i] && any_flagged(&dirty, effects.head_reads(i)) {
+                        spread_subtree(i, &mut impacted, &mut spread, &mut dirty);
                         changed = true;
-                    } else if !impacted[i] && facts.subtree.reads_any(&dirty) {
+                    } else if !impacted[i] && any_flagged(&dirty, effects.subtree_reads(i)) {
                         // The aggregate record reads a dirty variable, so
                         // the `if` itself is visited — but the branch
                         // cannot flip, so children are judged one by one.
@@ -468,16 +473,17 @@ pub fn impact(effects: &ProgramEffects, seed: &ChangeSeed) -> ImpactSet {
                 StmtShape::For => {
                     // Possibly different bounds change the iteration
                     // count: fresh iterations re-run the whole body.
-                    if facts.head.reads_any(&dirty) && !spread[i] {
-                        spread_subtree(effects, i, &mut impacted, &mut spread, &mut dirty);
+                    if !spread[i] && any_flagged(&dirty, effects.head_reads(i)) {
+                        spread_subtree(i, &mut impacted, &mut spread, &mut dirty);
                         changed = true;
-                    } else if facts.subtree.reads_any(&dirty) {
+                    } else if any_flagged(&dirty, effects.subtree_reads(i)) {
                         if !impacted[i] {
                             impacted[i] = true;
                             changed = true;
                         }
-                        if let Some(var) = &facts.loop_var {
-                            if dirty.insert(var.clone()) {
+                        if let Some(var) = facts.loop_var {
+                            if !dirty[var.index()] {
+                                dirty[var.index()] = true;
                                 changed = true;
                             }
                         }
@@ -486,8 +492,8 @@ pub fn impact(effects: &ProgramEffects, seed: &ChangeSeed) -> ImpactSet {
                 StmtShape::While => {
                     // Any dirty read inside a `while` can change how many
                     // iterations run: conservatively re-run everything.
-                    if facts.subtree.reads_any(&dirty) && !spread[i] {
-                        spread_subtree(effects, i, &mut impacted, &mut spread, &mut dirty);
+                    if !spread[i] && any_flagged(&dirty, effects.subtree_reads(i)) {
+                        spread_subtree(i, &mut impacted, &mut spread, &mut dirty);
                         changed = true;
                     }
                 }
@@ -498,125 +504,214 @@ pub fn impact(effects: &ProgramEffects, seed: &ChangeSeed) -> ImpactSet {
         }
     }
 
-    let mut sites = BTreeSet::new();
-    for i in 0..n {
-        if !impacted[i] {
-            continue;
-        }
-        let facts = &effects.stmts[i];
-        if spread[i] || facts.shape == StmtShape::Leaf {
-            sites.extend(facts.subtree.samples.iter().cloned());
-        } else {
-            // Visited control statement whose children are judged
-            // individually: only its own head re-evaluates.
-            sites.extend(facts.head.samples.iter().cloned());
-        }
-    }
-
+    let count = impacted.iter().filter(|hit| **hit).count();
     ImpactSet {
-        impacted: impacted
-            .iter()
-            .enumerate()
-            .filter_map(|(i, hit)| hit.then_some(i))
-            .collect(),
+        impacted,
+        spread,
         may_dirty: dirty,
-        sites,
-        total: n,
+        count,
     }
 }
 
-fn spread_subtree(
-    effects: &ProgramEffects,
-    i: usize,
-    impacted: &mut [bool],
-    spread: &mut [bool],
-    dirty: &mut BTreeSet<String>,
-) {
-    spread[i] = true;
-    impacted[i..effects.stmts[i].end].fill(true);
-    dirty.extend(effects.stmts[i].subtree.writes.iter().cloned());
+// ---------------------------------------------------------------------------
+// Rendering for reports.
+// ---------------------------------------------------------------------------
+
+/// The statements of `program` in pre-order: index `i` of the result is
+/// the statement at pre-order index `i` of [`ProgramEffects`].
+pub fn preorder(program: &Program) -> Vec<&Stmt> {
+    fn walk<'a>(block: &'a Block, out: &mut Vec<&'a Stmt>) {
+        for stmt in block.stmts() {
+            out.push(stmt);
+            match stmt {
+                Stmt::If(_, then_b, else_b) => {
+                    walk(then_b, out);
+                    walk(else_b, out);
+                }
+                Stmt::While(_, body) | Stmt::For(_, _, _, body) => walk(body, out),
+                Stmt::Skip | Stmt::Assign(..) | Stmt::AssignIndex(..) | Stmt::Observe(..) => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(program.body(), &mut out);
+    out
+}
+
+/// A short human-readable rendering of a statement for reports.
+pub fn stmt_label(stmt: &Stmt) -> String {
+    match stmt {
+        Stmt::Skip => "skip".to_string(),
+        Stmt::Assign(name, _) => format!("{name} = …"),
+        Stmt::AssignIndex(name, _, _) => format!("{name}[…] = …"),
+        Stmt::Observe(rand, _) => format!("observe(… @ {})", rand.site),
+        Stmt::If(..) => "if …".to_string(),
+        Stmt::While(..) => "while …".to_string(),
+        Stmt::For(var, ..) => format!("for {var} in …"),
+    }
+}
+
+/// Appends the sites a statement's head samples or observes at: a leaf's
+/// every site, a branch or loop condition's, or loop bounds'. The sites of
+/// its whole subtree are [`Stmt::collect_sites`].
+pub fn head_sites(stmt: &Stmt, out: &mut Vec<SiteId>) {
+    match stmt {
+        Stmt::If(cond, ..) | Stmt::While(cond, _) => cond.collect_sites(out),
+        Stmt::For(_, lo, hi, _) => {
+            lo.collect_sites(out);
+            hi.collect_sites(out);
+        }
+        Stmt::Skip | Stmt::Assign(..) | Stmt::AssignIndex(..) | Stmt::Observe(..) => {
+            stmt.collect_sites(out)
+        }
+    }
+}
+
+/// The names of `slots` in `compiled`, sorted and deduplicated.
+pub fn slot_names(
+    compiled: &CompiledProgram,
+    slots: impl IntoIterator<Item = SlotId>,
+) -> BTreeSet<&'static str> {
+    slots.into_iter().map(|s| compiled.slot_name(s)).collect()
+}
+
+/// Calls `f` with every variable `stmt` may write, nested blocks
+/// included: assignment targets and loop variables.
+pub fn for_each_write<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a str)) {
+    let nested: &[Stmt] = match stmt {
+        Stmt::Assign(name, _) | Stmt::AssignIndex(name, ..) => {
+            f(name);
+            &[]
+        }
+        Stmt::For(var, _, _, body) => {
+            f(var);
+            body.stmts()
+        }
+        Stmt::If(_, then_b, else_b) => {
+            then_b.stmts().iter().for_each(|s| for_each_write(s, f));
+            else_b.stmts()
+        }
+        Stmt::While(_, body) => body.stmts(),
+        Stmt::Skip | Stmt::Observe(..) => &[],
+    };
+    for s in nested {
+        for_each_write(s, f);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile_with_effects;
     use crate::parse;
 
-    fn fx(src: &str) -> ProgramEffects {
-        infer_effects(&parse(src).unwrap())
+    /// The effect facts of `src`, with the compiled form naming their
+    /// slots.
+    fn fx(src: &str) -> (CompiledProgram, ProgramEffects) {
+        compile_with_effects(&parse(src).unwrap(), None)
+    }
+
+    fn names(c: &CompiledProgram, slots: &[SlotId]) -> Vec<&'static str> {
+        slot_names(c, slots.iter().copied()).into_iter().collect()
+    }
+
+    fn slot(c: &CompiledProgram, name: &str) -> usize {
+        c.slot_of(name).unwrap().index()
+    }
+
+    fn dirty_names(c: &CompiledProgram, set: &ImpactSet) -> Vec<&'static str> {
+        slot_names(c, set.may_dirty()).into_iter().collect()
     }
 
     #[test]
     fn preorder_indices_and_subtree_ranges() {
-        let e = fx("a = 1; if a > 0 { b = 2; c = 3; } else { d = 4; } e = 5; return e;");
+        let p =
+            parse("a = 1; if a > 0 { b = 2; c = 3; } else { d = 4; } e = 5; return e;").unwrap();
+        let (_, e) = compile_with_effects(&p, None);
         // a=1 | if | b=2 | c=3 | d=4 | e=5
         assert_eq!(e.len(), 6);
-        assert_eq!(e.stmts[1].shape, StmtShape::If);
-        assert_eq!(e.stmts[1].end, 5);
-        assert_eq!(e.stmts[5].label, "e = …");
-        assert_eq!(e.block_child_indices(0, 3), vec![0, 1, 5]);
+        assert_eq!(e.stmt(1).shape, StmtShape::If);
+        assert_eq!(e.stmt(1).end, 5);
+        assert_eq!(e.stmt(3).depth, 1);
+        assert_eq!(stmt_label(preorder(&p)[5]), "e = …");
+        assert_eq!(e.block_end(0, 3), 6);
     }
 
     #[test]
     fn loop_effects_include_loop_variable_and_bounds() {
-        let e = fx("n = 3; xs = array(n, 0); for i in [0..n) { xs[i] = i * 2; } return xs;");
-        let f = &e.stmts[2];
+        let (c, e) = fx("n = 3; xs = array(n, 0); for i in [0..n) { xs[i] = i * 2; } return xs;");
+        let f = e.stmt(2);
         assert_eq!(f.shape, StmtShape::For);
-        assert_eq!(f.loop_var.as_deref(), Some("i"));
-        assert!(f.head.reads.contains("n"));
-        assert!(f.head.writes.contains("i"));
-        assert!(f.subtree.writes.contains("xs"));
-        assert!(f.subtree.reads.contains("i"));
+        assert_eq!(f.loop_var.map(|s| c.slot_name(s)), Some("i"));
+        assert_eq!(names(&c, e.head_reads(2)), ["n"]);
+        assert_eq!(names(&c, e.head_writes(2)), ["i"]);
+        assert_eq!(names(&c, e.subtree_writes(2)), ["i", "xs"]);
+        assert_eq!(names(&c, e.subtree_reads(2)), ["i", "n", "xs"]);
     }
 
     #[test]
-    fn sample_sites_are_collected() {
-        let e = fx("x = flip(0.5) @ a; observe(flip(0.9) @ o == x); return x;");
-        assert!(e.stmts[0].head.samples.contains("a"));
-        assert!(e.stmts[1].head.samples.contains("o"));
-        assert!(e.stmts[1].head.reads.contains("x"));
-        assert_eq!(e.ret_reads, BTreeSet::from(["x".to_string()]));
+    fn a_head_lists_each_read_once_and_a_leaf_subtree_is_its_head() {
+        let (c, e) = fx("x = 1; xs = array(2, x); xs[x] = x + x * x; return xs;");
+        assert_eq!(e.head_reads(2).len(), 2, "x and the updated array xs");
+        assert_eq!(e.subtree_reads(2), e.head_reads(2));
+        assert_eq!(names(&c, e.ret_reads()), ["xs"]);
+    }
+
+    #[test]
+    fn sample_sites_render_from_the_statements() {
+        let p = parse(
+            "x = flip(0.5) @ a; if x { observe(flip(0.9) @ o == x); } else { skip; } return x;",
+        )
+        .unwrap();
+        let stmts = preorder(&p);
+        let mut head = Vec::new();
+        head_sites(stmts[1], &mut head);
+        assert!(head.is_empty(), "the condition samples nothing");
+        let mut subtree = Vec::new();
+        stmts[1].collect_sites(&mut subtree);
+        assert_eq!(subtree, [SiteId::new("o")]);
     }
 
     #[test]
     fn identity_seed_impacts_nothing() {
-        let e = fx("a = 1; b = a + 1; observe(flip(0.5) == b); return b;");
-        let set = impact(&e, &ChangeSeed::identity(e.len()));
-        assert!(set.impacted.is_empty());
-        assert!(set.may_dirty.is_empty());
+        let (c, e) = fx("a = 1; b = a + 1; observe(flip(0.5) == b); return b;");
+        let set = impact(&e, &ChangeSeed::identity(e.len(), c.slot_count()));
+        assert_eq!(set.impacted_count(), 0);
+        assert_eq!(set.may_dirty().count(), 0);
         assert_eq!(set.skippable_count(), 3);
     }
 
     #[test]
     fn leaf_edit_cascades_through_reads() {
-        let e = fx("a = 1; b = a + 1; c = 7; observe(flip(0.5) @ o == b); return c;");
-        let mut seed = ChangeSeed::identity(e.len());
+        let src = "a = 1; b = a + 1; c = 7; observe(flip(0.5) @ o == b); return c;";
+        let p = parse(src).unwrap();
+        let (c, e) = compile_with_effects(&p, None);
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
         seed.kinds[0] = ChangeKind::Changed; // a = …
         let set = impact(&e, &seed);
         // a dirties b, which dirties the observe; c is untouched.
-        assert!(set.contains(0) && set.contains(1) && set.contains(3));
+        assert_eq!(set.impacted().collect::<Vec<_>>(), [0, 1, 3]);
         assert!(set.skippable(2));
-        assert!(set.may_dirty.contains("a") && set.may_dirty.contains("b"));
-        assert!(!set.may_dirty.contains("c"));
-        assert!(set.sites.contains("o"));
+        assert_eq!(dirty_names(&c, &set), ["a", "b"]);
+        assert_eq!(set.sites(&preorder(&p)), BTreeSet::from(["o".to_string()]));
     }
 
     #[test]
     fn changed_if_condition_spreads_both_branches() {
-        let e = fx("p = flip(0.5); if p { x = 1; } else { y = 2; } z = x + 0; return z;");
-        let mut seed = ChangeSeed::identity(e.len());
+        let (c, e) = fx("p = flip(0.5); if p { x = 1; } else { y = 2; } z = x + 0; return z;");
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
         seed.kinds[1] = ChangeKind::Changed; // condition edited
         let set = impact(&e, &seed);
         assert!(set.contains(1) && set.contains(2) && set.contains(3));
-        assert!(set.may_dirty.contains("x") && set.may_dirty.contains("y"));
+        assert_eq!(dirty_names(&c, &set), ["x", "y", "z"]);
         assert!(set.contains(4), "z reads the dirtied x");
         assert!(set.skippable(0));
     }
 
     #[test]
     fn inner_if_edit_does_not_spread_siblings() {
-        let e = fx("p = flip(0.5); if p { x = 1; y = 2; } else { skip; } return p;");
-        let mut seed = ChangeSeed::identity(e.len());
+        let (c, e) = fx("p = flip(0.5); if p { x = 1; y = 2; } else { skip; } return p;");
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
         seed.kinds[1] = ChangeKind::Inner;
         seed.kinds[2] = ChangeKind::Changed; // x = … edited
         let set = impact(&e, &seed);
@@ -627,20 +722,20 @@ mod tests {
 
     #[test]
     fn while_with_any_inner_edit_spreads() {
-        let e = fx("n = 0; while n < 3 { n = n + 1; m = n; } return n;");
-        let mut seed = ChangeSeed::identity(e.len());
+        let (c, e) = fx("n = 0; while n < 3 { n = n + 1; m = n; } return n;");
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
         seed.kinds[2] = ChangeKind::Changed; // n = n + 1 edited
         seed.kinds[1] = ChangeKind::Inner;
         let set = impact(&e, &seed);
         assert!(set.contains(1) && set.contains(2) && set.contains(3));
-        assert!(set.may_dirty.contains("n") && set.may_dirty.contains("m"));
+        assert_eq!(dirty_names(&c, &set), ["m", "n"]);
     }
 
     #[test]
     fn stale_writes_seed_the_fixpoint() {
-        let e = fx("a = 1; b = a + c; return b;");
-        let mut seed = ChangeSeed::identity(e.len());
-        seed.stale_writes.insert("c".to_string()); // removed old stmt wrote c
+        let (c, e) = fx("a = 1; b = a + c; return b;");
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
+        seed.stale_writes[slot(&c, "c")] = true; // removed old stmt wrote c
         let set = impact(&e, &seed);
         assert!(set.skippable(0));
         assert!(set.contains(1));
@@ -648,22 +743,22 @@ mod tests {
 
     #[test]
     fn dirty_loop_bounds_spread_the_loop_body() {
-        let e = fx("n = 3; xs = array(4, 0); for i in [0..n) { xs[i] = 1; } return xs;");
-        let mut seed = ChangeSeed::identity(e.len());
+        let (c, e) = fx("n = 3; xs = array(4, 0); for i in [0..n) { xs[i] = 1; } return xs;");
+        let mut seed = ChangeSeed::identity(e.len(), c.slot_count());
         seed.kinds[0] = ChangeKind::Changed; // n = …
         let set = impact(&e, &seed);
         assert!(set.contains(2) && set.contains(3));
-        assert!(set.may_dirty.contains("xs") && set.may_dirty.contains("i"));
+        assert_eq!(dirty_names(&c, &set), ["i", "n", "xs"]);
         assert!(set.skippable(1));
     }
 
     #[test]
-    fn single_statement_effects_helper_is_transitive() {
+    fn writes_are_collected_through_nested_blocks() {
         let p =
             parse("for i in [0..3) { xs = array(2, i); observe(flip(0.5) @ w == 1); } return 0;")
                 .unwrap();
-        let sum = stmt_effects(&p.body().stmts()[0]);
-        assert!(sum.writes.contains("xs") && sum.writes.contains("i"));
-        assert!(sum.samples.contains("w"));
+        let mut writes = Vec::new();
+        for_each_write(&p.body().stmts()[0], &mut |name| writes.push(name));
+        assert_eq!(writes, ["i", "xs"]);
     }
 }

@@ -553,95 +553,95 @@ impl PartialEq for Program {
     }
 }
 
-/// Appends every variable name `expr` mentions (reads only — expressions
-/// cannot bind), in evaluation order. Names may repeat; callers dedup.
-pub fn collect_expr_var_names<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
+/// Calls `f` with every variable name `expr` mentions (reads only —
+/// expressions cannot bind), in evaluation order. Names may repeat.
+pub fn for_each_expr_var_name<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a str)) {
     match expr {
         Expr::Const(_) => {}
-        Expr::Var(name) => out.push(name),
-        Expr::Unary(_, e) => collect_expr_var_names(e, out),
+        Expr::Var(name) => f(name),
+        Expr::Unary(_, e) => for_each_expr_var_name(e, f),
         Expr::Binary(_, a, b) | Expr::Index(a, b) | Expr::ArrayInit(a, b) => {
-            collect_expr_var_names(a, out);
-            collect_expr_var_names(b, out);
+            for_each_expr_var_name(a, f);
+            for_each_expr_var_name(b, f);
         }
         Expr::Call(_, args) => {
             for a in args {
-                collect_expr_var_names(a, out);
+                for_each_expr_var_name(a, f);
             }
         }
         Expr::Ternary(c, t, e) => {
-            collect_expr_var_names(c, out);
-            collect_expr_var_names(t, out);
-            collect_expr_var_names(e, out);
+            for_each_expr_var_name(c, f);
+            for_each_expr_var_name(t, f);
+            for_each_expr_var_name(e, f);
         }
-        Expr::Random(r) => collect_rand_var_names(&r.kind, out),
+        Expr::Random(r) => for_each_rand_var_name(&r.kind, f),
     }
 }
 
-fn collect_rand_var_names<'a>(kind: &'a RandKind, out: &mut Vec<&'a str>) {
+fn for_each_rand_var_name<'a>(kind: &'a RandKind, f: &mut impl FnMut(&'a str)) {
     match kind {
         RandKind::Flip(p)
         | RandKind::Poisson(p)
         | RandKind::GeometricDist(p)
-        | RandKind::Exponential(p) => collect_expr_var_names(p, out),
+        | RandKind::Exponential(p) => for_each_expr_var_name(p, f),
         RandKind::UniformInt(a, b)
         | RandKind::UniformReal(a, b)
         | RandKind::Gauss(a, b)
         | RandKind::Beta(a, b) => {
-            collect_expr_var_names(a, out);
-            collect_expr_var_names(b, out);
+            for_each_expr_var_name(a, f);
+            for_each_expr_var_name(b, f);
         }
         RandKind::Categorical(ws) => {
             for w in ws {
-                collect_expr_var_names(w, out);
+                for_each_expr_var_name(w, f);
             }
         }
     }
 }
 
-/// Appends every variable name `program` mentions — assignment targets,
-/// loop variables, and reads — in syntactic order. Names may repeat;
-/// callers dedup. This is the slot universe the compile pass
-/// ([`crate::compile`]) resolves against.
-pub fn collect_var_names<'a>(program: &'a Program, out: &mut Vec<&'a str>) {
-    fn walk_block<'a>(block: &'a Block, out: &mut Vec<&'a str>) {
+/// Calls `f` with every variable name `program` mentions — assignment
+/// targets, loop variables, and reads — in syntactic order, which is the
+/// order the compile pass ([`crate::compile`]) numbers frame slots in.
+/// Names may repeat.
+pub fn for_each_var_name<'a>(program: &'a Program, f: &mut impl FnMut(&'a str)) {
+    fn walk_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
         for stmt in &block.0 {
             match stmt {
                 Stmt::Skip => {}
                 Stmt::Assign(name, e) => {
-                    out.push(name);
-                    collect_expr_var_names(e, out);
+                    f(name);
+                    for_each_expr_var_name(e, f);
                 }
                 Stmt::AssignIndex(name, i, e) => {
-                    out.push(name);
-                    collect_expr_var_names(i, out);
-                    collect_expr_var_names(e, out);
+                    f(name);
+                    for_each_expr_var_name(i, f);
+                    for_each_expr_var_name(e, f);
                 }
                 Stmt::If(c, t, e) => {
-                    collect_expr_var_names(c, out);
-                    walk_block(t, out);
-                    walk_block(e, out);
+                    for_each_expr_var_name(c, f);
+                    walk_block(t, f);
+                    walk_block(e, f);
                 }
                 Stmt::While(c, b) => {
-                    collect_expr_var_names(c, out);
-                    walk_block(b, out);
+                    for_each_expr_var_name(c, f);
+                    walk_block(b, f);
                 }
                 Stmt::For(var, lo, hi, b) => {
-                    out.push(var);
-                    collect_expr_var_names(lo, out);
-                    collect_expr_var_names(hi, out);
-                    walk_block(b, out);
+                    f(var);
+                    for_each_expr_var_name(lo, f);
+                    for_each_expr_var_name(hi, f);
+                    walk_block(b, f);
                 }
                 Stmt::Observe(r, e) => {
-                    collect_rand_var_names(&r.kind, out);
-                    collect_expr_var_names(e, out);
+                    for_each_rand_var_name(&r.kind, f);
+                    for_each_expr_var_name(e, f);
                 }
             }
         }
     }
-    walk_block(&program.body, out);
+    walk_block(&program.body, f);
     if let Some(e) = &program.ret {
-        collect_expr_var_names(e, out);
+        for_each_expr_var_name(e, f);
     }
 }
 

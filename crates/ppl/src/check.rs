@@ -237,22 +237,31 @@ impl Checker<'_> {
     /// variables are exempt (iterating without using the index is
     /// idiomatic).
     fn check_unused(&mut self, program: &Program) {
-        let effects = crate::analysis::infer_effects(program);
-        let mut used: HashSet<&str> = effects.ret_reads.iter().map(String::as_str).collect();
-        for facts in &effects.stmts {
-            used.extend(facts.head.reads.iter().map(String::as_str));
+        let (compiled, effects) = crate::compile::compile_with_effects(program, None);
+        // Every head's reads and the return expression's: the whole read
+        // arena, one head after another.
+        let mut used = vec![false; compiled.slot_count()];
+        for slot in (0..effects.len())
+            .flat_map(|i| effects.head_reads(i))
+            .chain(effects.ret_reads())
+        {
+            used[slot.index()] = true;
         }
-        let mut reported = HashSet::new();
-        for facts in &effects.stmts {
-            for name in &facts.head.writes {
-                if facts.loop_var.as_deref() == Some(name.as_str()) {
+        let mut reported = vec![false; compiled.slot_count()];
+        for i in 0..effects.len() {
+            for &slot in effects.head_writes(i) {
+                if effects.stmt(i).loop_var == Some(slot) {
                     continue;
                 }
-                if !used.contains(name.as_str()) && reported.insert(name.clone()) {
-                    self.current = self.spans.and_then(|t| t.stmts.get(facts.index)).copied();
+                if !used[slot.index()] && !reported[slot.index()] {
+                    reported[slot.index()] = true;
+                    self.current = self.spans.and_then(|t| t.stmts.get(i)).copied();
                     self.warning(
                         "PPL010",
-                        format!("variable `{name}` is assigned but never read"),
+                        format!(
+                            "variable `{}` is assigned but never read",
+                            compiled.slot_name(slot)
+                        ),
                     );
                 }
             }

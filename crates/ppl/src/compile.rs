@@ -52,7 +52,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::address::Address;
-use crate::ast::{collect_var_names, BinOp, Block, Builtin, Expr, Program, RandKind, Stmt, UnOp};
+use crate::analysis::{EffectsBuilder, ProgramEffects, StmtShape};
+use crate::ast::{
+    for_each_expr_var_name, for_each_var_name, BinOp, Block, Builtin, Expr, Program, RandKind,
+    Stmt, UnOp,
+};
 use crate::dist::Dist;
 use crate::effects::Handler;
 use crate::error::PplError;
@@ -86,6 +90,10 @@ impl SlotId {
     /// The slot's index into an [`EvalFrame`]'s slot vector.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    pub(crate) fn from_index(index: usize) -> SlotId {
+        SlotId(index as u32)
     }
 }
 
@@ -429,71 +437,125 @@ impl EvalFrame {
 // Lowering.
 // ---------------------------------------------------------------------------
 
-struct Lowerer<'a> {
+/// One walk over a program's AST that lowers it into flat arenas.
+///
+/// A name gets its slot the first time the walk meets it: `slot_ids` is
+/// probed with the AST's own `&str`, and a name is interned only when it
+/// is new. With `facts`, the walk also gathers the program's effect facts
+/// ([`ProgramEffects`]) on the slots it resolves.
+#[derive(Default)]
+struct Lowerer {
     exprs: Vec<CExpr>,
     stmts: Vec<CStmt>,
     blocks: Vec<CBlock>,
     arg_ids: Vec<ExprId>,
-    slot_ids: &'a FxHashMap<&'static str, SlotId>,
+    slots: Vec<&'static str>,
+    slot_ids: FxHashMap<&'static str, SlotId>,
+    facts: Option<EffectsBuilder>,
 }
 
 /// Lowers `program` into its compiled form; slot universe = the program's
 /// own variable names.
 pub fn compile(program: &Program) -> CompiledProgram {
-    compile_with_extra_names(program, &[])
+    Lowerer::default().lower(program, None).0
 }
 
-/// [`compile`] with extra slot-table entries: change propagation replays
-/// effects recorded under a *source* program `P` into the frame of the
-/// target `Q`, so the frame must have a slot for every name of either
-/// program.
-pub fn compile_with_extra_names(program: &Program, extra: &[&str]) -> CompiledProgram {
-    let mut names: Vec<&str> = Vec::new();
-    collect_var_names(program, &mut names);
-    names.extend_from_slice(extra);
-    let mut slots: Vec<&'static str> = Vec::new();
-    let mut slot_ids: FxHashMap<&'static str, SlotId> = FxHashMap::default();
-    for name in names {
-        let name = intern_name(name);
-        if !slot_ids.contains_key(name) {
-            slot_ids.insert(name, SlotId(slots.len() as u32));
-            slots.push(name);
-        }
-    }
-    let mut lw = Lowerer {
-        exprs: Vec::new(),
-        stmts: Vec::new(),
-        blocks: Vec::new(),
-        arg_ids: Vec::new(),
-        slot_ids: &slot_ids,
+/// Lowers `program` and gathers its effect facts in the same walk, keyed
+/// by the compiled form's slots. With `also`, every variable of that
+/// program gets a slot too, after the program's own: change propagation
+/// replays effects recorded under a *source* program `P` into the frame
+/// of the target `Q`, so the frame must have a slot for every name of
+/// either program.
+pub fn compile_with_effects(
+    program: &Program,
+    also: Option<&Program>,
+) -> (CompiledProgram, ProgramEffects) {
+    let lowerer = Lowerer {
+        facts: Some(EffectsBuilder::default()),
+        ..Lowerer::default()
     };
-    let body = lw.lower_block(program.body());
-    let ret = program.ret().map(|e| lw.lower_expr(e));
-    CompiledProgram {
-        exprs: lw.exprs,
-        stmts: lw.stmts,
-        blocks: lw.blocks,
-        arg_ids: lw.arg_ids,
-        body,
-        ret,
-        slots,
-        slot_ids,
-        sites: OnceLock::new(),
-    }
+    let (compiled, facts) = lowerer.lower(program, also);
+    (compiled, facts.expect("facts were requested"))
 }
 
-impl Lowerer<'_> {
+impl Lowerer {
+    /// Lowers `program`, then gives every variable of `also` a slot.
+    fn lower(
+        mut self,
+        program: &Program,
+        also: Option<&Program>,
+    ) -> (CompiledProgram, Option<ProgramEffects>) {
+        let body = self.lower_block(program.body());
+        if let Some(facts) = &mut self.facts {
+            facts.end_body();
+        }
+        let ret = program.ret().map(|e| self.lower_expr(e));
+        if let Some(also) = also {
+            for_each_var_name(also, &mut |name| {
+                self.slot(name);
+            });
+        }
+        let compiled = CompiledProgram {
+            exprs: self.exprs,
+            stmts: self.stmts,
+            blocks: self.blocks,
+            arg_ids: self.arg_ids,
+            body,
+            ret,
+            slots: self.slots,
+            slot_ids: self.slot_ids,
+            sites: OnceLock::new(),
+        };
+        (compiled, self.facts.map(EffectsBuilder::finish))
+    }
+
     fn push_expr(&mut self, node: CExpr) -> ExprId {
         let id = ExprId(self.exprs.len() as u32);
         self.exprs.push(node);
         id
     }
 
-    fn slot(&self, name: &'static str) -> SlotId {
-        *self
-            .slot_ids
-            .get(name)
-            .expect("every program variable has a slot")
+    /// The slot of `name`, given the next one (and `name` interned) the
+    /// first time the program mentions it.
+    fn slot(&mut self, name: &str) -> SlotId {
+        if let Some(&slot) = self.slot_ids.get(name) {
+            return slot;
+        }
+        let name = intern_name(name);
+        let slot = SlotId(self.slots.len() as u32);
+        self.slots.push(name);
+        self.slot_ids.insert(name, slot);
+        slot
+    }
+
+    /// Resolves a read of `name` and notes it in the current head's facts.
+    fn read(&mut self, name: &str) -> (SlotId, &'static str) {
+        let slot = self.slot(name);
+        if let Some(facts) = &mut self.facts {
+            facts.read(slot);
+        }
+        (slot, self.slots[slot.index()])
+    }
+
+    /// Resolves a write of `name` and notes it in the current head's facts.
+    fn write(&mut self, name: &str) -> (SlotId, &'static str) {
+        let slot = self.slot(name);
+        if let Some(facts) = &mut self.facts {
+            facts.write(slot);
+        }
+        (slot, self.slots[slot.index()])
+    }
+
+    /// Lowers a block nested in a control statement.
+    fn lower_nested(&mut self, block: &Block) -> CBlockId {
+        if let Some(facts) = &mut self.facts {
+            facts.nest(true);
+        }
+        let id = self.lower_block(block);
+        if let Some(facts) = &mut self.facts {
+            facts.nest(false);
+        }
+        id
     }
 
     /// The value and folded tick count of an already-lowered node, when it
@@ -522,11 +584,8 @@ impl Lowerer<'_> {
                 ticks: 1,
             },
             Expr::Var(name) => {
-                let name = intern_name(name);
-                CExpr::Var {
-                    slot: self.slot(name),
-                    name,
-                }
+                let (slot, name) = self.read(name);
+                CExpr::Var { slot, name }
             }
             Expr::Unary(op, a) => {
                 let a = self.lower_expr(a);
@@ -594,7 +653,14 @@ impl Lowerer<'_> {
                 if args.len() != builtin.arity() {
                     // The interpreter raises this error lazily, every time
                     // the node is reached; lowering must not turn it into
-                    // a compile failure (the node may be unreachable).
+                    // a compile failure (the node may be unreachable). The
+                    // arguments are not lowered, but they still name slots
+                    // and may-reads.
+                    for arg in args {
+                        for_each_expr_var_name(arg, &mut |name| {
+                            self.read(name);
+                        });
+                    }
                     CExpr::CallBadArity {
                         builtin: *builtin,
                         got: args.len(),
@@ -682,20 +748,23 @@ impl Lowerer<'_> {
     }
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> CStmtId {
+        let facts_index = self.facts.as_mut().map(|f| f.enter(StmtShape::of(stmt)));
         let node = match stmt {
             Stmt::Skip => CStmt::Skip,
             Stmt::Assign(name, e) => {
-                let name = intern_name(name);
+                let (slot, name) = self.write(name);
                 CStmt::Assign {
-                    slot: self.slot(name),
+                    slot,
                     name,
                     expr: self.lower_expr(e),
                 }
             }
             Stmt::AssignIndex(name, idx, e) => {
-                let name = intern_name(name);
+                // An element write reads the array it updates.
+                let (slot, name) = self.write(name);
+                self.read(name);
                 CStmt::AssignIndex {
-                    slot: self.slot(name),
+                    slot,
                     name,
                     index: self.lower_expr(idx),
                     expr: self.lower_expr(e),
@@ -703,21 +772,24 @@ impl Lowerer<'_> {
             }
             Stmt::If(cond, then_b, else_b) => CStmt::If {
                 cond: self.lower_expr(cond),
-                then_b: self.lower_block(then_b),
-                else_b: self.lower_block(else_b),
+                then_b: self.lower_nested(then_b),
+                else_b: self.lower_nested(else_b),
             },
             Stmt::While(cond, body) => CStmt::While {
                 cond: self.lower_expr(cond),
-                body: self.lower_block(body),
+                body: self.lower_nested(body),
             },
             Stmt::For(var, lo, hi, body) => {
-                let name = intern_name(var);
+                let (slot, name) = self.write(var);
+                if let (Some(facts), Some(index)) = (&mut self.facts, facts_index) {
+                    facts.loop_var(index, slot);
+                }
                 CStmt::For {
-                    slot: self.slot(name),
+                    slot,
                     name,
                     lo: self.lower_expr(lo),
                     hi: self.lower_expr(hi),
-                    body: self.lower_block(body),
+                    body: self.lower_nested(body),
                 }
             }
             Stmt::Observe(rand, value_expr) => CStmt::Observe {
@@ -728,6 +800,9 @@ impl Lowerer<'_> {
                 value: self.lower_expr(value_expr),
             },
         };
+        if let (Some(facts), Some(index)) = (&mut self.facts, facts_index) {
+            facts.exit(index);
+        }
         let id = CStmtId(self.stmts.len() as u32);
         self.stmts.push(node);
         id
@@ -1102,15 +1177,15 @@ pub fn bad_arity(builtin: Builtin, got: usize) -> PplError {
 
 /// The compiled form of `q` whose slot universe also covers every
 /// variable of `p` — what change propagation from a `P`-graph needs (old
-/// records replay `P`-named effects into the frame).
+/// records replay `P`-named effects into the frame) — with `q`'s effect
+/// facts on those slots, gathered by the same lowering walk.
 ///
 /// Compiled on every call and kept nowhere: each edit of a session is a
 /// new pair, so a memo would never be asked again. The caller's `Arc`
 /// decides the lifetime.
-pub fn compiled_for_pair(q: &Program, p: &Program) -> Arc<CompiledProgram> {
-    let mut extra: Vec<&str> = Vec::new();
-    collect_var_names(p, &mut extra);
-    Arc::new(compile_with_extra_names(q, &extra))
+pub fn compiled_for_pair(q: &Program, p: &Program) -> (Arc<CompiledProgram>, ProgramEffects) {
+    let (compiled, effects) = compile_with_effects(q, Some(p));
+    (Arc::new(compiled), effects)
 }
 
 // ---------------------------------------------------------------------------
@@ -1347,16 +1422,37 @@ mod tests {
     }
 
     #[test]
-    fn extra_names_extend_the_slot_table() {
+    fn a_pair_compile_gives_the_source_program_slots_after_the_targets() {
         let q = parse("x = 1; return x;").unwrap();
         let p = parse("y = 2; x = y; return x;").unwrap();
         let c = compile(&q);
         assert!(c.slot_of("y").is_none());
-        let mut extra: Vec<&str> = Vec::new();
-        collect_var_names(&p, &mut extra);
-        let c2 = compile_with_extra_names(&q, &extra);
-        assert!(c2.slot_of("y").is_some());
-        assert!(c2.slot_of("x").is_some());
+        let (c2, effects) = compiled_for_pair(&q, &p);
+        assert_eq!(c2.slot_of("x"), Some(SlotId(0)));
+        assert_eq!(c2.slot_of("y"), Some(SlotId(1)));
+        assert_eq!(effects.len(), 1, "the facts are q's");
+    }
+
+    #[test]
+    fn slots_are_numbered_in_syntactic_order() {
+        // A bad-arity call's arguments are not lowered, but they still name
+        // slots, in the place their syntax gives them, and may-reads.
+        let p = Program::new(
+            Block::new(vec![
+                Stmt::Assign(
+                    "a".into(),
+                    Expr::Call(Builtin::Sqrt, vec![Expr::var("b"), Expr::var("c")]),
+                ),
+                Stmt::Assign("d".into(), Expr::var("e")),
+            ]),
+            Some(Expr::var("f")),
+        );
+        let (c, effects) = compile_with_effects(&p, None);
+        let names: Vec<&str> = (0..c.slot_count())
+            .map(|i| c.slot_name(SlotId(i as u32)))
+            .collect();
+        assert_eq!(names, ["a", "b", "c", "d", "e", "f"]);
+        assert_eq!(effects.head_reads(0), [SlotId(1), SlotId(2)]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl SitePath<'_> {
 }
 
 /// Where one path's steps sit in [`SiteTable`]'s step arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PathSpan {
     start: u32,
     len: u32,
@@ -114,35 +114,72 @@ impl SiteTable {
             collector.path.push(SiteStep::Stmt(body_len));
             collector.expr(ret);
         }
-        let SiteCollector {
-            steps, mut found, ..
-        } = collector;
-        // Gather each site's paths into one run; the sort is stable, so a
-        // run stays in pre-order. A site a statement evaluates twice has
-        // the same span twice in a row.
-        found.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        found.dedup();
+        let SiteCollector { steps, found, .. } = collector;
         let mut table = SiteTable {
             steps,
             ..SiteTable::default()
         };
         table.steps.shrink_to_fit();
-        table.paths.reserve_exact(found.len());
-        for run in found.chunk_by(|a, b| a.0 == b.0 && a.1 == b.1) {
-            let (choice, site, _) = &run[0];
-            let map = if *choice {
+        // Gather each site's paths into one run, kept in pre-order. A run
+        // is numbered when its (kind, label) first appears, and the map
+        // holds that number until the runs are laid out. A site a
+        // statement evaluates twice has the same span twice in a row,
+        // kept once.
+        let mut runs: Vec<Run> = Vec::new();
+        let mut kept: Vec<(u32, PathSpan)> = Vec::with_capacity(found.len());
+        for (choice, site, span) in found {
+            let map = if choice {
                 &mut table.choices
             } else {
                 &mut table.observations
             };
-            map.insert(
-                Arc::clone(site),
-                (table.paths.len() as u32, run.len() as u32),
-            );
-            table.paths.extend(run.iter().map(|f| f.2));
+            let id = match map.get(&*site) {
+                Some(&(id, _)) => id,
+                None => {
+                    map.insert(site, (runs.len() as u32, 0));
+                    runs.push(Run::default());
+                    runs.len() as u32 - 1
+                }
+            };
+            let run = &mut runs[id as usize];
+            if run.last != Some(span) {
+                run.last = Some(span);
+                run.len += 1;
+                kept.push((id, span));
+            }
+        }
+        let mut start = 0;
+        for run in &mut runs {
+            (run.start, run.next) = (start, start);
+            start += run.len;
+        }
+        table.paths = vec![PathSpan::default(); kept.len()];
+        for (id, span) in kept {
+            let run = &mut runs[id as usize];
+            table.paths[run.next as usize] = span;
+            run.next += 1;
+        }
+        for entry in table
+            .choices
+            .values_mut()
+            .chain(table.observations.values_mut())
+        {
+            let run = &runs[entry.0 as usize];
+            *entry = (run.start, run.len);
         }
         table
     }
+}
+
+/// One site's run of paths while [`SiteTable::build`] lays them out.
+#[derive(Debug, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+    /// The span last kept for the site.
+    last: Option<PathSpan>,
+    /// Where the run's next path goes while the runs are filled.
+    next: u32,
 }
 
 /// Walks a compiled program once in pre-order, recording every random

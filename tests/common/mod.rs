@@ -1,10 +1,14 @@
 //! Shared generators for the property-based differential suites: random
 //! surface programs, the "hyperparameter edit" constant perturbation, and
 //! structural edits that insert or delete a statement. Used by
-//! `random_edits.rs` (weight-oracle differential tests) and
-//! `static_slices.rs` (static impact-slice soundness tests).
+//! `random_edits.rs` (weight-oracle differential tests),
+//! `static_slices.rs` (static impact-slice soundness tests and the
+//! differential test against [`reference_analysis`]) and
+//! `front_end_fuzz.rs`.
 
 #![allow(dead_code)]
+
+pub mod reference_analysis;
 
 use proptest::prelude::*;
 
@@ -73,14 +77,17 @@ pub fn perturb_constants(src: &str, delta: u32) -> String {
 /// The edits remove old statements, add fresh ones, and shift the
 /// auto-generated site labels of every later random expression.
 pub fn structural_edit_strategy() -> impl Strategy<Value = (String, String)> {
-    (
-        program_strategy(),
-        program_strategy(),
-        0usize..8,
-        0usize..8,
-        0u8..2,
-    )
-        .prop_map(|(src, donor, at, pick, delete)| {
+    structural_edit_from(program_strategy)
+}
+
+/// [`structural_edit_strategy`] over the programs `programs` generates:
+/// one statement per line between an initialising first line and a
+/// returning last one.
+pub fn structural_edit_from<S: Strategy<Value = String>>(
+    programs: impl Fn() -> S,
+) -> impl Strategy<Value = (String, String)> {
+    (programs(), programs(), 0usize..8, 0usize..8, 0u8..2).prop_map(
+        |(src, donor, at, pick, delete)| {
             // Line 0 initializes the variables and the last line returns,
             // so statement lines sit strictly between them.
             let donor: Vec<&str> = donor.lines().collect();
@@ -93,5 +100,67 @@ pub fn structural_edit_strategy() -> impl Strategy<Value = (String, String)> {
             } else {
                 (src, edited)
             }
-        })
+        },
+    )
+}
+
+/// A generator of programs for static analysis only: besides the shapes
+/// of [`program_strategy`], `while` loops, element writes and reads,
+/// statements nested up to three deep, loop variables read in their
+/// bodies, and ternaries — among them ones with a constant condition
+/// whose untaken branch reads a variable, which constant folding drops
+/// from the compiled form. Each top-level statement is one line, so
+/// [`structural_edit_from`] applies. The programs parse; they are not
+/// meant to run.
+pub fn rich_program_strategy() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![
+        (0usize..3, 1u32..99).prop_map(|(v, p)| format!("v{v} = flip(0.{p:02});")),
+        (0usize..3, 0usize..3, 0usize..3).prop_map(|(v, a, b)| format!("v{v} = va{a} + va{b};")),
+        (0usize..2, 0usize..3, 0usize..3)
+            .prop_map(|(a, i, v)| format!("xs{a}[va{i} > 0 ? 1 : 0] = v{v} + i{i};")),
+        (0usize..3, 0usize..2, 0i64..2).prop_map(|(v, a, k)| format!("va{v} = xs{a}[{k}];")),
+        (0usize..3, 0usize..3, 0u8..2).prop_map(|(v, a, taken)| if taken == 1 {
+            format!("v{v} = true ? 1 : va{a};")
+        } else {
+            format!("v{v} = false ? va{a} : 2;")
+        }),
+        (0usize..3, 1u32..99, 0usize..3)
+            .prop_map(|(v, p, a)| format!("v{v} = va{a} > 0 ? flip(0.{p:02}) : v{v};")),
+        (1u32..99, 0usize..3).prop_map(|(p, v)| format!("observe(flip(0.{p:02}) == (va{v} > 0));")),
+        Just("skip;"),
+    ];
+    let stmt = leaf.prop_recursive(3, 0, 0, |inner| {
+        let body = || proptest::collection::vec(inner.clone(), 1..3).prop_map(|b| b.join(" "));
+        prop_oneof![
+            inner.clone(),
+            (0usize..3, body(), body())
+                .prop_map(|(c, t, e)| format!("if va{c} > 0 {{ {t} }} else {{ {e} }}")),
+            (0usize..3, 1i64..4, body())
+                .prop_map(|(v, n, b)| format!("for i{v} in [0..{n}) {{ {b} }}")),
+            (0usize..3, 1i64..3, body())
+                .prop_map(|(v, n, b)| { format!("while w{v} < {n} {{ w{v} = w{v} + 1; {b} }}") }),
+        ]
+    });
+    proptest::collection::vec(stmt, 1..6).prop_map(|stmts| {
+        let mut src = String::from(
+            "va0 = 1; va1 = 0; va2 = 1; v0 = 0; v1 = 0; v2 = 0; w0 = 0; w1 = 0; w2 = 0; \
+             xs0 = array(2, 0); xs1 = array(2, 1);\n",
+        );
+        for s in stmts {
+            src.push_str(&s);
+            src.push('\n');
+        }
+        src.push_str("return va0 + xs0[1];");
+        src
+    })
+}
+
+/// A strategy that always yields `value`.
+pub struct Just(pub &'static str);
+
+impl Strategy for Just {
+    type Value = String;
+    fn generate(&self, _rng: &mut rand::rngs::StdRng) -> String {
+        self.0.to_string()
+    }
 }

@@ -5,18 +5,32 @@
 //! otherwise. These tests drive that oracle over random programs, random
 //! hyperparameter edits, whole edit sequences, and every runner flavor
 //! (flat, graph-native, pooled at several thread counts).
+//!
+//! The slot-keyed facts and slice are also checked against the analysis
+//! as it was computed on strings (`common::reference_analysis`): every
+//! name, label, verdict and site they render must be the reference's.
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use common::{perturb_constants, program_strategy, structural_edit_strategy};
-use depgraph::{edit_chain, run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
+use common::reference_analysis as reference;
+use common::{
+    perturb_constants, program_strategy, rich_program_strategy, structural_edit_from,
+    structural_edit_strategy,
+};
+use depgraph::{
+    diff_programs, edit_chain, impact_of_edit, run_edit_sequence_supervised, EditImpact, ExecGraph,
+    IncrementalTranslator,
+};
 use incremental::{
     collection_checksum, run_state_sequence_supervised, FailurePolicy, ParticleCollection,
     SmcConfig, StagePolicy, StateTranslator,
 };
+use ppl::analysis::{head_sites, preorder, slot_names, stmt_label};
 use ppl::handlers::simulate;
+use ppl::SlotId;
 use ppl::{parse, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -127,6 +141,138 @@ proptest! {
     }
 }
 
+/// Sorted names of `slots` in `compiled`, as owned strings.
+fn rendered(compiled: &ppl::CompiledProgram, slots: &[SlotId]) -> Vec<String> {
+    let names = slot_names(compiled, slots.iter().copied());
+    names.into_iter().map(str::to_string).collect()
+}
+
+fn sorted(set: &BTreeSet<String>) -> Vec<String> {
+    set.iter().cloned().collect()
+}
+
+/// Sorted, deduplicated labels of `sites`.
+fn site_labels(sites: &[ppl::ast::SiteId]) -> Vec<String> {
+    let set: BTreeSet<String> = sites.iter().map(|s| s.as_str().to_string()).collect();
+    set.into_iter().collect()
+}
+
+/// Asserts that the edit `p → q`'s slot-keyed facts and impact slice
+/// render to exactly what the string-keyed reference computes.
+fn assert_matches_reference(p_src: &str, q_src: &str) -> Result<(), String> {
+    let p = parse(p_src).map_err(|e| format!("{e} in {p_src}"))?;
+    let q = parse(q_src).map_err(|e| format!("{e} in {q_src}"))?;
+    let edit = diff_programs(&p, &q);
+    let EditImpact {
+        compiled,
+        effects,
+        impact,
+    } = impact_of_edit(&q, &p, &edit);
+    let (want_effects, want_impact) = reference::impact_of_edit(&q, &p, &edit);
+    let stmts = preorder(&q);
+    prop_assert_eq!(effects.len(), want_effects.len());
+    prop_assert_eq!(stmts.len(), want_effects.len());
+    for (i, want) in want_effects.stmts.iter().enumerate() {
+        let got = effects.stmt(i);
+        let at = format!("statement #{i} `{}`", want.label);
+        prop_assert_eq!(stmt_label(stmts[i]), want.label.clone(), "{}", at);
+        prop_assert_eq!(got.end, want.end, "end of {}", at);
+        prop_assert_eq!(got.depth, want.depth, "depth of {}", at);
+        prop_assert_eq!(
+            format!("{:?}", got.shape),
+            format!("{:?}", want.shape),
+            "shape of {}",
+            at
+        );
+        prop_assert_eq!(
+            got.loop_var.map(|s| compiled.slot_name(s).to_string()),
+            want.loop_var.clone(),
+            "loop variable of {}",
+            at
+        );
+        let facts = [
+            (effects.head_reads(i), &want.head.reads, "head reads"),
+            (effects.head_writes(i), &want.head.writes, "head writes"),
+            (
+                effects.subtree_reads(i),
+                &want.subtree.reads,
+                "subtree reads",
+            ),
+            (
+                effects.subtree_writes(i),
+                &want.subtree.writes,
+                "subtree writes",
+            ),
+        ];
+        for (got, want, what) in facts {
+            prop_assert_eq!(rendered(&compiled, got), sorted(want), "{} of {}", what, at);
+        }
+        let mut head = Vec::new();
+        head_sites(stmts[i], &mut head);
+        prop_assert_eq!(
+            site_labels(&head),
+            sorted(&want.head.samples),
+            "head samples of {}",
+            at
+        );
+        let mut subtree = Vec::new();
+        stmts[i].collect_sites(&mut subtree);
+        prop_assert_eq!(
+            site_labels(&subtree),
+            sorted(&want.subtree.samples),
+            "subtree samples of {}",
+            at
+        );
+    }
+    prop_assert_eq!(
+        rendered(&compiled, effects.ret_reads()),
+        sorted(&want_effects.ret_reads)
+    );
+    prop_assert_eq!(impact.total(), want_impact.total);
+    prop_assert_eq!(
+        impact.impacted().collect::<Vec<_>>(),
+        want_impact.impacted.iter().copied().collect::<Vec<_>>(),
+        "impacted statements"
+    );
+    let dirty: Vec<String> = slot_names(&compiled, impact.may_dirty())
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    prop_assert_eq!(dirty, sorted(&want_impact.may_dirty), "may-dirty variables");
+    prop_assert_eq!(impact.sites(&stmts), want_impact.sites, "revisited sites");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Under a hyperparameter edit of a program with nested `if`, `for`
+    /// and `while`, element writes and constant-condition ternaries, the
+    /// slot-keyed facts and slice agree with the string reference.
+    #[test]
+    fn slot_facts_match_the_string_reference_under_constant_edits(
+        src in rich_program_strategy(),
+        delta in 1u32..37,
+    ) {
+        let q_src = perturb_constants(&src, delta);
+        assert_matches_reference(&src, &q_src)
+            .map_err(|e| format!("{e}\np:\n{src}\nq:\n{q_src}"))?;
+    }
+
+    /// The same under structural edits, which remove old statements (so
+    /// their writes go stale), add fresh ones and shift site labels.
+    #[test]
+    fn slot_facts_match_the_string_reference_under_structural_edits(
+        edit in structural_edit_from(rich_program_strategy),
+        plain in structural_edit_strategy(),
+    ) {
+        for (p_src, q_src) in [edit, plain] {
+            assert_matches_reference(&p_src, &q_src)
+                .map_err(|e| format!("{e}\np:\n{p_src}\nq:\n{q_src}"))?;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -205,7 +351,7 @@ fn static_pruning_skips_the_unaffected_suffix() {
     let p = parse(p_src).unwrap();
     let q = parse(q_src).unwrap();
     let translator = IncrementalTranslator::from_edit(p.clone(), q);
-    assert_eq!(translator.plan().impact().impacted.len(), 1);
+    assert_eq!(translator.plan().impact().impacted_count(), 1);
     assert_eq!(translator.plan().impact().skippable_count(), 2);
     let mut rng = StdRng::seed_from_u64(3);
     let graph = ExecGraph::simulate(&p, &mut rng).unwrap();
