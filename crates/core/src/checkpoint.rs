@@ -31,7 +31,10 @@
 //!
 //! Durability: [`Checkpoint::save`] writes to a temp file in the target
 //! directory, syncs it, and renames it into place, so a crash mid-write
-//! can never produce a truncated checkpoint under the final name. An
+//! can never produce a truncated checkpoint under the final name. Once
+//! the new file is durable, `save` removes the files of earlier steps:
+//! a resume reads only the newest file ([`Checkpoint::latest_in`]), so a
+//! directory holds one checkpoint however long the run. An
 //! FxHash64 checksum trailer covers the whole body; [`Checkpoint::parse`]
 //! rejects any corruption with a typed [`CheckpointError`] — a bit-flipped
 //! checkpoint is never silently resumed.
@@ -366,9 +369,11 @@ impl Checkpoint {
     /// the directory itself is synced — so a crash mid-save never leaves
     /// a truncated file under the final name, and a power loss right
     /// after `save` returns cannot lose the directory entry of the
-    /// completed checkpoint. Stale temp files orphaned by an earlier
-    /// crash (a SIGKILL between temp-file creation and rename) are swept
-    /// first. Creates `dir` if needed. Returns the final path.
+    /// completed checkpoint. Then one pass over the directory removes
+    /// the checkpoints of lower steps, which this one supersedes, and
+    /// stale temp files orphaned by an earlier crash (a SIGKILL between
+    /// temp-file creation and rename); checkpoints of higher steps stay.
+    /// Creates `dir` if needed. Returns the final path.
     ///
     /// # Errors
     ///
@@ -382,7 +387,6 @@ impl Checkpoint {
             }
         };
         std::fs::create_dir_all(dir).map_err(io(dir))?;
-        sweep_stale_tmps(dir);
         let final_path = dir.join(Checkpoint::file_name(self.step));
         let tmp_path = dir.join(format!(
             ".{}.tmp-{}",
@@ -399,6 +403,15 @@ impl Checkpoint {
         // The rename is durable only once the directory entry itself is
         // on disk: fsync the parent directory.
         sync_dir(dir).map_err(io(dir))?;
+        if let Ok(entries) = std::fs::read_dir(dir) {
+            scan(entries, |step, _, path| {
+                if step < self.step {
+                    // Best-effort, as the sweep: the new checkpoint is
+                    // already durable.
+                    let _ = std::fs::remove_file(path);
+                }
+            });
+        }
         Ok(final_path)
     }
 
@@ -417,7 +430,8 @@ impl Checkpoint {
     }
 
     /// Finds and loads the checkpoint with the highest step number in
-    /// `dir`. Returns `Ok(None)` when the directory does not exist or
+    /// `dir`, sweeping stale temp files in the same pass over the
+    /// directory. Returns `Ok(None)` when the directory does not exist or
     /// holds no checkpoint files.
     ///
     /// # Errors
@@ -434,18 +448,8 @@ impl Checkpoint {
                 })
             }
         };
-        sweep_stale_tmps(dir);
         let mut best: Option<(usize, String, PathBuf)> = None;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(step) = name
-                .strip_prefix("step-")
-                .and_then(|s| s.strip_suffix(".ckpt"))
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
+        scan(entries, |step, name, path| {
             // A step can appear under both the current 8-digit padding
             // and the legacy 5-digit one; prefer the current (longer)
             // name so the pick never depends on directory order.
@@ -456,9 +460,9 @@ impl Checkpoint {
                 }
             };
             if better {
-                best = Some((step, name.to_string(), entry.path()));
+                best = Some((step, name.to_string(), path));
             }
-        }
+        });
         match best {
             Some((_, _, path)) => {
                 let ck = Checkpoint::load(&path)?;
@@ -515,19 +519,25 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Removes temp files orphaned by a crash between temp-file creation and
-/// rename (`.step-NNNNN.ckpt.tmp-<pid>`, any padding width). Best-effort:
-/// per-file errors are ignored — a concurrent sweeper may have won the
-/// race, and an unremovable orphan must not fail the save that found it.
-fn sweep_stale_tmps(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
+/// One pass over a checkpoint directory's `entries`: removes temp files
+/// orphaned by a crash between temp-file creation and rename
+/// (`.step-NNNNN.ckpt.tmp-<pid>`, any padding width), and calls `found`
+/// with the step, name and path of every checkpoint file
+/// (`step-NNNNNNNN.ckpt`, any padding width). Best-effort: per-file
+/// errors are ignored — a concurrent sweeper may have won the race, and
+/// an unremovable orphan must not fail the save that found it.
+fn scan(entries: std::fs::ReadDir, mut found: impl FnMut(usize, &str, PathBuf)) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if name.starts_with(".step-") && name.contains(".ckpt.tmp-") {
             let _ = std::fs::remove_file(entry.path());
+        } else if let Some(step) = name
+            .strip_prefix("step-")
+            .and_then(|s| s.strip_suffix(".ckpt"))
+            .and_then(|s| s.parse::<usize>().ok())
+        {
+            found(step, name, entry.path());
         }
     }
 }
@@ -819,6 +829,92 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The checkpoint files in `dir`, by name.
+    fn checkpoint_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_save_removes_the_checkpoints_it_supersedes() {
+        let dir = std::env::temp_dir().join(format!("ppl-ckpt-unit-{}-prune", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut ck = sample_checkpoint();
+        // A legacy-padded lower step, and a higher step a later save
+        // must leave alone.
+        ck.step = 1;
+        std::fs::write(dir.join("step-00001.ckpt"), ck.render()).unwrap();
+        ck.step = 9;
+        std::fs::write(dir.join(Checkpoint::file_name(9)), ck.render()).unwrap();
+        for step in [2, 5] {
+            ck.step = step;
+            ck.save(&dir).unwrap();
+        }
+        assert_eq!(
+            checkpoint_files(&dir),
+            [Checkpoint::file_name(5), Checkpoint::file_name(9)]
+        );
+        let kept = std::fs::read_to_string(dir.join(Checkpoint::file_name(5))).unwrap();
+        assert_eq!(kept, ck.render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One coin flip, the model of every stage below.
+    fn coin(h: &mut dyn ppl::Handler) -> Result<Value, PplError> {
+        h.sample(addr!["x"], ppl::dist::Dist::flip(0.5))
+    }
+
+    /// A four-stage run that checkpoints after every stage leaves one
+    /// file, the last stage's.
+    #[test]
+    fn a_run_checkpointing_every_stage_leaves_one_file() {
+        use crate::correspondence::Correspondence;
+        use crate::forward::CorrespondenceTranslator;
+        use crate::health::{FailurePolicy, StagePolicy};
+        use crate::sequence::run_state_sequence_supervised;
+        use crate::smc::SmcConfig;
+        use crate::translator::StateTranslator;
+        use crate::SmcError;
+        use rand::SeedableRng;
+
+        let dir = std::env::temp_dir().join(format!("ppl-ckpt-unit-{}-run", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stage: Arc<dyn StateTranslator<ppl::Trace> + Send + Sync> = Arc::new(
+            CorrespondenceTranslator::new(coin, coin, Correspondence::identity_on(["x"])),
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let initial = ParticleCollection::from_traces(
+            (0..8).map(|_| ppl::handlers::simulate(&coin, &mut rng).unwrap()),
+        );
+        let mut save = |snap: &StageSnapshot<'_, ppl::Trace>| {
+            let ck = Checkpoint::from_snapshot(snap, 11, 0).map_err(SmcError::Eval)?;
+            ck.save(&dir)
+                .map_err(|e| SmcError::Internal(e.to_string()))?;
+            Ok(())
+        };
+        run_state_sequence_supervised(
+            &vec![stage; 4],
+            &initial,
+            0,
+            &[],
+            &[],
+            &SmcConfig::translate_only(),
+            &FailurePolicy::FailFast,
+            &StagePolicy::checkpoint_every(1),
+            11,
+            1,
+            Some(&mut save),
+        )
+        .unwrap();
+        assert_eq!(checkpoint_files(&dir), [Checkpoint::file_name(4)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn save_syncs_the_checkpoint_directory() {
         let dir =
@@ -877,6 +973,12 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        // Files are written directly, since a save removes lower steps.
+        let plant = |ck: &Checkpoint| {
+            let path = dir.join(Checkpoint::file_name(ck.step));
+            std::fs::write(&path, ck.render()).unwrap();
+            path
+        };
         // An old 5-digit checkpoint (written by a pre-widening build)
         // alongside new 8-digit ones, including a step past 100000 where
         // 5-digit lexicographic ordering used to break.
@@ -884,9 +986,9 @@ mod tests {
         ck.step = 3;
         std::fs::write(dir.join("step-00003.ckpt"), ck.render()).unwrap();
         ck.step = 12;
-        ck.save(&dir).unwrap();
+        plant(&ck);
         ck.step = 100_001;
-        let newest = ck.save(&dir).unwrap();
+        let newest = plant(&ck);
         assert!(newest.ends_with("step-00100001.ckpt"));
         let (path, latest) = Checkpoint::latest_in(&dir).unwrap().unwrap();
         assert_eq!(path, newest);
@@ -907,7 +1009,7 @@ mod tests {
         // legacy-named files — even corrupt ones — cannot shadow a valid
         // current checkpoint of the same step.
         ck.step = 3;
-        let current = ck.save(&dir).unwrap();
+        let current = plant(&ck);
         std::fs::write(dir.join("step-00003.ckpt"), "garbage\n").unwrap();
         let (path, latest) = Checkpoint::latest_in(&dir).unwrap().unwrap();
         assert_eq!(path, current);

@@ -55,6 +55,11 @@ pub struct StagePlan {
     /// wrote them (see [`live_set`]). A skip run outside loops replays
     /// only its writes of these.
     live: Vec<bool>,
+    /// Whether a `for` loop whose body is unchanged shares all its old
+    /// iterations in one step when the walk would skip each of them;
+    /// false only in the reference plan the propagation tests compare
+    /// against.
+    share_iters: bool,
 }
 
 /// Plan for one block: mirrors [`BlockDiff`] with the per-op decisions
@@ -192,6 +197,7 @@ impl StagePlan {
             effects,
             impact,
             live,
+            share_iters: true,
         }
     }
 
@@ -199,6 +205,16 @@ impl StagePlan {
     #[cfg(test)]
     pub(crate) fn replaying_every_write(q: &Program, p: &Program, edit: &ProgramEdit) -> StagePlan {
         Self::build(q, p, edit, true)
+    }
+
+    /// This plan with every `for` iteration walked one at a time: the
+    /// reference the iteration-sharing tests compare against.
+    #[cfg(test)]
+    pub(crate) fn walking_every_iteration(self) -> StagePlan {
+        StagePlan {
+            share_iters: false,
+            ..self
+        }
     }
 
     /// The root block plan (what the propagator walks).
@@ -225,6 +241,11 @@ impl StagePlan {
     /// The live set as one flag per slot of [`StagePlan::compiled`].
     pub(crate) fn live(&self) -> &[bool] {
         &self.live
+    }
+
+    /// Whether a `for` loop may share all its old iterations in one step.
+    pub(crate) fn shares_iterations(&self) -> bool {
+        self.share_iters
     }
 }
 

@@ -96,6 +96,13 @@ const VERIFY_OFF: u8 = 1;
 const VERIFY_ON: u8 = 2;
 static VERIFY_SLICES: AtomicU8 = AtomicU8::new(VERIFY_UNSET);
 
+#[cfg(test)]
+thread_local! {
+    /// How many old `for` iterations this thread's walks checked one at a
+    /// time.
+    static ITERATION_CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The result of one incremental translation.
 #[derive(Debug, Clone)]
 pub struct IncrementalResult {
@@ -234,6 +241,7 @@ pub(crate) fn walk(
         source,
         frame: &mut frame,
         live: old.map_or(&[], |(_, plan)| plan.live()),
+        share_iters: old.is_some_and(|(_, plan)| plan.shares_iterations()),
         tally: Tally {
             deadline,
             ..Tally::default()
@@ -294,6 +302,9 @@ struct Propagator<'a> {
     /// The stage's live set, one flag per slot ([`StagePlan::live`]);
     /// empty for a build, which has no skip runs.
     live: &'a [bool],
+    /// Whether a `for` loop may share all its old iterations in one step
+    /// ([`StagePlan::shares_iterations`]).
+    share_iters: bool,
     tally: Tally,
     /// Present only while the slice-soundness oracle runs.
     oracle: Option<Oracle<'a>>,
@@ -355,6 +366,14 @@ impl<'a> Propagator<'a> {
 
     fn any_dirty(&self, reads: &ReadSet) -> bool {
         any_dirty(self.prog, self.frame, reads.iter())
+    }
+
+    /// Whether nothing an old `for` iteration read is dirty, so the
+    /// iteration can be shared.
+    fn iteration_clean(&self, iter: &BlockRecord) -> bool {
+        #[cfg(test)]
+        ITERATION_CHECKS.set(ITERATION_CHECKS.get() + 1);
+        !self.any_dirty(&iter.summary.reads)
     }
 
     /// One past the last pre-order index of `count` sibling subtrees
@@ -705,6 +724,23 @@ impl<'a> Propagator<'a> {
                 let mut summary = Summary::default();
                 let lo = self.eval(lo_e, &mut summary)?.as_int()?;
                 let hi = self.eval(hi_e, &mut summary)?.as_int()?;
+                // The iterations' reads lead the record's, the bounds'
+                // follow (see `StmtRecord::For`).
+                let bound_reads = std::mem::take(&mut summary.reads);
+                // Old iterations outside the new bounds are removed: those
+                // below a raised lower bound before the walk, since the
+                // iterations after them read what they wrote, and those
+                // beyond the upper bound after it.
+                let (removed_below, removed_above) =
+                    old_for.map_or((&[][..], &[][..]), |(old_lo, _, old_iters)| {
+                        let index = |i: i64| {
+                            i.saturating_sub(old_lo).clamp(0, old_iters.len() as i64) as usize
+                        };
+                        (&old_iters[..index(lo)], &old_iters[index(lo.max(hi))..])
+                    });
+                for old in removed_below {
+                    self.remove_record(&old.summary);
+                }
                 // Every visited iteration costs a tick, so a loop runs out
                 // of fuel within `DEFAULT_FUEL` iterations; reserving more
                 // would only let huge bounds allocate before the budget
@@ -713,7 +749,50 @@ impl<'a> Propagator<'a> {
                 let mut iters = Vec::with_capacity(trip as usize);
                 let mut written: BTreeSet<&'static str> = BTreeSet::new();
                 written.insert(var_name);
-                for i in lo..hi {
+                let mut incoming_elems = false;
+                let next = match old_rec {
+                    // Share every old iteration in one step when the walk
+                    // below would skip each of them: the body is
+                    // unchanged, the loop starts where it did and runs at
+                    // least as far, and nothing the iterations read from
+                    // outside the loop is dirty or unbound. Each skip
+                    // would mark its writes clean, so every later
+                    // iteration's inputs are clean too, and the walk would
+                    // end with the record's reads, writes and observation
+                    // score, and with its effect snapshot in the frame
+                    // unless an iteration wrote into an array it found
+                    // (`incoming_elems`).
+                    Some(StmtRecord::For {
+                        lo: old_lo,
+                        hi: old_hi,
+                        iters: old_iters,
+                        summary: old_sum,
+                        iter_reads,
+                        incoming_elems: false,
+                    }) if body_unchanged
+                        && self.share_iters
+                        && *old_lo == lo
+                        && old_lo < old_hi
+                        && *old_hi <= hi
+                        && !any_dirty(
+                            prog,
+                            self.frame,
+                            old_sum.reads.iter().take(*iter_reads as usize),
+                        ) =>
+                    {
+                        apply_effects(prog, self.frame, &old_sum.effects, false)?;
+                        iters.extend(old_iters.iter().cloned());
+                        let stats = &mut self.tally.stats;
+                        stats.nodes_skipped += old_iters.len() as u64;
+                        stats.iter_skips += old_iters.len() as u64;
+                        summary.reads = old_sum.reads.prefix(*iter_reads as usize);
+                        summary.obs_score = old_sum.obs_score;
+                        written.extend(old_sum.effects.iter().map(Effect::var_name));
+                        *old_hi
+                    }
+                    _ => lo,
+                };
+                for i in next..hi {
                     self.frame.bind(slot, Value::Int(i), false);
                     let old_iter: Option<&'a Arc<BlockRecord>> =
                         old_for.and_then(|(old_lo, old_hi, old_iters)| {
@@ -724,7 +803,7 @@ impl<'a> Propagator<'a> {
                             }
                         });
                     let iter = match old_iter {
-                        Some(old) if body_unchanged && !self.any_dirty(&old.summary.reads) => {
+                        Some(old) if body_unchanged && self.iteration_clean(old) => {
                             // Skip the whole iteration and share its record.
                             apply_effects(self.prog, self.frame, &old.summary.effects, false)?;
                             self.tally.stats.nodes_skipped += 1;
@@ -750,17 +829,13 @@ impl<'a> Propagator<'a> {
                         .extend(iter_sum.reads.iter().filter(|r| !written.contains(r)));
                     summary.obs_score += iter_sum.obs_score;
                     for effect in &iter_sum.effects {
-                        written.insert(effect.var_name());
+                        let first = written.insert(effect.var_name());
+                        incoming_elems |= first && matches!(effect, Effect::Elem(..));
                     }
                     iters.push(iter);
                 }
-                // Old iterations beyond the new bounds were removed.
-                if let Some((old_lo, old_hi, old_iters)) = old_for {
-                    for i in old_lo..old_hi {
-                        if i < lo || i >= hi {
-                            self.remove_record(&old_iters[(i - old_lo) as usize].summary);
-                        }
-                    }
+                for old in removed_above {
+                    self.remove_record(&old.summary);
                 }
                 // Compress effects into one final snapshot per written
                 // variable (O(1) each thanks to Arc-backed arrays).
@@ -771,9 +846,14 @@ impl<'a> Propagator<'a> {
                         }
                     }
                 }
-                // The loop variable itself is loop-internal; reading it
-                // within the body does not create an external dependency.
-                summary.reads.remove(var_name);
+                // The loop variable is loop-internal: the iterations'
+                // reads never hold it, and a bound's read of it is
+                // dropped.
+                let iter_reads = u32::try_from(summary.reads.len())
+                    .expect("a loop reads fewer distinct variables than a frame has slots");
+                summary
+                    .reads
+                    .extend(bound_reads.iter().filter(|r| *r != var_name));
                 if let Some(old_summary) = old_rec.and_then(StmtRecord::summary) {
                     self.reconcile_writes(old_summary);
                 }
@@ -782,6 +862,8 @@ impl<'a> Propagator<'a> {
                     hi,
                     iters,
                     summary,
+                    iter_reads,
+                    incoming_elems,
                 })
             }
             CStmt::While { cond, body } => {
@@ -984,17 +1066,18 @@ mod tests {
     use std::time::Instant;
 
     use incremental::{
-        exact_weight_estimate, FailureKind, FailurePolicy, ParticleCollection, SmcConfig, SmcError,
-        StagePolicy, StateTranslator, TranslateCtx,
+        exact_weight_estimate, FailureKind, FailurePolicy, ParticleCollection, PropagationCounters,
+        SmcConfig, SmcError, StagePolicy, StateTranslator, TranslateCtx,
     };
     use ppl::ast::Program;
     use ppl::handlers::simulate;
     use ppl::{parse, PplError};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    use super::{translate, IncrementalResult};
-    use crate::diff::diff_programs;
+    use super::{translate, IncrementalResult, ITERATION_CHECKS};
+    use crate::diff::{diff_programs, ProgramEdit};
     use crate::plan::StagePlan;
     use crate::{run_edit_sequence_supervised, ExecGraph, IncrementalTranslator};
 
@@ -1092,51 +1175,107 @@ mod tests {
         assert_eq!(err, PplError::DeadlineExceeded);
     }
 
-    /// One link `p → q` translated under the slice-soundness oracle, with
-    /// the stage's plan and with a plan whose skip runs replay every write
-    /// (what skipping statements one by one did): the two must agree bit
-    /// for bit, and the weight must match the exact Section 5 estimate.
-    fn assert_replay_rule_holds(p: &Arc<Program>, q: &Arc<Program>, old: &ExecGraph) -> ExecGraph {
+    /// Builds the plan a link is checked against from `(q, p, edit)`.
+    type Reference = fn(&Program, &Program, &ProgramEdit) -> StagePlan;
+
+    /// [`StagePlan::new`], walked one `for` iteration at a time.
+    fn walking_every_iteration(q: &Program, p: &Program, edit: &ProgramEdit) -> StagePlan {
+        StagePlan::new(q, p, edit).walking_every_iteration()
+    }
+
+    /// One link `p → q` translated under the slice-soundness oracle along
+    /// the stage's plan and along `reference`, a plan that must walk to the
+    /// same result: the two must agree bit for bit, and the weight must
+    /// match the exact Section 5 estimate. Returns the translation and how
+    /// many fewer old `for` iterations it checked one at a time than the
+    /// reference did.
+    fn compare_link(
+        p: &Arc<Program>,
+        q: &Arc<Program>,
+        old: &ExecGraph,
+        reference: Reference,
+    ) -> Result<(IncrementalResult, u64), String> {
         let edit = diff_programs(p, q);
-        let run = |plan: &StagePlan| -> IncrementalResult {
+        let run = |plan: &StagePlan| {
+            let checks = ITERATION_CHECKS.get();
             let mut rng = StdRng::seed_from_u64(5);
-            translate(q, &edit, plan, old, None, true, &mut rng)
-                .unwrap_or_else(|e| panic!("translating to\n{q:?}\nfailed: {e}"))
+            let result = translate(q, &edit, plan, old, None, true, &mut rng)
+                .map_err(|e| format!("translating failed: {e}"))?;
+            Ok::<_, String>((result, ITERATION_CHECKS.get() - checks))
         };
-        let got = run(&StagePlan::new(q, p, &edit));
-        let want = run(&StagePlan::replaying_every_write(q, p, &edit));
-        assert!(got.stats.static_skips > 0, "the edit skips statically");
-        assert_eq!(got.stats, want.stats);
-        assert_eq!(
+        let (got, got_checks) = run(&StagePlan::new(q, p, &edit))?;
+        let (want, want_checks) = run(&reference(q, p, &edit))?;
+        prop_assert_eq!(got.stats, want.stats);
+        prop_assert_eq!(
             got.log_weight.log().to_bits(),
             want.log_weight.log().to_bits()
         );
-        assert_eq!(got.graph.choice_map(), want.graph.choice_map());
-        assert_eq!(got.graph.return_value, want.graph.return_value);
-        let (t, u) = (old.to_trace().unwrap(), got.graph.to_trace().unwrap());
-        let exact = exact_weight_estimate(&**p, &**q, &edit.correspondence, &t, &u).unwrap();
-        assert!(
+        prop_assert_eq!(got.graph.choice_map(), want.graph.choice_map());
+        prop_assert_eq!(&got.graph.return_value, &want.graph.return_value);
+        let exact = old
+            .to_trace()
+            .and_then(|t| {
+                let u = got.graph.to_trace()?;
+                exact_weight_estimate(&**p, &**q, &edit.correspondence, &t, &u)
+            })
+            .map_err(|e| format!("the exact weight failed: {e}"))?;
+        prop_assert!(
             (got.log_weight.log() - exact.log()).abs() < 1e-9,
             "incremental {} vs exact {}",
             got.log_weight.log(),
             exact.log()
         );
-        got.graph
+        let saved = want_checks
+            .checked_sub(got_checks)
+            .ok_or("the stage's plan checked more iterations than the reference")?;
+        Ok((got, saved))
     }
 
-    /// Translates a simulated graph of the first program along the chain.
-    fn assert_chain_replays(sources: &[String]) {
+    /// Translates simulated graphs of the first program, one per seed in
+    /// `seeds`, along the chain, checking every link with [`compare_link`].
+    /// Returns the counters of every link, and how many old iterations
+    /// the links shared in one step.
+    fn compare_chain(
+        sources: &[String],
+        seeds: std::ops::Range<u64>,
+        reference: Reference,
+    ) -> Result<(Vec<PropagationCounters>, u64), String> {
         let programs: Vec<Arc<Program>> = sources
             .iter()
-            .map(|src| Arc::new(parse(src).unwrap()))
-            .collect();
-        for seed in 0..8 {
-            let mut graph =
-                ExecGraph::simulate(&programs[0], &mut StdRng::seed_from_u64(seed)).unwrap();
-            for pair in programs.windows(2) {
-                graph = assert_replay_rule_holds(&pair[0], &pair[1], &graph);
+            .map(|src| parse(src).map(Arc::new))
+            .collect::<Result<_, _>>()
+            .map_err(|e| e.to_string())?;
+        let (mut counters, mut shared) = (Vec::new(), 0);
+        for seed in seeds {
+            let mut graph = ExecGraph::simulate(&programs[0], &mut StdRng::seed_from_u64(seed))
+                .map_err(|e| e.to_string())?;
+            for (k, pair) in programs.windows(2).enumerate() {
+                let (result, saved) = compare_link(&pair[0], &pair[1], &graph, reference)
+                    .map_err(|e| format!("seed {seed}, link {k}:\n{}\n{e}", sources[k + 1]))?;
+                counters.push(result.stats);
+                shared += saved;
+                graph = result.graph;
             }
         }
+        Ok((counters, shared))
+    }
+
+    /// Checks every link of the chain against a plan whose skip runs
+    /// replay every write (what skipping statements one by one did).
+    fn assert_chain_replays(sources: &[String]) {
+        let (counters, _) = compare_chain(sources, 0..8, StagePlan::replaying_every_write)
+            .unwrap_or_else(|e| panic!("{e}"));
+        for stats in counters {
+            assert!(stats.static_skips > 0, "the edit skips statically");
+        }
+    }
+
+    /// Checks every link of the chain against the walk that never shares
+    /// a loop's old iterations in one step; returns how many it shared.
+    fn assert_chain_shares(sources: &[String]) -> u64 {
+        let (_, shared) =
+            compare_chain(sources, 0..8, walking_every_iteration).unwrap_or_else(|e| panic!("{e}"));
+        shared
     }
 
     /// The strength of the one edited observation in the replay cases.
@@ -1232,5 +1371,307 @@ mod tests {
             )
         };
         assert_chain_replays(&[src("0.8 : 0.2"), src("0.7 : 0.3")]);
+    }
+
+    /// The body reads the bound's variable, which therefore leads the
+    /// loop record's reads although the bound read it first: a moved
+    /// bound dirties every old iteration, and none may be shared.
+    #[test]
+    fn a_body_that_reads_the_bound_shares_nothing_when_it_moves() {
+        let src = |n: u32| {
+            format!(
+                "n = {n}; y = 0;
+                 for i in [0..n) {{
+                   y = n + i; x = flip(y > 4 ? 0.7 : 0.3) @ x;
+                   observe(flip(x ? 0.8 : 0.2) @ o == 1);
+                 }}
+                 return y;"
+            )
+        };
+        assert_eq!(assert_chain_shares(&[src(2), src(4), src(5), src(7)]), 0);
+    }
+
+    /// Only iterations from the fourth on read `z`. While `z` is clean a
+    /// raised bound shares every old iteration; the link that dirties `z`
+    /// walks them one at a time, although the first three read nothing
+    /// dirty.
+    #[test]
+    fn a_dirty_outer_read_from_a_later_iteration_blocks_sharing() {
+        let src = |z: u32, hi: u32| {
+            format!(
+                "z = {z}; y = 0; acc = 0;
+                 for i in [0..{hi}) {{
+                   if i > 2 {{ y = z; }}
+                   x = flip(y > 0 ? 0.7 : 0.3) @ x; acc = acc + (x ? 1 : 0);
+                 }}
+                 observe(flip(acc > 1 ? 0.9 : 0.1) @ o == 1);
+                 return acc;"
+            )
+        };
+        let shared = assert_chain_shares(&[src(0, 2), src(0, 5), src(1, 6), src(1, 8)]);
+        assert_eq!(shared, 8 * (2 + 6));
+    }
+
+    /// Element writes that the code after the loop reads. The first loop
+    /// assigns `b` whole in its first iteration and is shared. The second
+    /// only writes elements of `a`, whose other elements the second edit
+    /// turns from `0` into the equal `0.0`: a walk that replays each
+    /// iteration's writes keeps them `0.0`, so that loop is never shared.
+    #[test]
+    fn element_writes_read_after_the_loop_match() {
+        let src = |hi: u32, init: &str| {
+            format!(
+                "a = array(8, {init}); acc = 0;
+                 for i in [0..{hi}) {{
+                   if i == 0 {{ b = array(8, 0); }}
+                   b[i] = flip(0.6) @ e; acc = acc + (b[i] ? 1 : 0);
+                 }}
+                 for i in [0..{hi}) {{ a[i] = 2 * i; }}
+                 observe(flip(b[1] + a[1] + acc > 3 ? 0.8 : 0.3) @ o == 1);
+                 return a;"
+            )
+        };
+        let chain = [src(2, "0"), src(4, "0"), src(5, "0.0"), src(7, "0.0")];
+        assert_eq!(assert_chain_shares(&chain), 8 * (2 + 4 + 5));
+    }
+
+    /// A fixed inner loop inside a growing outer loop: the outer loop
+    /// shares its old iterations, inner records included.
+    #[test]
+    fn a_fixed_inner_loop_rides_along_with_its_outer_loop() {
+        let src = |n: u32| {
+            format!(
+                "n = {n}; acc = 0;
+                 for i in [0..n) {{
+                   for j in [0..2) {{ acc = acc + (flip(0.3) @ f ? j + 1 : 0); }}
+                   observe(flip(acc > i ? 0.7 : 0.4) @ o == 1);
+                 }}
+                 return acc;"
+            )
+        };
+        let shared = assert_chain_shares(&[src(1), src(3), src(4), src(6)]);
+        assert_eq!(shared, 8 * (1 + 3 + 4));
+    }
+
+    /// The iterations of a loop whose lower bound moves are walked one at
+    /// a time; only the link that keeps it and raises the upper bound
+    /// shares.
+    #[test]
+    fn a_shifted_lower_bound_walks_every_iteration() {
+        let src = |lo: u32, hi: u32| {
+            format!(
+                "prev = 1;
+                 for i in [{lo}..{hi}) {{
+                   x = flip(prev ? 0.7 : 0.2) @ x;
+                   observe(flip(x ? 0.9 : 0.2) @ o == 1); prev = x;
+                 }}
+                 return prev;"
+            )
+        };
+        let shared = assert_chain_shares(&[src(0, 3), src(1, 4), src(1, 6), src(0, 6)]);
+        assert_eq!(shared, 8 * 3);
+    }
+
+    /// A loop that shrinks and then grows again shares what is left of
+    /// it on every raised bound.
+    #[test]
+    fn a_loop_that_shrinks_then_grows_shares_what_is_left() {
+        let src = |n: u32| {
+            format!(
+                "n = {n}; prev = 1;
+                 for i in [0..n) {{
+                   x = flip(prev ? 0.6 : 0.3) @ x;
+                   observe(flip(x ? 0.8 : 0.3) @ o == 1); prev = x;
+                 }}
+                 return prev;"
+            )
+        };
+        let shared = assert_chain_shares(&[src(5), src(3), src(6), src(2), src(4)]);
+        assert_eq!(shared, 8 * (3 + 2));
+    }
+
+    /// A bound drawn at random: each edit moves its support, so the bound
+    /// is drawn afresh, and the loop shares its old iterations whenever
+    /// the new draw is not below the old one.
+    #[test]
+    fn a_random_bound_shares_when_its_draw_grows() {
+        let src = |m: u32| {
+            format!(
+                "m = {m}; prev = 1;
+                 for i in [0..uniform(m, m + 2) @ nb) {{
+                   x = flip(prev ? 0.6 : 0.3) @ x;
+                   observe(flip(x ? 0.8 : 0.3) @ o == 1); prev = x;
+                 }}
+                 return prev;"
+            )
+        };
+        assert!(assert_chain_shares(&[src(1), src(2), src(4), src(5)]) > 0);
+    }
+
+    /// A loop that keeps growing shares its old iterations in one step,
+    /// checking none of them one at a time, however many there are.
+    #[test]
+    fn a_growing_loop_checks_no_old_iteration_one_at_a_time() {
+        let src = |n: u32| {
+            format!(
+                "n = {n}; prev = 1;
+                 for i in [0..n) {{
+                   x = flip(prev ? 0.550 : 0.250) @ x;
+                   observe(flip(x ? 0.980 : 0.020) @ o == 1); prev = x;
+                 }}
+                 return prev;"
+            )
+        };
+        let program = |k: u32| Arc::new(parse(&src(1 << k)).unwrap());
+        let mut p = program(6);
+        let mut graph = ExecGraph::simulate(&p, &mut StdRng::seed_from_u64(3)).unwrap();
+        for k in 7..=12 {
+            let q = program(k);
+            let edit = diff_programs(&p, &q);
+            let plan = StagePlan::new(&q, &p, &edit);
+            let checks = ITERATION_CHECKS.get();
+            let mut rng = StdRng::seed_from_u64(4);
+            let result = translate(&q, &edit, &plan, &graph, None, false, &mut rng).unwrap();
+            assert_eq!(
+                ITERATION_CHECKS.get(),
+                checks,
+                "growing to {} iterations",
+                1 << k
+            );
+            assert_eq!(result.stats.iter_skips, 1 << (k - 1));
+            (p, graph) = (q, result.graph);
+        }
+    }
+
+    /// The statements a generated loop body draws from; `$s` is the
+    /// strength a body edit changes.
+    const BODY: [&str; 8] = [
+        // Loop-carried through a choice.
+        "x = flip(prev ? 0.7 : 0.3) @ x; prev = x;",
+        // Loop-carried through the index.
+        "acc = acc + i;",
+        // An element write to an array defined before the loop.
+        "a[i] = acc + i;",
+        // An outer variable read only from the fourth iteration on.
+        "if i > 2 { y = z; }",
+        // A fixed inner loop.
+        "for j in [0..2) { acc = acc + (flip(0.5) @ f ? 1 : j); }",
+        // An observation.
+        "observe(flip(prev ? $s : 0.3) @ o == 1);",
+        // A read of the bound's variable.
+        "y = n + i;",
+        // An array the first iteration assigns whole, then element writes.
+        "if i == lo { b = array(12, 0); } b[i] = acc;",
+    ];
+
+    /// What the edits of a generated chain change: the loop's bounds, the
+    /// body's strength, and two variables set before the loop.
+    #[derive(Clone, Copy)]
+    struct Knobs {
+        lo: u32,
+        hi: u32,
+        strength: u32,
+        z: u32,
+        real_init: bool,
+    }
+
+    /// A generated loop program: `body` indexes [`BODY`], `header` picks
+    /// variable, literal or random bounds, and `nested` runs the loop
+    /// twice inside a fixed outer loop.
+    fn loop_program(body: &[usize], header: u8, nested: bool, knobs: Knobs) -> String {
+        let Knobs {
+            lo,
+            hi,
+            strength,
+            z,
+            real_init,
+        } = knobs;
+        let bounds = match header {
+            0 => "lo..n".to_string(),
+            1 => format!("{lo}..{hi}"),
+            _ => "lo..uniform(n - 1, n) @ nb".to_string(),
+        };
+        let stmts: Vec<&str> = body.iter().map(|&k| BODY[k]).collect();
+        let body = stmts.join(" ").replace("$s", &format!("0.{strength}"));
+        let init = if real_init { "0.0" } else { "0" };
+        let inner = format!("for i in [{bounds}) {{ {body} }}");
+        let outer = if nested {
+            format!("for k in [0..2) {{ {inner} }}")
+        } else {
+            inner
+        };
+        format!(
+            "lo = {lo}; n = {hi}; z = {z}; prev = 1; acc = 0; y = 0; a = array(12, {init});
+             {outer}
+             observe(flip(acc + y > 3 ? 0.8 : 0.3) @ end == 1);
+             return a;"
+        )
+    }
+
+    /// A chain of three to five edits of one generated loop program. Each
+    /// edit grows, shrinks or shifts the loop's bounds (growing is the
+    /// likeliest), and may also edit the body or a variable the body
+    /// reads.
+    fn loop_chain() -> impl Strategy<Value = Vec<String>> {
+        let edit = (0u8..4, 1u32..4, 0u8..4, 0u8..4);
+        // Each statement at most once, since each holds its own sites.
+        let body = (
+            proptest::collection::btree_set(0usize..BODY.len(), 1..5),
+            0usize..4,
+        )
+            .prop_map(|(stmts, turn)| {
+                let mut body: Vec<usize> = stmts.into_iter().collect();
+                let turn = turn % body.len();
+                body.rotate_left(turn);
+                body
+            });
+        (
+            body,
+            0u8..3,
+            0u8..4,
+            (0u32..3, 0u32..8),
+            proptest::collection::vec(edit, 3..6),
+        )
+            .prop_map(|(body, header, nested, (lo, hi), edits)| {
+                let mut knobs = Knobs {
+                    lo,
+                    hi,
+                    strength: 8,
+                    z: 0,
+                    real_init: false,
+                };
+                let nested = nested == 0;
+                let mut chain = vec![loop_program(&body, header, nested, knobs)];
+                for (kind, amount, body_edit, outer_edit) in edits {
+                    match kind {
+                        1 => knobs.hi = knobs.hi.saturating_sub(amount),
+                        2 => knobs.lo = (knobs.lo + amount) % 3,
+                        _ => knobs.hi = (knobs.hi + amount).min(10),
+                    }
+                    if body_edit == 0 {
+                        knobs.strength = 14 - knobs.strength;
+                    }
+                    match outer_edit {
+                        0 => knobs.z = 1 - knobs.z,
+                        1 => knobs.real_init = !knobs.real_init,
+                        _ => {}
+                    }
+                    chain.push(loop_program(&body, header, nested, knobs));
+                }
+                chain
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Along random chains of loop edits, sharing a loop's old
+        /// iterations in one step changes nothing: every link translates
+        /// bit for bit as the walk that checks each iteration does.
+        #[test]
+        fn sharing_old_iterations_matches_walking_each(chain in loop_chain()) {
+            compare_chain(&chain, 0..2, walking_every_iteration)
+                .map_err(|e| format!("{e}\nfirst program:\n{}", chain[0]))?;
+        }
     }
 }

@@ -102,11 +102,6 @@ impl ReadSet {
         }
     }
 
-    /// Removes `name` if present.
-    pub(crate) fn remove(&mut self, name: &str) {
-        self.0.retain(|r| *r != name);
-    }
-
     /// Whether `name` is in the set.
     pub fn contains(&self, name: &str) -> bool {
         self.0.contains(&name)
@@ -115,6 +110,16 @@ impl ReadSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+
+    /// The number of names.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The first `n` names, in insertion order, as a set of their own.
+    pub(crate) fn prefix(&self, n: usize) -> ReadSet {
+        ReadSet(self.0[..n].to_vec())
     }
 
     /// The names, in insertion order.
@@ -171,8 +176,23 @@ pub enum StmtRecord {
         hi: i64,
         /// Per-iteration records, indexed `0 ↦ lo`, `1 ↦ lo+1`, ….
         iters: Vec<Arc<BlockRecord>>,
-        /// Summary with compressed (snapshot) effects.
+        /// Summary with compressed (snapshot) effects. Its reads list
+        /// first what the iterations read from outside the loop, then
+        /// the bounds' reads.
         summary: Summary,
+        /// How many of the summary's reads the iterations made. A later
+        /// walk checks only these to share every iteration at once. They
+        /// lead because a read set keeps one copy of each name: a
+        /// variable that both a bound and the body read must count as an
+        /// iteration read.
+        iter_reads: u32,
+        /// Whether the loop's first write to some array writes one
+        /// element, so the loop kept the other elements as it found them.
+        /// The effect snapshot holds those elements, and a numerically
+        /// equal array that a later walk finds can differ from them in
+        /// type (`1` against `1.0`), so that walk does not share the
+        /// iterations at once.
+        incoming_elems: bool,
     },
     /// An executed `while` loop.
     While {
@@ -656,6 +676,20 @@ mod tests {
         assert_eq!(graph.num_choices(), trace.len());
         assert_eq!(graph.score().log().to_bits(), trace.score().log().to_bits());
         assert_eq!(graph.choice_map().unwrap(), trace.to_choice_map());
+    }
+
+    /// `Arc<StmtRecord>` (16 bytes of counts, then the record) must stay
+    /// in glibc's 176-byte chunk: a graph build makes one per statement,
+    /// and moving them to another size class moves where the benchmark's
+    /// repeated set-ups place their heap (ROADMAP item 2, DESIGN §14).
+    #[test]
+    fn a_statement_record_keeps_its_allocation_size_class() {
+        let size = std::mem::size_of::<StmtRecord>();
+        assert!(
+            size <= 152,
+            "StmtRecord is {size} bytes; above 152 its Arc leaves glibc's \
+             176-byte chunk and moves the set-up heap placement"
+        );
     }
 
     #[test]
