@@ -27,7 +27,8 @@ use depgraph::{
 };
 use incremental::{
     collection_checksum, Checkpoint, CheckpointError, FailurePolicy, McmcKernel, MetricsRecorder,
-    ParticleCollection, SmcConfig, SmcError, StageObserver, StagePolicy, StageSnapshot,
+    ParticleCollection, ParticleState, SmcConfig, SmcError, StageObserver, StagePolicy,
+    StageSnapshot,
 };
 use inference::{ExactPosterior, SingleSiteMh};
 use ppl::analysis::{preorder, slot_names, stmt_label};
@@ -431,16 +432,22 @@ fn initial_particles(
     Ok(particles)
 }
 
-/// Appends the weighted posterior over return values (top 20 rows).
-fn render_return_posterior(
+/// Appends the weighted posterior over the return values `returned`
+/// reads from the states (top 20 rows), then the collection's checksum
+/// line. The checksum hashes the particles' choice maps, each distinct
+/// map rendered once; building them reports a malformed state before
+/// anything is printed.
+fn render_final_collection<S: ParticleState>(
     out: &mut String,
-    collection: &ParticleCollection,
+    collection: &ParticleCollection<S>,
+    returned: impl Fn(&S) -> Option<&Value>,
 ) -> Result<(), PplError> {
+    let maps = collection.weighted_maps()?;
     let _ = writeln!(out, "weighted posterior over Q's return values:");
     let mut rows: Vec<(Value, f64)> = Vec::new();
     let weights = collection.normalized_weights()?;
     for (particle, w) in collection.iter().zip(weights) {
-        if let Some(v) = particle.trace.return_value() {
+        if let Some(v) = returned(&particle.trace) {
             match rows.iter_mut().find(|(u, _)| u.num_eq(v)) {
                 Some(slot) => slot.1 += w,
                 None => rows.push((v.clone(), w)),
@@ -451,6 +458,11 @@ fn render_return_posterior(
     for (value, prob) in rows.into_iter().take(20) {
         let _ = writeln!(out, "  {value} : {prob:.4}");
     }
+    let _ = writeln!(
+        out,
+        "final collection checksum: {:016x}",
+        collection_checksum(&maps)
+    );
     Ok(())
 }
 
@@ -680,11 +692,11 @@ pub fn cmd_sequence_supervised(
         }
     };
 
-    let flat = if start_step >= n_stages {
+    if start_step >= n_stages {
         // The checkpoint already covers the whole sequence.
         render_stage_reports(&mut out, &prior_ess, &prior_reports);
         let _ = writeln!(out, "all {n_stages} stages already complete");
-        collection
+        render_final_collection(&mut out, &collection, Trace::return_value)?;
     } else {
         let mut stage_policy = StagePolicy::checkpoint_every(if opts.checkpoint_dir.is_some() {
             opts.checkpoint_every.max(1)
@@ -736,18 +748,10 @@ pub fn cmd_sequence_supervised(
             (Err(e), None) => return Err(CliError::from(e)),
         };
         render_stage_reports(&mut out, &run.ess_history, &run.reports);
-        run.last().flatten()?
-    };
-    render_return_posterior(&mut out, &flat)?;
-    let entries: Vec<_> = flat
-        .iter()
-        .map(|p| (p.trace.to_choice_map(), p.log_weight.log()))
-        .collect();
-    let _ = writeln!(
-        out,
-        "final collection checksum: {:016x}",
-        collection_checksum(&entries)
-    );
+        render_final_collection(&mut out, run.last(), |graph: &Arc<ExecGraph>| {
+            Some(&graph.return_value)
+        })?;
+    }
     if let Some((path, recorder, _guard)) = &metrics {
         emit_metrics(path, recorder, &mut out)?;
     }

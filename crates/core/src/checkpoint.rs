@@ -21,13 +21,17 @@
 //! - the accumulated ESS and [`StepReport`] history, so a resumed run
 //!   reports the full sequence.
 //!
-//! Resampling leaves duplicate particles that share one state
-//! ([`ParticleState::share_key`]). [`Checkpoint::from_snapshot`] flattens
-//! each shared state once and shares the choice map by `Arc`, and
-//! [`Checkpoint::render`] writes each shared map's binding lines once and
-//! copies them for its duplicates. Every particle keeps its own block and
-//! `weight` line, so the file is the same v1 text that flattening and
-//! writing each particle separately gives, byte for byte.
+//! Resampling leaves particles that share state: duplicates that are one
+//! `Arc`, and distinct graphs that share records and often hold the same
+//! choices. [`Checkpoint::from_snapshot`] flattens the collection in one
+//! [`ParticleState::choice_maps`] call, which gives particles with the
+//! same map one `Arc` (for graphs: each shared record listed once, and
+//! graphs with identical choices grouped after an exact comparison), and
+//! [`Checkpoint::render`] writes each distinct map's binding lines once
+//! and copies them for the other particles that share it. Every particle
+//! keeps its own block and `weight` line, so the file is the same v1 text
+//! that flattening and writing each particle separately gives, byte for
+//! byte.
 //!
 //! Durability: [`Checkpoint::save`] writes to a temp file in the target
 //! directory, syncs it, and renames it into place, so a crash mid-write
@@ -46,6 +50,7 @@
 //! to spaces. Diagnostics never feed back into inference, so this cannot
 //! affect resume determinism.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::Hasher;
 use std::io::Write as _;
@@ -177,33 +182,26 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Builds a checkpoint from a supervised-runner stage snapshot,
-    /// flattening the collection to weighted choice maps: once per
-    /// distinct shared state, whose map the duplicates share.
+    /// flattening the collection to weighted choice maps in one
+    /// [`ParticleCollection::weighted_maps`](crate::ParticleCollection::weighted_maps)
+    /// call: particles with the same map share it.
     ///
     /// # Errors
     ///
-    /// Propagates [`ParticleState::to_choice_map`] failures from
-    /// flattening graph-native states.
+    /// Propagates [`ParticleState::choice_maps`] failures from
+    /// flattening graph-native states: the first failing particle's.
     pub fn from_snapshot<S: ParticleState>(
         snapshot: &StageSnapshot<'_, S>,
         base_seed: u64,
         fingerprint: u64,
     ) -> Result<Checkpoint, PplError> {
-        let maps = snapshot
-            .collection
-            .flatten_each(|state| state.to_choice_map().map(Arc::new))?;
-        let particles = maps
-            .into_iter()
-            .zip(snapshot.collection.iter())
-            .map(|(map, p)| (map, p.log_weight.log()))
-            .collect();
         Ok(Checkpoint {
             step: snapshot.step,
             base_seed,
             fingerprint,
             ess_history: snapshot.ess_history.to_vec(),
             reports: snapshot.reports.to_vec(),
-            particles,
+            particles: snapshot.collection.weighted_maps()?,
         })
     }
 
@@ -493,8 +491,11 @@ impl Checkpoint {
 /// serialized form — the "bit-identical resume" acceptance criterion in
 /// executable form. Byte-identical serialized choice maps and log-weights
 /// give equal checksums; the converse is not guaranteed, since the
-/// checksum is a 64-bit hash.
-pub fn collection_checksum(entries: &[(ChoiceMap, f64)]) -> u64 {
+/// checksum is a 64-bit hash. The entries are owned maps or the shared
+/// ones of
+/// [`ParticleCollection::weighted_maps`](crate::ParticleCollection::weighted_maps);
+/// a shared map is rendered once.
+pub fn collection_checksum<M: Borrow<ChoiceMap>>(entries: &[(M, f64)]) -> u64 {
     fxhash64(write_weighted_collection(entries).as_bytes())
 }
 
@@ -1021,7 +1022,6 @@ mod tests {
     struct Counted {
         trace: ppl::Trace,
         traces: AtomicUsize,
-        maps: AtomicUsize,
     }
 
     impl Counted {
@@ -1035,15 +1035,10 @@ mod tests {
             Counted {
                 trace,
                 traces: AtomicUsize::new(0),
-                maps: AtomicUsize::new(0),
             }
         }
 
-        fn count_maps(&self) -> usize {
-            self.maps.load(Ordering::Relaxed)
-        }
-
-        fn count_traces(&self) -> usize {
+        fn count(&self) -> usize {
             self.traces.load(Ordering::Relaxed)
         }
     }
@@ -1052,11 +1047,6 @@ mod tests {
         fn to_trace(&self) -> Result<ppl::Trace, PplError> {
             self.traces.fetch_add(1, Ordering::Relaxed);
             Ok(self.trace.clone())
-        }
-
-        fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
-            self.maps.fetch_add(1, Ordering::Relaxed);
-            Ok(self.trace.to_choice_map())
         }
     }
 
@@ -1079,12 +1069,11 @@ mod tests {
             shared.push(Arc::clone(state), LogWeight::from_log(lw));
         }
         let ck = Checkpoint::from_snapshot(&snapshot(&shared), 9, 9).unwrap();
-        assert_eq!((a.count_maps(), b.count_maps()), (1, 1));
-        assert_eq!((a.count_traces(), b.count_traces()), (0, 0));
+        assert_eq!((a.count(), b.count()), (1, 1));
         assert!(Arc::ptr_eq(&ck.particles[0].0, &ck.particles[3].0));
         assert!(Arc::ptr_eq(&ck.particles[2].0, &ck.particles[4].0));
         let flat = shared.flatten().unwrap();
-        assert_eq!((a.count_traces(), b.count_traces()), (1, 1));
+        assert_eq!((a.count(), b.count()), (2, 2));
         for (p, f) in shared.iter().zip(flat.iter()) {
             assert_eq!(p.trace.trace, f.trace);
             assert_eq!(p.log_weight.log().to_bits(), f.log_weight.log().to_bits());
@@ -1098,7 +1087,7 @@ mod tests {
         Checkpoint::from_snapshot(&snapshot(&unshared), 9, 9).unwrap();
         unshared.flatten().unwrap();
         for p in unshared.iter() {
-            assert_eq!((p.trace.count_maps(), p.trace.count_traces()), (1, 1));
+            assert_eq!(p.trace.count(), 2);
         }
         // A collection of equal traces is unshared too.
         let traces = ParticleCollection::from_traces((0..3).map(|_| Counted::new(true).trace));

@@ -11,6 +11,7 @@
 //! boundaries via [`ParticleState`].
 
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 use ppl::logweight::log_sum_exp;
 use ppl::{ChoiceMap, FxHashMap, LogWeight, PplError, Trace};
@@ -26,11 +27,14 @@ use ppl::{ChoiceMap, FxHashMap, LogWeight, PplError, Trace};
 ///
 /// Resampling duplicates a particle by cloning its state, and for an
 /// `Arc` that clone shares one allocation. [`ParticleState::share_key`]
-/// exposes that sharing, so [`ParticleCollection::flatten`] and
-/// checkpoints flatten each shared state once and copy the result to its
-/// duplicates. The flattened output is the same as flattening every
-/// particle on its own.
-pub trait ParticleState {
+/// exposes that sharing, so [`ParticleCollection::flatten`] flattens each
+/// shared state once and copies the result to its duplicates. Choice
+/// maps, which checkpoints and collection checksums are built from, are
+/// flattened for the whole collection in one
+/// [`ParticleState::choice_maps`] call, so that a representation can
+/// share work across it. Either way the output is the same as flattening
+/// every particle on its own.
+pub trait ParticleState: Sized {
     /// Flattens the state to the trace it represents.
     ///
     /// # Errors
@@ -39,16 +43,23 @@ pub trait ParticleState {
     /// [`Trace`] never fails).
     fn to_trace(&self) -> Result<Trace, PplError>;
 
-    /// The values of the state's choices by address: what
-    /// `to_trace()?.to_choice_map()` returns, which is the default.
-    /// Representations that can list their choices without building a
+    /// The choice map of each of `states`, in order: what
+    /// `to_trace()?.to_choice_map()` returns for it. States that are one
+    /// allocation share one `Arc`, and a representation may also give
+    /// one `Arc` to states whose choices are identical bit for bit, so
+    /// that a writer that renders each distinct `Arc` once
+    /// ([`ppl::trace_io::write_weighted_entries`]) renders each distinct
+    /// map once. The default flattens each distinct state once;
+    /// representations that can list their choices without building a
     /// [`Trace`] override it.
     ///
     /// # Errors
     ///
-    /// As [`ParticleState::to_trace`].
-    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
-        Ok(self.to_trace()?.to_choice_map())
+    /// The first failure in order.
+    fn choice_maps(states: &[&Self]) -> Result<Vec<Arc<ChoiceMap>>, PplError> {
+        each_distinct(states, |state| {
+            Ok(Arc::new(state.to_trace()?.to_choice_map()))
+        })
     }
 
     /// A key shared by states that are one allocation, or `None` (the
@@ -61,6 +72,37 @@ pub trait ParticleState {
     }
 }
 
+/// `flatten` applied to each of `states`, in order: once per distinct
+/// state, the result cloned for the state's duplicates. A state is
+/// told apart by its [`ParticleState::share_key`], or by its address when
+/// it has none, so the states an `Arc` impl hands on are told apart by
+/// the allocation they share.
+///
+/// # Errors
+///
+/// The first error `flatten` returns.
+fn each_distinct<S: ParticleState, T: Clone>(
+    states: &[&S],
+    mut flatten: impl FnMut(&S) -> Result<T, PplError>,
+) -> Result<Vec<T>, PplError> {
+    let mut out: Vec<T> = Vec::with_capacity(states.len());
+    let mut first: FxHashMap<usize, usize> = FxHashMap::default();
+    for &state in states {
+        let key = state
+            .share_key()
+            .unwrap_or(std::ptr::from_ref(state) as usize);
+        let flat = match first.entry(key) {
+            Entry::Occupied(seen) => out[*seen.get()].clone(),
+            Entry::Vacant(slot) => {
+                slot.insert(out.len());
+                flatten(state)?
+            }
+        };
+        out.push(flat);
+    }
+    Ok(out)
+}
+
 impl ParticleState for Trace {
     fn to_trace(&self) -> Result<Trace, PplError> {
         Ok(self.clone())
@@ -70,18 +112,21 @@ impl ParticleState for Trace {
 /// Shared states flatten through the reference — this is what lets
 /// copy-on-write `Arc`-backed graph particles satisfy the boundary
 /// contract without a newtype. Clones of one `Arc` share its address as
-/// their [`ParticleState::share_key`].
-impl<S: ParticleState + ?Sized> ParticleState for std::sync::Arc<S> {
+/// their [`ParticleState::share_key`], and
+/// [`ParticleState::choice_maps`] receives the shared states themselves,
+/// so the clones of one state arrive as one.
+impl<S: ParticleState> ParticleState for Arc<S> {
     fn to_trace(&self) -> Result<Trace, PplError> {
         (**self).to_trace()
     }
 
-    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
-        (**self).to_choice_map()
+    fn choice_maps(states: &[&Self]) -> Result<Vec<Arc<ChoiceMap>>, PplError> {
+        let targets: Vec<&S> = states.iter().map(|&state| &**state).collect();
+        S::choice_maps(&targets)
     }
 
     fn share_key(&self) -> Option<usize> {
-        Some(std::sync::Arc::as_ptr(self).cast::<()>() as usize)
+        Some(Arc::as_ptr(self).cast::<()>() as usize)
     }
 }
 
@@ -263,7 +308,7 @@ impl<S: ParticleState> ParticleCollection<S> {
     ///
     /// Propagates [`ParticleState::to_trace`] failures.
     pub fn flatten(&self) -> Result<ParticleCollection, PplError> {
-        let traces = self.flatten_each(ParticleState::to_trace)?;
+        let traces = each_distinct(&self.states(), ParticleState::to_trace)?;
         Ok(traces
             .into_iter()
             .zip(&self.particles)
@@ -274,32 +319,25 @@ impl<S: ParticleState> ParticleCollection<S> {
             .collect())
     }
 
-    /// `flatten` applied to every particle state, in order, calling it
-    /// once per distinct [`ParticleState::share_key`] and cloning that
-    /// result for the other states with the key. Unshared states are
-    /// flattened one by one.
+    /// Every particle's choice map and log weight, in order, from one
+    /// [`ParticleState::choice_maps`] call: particles whose choices are
+    /// the same map share its `Arc`. This is what checkpoints and
+    /// collection checksums are built from.
     ///
     /// # Errors
     ///
-    /// The first error `flatten` returns.
-    pub(crate) fn flatten_each<T: Clone>(
-        &self,
-        mut flatten: impl FnMut(&S) -> Result<T, PplError>,
-    ) -> Result<Vec<T>, PplError> {
-        let mut out: Vec<T> = Vec::with_capacity(self.particles.len());
-        let mut first: FxHashMap<usize, usize> = FxHashMap::default();
-        for p in &self.particles {
-            let flat = match p.trace.share_key().map(|key| first.entry(key)) {
-                Some(Entry::Occupied(seen)) => out[*seen.get()].clone(),
-                Some(Entry::Vacant(slot)) => {
-                    slot.insert(out.len());
-                    flatten(&p.trace)?
-                }
-                None => flatten(&p.trace)?,
-            };
-            out.push(flat);
-        }
-        Ok(out)
+    /// The first [`ParticleState::choice_maps`] failure in order.
+    pub fn weighted_maps(&self) -> Result<Vec<(Arc<ChoiceMap>, f64)>, PplError> {
+        let maps = S::choice_maps(&self.states())?;
+        Ok(maps
+            .into_iter()
+            .zip(&self.particles)
+            .map(|(map, p)| (map, p.log_weight.log()))
+            .collect())
+    }
+
+    fn states(&self) -> Vec<&S> {
+        self.particles.iter().map(|p| &p.trace).collect()
     }
 }
 

@@ -116,17 +116,22 @@ pub fn resample<S: Clone>(
 }
 
 fn multinomial_indices(weights: &[f64], m: usize, rng: &mut dyn RngCore) -> Vec<usize> {
-    (0..m).map(|_| pick(weights, uniform_unit(rng))).collect()
+    let cdf = Cdf::new(weights);
+    (0..m).map(|_| cdf.pick(uniform_unit(rng))).collect()
 }
 
-/// Systematic (`single_offset = true`) or stratified resampling.
+/// Systematic (`single_offset = true`) or stratified resampling. The
+/// offsets `(j + u) / m` never decrease with `j`, so one forward pass
+/// over the cumulative weights serves them all.
 fn offset_indices(
     weights: &[f64],
     m: usize,
     rng: &mut dyn RngCore,
     single_offset: bool,
 ) -> Vec<usize> {
+    let cdf = Cdf::new(weights);
     let shared = uniform_unit(rng);
+    let mut from = 0;
     (0..m)
         .map(|j| {
             let u = if single_offset {
@@ -134,7 +139,7 @@ fn offset_indices(
             } else {
                 uniform_unit(rng)
             };
-            pick(weights, (j as f64 + u) / m as f64)
+            cdf.pick_from(&mut from, (j as f64 + u) / m as f64)
         })
         .collect()
 }
@@ -153,8 +158,9 @@ fn residual_indices(weights: &[f64], m: usize, rng: &mut dyn RngCore) -> Vec<usi
         let total: f64 = residual.iter().sum();
         if total > 0.0 {
             let normalized: Vec<f64> = residual.iter().map(|r| r / total).collect();
+            let cdf = Cdf::new(&normalized);
             for _ in 0..remaining {
-                indices.push(pick(&normalized, uniform_unit(rng)));
+                indices.push(cdf.pick(uniform_unit(rng)));
             }
         } else {
             // Exact integer weights: fill by repeating the largest weight.
@@ -170,20 +176,56 @@ fn residual_indices(weights: &[f64], m: usize, rng: &mut dyn RngCore) -> Vec<usi
     indices
 }
 
-/// Inverse-CDF lookup of `u ∈ [0, 1)` in normalized `weights`.
-fn pick(weights: &[f64], u: f64) -> usize {
-    let mut acc = 0.0;
-    for (i, w) in weights.iter().enumerate() {
-        acc += w;
-        if u < acc {
-            return i;
+/// Inverse-CDF lookup in normalized weights: the first index whose
+/// cumulative weight exceeds `u ∈ [0, 1)`, or, past the total (floating
+/// point slack), the last positive-weight index. The cumulative weights
+/// are one running total added in index order, so a lookup returns the
+/// index that scanning the weights and adding them up would.
+struct Cdf {
+    cumulative: Vec<f64>,
+    last_positive: Option<usize>,
+}
+
+impl Cdf {
+    fn new(weights: &[f64]) -> Cdf {
+        let mut total = 0.0;
+        let cumulative = weights
+            .iter()
+            .map(|w| {
+                total += w;
+                total
+            })
+            .collect();
+        Cdf {
+            cumulative,
+            last_positive: weights.iter().rposition(|w| *w > 0.0),
         }
     }
-    // Floating-point slack: the last positive-weight index.
-    weights
-        .iter()
-        .rposition(|w| *w > 0.0)
-        .expect("normalized weights must have positive mass")
+
+    /// The index of `u`, by binary search. The cumulative weights never
+    /// decrease, since every weight is non-negative.
+    fn pick(&self, u: f64) -> usize {
+        self.index(self.cumulative.partition_point(|&c| c <= u))
+    }
+
+    /// The index of `u`, scanning forward from `*from`, which must not
+    /// lie beyond the index of `u`: true when the `u`s of successive
+    /// calls never decrease. Leaves `*from` there for the next call.
+    fn pick_from(&self, from: &mut usize, u: f64) -> usize {
+        while self.cumulative.get(*from).is_some_and(|&c| c <= u) {
+            *from += 1;
+        }
+        self.index(*from)
+    }
+
+    fn index(&self, i: usize) -> usize {
+        if i < self.cumulative.len() {
+            i
+        } else {
+            self.last_positive
+                .expect("normalized weights must have positive mass")
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +233,8 @@ mod tests {
     use super::*;
     use ppl::dist::Dist;
     use ppl::{addr, Trace, Value};
+    use proptest::collection;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -311,6 +355,82 @@ mod tests {
         // The conversion keeps the message.
         let e: PplError = ResampleError::Collapsed.into();
         assert!(e.to_string().contains("collapse"));
+    }
+
+    /// The linear inverse-CDF scan that [`Cdf`] replaces.
+    fn scan_pick(weights: &[f64], u: f64) -> usize {
+        let mut acc = 0.0;
+        for (i, w) in weights.iter().enumerate() {
+            acc += w;
+            if u < acc {
+                return i;
+            }
+        }
+        weights
+            .iter()
+            .rposition(|w| *w > 0.0)
+            .expect("normalized weights must have positive mass")
+    }
+
+    /// Normalized weights from raw draws in `[0, 1)`, about a third of
+    /// them zero, with at least one positive.
+    fn normalized(raw: &[f64]) -> Vec<f64> {
+        let mut weights: Vec<f64> = raw
+            .iter()
+            .map(|&r| if r < 0.35 { 0.0 } else { r })
+            .collect();
+        if weights.iter().all(|w| *w == 0.0) {
+            weights[0] = 1.0;
+        }
+        let total: f64 = weights.iter().sum();
+        weights.iter().map(|w| w / total).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Binary search and the forward pass pick the index the linear
+        /// scan picks, for random weights with zeros, random offsets and
+        /// offsets at the end of the range, where rounding can leave the
+        /// running total below `u` (the slack case).
+        #[test]
+        fn cdf_lookups_match_the_linear_scan(
+            raw in collection::vec(0.0..1.0f64, 1..40),
+            draws in collection::vec(0.0..1.0f64, 1..60),
+        ) {
+            let weights = normalized(&raw);
+            let cdf = Cdf::new(&weights);
+            let total = *cdf.cumulative.last().unwrap();
+            let mut us = draws.clone();
+            us.extend([0.0, total, 1.0 - f64::EPSILON / 2.0]);
+            us.extend(weights.iter().scan(0.0, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            }));
+            for &u in &us {
+                prop_assert_eq!(cdf.pick(u), scan_pick(&weights, u), "u = {u:e}");
+            }
+            us.sort_by(f64::total_cmp);
+            let mut from = 0;
+            for &u in &us {
+                prop_assert_eq!(cdf.pick_from(&mut from, u), scan_pick(&weights, u), "u = {u:e}");
+            }
+        }
+    }
+
+    /// Weights whose running total stops short of 1: an offset above the
+    /// total falls back to the last positive weight, skipping the
+    /// trailing zero.
+    #[test]
+    fn offsets_past_the_total_take_the_last_positive_weight() {
+        let weights = [0.1; 10].iter().copied().chain([0.0]).collect::<Vec<_>>();
+        let cdf = Cdf::new(&weights);
+        let total = *cdf.cumulative.last().unwrap();
+        assert!(total < 1.0, "the running total {total} rounds below 1");
+        let u = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(cdf.pick(u), 9);
+        assert_eq!(scan_pick(&weights, u), 9);
+        assert_eq!(cdf.pick_from(&mut 0, u), 9);
     }
 
     #[test]

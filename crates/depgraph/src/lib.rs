@@ -32,6 +32,7 @@
 mod build;
 pub mod diff;
 mod eval;
+mod flatten;
 pub mod impact;
 pub mod plan;
 pub mod propagate;

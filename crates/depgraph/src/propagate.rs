@@ -421,22 +421,32 @@ impl<'a> Propagator<'a> {
 
     /// After re-executing (or removing) a statement with an old record,
     /// re-derives the dirtiness of every variable the old execution
-    /// wrote: clean iff the current value equals the old final value.
+    /// wrote: a whole-variable write leaves it clean iff the current value
+    /// equals the old final value. An element write marks the array
+    /// dirty when its current element differs from the old write, or when
+    /// the variable no longer holds an array with that element; an
+    /// element that equals the old write leaves the array's dirtiness as
+    /// execution set it, since the other elements may have changed.
     fn reconcile_writes(&mut self, old_summary: &Summary) {
         for effect in &old_summary.effects {
+            let Some(slot) = self.prog.slot_of(effect.var_name()) else {
+                continue;
+            };
+            let Some(s) = self.frame.get_mut(slot) else {
+                continue;
+            };
             match effect {
-                Effect::Var(name, old_value) => {
-                    if let Some(slot) = self.prog.slot_of(name) {
-                        if let Some(s) = self.frame.get_mut(slot) {
-                            s.dirty = !s.value.num_eq(old_value);
+                Effect::Var(_, old_value) => s.dirty = !s.value.num_eq(old_value),
+                Effect::Elem(_, index, old_value) => {
+                    let current = match &s.value {
+                        Value::Array(items) => {
+                            usize::try_from(*index).ok().and_then(|i| items.get(i))
                         }
+                        _ => None,
+                    };
+                    if !current.is_some_and(|v| v.num_eq(old_value)) {
+                        s.dirty = true;
                     }
-                }
-                Effect::Elem(name, _, _) => {
-                    // Element-level old finals cannot be reconstructed in
-                    // isolation; stay with whatever dirtiness execution
-                    // set (conservative).
-                    let _ = name;
                 }
             }
         }
@@ -847,13 +857,12 @@ impl<'a> Propagator<'a> {
                     }
                 }
                 // The loop variable is loop-internal: the iterations'
-                // reads never hold it, and a bound's read of it is
-                // dropped.
+                // reads never hold it. The bounds are evaluated before it
+                // is bound, so a bound's read of a variable of its name
+                // reads the outer variable, and stays.
                 let iter_reads = u32::try_from(summary.reads.len())
                     .expect("a loop reads fewer distinct variables than a frame has slots");
-                summary
-                    .reads
-                    .extend(bound_reads.iter().filter(|r| *r != var_name));
+                summary.reads.extend(bound_reads.iter());
                 if let Some(old_summary) = old_rec.and_then(StmtRecord::summary) {
                     self.reconcile_writes(old_summary);
                 }
@@ -1433,6 +1442,37 @@ mod tests {
         };
         let chain = [src(2, "0"), src(4, "0"), src(5, "0.0"), src(7, "0.0")];
         assert_eq!(assert_chain_shares(&chain), 8 * (2 + 4 + 5));
+    }
+
+    /// Deleting a statement that wrote an array element dirties the
+    /// array, so the observation that reads the element is rescored
+    /// rather than skipped with its old likelihood.
+    #[test]
+    fn a_removed_element_write_dirties_its_array() {
+        let src = |write: &str| {
+            format!(
+                "a = array(3, 0); {write} x = flip(0.5) @ x;
+                 observe(flip(a[0] > 2 ? 0.9 : 0.1) @ o == 1); return x;"
+            )
+        };
+        let chains = [
+            [src("a[0] = 5;"), src("")],
+            [src("a[0] = 5;"), src("a[1] = 5;")],
+            [src("a[0] = 0;"), src("")],
+        ];
+        for chain in chains {
+            compare_chain(&chain, 0..6, walking_every_iteration).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    /// A `for` bound is evaluated before the loop variable is bound, so
+    /// a bound that reads an outer variable named like the loop variable
+    /// depends on it: editing that variable re-runs the loop.
+    #[test]
+    fn a_bound_reads_the_outer_variable_named_like_the_loop_variable() {
+        let src = |n: u32| format!("i = {n}; for i in [0..i) {{ x = flip(0.5) @ x; }} return 0;");
+        let chain = [src(2), src(4), src(3), src(3)];
+        compare_chain(&chain, 0..6, walking_every_iteration).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// A fixed inner loop inside a growing outer loop: the outer loop

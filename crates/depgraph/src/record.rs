@@ -24,7 +24,7 @@ use ppl::address::Component;
 use ppl::ast::Program;
 use ppl::compile::{CompiledProgram, SitePath, SiteStep};
 use ppl::dist::Dist;
-use ppl::{Address, AddressId, ChoiceMap, FxHashSet, LogWeight, PplError, Trace, Value};
+use ppl::{Address, AddressId, ChoiceMap, LogWeight, PplError, Trace, Value};
 
 /// The global variable-name interner, shared with the compiled-program
 /// slot tables in [`ppl::compile`].
@@ -344,7 +344,7 @@ impl ExecGraph {
     /// compiled form of `program`) produced. Duplicate addresses (which
     /// only well-formed programs avoid) surface as
     /// [`PplError::AddressCollision`] from [`ExecGraph::to_trace`] and
-    /// [`ExecGraph::choice_map`].
+    /// [`ExecGraph::choice_maps`].
     pub fn assemble(
         program: Arc<Program>,
         compiled: Arc<CompiledProgram>,
@@ -514,8 +514,7 @@ impl ExecGraph {
 
     /// The values of the graph's choices by address: what
     /// `to_trace()?.to_choice_map()` returns, without building the trace
-    /// (no distribution is cloned and no log-probability kept). This is
-    /// how checkpoints flatten a graph.
+    /// (no distribution is cloned and no log-probability kept).
     ///
     /// # Errors
     ///
@@ -523,21 +522,24 @@ impl ExecGraph {
     /// returns it: on the first choice address or observation address
     /// recorded twice, in execution order.
     pub fn choice_map(&self) -> Result<ChoiceMap, PplError> {
-        let mut map = ChoiceMap::new();
-        let mut observed: FxHashSet<&Address> = FxHashSet::default();
-        for summary in self.summaries() {
-            for (addr, data) in &summary.choices {
-                if map.insert_id(addr.id(), data.value.clone()).is_some() {
-                    return Err(PplError::AddressCollision(addr.clone()));
-                }
-            }
-            for (addr, _) in &summary.observations {
-                if !observed.insert(addr) {
-                    return Err(PplError::AddressCollision(addr.clone()));
-                }
-            }
-        }
-        Ok(map)
+        let map = ExecGraph::choice_maps(&[self])?
+            .pop()
+            .expect("one map per graph");
+        Ok(Arc::unwrap_or_clone(map))
+    }
+
+    /// [`ExecGraph::choice_map`] of each of `graphs`, in order, in one
+    /// call: how checkpoints flatten a collection. Each record that
+    /// several graphs share is listed once, and graphs whose choices and
+    /// observation addresses are identical, values compared bit for bit,
+    /// share one `Arc` (the `flatten` module gives the argument).
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecGraph::choice_map`], for the first graph in order that
+    /// fails.
+    pub fn choice_maps(graphs: &[&ExecGraph]) -> Result<Vec<Arc<ChoiceMap>>, PplError> {
+        crate::flatten::choice_maps(graphs)
     }
 
     /// Every statement summary and `while` condition of the run, in

@@ -186,17 +186,19 @@ impl StateTranslator<Trace> for IncrementalTranslator {
 /// Flattening an execution graph walks its records once —
 /// [`ExecGraph::to_trace`] — which the SMC runtime only does lazily at
 /// API boundaries (estimation, reporting). A checkpoint needs only the
-/// choice values, which [`ExecGraph::choice_map`] lists without building
-/// a trace. `Arc<ExecGraph>` particles flatten through `incremental`'s
-/// blanket `Arc` forwarding impl, which also lets a collection flatten
-/// each shared graph once.
+/// choice values, which [`ExecGraph::choice_maps`] lists for a whole
+/// collection without building traces: each record that several graphs
+/// share once, and each distinct map once. `Arc<ExecGraph>` particles
+/// flatten through `incremental`'s blanket `Arc` forwarding impl, which
+/// hands these calls the graphs themselves, so the clones of one graph
+/// arrive as one.
 impl ParticleState for ExecGraph {
     fn to_trace(&self) -> Result<Trace, PplError> {
         ExecGraph::to_trace(self)
     }
 
-    fn to_choice_map(&self) -> Result<ChoiceMap, PplError> {
-        self.choice_map()
+    fn choice_maps(graphs: &[&ExecGraph]) -> Result<Vec<Arc<ChoiceMap>>, PplError> {
+        ExecGraph::choice_maps(graphs)
     }
 }
 

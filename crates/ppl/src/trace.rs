@@ -343,6 +343,13 @@ impl ChoiceMap {
         ChoiceMap::default()
     }
 
+    /// Creates an empty map with room for `n` bindings.
+    pub fn with_capacity(n: usize) -> ChoiceMap {
+        ChoiceMap {
+            map: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
     /// Inserts a value, returning the previous value at that address.
     pub fn insert(&mut self, addr: Address, value: Value) -> Option<Value> {
         self.map.insert(addr.id(), value)

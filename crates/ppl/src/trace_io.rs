@@ -20,6 +20,7 @@
 //! Symbols are quoted with backslash escapes; integer components are
 //! bare. Reals use Rust's shortest round-tripping representation.
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -109,11 +110,11 @@ pub fn write_choice_map(map: &ChoiceMap) -> String {
     out
 }
 
-/// Serializes a weighted collection of choice maps: blocks separated by
-/// `weight <log-weight>` headers.
-pub fn write_weighted_collection(entries: &[(ChoiceMap, f64)]) -> String {
+/// Serializes a weighted collection of choice maps, owned or shared:
+/// blocks separated by `weight <log-weight>` headers.
+pub fn write_weighted_collection<M: Borrow<ChoiceMap>>(entries: &[(M, f64)]) -> String {
     let mut out = String::new();
-    write_weighted_entries(&mut out, entries.iter().map(|(map, w)| (map, *w)));
+    write_weighted_entries(&mut out, entries.iter().map(|(map, w)| (map.borrow(), *w)));
     out
 }
 

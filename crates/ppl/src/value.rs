@@ -6,6 +6,7 @@
 //! such as the Gaussian mixture model of Listing 5).
 
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::error::PplError;
@@ -129,6 +130,47 @@ impl Value {
                 (Ok(a), Ok(b)) => a == b,
                 _ => false,
             },
+        }
+    }
+
+    /// Whether the two are the same value of the same type, with reals
+    /// compared by their bits and arrays element by element. Such values
+    /// print alike, so a writer may render one in place of the other:
+    /// `0.0` and `-0.0` differ here, `1` and `1.0` too, and a NaN is the
+    /// same only as a NaN with equal bits.
+    pub fn same_bits(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Real(a), Value::Real(b)) => a.to_bits() == b.to_bits(),
+            (Value::Array(a), Value::Array(b)) => {
+                Arc::ptr_eq(a, b)
+                    || (a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.same_bits(y)))
+            }
+            _ => false,
+        }
+    }
+
+    /// Feeds the value to `state` so that values that are
+    /// [`Value::same_bits`] hash alike.
+    pub fn hash_bits<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Value::Bool(b) => state.write_u8(u8::from(*b)),
+            Value::Int(i) => {
+                state.write_u8(2);
+                state.write_i64(*i);
+            }
+            Value::Real(r) => {
+                state.write_u8(3);
+                state.write_u64(r.to_bits());
+            }
+            Value::Array(items) => {
+                state.write_u8(4);
+                state.write_usize(items.len());
+                for item in items.iter() {
+                    item.hash_bits(state);
+                }
+            }
         }
     }
 }
